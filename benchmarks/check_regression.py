@@ -7,8 +7,7 @@ compares against the committed ``benchmarks/baseline.json``:
 
 * a bench whose normalized mean exceeds baseline x ``--tolerance`` is a
   **regression** and fails the gate;
-* the full comparison — including a serial-vs-parallel replay speedup
-  demonstration — is written to ``--output`` for artifact upload.
+* the full comparison is written to ``--output`` for artifact upload.
 
 Re-baselining after an intentional performance change::
 
@@ -18,29 +17,26 @@ then commit the updated ``benchmarks/baseline.json``.
 
 A second mode gates the ``repro.harness bench`` trajectory instead:
 ``--trajectory-entry fresh.json`` compares one fresh bench entry
-(calibration-normalized events/sec per engine and mode) against the
+(calibration-normalized serial events/sec per engine) against the
 latest comparable entry in ``--trajectory`` (default
 ``benchmarks/BENCH_0001.json``) and fails on a normalized slowdown
 beyond ``--tolerance``.
 
-The speedup
-demonstration records wall-clock for ``replay_events`` at ``workers=1``
-vs ``workers=4`` on one full-size event log; the >= ``--min-speedup``
-assertion only arms when ``REPRO_REQUIRE_SPEEDUP=1`` (multi-core CI
-runners), since a single-core host cannot demonstrate parallelism.
+Both modes normalize with the same calibration loop,
+:func:`repro.harness.bench.calibrate`.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
+
+from repro.harness.bench import calibrate
 
 HERE = Path(__file__).resolve().parent
 BASELINE_PATH = HERE / "baseline.json"
@@ -56,23 +52,6 @@ BENCH_SUBSET = [
 
 #: Trace length for the gate's simulations (small but non-trivial).
 GATE_TRACE_LEN = "2000"
-
-
-def calibrate(rounds: int = 3) -> float:
-    """Seconds for a fixed CPU-bound workload on *this* machine.
-
-    A deterministic SHA-256 chain approximates the Python-interpreter
-    throughput the simulator depends on; bench means divided by this
-    number are comparable across differently-sized runners.
-    """
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        digest = b"\x00" * 32
-        for _ in range(20000):
-            digest = hashlib.sha256(digest).digest()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def run_bench_subset() -> dict:
@@ -101,40 +80,6 @@ def run_bench_subset() -> dict:
     }
 
 
-def measure_parallel_speedup(workers: int = 4) -> dict:
-    """Wall-clock for one replay, serial vs sharded across *workers*."""
-    from repro.gpu.config import VOLTA
-    from repro.gpu.simulator import replay_events, simulate_l2
-    from repro.harness.runner import engine_factories
-    from repro.workloads.benchmarks import build_trace
-
-    trace = build_trace("bfs", length=30000, seed=2023)
-    log = simulate_l2(trace, VOLTA)
-    factory = engine_factories()["plutus"]
-
-    start = time.perf_counter()
-    serial = replay_events(log, factory, VOLTA, workers=1)
-    serial_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    parallel = replay_events(log, factory, VOLTA, workers=workers)
-    parallel_seconds = time.perf_counter() - start
-
-    identical = (
-        serial.traffic == parallel.traffic
-        and serial.engine_stats == parallel.engine_stats
-    )
-    return {
-        "events": len(log.events),
-        "workers": workers,
-        "serial_seconds": serial_seconds,
-        "parallel_seconds": parallel_seconds,
-        "speedup": serial_seconds / parallel_seconds,
-        "results_identical": identical,
-        "cpu_count": os.cpu_count(),
-    }
-
-
 def _entry_path(entry: dict) -> str:
     """Replay path an entry measured; pre-columnar entries are object."""
     return entry.get("path", "object")
@@ -160,8 +105,9 @@ def compare_trajectory(entry: dict, trajectory: dict, tolerance: float,
     Throughputs are normalized by each entry's own calibration number
     (``eps * calibration_seconds`` = events per calibration unit of
     CPU), so a slow runner is compared against what the recording
-    machine would have measured at its speed. A mode whose normalized
-    throughput drops below ``reference / tolerance`` is a regression.
+    machine would have measured at its speed. An engine whose normalized
+    ``serial_eps`` drops below ``reference / tolerance`` is a
+    regression.
 
     Entries record which replay ``path`` they measured (absent means
     the pre-columnar object path). Regressions always compare same
@@ -193,30 +139,28 @@ def compare_trajectory(entry: dict, trajectory: dict, tolerance: float,
         ref_cal = float(reference["calibration_seconds"])
         rows = []
         for engine, current in sorted(entry.get("engines", {}).items()):
-            base = reference.get("engines", {}).get(engine)
-            for mode in ("serial_eps", "sharded_eps"):
-                cur_eps = current.get(mode)
-                if cur_eps is None:
-                    continue
-                if base is None or base.get(mode) is None:
-                    rows.append(
-                        {"name": f"{engine}:{mode}", "status": "new",
-                         "eps": cur_eps}
-                    )
-                    continue
-                cur_norm = cur_eps * cur_cal
-                base_norm = base[mode] * ref_cal
-                ratio = cur_norm / base_norm if base_norm else float("inf")
-                status = "regression" if ratio < 1.0 / tolerance else "ok"
-                rows.append(
-                    {
-                        "name": f"{engine}:{mode}",
-                        "status": status,
-                        "eps": cur_eps,
-                        "reference_eps": base[mode],
-                        "normalized_ratio": ratio,
-                    }
-                )
+            base = reference.get("engines", {}).get(engine) or {}
+            cur_eps = current.get("serial_eps")
+            base_eps = base.get("serial_eps")
+            name = f"{engine}:serial_eps"
+            if cur_eps is None:
+                continue
+            if base_eps is None:
+                rows.append({"name": name, "status": "new", "eps": cur_eps})
+                continue
+            cur_norm = cur_eps * cur_cal
+            base_norm = base_eps * ref_cal
+            ratio = cur_norm / base_norm if base_norm else float("inf")
+            status = "regression" if ratio < 1.0 / tolerance else "ok"
+            rows.append(
+                {
+                    "name": name,
+                    "status": status,
+                    "eps": cur_eps,
+                    "reference_eps": base_eps,
+                    "normalized_ratio": ratio,
+                }
+            )
         rows.sort(key=lambda r: r.get("normalized_ratio", float("inf")))
         report["reference"] = {
             "recorded": reference.get("recorded"),
@@ -357,21 +301,12 @@ def main(argv=None) -> int:
              "(default 0.05s — below that the timer noise dominates)",
     )
     parser.add_argument(
-        "--min-speedup", type=float, default=2.0,
-        help="required parallel replay speedup when REPRO_REQUIRE_SPEEDUP "
-             "is set (default 2.0)",
-    )
-    parser.add_argument(
         "--output", default="comparison.json", metavar="PATH",
         help="where to write the comparison artifact",
     )
     parser.add_argument(
         "--rebaseline", action="store_true",
         help="record current means as the new baseline and exit",
-    )
-    parser.add_argument(
-        "--skip-speedup", action="store_true",
-        help="omit the serial-vs-parallel demonstration (quick local runs)",
     )
     parser.add_argument(
         "--trajectory-entry", default=None, metavar="PATH",
@@ -469,39 +404,16 @@ def main(argv=None) -> int:
         current, baseline, calibration, args.tolerance, args.min_time
     )
 
-    if not args.skip_speedup:
-        report["parallel_replay"] = measure_parallel_speedup()
-        demo = report["parallel_replay"]
-        print(
-            f"parallel replay: {demo['speedup']:.2f}x over serial "
-            f"({demo['serial_seconds']:.2f}s -> "
-            f"{demo['parallel_seconds']:.2f}s, {demo['workers']} workers, "
-            f"identical={demo['results_identical']})"
-        )
-
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
     for row in report["rows"]:
         ratio = row.get("normalized_ratio")
         detail = f" ratio={ratio:.2f}" if ratio is not None else ""
         print(f"  {row['status']:>10}  {row['name']}{detail}")
 
-    failed = False
     if report["regressions"]:
         print(f"REGRESSIONS: {report['regressions']}", file=sys.stderr)
-        failed = True
-    demo = report.get("parallel_replay")
-    if demo and not demo["results_identical"]:
-        print("parallel replay diverged from serial", file=sys.stderr)
-        failed = True
-    if demo and os.environ.get("REPRO_REQUIRE_SPEEDUP"):
-        if demo["speedup"] < args.min_speedup:
-            print(
-                f"parallel speedup {demo['speedup']:.2f}x below required "
-                f"{args.min_speedup}x",
-                file=sys.stderr,
-            )
-            failed = True
-    return 1 if failed else 0
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

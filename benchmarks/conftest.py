@@ -7,9 +7,7 @@ in the content-hashed disk cache (``REPRO_CACHE_DIR``, default
 ``.cache``), so *repeated* bench sessions skip trace generation and
 ``simulate_l2`` entirely. Trace length balances fidelity against bench
 runtime; override with REPRO_BENCH_TRACE_LEN (the EXPERIMENTS.md numbers
-were recorded at 30000). REPRO_BENCH_WORKERS selects the replay
-strategy (an integer, or ``auto`` for one worker per core; default 1 =
-serial) — results are byte-identical either way.
+were recorded at 30000).
 
 At session end every memoized simulation's *per-stream* traffic is
 emitted through the observability metrics writer (see
@@ -31,14 +29,6 @@ BENCH_TRACE_LENGTH = int(os.environ.get("REPRO_BENCH_TRACE_LEN", "8000"))
 BENCH_METRICS_OUT = os.environ.get(
     "REPRO_BENCH_METRICS_OUT", "BENCH_METRICS.json"
 )
-
-
-def _bench_workers():
-    """Replay workers for bench runs: int, or 'auto' = one per core."""
-    raw = os.environ.get("REPRO_BENCH_WORKERS", "1")
-    if raw == "auto":
-        return None
-    return int(raw)
 
 
 def _dump_bench_metrics(ctx: ExperimentContext, path: str) -> None:
@@ -66,9 +56,7 @@ def _dump_bench_metrics(ctx: ExperimentContext, path: str) -> None:
 
 @pytest.fixture(scope="session")
 def ctx():
-    context = ExperimentContext(
-        trace_length=BENCH_TRACE_LENGTH, workers=_bench_workers()
-    )
+    context = ExperimentContext(trace_length=BENCH_TRACE_LENGTH)
     yield context
     if BENCH_METRICS_OUT and context._results:
         _dump_bench_metrics(context, BENCH_METRICS_OUT)

@@ -139,7 +139,7 @@ def _check_disk_cache(
             "event log reloaded from the disk cache serializes differently"
         )
     factory = conformance_factories((CROSS_CHECK_ENGINE,))[CROSS_CHECK_ENGINE]
-    replayed = replay_events(cached, factory, config, workers=1)
+    replayed = replay_events(cached, factory, config)
     for stream in Stream:
         direct = (
             reference.traffic.bytes_by_stream[stream],

@@ -336,7 +336,6 @@ def evaluate_log(
     config: GpuConfig = VOLTA,
     engines: Sequence[str] = CONFORMANCE_ENGINES,
     functional_events: Optional[int] = DEFAULT_FUNCTIONAL_EVENTS,
-    check_parallel: bool = True,
 ) -> List[Violation]:
     """Run the universal-invariant oracle on one (adversarial) log."""
     run = run_matrix(
@@ -344,7 +343,6 @@ def evaluate_log(
         config=config,
         engines=engines,
         claims_apply=False,
-        check_parallel=check_parallel,
         functional_events=functional_events,
     )
     return check_run(run)
@@ -389,16 +387,10 @@ def _fuzz_range(
                     evaluate_log(
                         candidate, config=config, engines=engines,
                         functional_events=functional_events,
-                        check_parallel=False,
                     )
                 )
 
-            try:
-                shrunk = shrink(log, still_failing)
-            except ValueError:
-                # Only the parallel cross-check failed; nothing to
-                # shrink against the serial-only oracle.
-                shrunk = log
+            shrunk = shrink(log, still_failing)
         failures.append(
             FuzzFailure(
                 iteration=iteration,
@@ -424,9 +416,7 @@ def fuzz(
 
     Each iteration derives its own RNG from (seed, iteration), so any
     failure is reproducible in isolation from its iteration number.
-    Failing logs are ddmin-shrunk against the same oracle (with the
-    parallel cross-check disabled during shrinking — it dominates the
-    per-candidate cost and the shrunk log is re-checked in full).
+    Failing logs are ddmin-shrunk against the same oracle.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")

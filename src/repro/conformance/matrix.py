@@ -3,7 +3,7 @@
 One :class:`MatrixRun` bundles everything the invariant oracle looks
 at for a single event log: the symbolic replay results of the full
 engine matrix, the functional-crypto outcomes, and the two execution
-cross-checks (serial vs. parallel replay, text-IO round-trip replay).
+cross-checks (columnar vs. object replay, text-IO round-trip replay).
 :func:`run_matrix` is the only way these are produced, so every caller
 — corpus verification, the fuzzer, tests — checks the same thing.
 """
@@ -47,8 +47,8 @@ CONFORMANCE_ENGINES: Tuple[str, ...] = (
     "recoverable",
 )
 
-#: Engine replayed a second time for the serial-vs-parallel and
-#: round-trip identity checks (the richest design: every mechanism on).
+#: Engine replayed a second time for the round-trip identity check
+#: (the richest design: every mechanism on).
 CROSS_CHECK_ENGINE = "plutus"
 
 #: Cap on events the functional-crypto stage executes per mode; pure
@@ -73,8 +73,6 @@ class MatrixRun:
     config: GpuConfig
     results: Dict[str, SimulationResult]
     functional: Dict[str, FunctionalOutcome] = field(default_factory=dict)
-    #: (engine key, workers>=2 result) when the parallel path ran.
-    parallel: Optional[Tuple[str, SimulationResult]] = None
     #: (engine key, reloaded-log replay result) when the round-trip ran.
     roundtrip: Optional[Tuple[str, SimulationResult]] = None
     #: Per-engine results of a forced scalar object-path replay, filled
@@ -91,7 +89,7 @@ class MatrixRun:
 def conformance_factories(
     engines: Sequence[str] = CONFORMANCE_ENGINES,
 ) -> Dict[str, object]:
-    """Resolve the matrix's engine keys to picklable factories."""
+    """Resolve the matrix's engine keys to their named factories."""
     from repro.harness.runner import engine_factories
 
     named = engine_factories()
@@ -108,7 +106,6 @@ def run_matrix(
     config: GpuConfig = VOLTA,
     engines: Sequence[str] = CONFORMANCE_ENGINES,
     claims_apply: bool = False,
-    check_parallel: bool = True,
     check_roundtrip: bool = True,
     check_columnar: bool = True,
     check_recovery: bool = True,
@@ -118,13 +115,11 @@ def run_matrix(
 ) -> MatrixRun:
     """Replay *log* through the full differential matrix.
 
-    The parallel cross-check only runs when the log spans at least two
-    partitions (the parallel path falls back to serial otherwise, which
-    would compare a result with itself); the functional stage can be
+    Each cross-check stage can be switched off; the functional stage is
     disabled entirely with ``functional_modes=()``.
     """
     factories = conformance_factories(engines)
-    results = replay_matrix(log, factories, config, workers=1)
+    results = replay_matrix(log, factories, config)
 
     run = MatrixRun(
         log=log, config=config, results=results, claims_apply=claims_apply
@@ -135,26 +130,19 @@ def run_matrix(
         # path disabled; the columnar-object-identity invariant compares
         # the two result sets engine by engine.
         run.object_path = {
-            key: replay_events(
-                log, factory, config, workers=1, path="object"
-            )
+            key: replay_events(log, factory, config, path="object")
             for key, factory in factories.items()
         }
 
-    cross_key = CROSS_CHECK_ENGINE if CROSS_CHECK_ENGINE in factories else (
-        next(iter(factories))
-    )
-    partitions = {event.partition for event in log.events}
-    if check_parallel and len(partitions) >= 2:
-        run.parallel = (
-            cross_key,
-            replay_events(log, factories[cross_key], config, workers=2),
-        )
     if check_roundtrip:
+        cross_key = (
+            CROSS_CHECK_ENGINE if CROSS_CHECK_ENGINE in factories
+            else next(iter(factories))
+        )
         reloaded = loads_event_log(dumps_event_log(log))
         run.roundtrip = (
             cross_key,
-            replay_events(reloaded, factories[cross_key], config, workers=1),
+            replay_events(reloaded, factories[cross_key], config),
         )
     if functional_modes:
         run.functional = execute_modes(

@@ -2,9 +2,8 @@
 
 The event log used to be a Python list of :class:`MemoryEvent` objects —
 fine at thousands of events, ruinous at millions: every event costs an
-object header, every replay pass re-dispatches per event, and pickling a
-shard for the process pool serializes objects one by one. This module
-stores the same stream as parallel columns instead:
+object header, and every replay pass re-dispatches per event. This
+module stores the same stream as parallel columns instead:
 
 * ``kind``      — one byte per event (0 = fill, 1 = writeback);
 * ``partition`` — int32 partition index;
@@ -17,7 +16,7 @@ Three views cooperate:
 * :class:`ColumnStore` — the growable builder (``bytearray`` +
   ``array.array`` columns) the L2 pass appends into;
 * :class:`EventColumns` — an immutable numpy snapshot of a store, the
-  form the vectorized replay, sharding, and serialization operate on;
+  form the vectorized replay and serialization operate on;
 * :class:`EventView` — a lazy ``Sequence[MemoryEvent]`` over a store, so
   every caller written against ``log.events`` (iteration, indexing,
   slicing, equality) keeps working unchanged; events are materialized
@@ -391,34 +390,6 @@ class ColumnStore:
             and self._offsets == other._offsets
             and self._payload == other._payload
         )
-
-    # -- pickling (drop the snapshot cache; shards ship columns only) -----
-
-    def __getstate__(self):
-        return (
-            bytes(self._kinds),
-            self._partitions.tobytes(),
-            self._sectors.tobytes(),
-            self._offsets.tobytes(),
-            self._lengths.tobytes(),
-            bytes(self._payload),
-            self._fixed32,
-        )
-
-    def __setstate__(self, state) -> None:
-        kinds, partitions, sectors, offsets, lengths, payload, fixed = state
-        self._kinds = bytearray(kinds)
-        self._partitions = array("i")
-        self._partitions.frombytes(partitions)
-        self._sectors = array("q")
-        self._sectors.frombytes(sectors)
-        self._offsets = array("q")
-        self._offsets.frombytes(offsets)
-        self._lengths = array("i")
-        self._lengths.frombytes(lengths)
-        self._payload = bytearray(payload)
-        self._fixed32 = fixed
-        self._cols = None
 
 
 class EventView(Sequence):

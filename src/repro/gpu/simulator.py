@@ -13,27 +13,17 @@ Two-phase design for experiment throughput:
 
 :func:`simulate` composes both for one-shot use.
 
-Replay parallelizes across *memory partitions*: each of the modeled
-GPU's 32 partitions has its own engine, metadata caches, counters, and
-BMT, and no event ever crosses partitions (PSSM's partition-local
-metadata addressing guarantees it). :func:`split_event_log` shards the
-merged event stream into per-partition sub-logs, ``workers >= 2`` runs
-each shard in its own process, and the per-shard traffic counters,
-engine stats, and metric snapshots are folded back in partition order —
-byte-identical to the serial result (see docs/ARCHITECTURE.md § Sharded
-execution model).
+Each of the modeled GPU's 32 memory partitions has its own engine,
+metadata caches, counters, and BMT, and no event ever crosses
+partitions (PSSM's partition-local metadata addressing guarantees it),
+so replay may regroup the merged event stream partition by partition
+without changing any result (see docs/ARCHITECTURE.md § Columnar core).
 """
 
 from __future__ import annotations
 
-import os
-import pickle
 import time
-import warnings
-from concurrent.futures import CancelledError, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -51,8 +41,7 @@ from repro.gpu.columnar import (
 from repro.gpu.config import GpuConfig
 from repro.mem.cache import CacheConfig, SectoredCache
 from repro.mem.traffic import Stream, TrafficCounter, TrafficReport
-from repro.obs.config import ObsConfig
-from repro.obs.session import ObsSession, activate as _obs_activate
+from repro.obs.session import ObsSession
 from repro.obs.session import active as _obs_active
 from repro.secure.engine import EngineStats, PartitionEngine
 from repro.workloads.trace import Trace
@@ -60,8 +49,7 @@ from repro.workloads.trace import Trace
 __all__ = [
     "EventKind", "MemoryEvent", "MemoryEventLog", "L2Stats",
     "SimulationResult", "simulate_l2", "replay_events", "replay_matrix",
-    "simulate", "split_event_log", "resolve_workers", "EngineFactory",
-    "REPLAY_PATHS",
+    "simulate", "EngineFactory", "REPLAY_PATHS",
 ]
 
 #: Factory signature every engine exposes for the simulator.
@@ -281,265 +269,6 @@ def _merge_stats(per_partition: List[EngineStats]) -> EngineStats:
     return merged
 
 
-def resolve_workers(workers: "int | None") -> int:
-    """Normalize a ``--workers`` value: ``None`` means one per CPU core."""
-    if workers is None:
-        return max(1, os.cpu_count() or 1)
-    if workers < 1:
-        raise ValueError("workers must be >= 1 (or None for auto)")
-    return workers
-
-
-def split_event_log(log: MemoryEventLog) -> Dict[int, MemoryEventLog]:
-    """Shard an event log into per-partition sub-logs.
-
-    Each sub-log preserves the partition's events in their original
-    order and inherits the parent's trace profile (name, intensity,
-    warmup depth), so it replays exactly as that partition's slice of
-    the merged stream would. L2 stats stay with the parent log — they
-    describe the whole cache pass, not one partition's share.
-    """
-    shards: Dict[int, MemoryEventLog] = {}
-    cols = log.to_columns()
-    if not cols.n_events:
-        return shards
-    for partition in np.unique(cols.partition).tolist():
-        rows = np.flatnonzero(cols.partition == partition)
-        shards[int(partition)] = MemoryEventLog.from_columns(
-            cols.take(rows),
-            trace_name=log.trace_name,
-            memory_intensity=log.memory_intensity,
-            instructions=log.instructions,
-            counter_warmup_passes=log.counter_warmup_passes,
-        )
-    return shards
-
-
-@dataclass
-class _ShardOutcome:
-    """What one worker process returns for one partition's replay."""
-
-    partition: int
-    engine_name: str
-    engine_stats: EngineStats
-    #: ``TrafficCounter.state()`` form: stream value -> (bytes, transactions).
-    traffic_state: Dict[str, Tuple[int, int]]
-    #: ``MetricsRegistry.as_dict()`` payload when metrics were active.
-    metrics: Optional[Dict[str, Dict[str, object]]]
-
-
-def _replay_shard(
-    shard: MemoryEventLog,
-    engine_factory: EngineFactory,
-    config: GpuConfig,
-    counter_warmup_passes: int,
-    obs_config: Optional[ObsConfig],
-    path: str = "auto",
-) -> _ShardOutcome:
-    """Worker-process entry: replay one partition's sub-log serially."""
-    session = ObsSession(obs_config) if obs_config is not None else None
-    if session is not None:
-        with _obs_activate(session):
-            result = replay_events(
-                shard, engine_factory, config, counter_warmup_passes,
-                workers=1, path=path,
-            )
-        metrics = (
-            session.registry.as_dict()
-            if session.config.metrics_active else None
-        )
-    else:
-        result = replay_events(
-            shard, engine_factory, config, counter_warmup_passes, workers=1,
-            path=path,
-        )
-        metrics = None
-    traffic_state = {
-        s.value: (
-            result.traffic.bytes_by_stream[s],
-            result.traffic.transactions_by_stream[s],
-        )
-        for s in Stream
-    }
-    return _ShardOutcome(
-        partition=shard.events[0].partition,
-        engine_name=result.engine_name,
-        engine_stats=result.engine_stats,
-        traffic_state=traffic_state,
-        metrics=metrics,
-    )
-
-
-def _replay_events_parallel(
-    log: MemoryEventLog,
-    engine_factory: EngineFactory,
-    config: GpuConfig,
-    counter_warmup_passes: int,
-    requested_workers: int,
-    shard_timeout: Optional[float] = None,
-    path: str = "auto",
-) -> Optional[SimulationResult]:
-    """Shard-per-partition replay across a process pool.
-
-    Returns ``None`` to signal the caller to take the serial path: when
-    the log touches fewer than two partitions (nothing to overlap) or
-    the factory cannot cross a process boundary (ad-hoc lambdas; named
-    design points use the picklable
-    :class:`~repro.harness.runner.EngineSpec`).
-
-    Merging is deterministic — shards are folded back in ascending
-    partition order — and byte-identical to serial replay: every stream
-    byte/transaction and every :class:`EngineStats` field is an integer
-    sum over per-partition contributions, and partitions never interact.
-
-    Failure handling distinguishes two classes. *Crash-class* failures —
-    a worker process dying (``BrokenProcessPool``), a shard exceeding
-    ``shard_timeout`` seconds, or a cancelled future — degrade, not
-    abort: the affected partitions are re-replayed serially in this
-    process (same code path a worker runs, so the merged result stays
-    byte-identical) under a ``RuntimeWarning`` naming each failed
-    partition, with ``replay.shard_retries`` counting retries.
-    *Deterministic* shard exceptions — the replay itself raised — would
-    fail identically on retry, so remaining shards are cancelled and a
-    :class:`~repro.common.errors.SimulationError` naming the partition
-    is raised, chained to the worker's original exception.
-    """
-    shards = split_event_log(log)
-    if len(shards) < 2:
-        return None
-    try:
-        pickle.dumps(engine_factory)
-    except Exception:
-        warnings.warn(
-            "engine factory is not picklable; falling back to serial "
-            "replay (named factories from repro.harness.runner are "
-            "picklable EngineSpecs)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return None
-    obs = _obs_active()
-    # Workers get metrics but not tracing or spans: ring buffers cannot
-    # merge without reordering, and per-event traces / span profiles
-    # are serial-debug tools.
-    child_obs = (
-        replace(obs.config, tracing=False, spans=False)
-        if obs.enabled else None
-    )
-    n_workers = min(requested_workers, len(shards))
-    start = time.perf_counter() if obs.enabled else 0.0
-    ordered = sorted(shards)
-    with obs.phase(
-        "replay_events", trace=log.trace_name,
-        workers=n_workers, shards=len(shards),
-    ):
-        outcomes = []
-        failed: Dict[int, str] = {}
-        hung = False
-        pool = ProcessPoolExecutor(max_workers=n_workers)
-        try:
-            futures = [
-                (
-                    partition,
-                    pool.submit(
-                        _replay_shard,
-                        shards[partition],
-                        engine_factory,
-                        config,
-                        counter_warmup_passes,
-                        child_obs,
-                        path,
-                    ),
-                )
-                for partition in ordered
-            ]
-            for partition, future in futures:
-                try:
-                    outcomes.append(future.result(timeout=shard_timeout))
-                except (BrokenProcessPool, CancelledError) as exc:
-                    failed[partition] = type(exc).__name__
-                except FutureTimeoutError:
-                    failed[partition] = f"timeout after {shard_timeout:g}s"
-                    hung = True
-                except Exception as exc:
-                    for _, pending in futures:
-                        pending.cancel()
-                    raise SimulationError(
-                        f"shard replay failed for partition {partition} "
-                        f"of trace {log.trace_name!r} "
-                        f"({len(shards[partition].events)} events): {exc}"
-                    ) from exc
-        finally:
-            # A hung worker must never block shutdown; cancelled
-            # futures simply never start.
-            pool.shutdown(wait=not hung, cancel_futures=True)
-
-        if failed:
-            causes = ", ".join(
-                f"partition {p}: {cause}" for p, cause in sorted(failed.items())
-            )
-            warnings.warn(
-                f"parallel replay degraded for trace {log.trace_name!r}: "
-                f"{len(failed)} of {len(shards)} shard(s) failed "
-                f"({causes}); retrying those partitions serially",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-            obs.registry.counter("replay.shard_retries").inc(len(failed))
-            for partition in sorted(failed):
-                outcomes.append(
-                    _replay_shard(
-                        shards[partition],
-                        engine_factory,
-                        config,
-                        counter_warmup_passes,
-                        child_obs,
-                        path,
-                    )
-                )
-
-    outcomes.sort(key=lambda outcome: outcome.partition)
-    traffic = TrafficCounter()
-    engine_name = "no-traffic"
-    for outcome in outcomes:
-        traffic.merge_state(outcome.traffic_state)
-        engine_name = outcome.engine_name
-        if obs.config.metrics_active and outcome.metrics:
-            obs.registry.merge_snapshot(outcome.metrics)
-        if obs.enabled:
-            obs.tracer.emit(
-                "replay.shard",
-                partition=outcome.partition,
-                events=len(shards[outcome.partition].events),
-            )
-    merged_stats = _merge_stats([o.engine_stats for o in outcomes])
-
-    if obs.enabled:
-        elapsed = time.perf_counter() - start
-        if obs.config.metrics_active:
-            registry = obs.registry
-            registry.gauge("replay.events").set(len(log.events))
-            registry.gauge("replay.workers").set(n_workers)
-            if elapsed > 0:
-                registry.gauge("replay.events_per_sec").set(
-                    len(log.events) / elapsed
-                )
-            for f in fields(EngineStats):
-                registry.gauge(f"engine.{f.name}").set(
-                    getattr(merged_stats, f.name)
-                )
-
-    return SimulationResult(
-        engine_name=engine_name,
-        trace_name=log.trace_name,
-        memory_intensity=log.memory_intensity,
-        instructions=log.instructions,
-        traffic=traffic.report(),
-        engine_stats=merged_stats,
-        l2_stats=log.l2_stats,
-    )
-
-
 def _columnar_serial_replay(
     log: MemoryEventLog,
     engine_for: Callable[[int], PartitionEngine],
@@ -627,8 +356,6 @@ def replay_events(
     engine_factory: EngineFactory,
     config: GpuConfig,
     counter_warmup_passes: "int | None" = None,
-    workers: "int | None" = 1,
-    shard_timeout: "float | None" = None,
     path: str = "auto",
 ) -> SimulationResult:
     """Run a logged event stream through one security-engine design.
@@ -643,40 +370,21 @@ def replay_events(
     (``None``) takes the depth recorded in the event log, which
     benchmark profiles set to match how iterative the workload is.
 
-    ``workers`` selects the execution strategy: 1 (the default) is the
-    serial reference path, ``None`` means one worker per CPU core, and
-    ``>= 2`` shards the log by partition across a process pool (see
-    :func:`split_event_log`). The merged result is byte-identical to
-    ``workers=1`` regardless of worker count. ``shard_timeout`` bounds
-    each shard's wall-clock seconds in the parallel path; shards that
-    exceed it (or whose worker dies) are retried serially with a
-    ``RuntimeWarning`` rather than failing the run.
-
-    ``path`` selects the serial inner loop: ``"auto"`` (the default)
-    runs the columnar batched pass unless per-event instrumentation
-    (interval sampling, memory-event tracing, span detail) requires the
-    scalar loop; ``"columnar"``/``"object"`` force one side, which is
-    how the conformance invariant cross-checks them. Both produce
-    byte-identical :class:`SimulationResult`\\ s.
+    ``path`` selects the inner loop: ``"auto"`` (the default) runs the
+    columnar batched pass unless per-event instrumentation (interval
+    sampling, memory-event tracing, span detail) requires the scalar
+    loop; ``"columnar"``/``"object"`` force one side, which is how the
+    conformance invariant cross-checks them. Both produce byte-identical
+    :class:`SimulationResult`\\ s.
     """
     if counter_warmup_passes is None:
         counter_warmup_passes = log.counter_warmup_passes
     if counter_warmup_passes < 0:
         raise ValueError("warmup passes cannot be negative")
-    if shard_timeout is not None and shard_timeout <= 0:
-        raise ValueError("shard timeout must be positive (or None)")
     if path not in REPLAY_PATHS:
         raise ValueError(
             f"unknown replay path {path!r}; expected one of {REPLAY_PATHS}"
         )
-    n_workers = resolve_workers(workers)
-    if n_workers > 1:
-        parallel = _replay_events_parallel(
-            log, engine_factory, config, counter_warmup_passes, n_workers,
-            shard_timeout, path,
-        )
-        if parallel is not None:
-            return parallel
     obs = _obs_active()
     metrics_on = obs.config.metrics_active
     interval = obs.config.interval_events if metrics_on else 0
@@ -863,12 +571,9 @@ def simulate(
     trace: Trace,
     engine_factory: EngineFactory,
     config: GpuConfig,
-    workers: "int | None" = 1,
 ) -> SimulationResult:
     """One-shot convenience: L2 pass plus engine replay."""
-    return replay_events(
-        simulate_l2(trace, config), engine_factory, config, workers=workers
-    )
+    return replay_events(simulate_l2(trace, config), engine_factory, config)
 
 
 def replay_matrix(
@@ -876,8 +581,6 @@ def replay_matrix(
     factories: "Mapping[str, EngineFactory]",
     config: GpuConfig,
     counter_warmup_passes: "int | None" = None,
-    workers: "int | None" = 1,
-    shard_timeout: "float | None" = None,
     path: str = "auto",
 ) -> "Dict[str, SimulationResult]":
     """Replay one event log through a whole matrix of engine designs.
@@ -896,8 +599,6 @@ def replay_matrix(
             factory,
             config,
             counter_warmup_passes=counter_warmup_passes,
-            workers=workers,
-            shard_timeout=shard_timeout,
             path=path,
         )
     return results

@@ -2,10 +2,9 @@
 
 Runs the requested experiments (default: all) and prints their reports.
 Useful flags: ``--length`` to control trace size, ``--benchmarks`` to
-restrict the roster, ``--workers`` to shard engine replay across a
-process pool (default ``auto`` = one per core; ``1`` forces the serial
-reference path), ``--cache-dir`` to relocate or disable the on-disk
-trace/event-log cache.
+restrict the roster, ``--cache-dir`` to relocate or disable the on-disk
+trace/event-log cache, and ``--workers N`` to run the experiments as
+journaled units on N worker subprocesses (below).
 
 ``python -m repro.harness profile <benchmark>`` instead runs one fully
 instrumented simulation and renders the observability dashboard; see
@@ -26,13 +25,15 @@ sensitivity sweep as a supervised campaign: every cell is a journaled
 work unit, so ``--resume <run-id>`` after a crash re-runs only the
 unfinished cells, ``--budget`` degrades gracefully into an explicit
 partial report, and ``--chaos`` sabotages the runtime on purpose; see
-docs/ARCHITECTURE.md § Resilient execution. With ``--workers N``
-(N >= 2) the campaign runs on N worker *subprocesses* pulling from a
-shared lease-based work queue — dead workers are detected by
-heartbeat and their units stolen, ``--speculate`` duplicates
-stragglers, and the merged report stays byte-identical to a serial
-run; see docs/ARCHITECTURE.md § Distributed execution. The same flag
-reaches ``inject``, ``conform --fuzz``, and the experiments command.
+docs/ARCHITECTURE.md § Resilient execution. ``--workers`` defaults
+to 1, which runs every unit serially in-process; with ``--workers N``
+(N >= 2) the campaign runs on N journaled worker *subprocesses*
+pulling from a shared lease-based work queue — dead workers are
+detected by heartbeat and their units stolen, ``--speculate``
+duplicates stragglers, and the merged report stays byte-identical to
+a serial run; see docs/ARCHITECTURE.md § Distributed execution. The
+same flag reaches ``inject``, ``conform --fuzz``, and the experiments
+command.
 
 ``python -m repro.harness status <journal>`` monitors a supervised run
 from its journal, read-only and safe against the live campaign;
@@ -46,9 +47,8 @@ counters, plus LRU eviction down to ``--max-bytes`` that never evicts
 entries pinned by an in-flight campaign.
 
 ``python -m repro.harness bench`` measures replay throughput
-(events/sec, serial and sharded) across engine design points and
-appends the result to the committed benchmark trajectory
-(benchmarks/BENCH_0001.json).
+(events/sec) across engine design points and appends the result to
+the committed benchmark trajectory (benchmarks/BENCH_0001.json).
 
 ``python -m repro.harness list`` enumerates every key the other
 subcommands accept (benchmarks, engine design points, experiments,
@@ -85,53 +85,14 @@ from repro.harness.runner import (
 from repro.harness.supervise import (
     add_resilience_flags,
     build_supervisor,
+    distributed_requested,
     supervision_requested,
 )
 from repro.obs import ObsConfig
 from repro.workloads.benchmarks import benchmark_names
 
 
-def _workers_arg(value: str):
-    """Parse ``--workers``: a positive int, or ``auto`` for one per core."""
-    if value == "auto":
-        return None
-    try:
-        workers = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"workers must be a positive integer or 'auto', got {value!r}"
-        ) from None
-    if workers < 1:
-        raise argparse.ArgumentTypeError("workers must be >= 1 (or 'auto')")
-    return workers
-
-
-def _shard_timeout_arg(value: str) -> float:
-    """Parse ``--shard-timeout``: positive wall-clock seconds."""
-    try:
-        timeout = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"shard timeout must be a positive number of seconds, "
-            f"got {value!r}"
-        ) from None
-    if timeout <= 0:
-        raise argparse.ArgumentTypeError("shard timeout must be > 0")
-    return timeout
-
-
-def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers", type=_workers_arg, default=None, metavar="N|auto",
-        help="replay worker processes: an integer, or 'auto' for one per "
-             "CPU core (default); 1 forces the serial path",
-    )
-    parser.add_argument(
-        "--shard-timeout", type=_shard_timeout_arg, default=None,
-        metavar="SECONDS",
-        help="wall-clock bound per parallel replay shard; shards that "
-             "exceed it are retried serially instead of hanging the run",
-    )
+def _add_cache_dir_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir", default=None, metavar="PATH",
         help="root of the on-disk trace/event-log cache (default: "
@@ -199,7 +160,7 @@ def profile_main(argv) -> int:
         help="write the span profile as collapsed stacks "
              "(flamegraph.pl / speedscope input)",
     )
-    _add_execution_flags(parser)
+    _add_cache_dir_flag(parser)
     add_logging_flags(parser)
     args = parser.parse_args(argv)
     setup_logging(args)
@@ -224,8 +185,6 @@ def profile_main(argv) -> int:
             trace_out=args.trace_out,
             chrome_out=args.chrome_out,
             collapsed_out=args.collapsed_out,
-            workers=args.workers,
-            shard_timeout=args.shard_timeout,
             cache_dir=args.cache_dir,
         )
     except ReproError as exc:
@@ -276,7 +235,7 @@ def inject_main(argv) -> int:
         help="root of the on-disk trace cache (default: $REPRO_CACHE_DIR "
              "or .cache; pass '' to disable)",
     )
-    add_resilience_flags(parser, workers=True)
+    add_resilience_flags(parser)
     add_logging_flags(parser)
     args = parser.parse_args(argv)
     setup_logging(args)
@@ -287,8 +246,6 @@ def inject_main(argv) -> int:
     )
     for engine in args.engines or ():
         _check_known(parser, "engine variant", engine, ENGINE_VARIANTS)
-
-    from repro.harness.supervise import distributed_requested
 
     if args.campaign in CRASH_CAMPAIGNS:
         if args.engines:
@@ -436,7 +393,7 @@ def conform_main(argv) -> int:
         help="fuzz iterations per supervised work unit (default 8); "
              "chunking never changes results, only journal granularity",
     )
-    add_resilience_flags(parser, workers=True)
+    add_resilience_flags(parser)
     add_logging_flags(parser)
     args = parser.parse_args(argv)
     setup_logging(args)
@@ -444,7 +401,7 @@ def conform_main(argv) -> int:
         parser.error("--fuzz must be >= 0")
     if args.fuzz_chunk < 1:
         parser.error("--fuzz-chunk must be >= 1")
-    if getattr(args, "workers", None) is not None and args.fuzz <= 0:
+    if distributed_requested(args) and args.fuzz <= 0:
         parser.error("--workers applies to the fuzz stage; pass --fuzz N")
 
     from pathlib import Path
@@ -539,7 +496,7 @@ def sweep_main(argv) -> int:
         "--report-out", default=None, metavar="PATH",
         help="additionally write the report to PATH (crash-atomically)",
     )
-    _add_execution_flags(parser)
+    _add_cache_dir_flag(parser)
     add_resilience_flags(parser)
     add_logging_flags(parser)
     args = parser.parse_args(argv)
@@ -557,13 +514,10 @@ def sweep_main(argv) -> int:
             args.benchmark,
             trace_length=args.length,
             seed=args.seed,
-            workers=args.workers,
             cache_dir=args.cache_dir,
-            shard_timeout=args.shard_timeout,
         )
-        # Worker-side factory: cells replay serially inside each worker
-        # (the distributed fan-out *is* the parallelism); the execution
-        # knobs are outside unit identity, so fingerprints still match.
+        # Worker-side factory; the cache root is outside unit identity,
+        # so fingerprints still match.
         spec = factory_spec(
             "repro.harness.sweeps:sweep_campaign",
             {
@@ -571,9 +525,7 @@ def sweep_main(argv) -> int:
                 "benchmark": args.benchmark,
                 "trace_length": args.length,
                 "seed": args.seed,
-                "workers": 1,
                 "cache_dir": args.cache_dir,
-                "shard_timeout": args.shard_timeout,
             },
         )
         supervisor = build_supervisor(args, campaign, factory_spec=spec)
@@ -624,10 +576,10 @@ def list_main(argv) -> int:
     # SWEEP_NAMES) so the listing is byte-stable across runs.
     section("benchmarks", sorted(benchmark_names()))
     section("engines", sorted(engine_factories()))
-    # How a campaign's units get executed: the serial reference path,
-    # the in-process sharded replay pool (--workers auto), or the
-    # multi-process lease-queue executor (--workers N with journaling).
-    section("executors", ("serial", "pool", "distributed"))
+    # How a campaign's units get executed: serially in-process
+    # (--workers 1, the default) or by the multi-process lease-queue
+    # executor (--workers N, N >= 2, journaled).
+    section("executors", ("serial", "distributed"))
     section("experiments", sorted(EXPERIMENTS))
     section("sweeps", SWEEP_NAMES)
     section("fault campaigns", sorted(CAMPAIGNS))
@@ -691,7 +643,7 @@ def main(argv=None) -> int:
         metavar="BENCHMARK",
         help="restrict to a subset of the benchmark roster",
     )
-    _add_execution_flags(parser)
+    _add_cache_dir_flag(parser)
     parser.add_argument(
         "--supervise", action="store_true",
         help="run the experiments under the campaign supervisor: one "
@@ -714,8 +666,6 @@ def main(argv=None) -> int:
         trace_length=args.length,
         seed=args.seed,
         benchmarks=args.benchmarks or benchmark_names(),
-        workers=args.workers,
-        shard_timeout=args.shard_timeout,
         cache_dir=args.cache_dir,
     )
     if supervision_requested(args):
@@ -754,8 +704,6 @@ def _supervised_experiments(args, ctx, selected) -> int:
                 "trace_length": args.length,
                 "seed": args.seed,
                 "benchmarks": list(ctx.benchmarks),
-                "workers": 1,
-                "shard_timeout": args.shard_timeout,
                 "cache_dir": args.cache_dir,
             },
         )

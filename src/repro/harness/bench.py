@@ -1,9 +1,8 @@
 """The ``bench`` harness subcommand: replay throughput trajectory.
 
 Measures end-to-end replay throughput (DRAM events per second) for a
-roster of engine design points, serially (``workers=1``, the reference
-path) and sharded across a process pool, and appends the result to a
-committed **trajectory** file (``benchmarks/BENCH_0001.json``) — an
+roster of engine design points and appends the result to a committed
+**trajectory** file (``benchmarks/BENCH_0001.json``) — an
 append-only series of measurements, each stamped with an environment
 fingerprint and an on-machine calibration number so entries from
 differently-sized machines stay comparable (divide by calibration, the
@@ -26,7 +25,7 @@ import platform
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from repro.common.atomicio import atomic_write_text
 from repro.common.errors import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, ReproError
@@ -74,9 +73,10 @@ def _factory_batch_native(factory: object) -> bool:
 def calibrate(rounds: int = 3, iterations: int = 20000) -> float:
     """Seconds for a fixed CPU-bound workload on *this* machine.
 
-    The same deterministic SHA-256 chain ``benchmarks/check_regression``
-    uses: dividing a throughput by this number yields a machine-relative
-    figure comparable across trajectory entries.
+    A deterministic SHA-256 chain approximates the Python-interpreter
+    throughput the simulator depends on (``benchmarks/check_regression``
+    imports it too): dividing a throughput by this number yields a
+    machine-relative figure comparable across trajectory entries.
     """
     best = float("inf")
     for _ in range(rounds):
@@ -99,12 +99,6 @@ def environment_fingerprint() -> Dict[str, object]:
     }
 
 
-def default_shard_workers() -> int:
-    # Never below 2: the sharded mode must be exercised (and recorded)
-    # even on a single-core runner, where it simply won't be faster.
-    return min(4, max(2, os.cpu_count() or 1))
-
-
 def run_bench(
     benchmark: str = "bfs",
     engines: Sequence[str] = DEFAULT_ENGINES,
@@ -112,20 +106,17 @@ def run_bench(
     length: int = DEFAULT_BENCH_LENGTH,
     seed: int = 2023,
     repeats: int = 2,
-    workers: Optional[int] = None,
     path: str = DEFAULT_BENCH_PATH,
     verify_identity: bool = False,
     clock: Callable[[], float] = time.perf_counter,
 ) -> Dict[str, object]:
     """Measure replay throughput; returns one trajectory entry.
 
-    ``workers`` is the shard count for the parallel measurement
-    (default ``min(4, cpu_count)``); below 2 the sharded pass is
-    skipped and entries carry serial numbers only. ``path`` picks the
-    replay implementation that is measured (and recorded in the entry);
-    ``verify_identity`` additionally replays every engine through *both*
-    paths and raises :class:`IdentityMismatchError` if any observable
-    differs — the end-to-end gate the columnar-equivalence CI job runs.
+    ``path`` picks the replay implementation that is measured (and
+    recorded in the entry); ``verify_identity`` additionally replays
+    every engine through *both* paths and raises
+    :class:`IdentityMismatchError` if any observable differs — the
+    end-to-end gate the columnar-equivalence CI job runs.
     """
     from repro.gpu.config import VOLTA
     from repro.gpu.simulator import REPLAY_PATHS, replay_events, simulate_l2
@@ -144,7 +135,6 @@ def run_bench(
         raise KeyError(
             f"unknown engines {unknown}; known: {sorted(factories)}"
         )
-    shard_workers = workers if workers is not None else default_shard_workers()
 
     log.info("building %s trace (length=%d seed=%d)", benchmark, length, seed)
     trace = build_trace(benchmark, length=length, seed=seed)
@@ -156,13 +146,11 @@ def run_bench(
     )
     events = len(event_log.events)
 
-    def best_of(factory, n_workers: int) -> float:
+    def best_of(factory) -> float:
         best = float("inf")
         for _ in range(repeats):
             start = clock()
-            replay_events(
-                event_log, factory, VOLTA, workers=n_workers, path=path
-            )
+            replay_events(event_log, factory, VOLTA, path=path)
             best = min(best, clock() - start)
         return best
 
@@ -170,11 +158,9 @@ def run_bench(
     for key in engines:
         factory = factories[key]
         if verify_identity:
-            scalar = replay_events(
-                event_log, factory, VOLTA, workers=1, path="object"
-            )
+            scalar = replay_events(event_log, factory, VOLTA, path="object")
             columnar = replay_events(
-                event_log, factory, VOLTA, workers=1, path="columnar"
+                event_log, factory, VOLTA, path="columnar"
             )
             from repro.conformance.invariants import results_equal
 
@@ -185,18 +171,12 @@ def run_bench(
                     + "; ".join(diffs)
                 )
             log.info("%s: columnar/object identity verified", key)
-        serial_s = best_of(factory, 1)
+        serial_s = best_of(factory)
         row: Dict[str, object] = {
             "serial_s": round(serial_s, 6),
             "serial_eps": round(events / serial_s, 3) if serial_s else 0.0,
             "batched": _factory_batch_native(factory),
         }
-        if shard_workers >= 2:
-            sharded_s = best_of(factory, shard_workers)
-            row["sharded_s"] = round(sharded_s, 6)
-            row["sharded_eps"] = (
-                round(events / sharded_s, 3) if sharded_s else 0.0
-            )
         measured[key] = row
         log.info("%s: %s", key, row)
 
@@ -207,7 +187,6 @@ def run_bench(
         "seed": seed,
         "events": events,
         "repeats": repeats,
-        "workers": shard_workers if shard_workers >= 2 else 1,
         "path": path,
         "calibration_seconds": round(calibrate(), 6),
         "env": environment_fingerprint(),
@@ -246,20 +225,11 @@ def render_bench(entry: Dict[str, object]) -> str:
     rows = []
     engines: Dict[str, Dict[str, object]] = entry["engines"]  # type: ignore[assignment]
     for key, row in engines.items():
-        record: Dict[str, object] = {
-            "engine": key,
-            "serial_eps": row.get("serial_eps", 0.0),
-        }
-        if "sharded_eps" in row:
-            record["sharded_eps"] = row["sharded_eps"]
-            serial_eps = row.get("serial_eps") or 0.0
-            if serial_eps:
-                record["speedup"] = row["sharded_eps"] / serial_eps  # type: ignore[operator]
-        rows.append(record)
+        rows.append({"engine": key, "serial_eps": row.get("serial_eps", 0.0)})
     header = (
         f"== bench: {entry['benchmark']} x {len(engines)} engines  "
         f"({entry['events']:,} events, best of {entry['repeats']}, "
-        f"{entry['workers']} workers, {entry.get('path', 'object')} path) =="
+        f"{entry.get('path', 'object')} path) =="
     )
     footer = (
         f"calibration: {float(entry['calibration_seconds']) * 1e3:.1f} ms  "
@@ -296,13 +266,8 @@ def bench_main(argv: List[str]) -> int:
     )
     parser.add_argument(
         "--repeats", type=int, default=2, metavar="N",
-        help="measurement repeats per (engine, mode); best is kept "
+        help="measurement repeats per engine; best is kept "
              "(default 2; --quick uses 1)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="shard count for the parallel measurement (default "
-             "min(4, cpu_count); below 2 skips the sharded pass)",
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -351,8 +316,6 @@ def bench_main(argv: List[str]) -> int:
             parser.error(f"unknown engine {key!r}; known: {sorted(known)}")
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
-    if args.workers is not None and args.workers < 1:
-        parser.error("--workers must be >= 1")
 
     length = args.length
     repeats = args.repeats
@@ -369,7 +332,6 @@ def bench_main(argv: List[str]) -> int:
             length=length,
             seed=args.seed,
             repeats=repeats,
-            workers=args.workers,
             path=args.path,
             verify_identity=args.verify_identity,
         )

@@ -481,17 +481,14 @@ def experiments_campaign_from_params(
     trace_length: int = DEFAULT_TRACE_LENGTH,
     seed: int = 2023,
     benchmarks: "Optional[List[str]]" = None,
-    workers: "Optional[int]" = 1,
-    shard_timeout: "Optional[float]" = None,
     cache_dir: "Optional[str]" = None,
 ) -> "Campaign":
     """JSON-kwargs form of :func:`experiments_campaign`.
 
     The worker-side campaign factory of distributed runs: everything
     that shapes results is an explicit JSON-able parameter, and the
-    execution knobs (workers, shard timeout, cache root) stay outside
-    the context fingerprint, so a worker rebuilding with ``workers=1``
-    produces the exact campaign the coordinator journaled.
+    cache root stays outside the context fingerprint, so a worker
+    rebuilds the exact campaign the coordinator journaled.
     """
     from repro.workloads.benchmarks import benchmark_names
 
@@ -499,8 +496,6 @@ def experiments_campaign_from_params(
         trace_length=trace_length,
         seed=seed,
         benchmarks=list(benchmarks) if benchmarks else benchmark_names(),
-        workers=workers,
-        shard_timeout=shard_timeout,
         cache_dir=cache_dir,
     )
     return experiments_campaign(ctx, list(selected))

@@ -73,16 +73,10 @@ def run_profile(
     trace_out: Optional[str] = None,
     chrome_out: Optional[str] = None,
     collapsed_out: Optional[str] = None,
-    workers: "int | None" = 1,
-    shard_timeout: Optional[float] = None,
     cache_dir: Optional[str] = None,
 ) -> ProfileResult:
     """Run one fully instrumented simulation and export its artifacts.
 
-    ``workers`` follows :func:`repro.gpu.simulator.replay_events`
-    semantics (1 = serial, ``None`` = auto, >= 2 = sharded replay whose
-    worker metrics are merged back into this session's registry);
-    ``shard_timeout`` likewise bounds each shard's wall-clock seconds.
     ``chrome_out`` / ``collapsed_out`` export the span profiler as a
     Chrome ``trace_event`` JSON / a collapsed-stack (flamegraph) file.
     """
@@ -96,8 +90,6 @@ def run_profile(
         seed=seed,
         benchmarks=[benchmark],
         obs=obs,
-        workers=workers,
-        shard_timeout=shard_timeout,
         cache_dir=cache_dir,
     )
     result = ctx.run(benchmark, engine_key)

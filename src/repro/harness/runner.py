@@ -13,9 +13,7 @@ the engine design under study.
 Engine design points are addressed by *keys* (e.g. ``"plutus"``,
 ``"pssm"``, ``"plutus:gran32"``) so experiments stay declarative and
 results cache across figures. Every named factory is an
-:class:`EngineSpec` — a picklable (class, kwargs) pair — so the same
-key drives serial replay and the partition-sharded process pool
-(``workers >= 2``) interchangeably.
+:class:`EngineSpec`, a (class, kwargs) pair.
 """
 
 from __future__ import annotations
@@ -56,11 +54,12 @@ DEFAULT_TRACE_LENGTH = int(os.environ.get("REPRO_TRACE_LEN", "30000"))
 
 
 class EngineSpec:
-    """A picklable engine factory: a design class plus constructor kwargs.
+    """An engine factory as data: a design class plus constructor kwargs.
 
-    Parallel replay ships factories into worker processes; lambdas
-    cannot cross that boundary, specs can. Calling a spec builds one
-    partition's engine exactly like the closures it replaces.
+    Calling a spec builds one partition's engine exactly like a closure
+    would; unlike a closure, a spec exposes its design class (``bench``
+    reads ``engine_cls`` to report batch-native engines) and prints as
+    the design point it names.
     """
 
     __slots__ = ("engine_cls", "kwargs")
@@ -175,14 +174,9 @@ class ExperimentContext:
     single run and exports them). The default config is disabled and
     changes nothing.
 
-    ``workers`` selects the replay strategy (1 = serial reference path,
-    ``None`` = one worker per core, >= 2 = partition-sharded process
-    pool); results are byte-identical either way. ``shard_timeout``
-    bounds each parallel shard's wall-clock seconds — a shard that
-    exceeds it is retried serially in-process rather than hanging the
-    sweep. ``cache_dir`` names the disk-cache root (``None`` = resolve
-    from ``REPRO_CACHE_DIR``, default ``.cache``; empty string disables
-    disk caching).
+    ``cache_dir`` names the disk-cache root (``None`` = resolve from
+    ``REPRO_CACHE_DIR``, default ``.cache``; empty string disables disk
+    caching).
     """
 
     config: GpuConfig = VOLTA
@@ -190,8 +184,6 @@ class ExperimentContext:
     seed: int = 2023
     benchmarks: List[str] = field(default_factory=benchmark_names)
     obs: ObsConfig = field(default_factory=ObsConfig)
-    workers: Optional[int] = 1
-    shard_timeout: Optional[float] = None
     cache_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -205,10 +197,10 @@ class ExperimentContext:
     def fingerprint(self) -> str:
         """Content hash of everything that shapes this context's results.
 
-        Execution knobs (workers, shard timeout, cache location) are
-        deliberately excluded: they change *how* results are computed,
-        never *what* they are, so a journaled run may resume under a
-        different worker count and still merge byte-identically.
+        The cache location is deliberately excluded: it changes *how*
+        results are computed, never *what* they are, so a journaled run
+        may resume under a different cache root (or worker count) and
+        still merge byte-identically.
         """
         return content_digest(
             "experiment-context",
@@ -287,11 +279,7 @@ class ExperimentContext:
             log = self.event_log(benchmark)
             with activate(self.obs_session):
                 self._results[cache_key] = replay_events(
-                    log,
-                    factory,
-                    self.config,
-                    workers=self.workers,
-                    shard_timeout=self.shard_timeout,
+                    log, factory, self.config
                 )
         return self._results[cache_key]
 
@@ -307,10 +295,6 @@ class ExperimentContext:
             log = self.event_log(benchmark)
             with activate(self.obs_session):
                 self._results[cache_key] = replay_events(
-                    log,
-                    factory,
-                    self.config,
-                    workers=self.workers,
-                    shard_timeout=self.shard_timeout,
+                    log, factory, self.config
                 )
         return self._results[cache_key]

@@ -11,12 +11,12 @@ same flag vocabulary:
 * ``--run-dir`` / ``--run-id`` / ``--resume`` — the journal: where run
   directories live, which run this is, and whether to continue an
   existing one instead of starting fresh;
-* ``--workers N`` (with ``N >= 2`` and journaling enabled) — the
-  distributed executor: N worker subprocesses pull units from a shared
-  lease-based work queue, with ``--lease-ttl`` bounding dead-worker
-  detection, ``--speculate`` duplicating stragglers, and
-  ``--chaos-workers`` sabotaging the worker *processes* themselves
-  (kill -9, freezes) rather than unit attempts.
+* ``--workers N`` — the executor: the default, 1, runs units serially
+  in-process; ``N >= 2`` runs N journaled worker subprocesses that pull
+  units from a shared lease-based work queue, with ``--lease-ttl``
+  bounding dead-worker detection, ``--speculate`` duplicating
+  stragglers, and ``--chaos-workers`` sabotaging the worker
+  *processes* themselves (kill -9, freezes) rather than unit attempts.
 
 :func:`build_supervisor` turns parsed args (plus the concrete campaign,
 when journaling applies) into a ready :class:`Supervisor` — or a
@@ -60,18 +60,20 @@ def _positive_float(value: str) -> float:
     return parsed
 
 
-def add_resilience_flags(
-    parser: argparse.ArgumentParser,
-    journal: bool = True,
-    workers: bool = False,
-) -> None:
-    """Install the shared supervisor flags on *parser*.
+def _positive_int(value: str) -> int:
+    try:
+        parsed = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {value!r}"
+        ) from None
+    if parsed < 1:
+        raise argparse.ArgumentTypeError("expected a positive integer")
+    return parsed
 
-    ``journal=False`` omits the run-journal flags for subcommands whose
-    campaigns are cheap enough that resume has nothing to save.
-    ``workers=True`` adds a distributed ``--workers`` flag for
-    subcommands that do not already own one via the execution flags.
-    """
+
+def add_resilience_flags(parser: argparse.ArgumentParser) -> None:
+    """Install the shared supervisor flags on *parser*."""
     group = parser.add_argument_group("resilience")
     group.add_argument(
         "--retries", type=int, default=3, metavar="N",
@@ -119,53 +121,51 @@ def add_resilience_flags(
              "and respawn) and heartbeat-alive freezes (exercising "
              "straggler speculation)",
     )
-    if workers:
-        group.add_argument(
-            "--workers", type=int, default=None, metavar="N",
-            help="run the campaign on N worker subprocesses pulling "
-                 "from a shared lease-based work queue (requires "
-                 "journaling; N >= 2)",
-        )
-    if journal:
-        group.add_argument(
-            "--lease-ttl", type=_positive_float, default=5.0,
-            metavar="SECONDS",
-            help="distributed runs: heartbeat TTL of a unit lease "
-                 "(default 5); a lease untouched for this long is "
-                 "presumed dead and any peer may steal the unit",
-        )
-        group.add_argument(
-            "--speculate", action="store_true",
-            help="distributed runs: speculatively duplicate straggler "
-                 "units (in flight longer than 3x the running median); "
-                 "first completion wins, the loser is recorded",
-        )
-        group.add_argument(
-            "--run-dir", default=DEFAULT_RUN_DIR, metavar="PATH",
-            help=f"root for run journals (default {DEFAULT_RUN_DIR}; "
-                 "pass '' to disable journaling and resume)",
-        )
-        group.add_argument(
-            "--run-id", default=None, metavar="ID",
-            help="name this run's journal directory (default: the "
-                 "campaign fingerprint prefix)",
-        )
-        group.add_argument(
-            "--resume", default=None, metavar="RUN_ID",
-            help="continue an existing run: completed units are loaded "
-                 "from its journal and not re-executed",
-        )
+    group.add_argument(
+        "--workers", type=_positive_int, default=1, metavar="N",
+        help="worker processes for the campaign (default 1: units run "
+             "serially in-process); N >= 2 runs N journaled worker "
+             "subprocesses pulling from a shared lease-based work queue",
+    )
+    group.add_argument(
+        "--lease-ttl", type=_positive_float, default=5.0,
+        metavar="SECONDS",
+        help="distributed runs: heartbeat TTL of a unit lease "
+             "(default 5); a lease untouched for this long is "
+             "presumed dead and any peer may steal the unit",
+    )
+    group.add_argument(
+        "--speculate", action="store_true",
+        help="distributed runs: speculatively duplicate straggler "
+             "units (in flight longer than 3x the running median); "
+             "first completion wins, the loser is recorded",
+    )
+    group.add_argument(
+        "--run-dir", default=DEFAULT_RUN_DIR, metavar="PATH",
+        help=f"root for run journals (default {DEFAULT_RUN_DIR}; "
+             "pass '' to disable journaling and resume)",
+    )
+    group.add_argument(
+        "--run-id", default=None, metavar="ID",
+        help="name this run's journal directory (default: the "
+             "campaign fingerprint prefix)",
+    )
+    group.add_argument(
+        "--resume", default=None, metavar="RUN_ID",
+        help="continue an existing run: completed units are loaded "
+             "from its journal and not re-executed",
+    )
 
 
 def supervision_requested(args: argparse.Namespace) -> bool:
     """Whether any flag asked for the supervised execution path."""
     return bool(
         getattr(args, "supervise", False)
-        or getattr(args, "resume", None)
-        or getattr(args, "run_id", None)
+        or args.resume
+        or args.run_id
         or distributed_requested(args)
         or args.chaos
-        or getattr(args, "chaos_workers", False)
+        or args.chaos_workers
         or args.budget is not None
         or args.unit_timeout is not None
         or args.max_rss_mb is not None
@@ -173,19 +173,13 @@ def supervision_requested(args: argparse.Namespace) -> bool:
 
 
 def distributed_requested(args: argparse.Namespace) -> bool:
-    """Whether the flags ask for the multi-process executor.
+    """Whether the flags ask for the multi-process executor (N >= 2).
 
-    An *explicit* ``--workers N`` with ``N >= 2`` plus enabled
-    journaling (the lease queue and per-worker journals live in the
-    run directory). ``--workers auto`` (``None``) keeps the in-process
-    sharded-replay pool, and ``--workers 1`` is the serial path.
+    The lease queue and per-worker journals live in the run directory,
+    so :func:`build_supervisor` refuses the request when journaling is
+    disabled (``--run-dir ''``) instead of silently running serially.
     """
-    workers = getattr(args, "workers", None)
-    return (
-        isinstance(workers, int)
-        and workers >= 2
-        and bool(getattr(args, "run_dir", ""))
-    )
+    return args.workers >= 2
 
 
 def build_supervisor(
@@ -218,14 +212,9 @@ def build_supervisor(
         ChaosMonkey(ChaosConfig(seed=args.chaos_seed)) if args.chaos else None
     )
     journal = None
-    run_dir = getattr(args, "run_dir", "")
-    if campaign is not None and run_dir:
-        resume = getattr(args, "resume", None)
-        run_id = (
-            resume
-            or getattr(args, "run_id", None)
-            or campaign.default_run_id
-        )
+    if campaign is not None and args.run_dir:
+        resume = args.resume
+        run_id = resume or args.run_id or campaign.default_run_id
         # Record the budget in the run header so the live `status`
         # monitor can report consumption without access to the args.
         budget_meta = {
@@ -238,7 +227,7 @@ def build_supervisor(
             if value is not None
         }
         journal = RunJournal.open(
-            run_dir,
+            args.run_dir,
             run_id,
             campaign,
             require_existing=resume is not None,
@@ -252,13 +241,13 @@ def build_supervisor(
             )
         worker_chaos = (
             WorkerChaosConfig(seed=args.chaos_seed)
-            if getattr(args, "chaos_workers", False)
+            if args.chaos_workers
             else None
         )
         config = DistributedConfig(
             workers=args.workers,
-            lease_ttl_s=getattr(args, "lease_ttl", 5.0),
-            speculate=getattr(args, "speculate", False),
+            lease_ttl_s=args.lease_ttl,
+            speculate=args.speculate,
             chaos_seed=args.chaos_seed if args.chaos else None,
             worker_chaos=worker_chaos,
         )

@@ -40,27 +40,15 @@ from repro.workloads.benchmarks import build_trace
 
 
 def _speedup_for_trace(trace, config: GpuConfig = VOLTA,
-                       cache_config: Optional[MetadataCacheConfig] = None,
-                       workers: "int | None" = 1):
-    """(pssm_ipc, plutus_ipc, speedup) for one prepared trace.
-
-    Factories are picklable :class:`EngineSpec` instances, so sweeps
-    can shard their replays across worker processes (``workers``
-    follows :func:`repro.gpu.simulator.replay_events` semantics).
-    """
+                       cache_config: Optional[MetadataCacheConfig] = None):
+    """(pssm_ipc, plutus_ipc, speedup) for one prepared trace."""
     log = simulate_l2(trace, config)
     kwargs = {}
     if cache_config is not None:
         kwargs["cache_config"] = cache_config
-    base = replay_events(
-        log, EngineSpec(NoSecurityEngine), config, workers=workers
-    )
-    pssm = replay_events(
-        log, EngineSpec(PssmEngine, **kwargs), config, workers=workers
-    )
-    plutus = replay_events(
-        log, EngineSpec(PlutusEngine, **kwargs), config, workers=workers
-    )
+    base = replay_events(log, EngineSpec(NoSecurityEngine), config)
+    pssm = replay_events(log, EngineSpec(PssmEngine, **kwargs), config)
+    plutus = replay_events(log, EngineSpec(PlutusEngine, **kwargs), config)
     pssm_ipc = normalized_ipc(pssm, base)
     plutus_ipc = normalized_ipc(plutus, base)
     return pssm_ipc, plutus_ipc, plutus_ipc / pssm_ipc
@@ -70,11 +58,10 @@ def seed_cell(
     benchmark: str,
     seed: int,
     trace_length: int = 8000,
-    workers: "int | None" = 1,
 ) -> Dict[str, object]:
     """One row of :func:`sweep_seeds`."""
     trace = build_trace(benchmark, length=trace_length, seed=seed)
-    pssm, plutus, speedup = _speedup_for_trace(trace, workers=workers)
+    pssm, plutus, speedup = _speedup_for_trace(trace)
     return {
         "seed": seed,
         "pssm_ipc": pssm,
@@ -87,35 +74,28 @@ def sweep_seeds(
     benchmark: str,
     seeds: Sequence[int] = (1, 2, 3, 4, 5),
     trace_length: int = 8000,
-    workers: "int | None" = 1,
 ) -> List[Dict[str, object]]:
     """Plutus-vs-PSSM speedup across trace-generation seeds."""
-    return [
-        seed_cell(benchmark, seed, trace_length, workers) for seed in seeds
-    ]
+    return [seed_cell(benchmark, seed, trace_length) for seed in seeds]
 
 
 def sweep_trace_length(
     benchmark: str,
     lengths: Sequence[int] = (2000, 4000, 8000, 16000),
     seed: int = 2023,
-    workers: "int | None" = 1,
 ) -> List[Dict[str, object]]:
     """Window-size convergence of the headline speedup."""
-    return [
-        length_cell(benchmark, length, seed, workers) for length in lengths
-    ]
+    return [length_cell(benchmark, length, seed) for length in lengths]
 
 
 def length_cell(
     benchmark: str,
     length: int,
     seed: int = 2023,
-    workers: "int | None" = 1,
 ) -> Dict[str, object]:
     """One row of :func:`sweep_trace_length`."""
     trace = build_trace(benchmark, length=length, seed=seed)
-    _pssm, _plutus, speedup = _speedup_for_trace(trace, workers=workers)
+    _pssm, _plutus, speedup = _speedup_for_trace(trace)
     return {"length": length, "speedup": speedup}
 
 
@@ -124,12 +104,10 @@ def sweep_metadata_cache(
     sizes: Sequence[int] = (1024, 2048, 4096, 8192),
     trace_length: int = 8000,
     seed: int = 2023,
-    workers: "int | None" = 1,
 ) -> List[Dict[str, object]]:
     """Sensitivity to the per-partition metadata cache budget."""
     return [
-        cache_cell(benchmark, size, trace_length, seed, workers)
-        for size in sizes
+        cache_cell(benchmark, size, trace_length, seed) for size in sizes
     ]
 
 
@@ -138,13 +116,12 @@ def cache_cell(
     size: int,
     trace_length: int = 8000,
     seed: int = 2023,
-    workers: "int | None" = 1,
 ) -> Dict[str, object]:
     """One row of :func:`sweep_metadata_cache`."""
     trace = build_trace(benchmark, length=trace_length, seed=seed)
     cache_config = MetadataCacheConfig(size_bytes=size)
     pssm, plutus, speedup = _speedup_for_trace(
-        trace, cache_config=cache_config, workers=workers
+        trace, cache_config=cache_config
     )
     return {
         "cache_bytes": size,
@@ -200,7 +177,6 @@ def sweep_partitions(
     partition_counts: Sequence[int] = (8, 16, 32),
     trace_length: int = 6000,
     seed: int = 2023,
-    workers: "int | None" = 1,
 ) -> List[Dict[str, object]]:
     """Scalability across memory-partition counts.
 
@@ -208,7 +184,7 @@ def sweep_partitions(
     the same per-partition SRAM; the relative Plutus win should persist.
     """
     return [
-        partition_cell(benchmark, count, trace_length, seed, workers)
+        partition_cell(benchmark, count, trace_length, seed)
         for count in partition_counts
     ]
 
@@ -218,7 +194,6 @@ def partition_cell(
     count: int,
     trace_length: int = 6000,
     seed: int = 2023,
-    workers: "int | None" = 1,
 ) -> Dict[str, object]:
     """One row of :func:`sweep_partitions`."""
     trace = build_trace(benchmark, length=trace_length, seed=seed)
@@ -227,9 +202,7 @@ def partition_cell(
         address_map=replace(VOLTA.address_map, num_partitions=count),
         dram=replace(VOLTA.dram, num_partitions=count),
     )
-    _pssm, _plutus, speedup = _speedup_for_trace(
-        trace, config=config, workers=workers
-    )
+    _pssm, _plutus, speedup = _speedup_for_trace(trace, config=config)
     return {"partitions": count, "speedup": speedup}
 
 
@@ -254,10 +227,8 @@ def sweep_campaign(
     benchmark: str,
     trace_length: Optional[int] = None,
     seed: int = 2023,
-    workers: "int | None" = 1,
     ctx: Optional[ExperimentContext] = None,
     cache_dir: Optional[str] = None,
-    shard_timeout: Optional[float] = None,
 ) -> Campaign:
     """Decompose one sweep into a supervised, resumable campaign.
 
@@ -291,20 +262,17 @@ def sweep_campaign(
     units: List[WorkUnit] = []
     if sweep == "seeds":
         units = [
-            unit(s, lambda s=s: seed_cell(benchmark, s, length, workers))
+            unit(s, lambda s=s: seed_cell(benchmark, s, length))
             for s in axis
         ]
     elif sweep == "trace-length":
         units = [
-            unit(lv, lambda lv=lv: length_cell(benchmark, lv, seed, workers))
+            unit(lv, lambda lv=lv: length_cell(benchmark, lv, seed))
             for lv in axis
         ]
     elif sweep == "metadata-cache":
         units = [
-            unit(
-                sz,
-                lambda sz=sz: cache_cell(benchmark, sz, length, seed, workers),
-            )
+            unit(sz, lambda sz=sz: cache_cell(benchmark, sz, length, seed))
             for sz in axis
         ]
     elif sweep == "memory-intensity":
@@ -312,8 +280,6 @@ def sweep_campaign(
             trace_length=length,
             seed=seed,
             benchmarks=[benchmark],
-            workers=workers,
-            shard_timeout=shard_timeout,
             cache_dir=cache_dir,
         )
         units = [
@@ -322,10 +288,7 @@ def sweep_campaign(
         ]
     elif sweep == "partitions":
         units = [
-            unit(
-                c,
-                lambda c=c: partition_cell(benchmark, c, length, seed, workers),
-            )
+            unit(c, lambda c=c: partition_cell(benchmark, c, length, seed))
             for c in axis
         ]
     return Campaign(name=f"sweep:{sweep}:{benchmark}", units=units)

@@ -89,27 +89,6 @@ class TrafficCounter:
             self._bytes[stream] = 0
             self._transactions[stream] = 0
 
-    def state(self) -> Dict[str, "tuple[int, int]"]:
-        """Plain ``{stream value: (bytes, transactions)}`` snapshot.
-
-        The parallel replay path ships per-partition counters between
-        processes as this primitive form — stable to serialize and
-        independent of enum identity — and folds them back with
-        :meth:`merge_state`.
-        """
-        return {
-            s.value: (self._bytes[s], self._transactions[s]) for s in Stream
-        }
-
-    def merge_state(self, state: Mapping[str, "tuple[int, int]"]) -> None:
-        """Fold a :meth:`state` snapshot (e.g. a worker's) into this one."""
-        for name, (nbytes, transactions) in state.items():
-            stream = Stream(name)
-            if nbytes < 0 or transactions < 0:
-                raise ValueError("traffic cannot be negative")
-            self._bytes[stream] += nbytes
-            self._transactions[stream] += transactions
-
     def bytes_for(self, stream: Stream) -> int:
         return self._bytes[stream]
 

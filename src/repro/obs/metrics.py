@@ -39,10 +39,6 @@ class Counter:
             raise ValueError("counters only move forward")
         self.value += amount
 
-    def merge_snapshot(self, entry: Dict[str, object]) -> None:
-        """Fold a serialized counter (another process's) into this one."""
-        self.inc(int(entry["value"]))  # type: ignore[arg-type]
-
     def as_dict(self) -> Dict[str, object]:
         return {"type": self.kind, "value": self.value}
 
@@ -59,10 +55,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
-
-    def merge_snapshot(self, entry: Dict[str, object]) -> None:
-        """Adopt a serialized gauge value (last merged snapshot wins)."""
-        self.set(entry["value"])  # type: ignore[arg-type]
 
     def as_dict(self) -> Dict[str, object]:
         return {"type": self.kind, "value": self.value}
@@ -131,31 +123,6 @@ class Histogram:
                 assert self.min is not None and self.max is not None
                 return min(max(edge, self.min), self.max)
         return self.max  # pragma: no cover - cumulative always reaches count
-
-    def merge_snapshot(self, entry: Dict[str, object]) -> None:
-        """Fold a serialized histogram with identical bounds into this one."""
-        bounds = tuple(entry["bounds"])  # type: ignore[arg-type]
-        if bounds != self.bounds:
-            raise ValueError(
-                f"histogram {self.name!r} bounds mismatch on merge: "
-                f"{bounds} vs {self.bounds}"
-            )
-        counts: List[int] = list(entry["counts"])  # type: ignore[arg-type]
-        if len(counts) != len(self.counts):
-            raise ValueError(f"histogram {self.name!r} bucket count mismatch")
-        for i, c in enumerate(counts):
-            self.counts[i] += c
-        self.count += int(entry["count"])  # type: ignore[arg-type]
-        self.total += float(entry["sum"])  # type: ignore[arg-type]
-        for attr, pick in (("min", min), ("max", max)):
-            incoming = entry.get(attr)
-            if incoming is None:
-                continue
-            current = getattr(self, attr)
-            setattr(
-                self, attr,
-                incoming if current is None else pick(current, incoming),
-            )
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -233,51 +200,6 @@ class Sampler:
     def __len__(self) -> int:
         return len(self._values)
 
-    def merge_snapshot(self, entry: Dict[str, object]) -> None:
-        """Interleave a serialized series (another process's) into this one.
-
-        Points from both series are merged in position order; points
-        landing on the *same* position are combined by the aggregation
-        (summed for additive series, averaged for rates). Parallel replay
-        uses this to fold per-partition shard series into one session;
-        shard positions are partition-local, so the merged series is an
-        interleaving, not a global timeline (see docs/ARCHITECTURE.md).
-        """
-        agg = entry.get("agg", self.agg)
-        if agg != self.agg:
-            raise ValueError(
-                f"sampler {self.name!r} aggregation mismatch on merge: "
-                f"{agg!r} vs {self.agg!r}"
-            )
-        incoming = list(
-            zip(entry["positions"], entry["values"])  # type: ignore[arg-type]
-        )
-        if not incoming:
-            return
-        points = sorted(
-            list(zip(self._positions, self._values)) + incoming,
-            key=lambda pv: pv[0],
-        )
-        positions: List[float] = []
-        values: List[float] = []
-        counts: List[int] = []
-        for pos, val in points:
-            if positions and positions[-1] == pos:
-                values[-1] += val
-                counts[-1] += 1
-            else:
-                positions.append(pos)
-                values.append(val)
-                counts.append(1)
-        if self.agg == "mean":
-            values = [v / c for v, c in zip(values, counts)]
-        self._positions = positions
-        self._values = values
-        self.recorded += int(entry.get("recorded", len(incoming)))  # type: ignore[arg-type]
-        self.compactions += int(entry.get("compactions", 0))  # type: ignore[arg-type]
-        while len(self._values) > self.window:
-            self._compact()
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "type": self.kind,
@@ -325,38 +247,6 @@ class MetricsRegistry:
         return self._get_or_create(
             name, Sampler, lambda: Sampler(name, window=window, agg=agg)
         )
-
-    def merge_snapshot(self, payload: Dict[str, Dict[str, object]]) -> None:
-        """Fold a serialized registry (``as_dict`` output) into this one.
-
-        This is the cross-process half of parallel replay: worker
-        processes return ``registry.as_dict()`` payloads and the parent
-        merges them in deterministic partition order. Counters and
-        histograms add, gauges take the last merged value, samplers
-        interleave by position. Unknown instrument types are rejected.
-        """
-        for name in sorted(payload):
-            entry = payload[name]
-            kind = entry.get("type")
-            if kind == Counter.kind:
-                self.counter(name).merge_snapshot(entry)
-            elif kind == Gauge.kind:
-                self.gauge(name).merge_snapshot(entry)
-            elif kind == Histogram.kind:
-                self.histogram(
-                    name, tuple(entry["bounds"])  # type: ignore[arg-type]
-                ).merge_snapshot(entry)
-            elif kind == Sampler.kind:
-                self.sampler(
-                    name,
-                    window=int(entry.get("window", 512)),  # type: ignore[arg-type]
-                    agg=str(entry.get("agg", "mean")),
-                ).merge_snapshot(entry)
-            else:
-                raise ValueError(
-                    f"cannot merge unknown instrument type {kind!r} "
-                    f"for metric {name!r}"
-                )
 
     def get(self, name: str):
         """The named instrument, or None."""
@@ -425,12 +315,6 @@ class NullRegistry(MetricsRegistry):
 
     def sampler(self, name: str, window: int = 512, agg: str = "mean") -> Sampler:
         return _NULL_SAMPLER
-
-    def merge_snapshot(self, payload: Dict[str, Dict[str, object]]) -> None:
-        # The null instruments are shared singletons; merging into them
-        # would leak state across sessions, so a disabled registry drops
-        # snapshots entirely.
-        pass
 
 
 #: Process-wide no-op registry (stateless; safe to share).

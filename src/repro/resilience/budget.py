@@ -66,7 +66,7 @@ def current_rss_mb() -> Optional[float]:
     """Peak resident-set size in MiB, workers included (None if unknown).
 
     ``--max-rss-mb`` must still bite when units run out-of-process (the
-    distributed executor, sharded replay pools), so this is the max of
+    distributed executor), so this is the max of
     the ``RUSAGE_SELF`` peak and the ``RUSAGE_CHILDREN`` peak — the
     latter covers every *reaped* child, which is exactly when a
     worker's memory bill is final. Where :mod:`resource` is missing

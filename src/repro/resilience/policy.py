@@ -1,7 +1,6 @@
 """Failure taxonomy and the retry-with-backoff policy.
 
-Extends PR 3's shard-level classes (crash / timeout / deterministic)
-to whole work units:
+Every failed attempt of a work unit falls into one class:
 
 * ``DETERMINISTIC`` — a :class:`~repro.common.errors.ReproError`: the
   library itself rejected the work. Retrying replays the same inputs

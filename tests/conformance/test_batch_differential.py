@@ -8,7 +8,7 @@ available: Hypothesis generates random single-partition traces and
 random batch-boundary splits, both replays run to completion, and the
 full observable surface is compared —
 
-* ``TrafficCounter.state()`` (per-stream bytes and transactions),
+* ``TrafficCounter.report()`` (per-stream bytes and transactions),
 * ``EngineStats`` equality, and
 * ``PartitionEngine.state_digest()``, the sha256 of everything the
   engine's *future* behavior depends on (cache LRU orders, counter
@@ -111,7 +111,7 @@ def _scalar_replay(key, events, passes):
         else:
             engine.on_fill(sector, value)
     engine.finalize()
-    return engine.state_digest(), engine.stats, traffic.state()
+    return engine.state_digest(), engine.stats, traffic.report()
 
 
 def _batched_replay(key, events, passes, cuts):
@@ -150,7 +150,7 @@ def _batched_replay(key, events, passes, cuts):
             engine.on_fill_batch(sectors, values)
         start = end
     engine.finalize()
-    return engine.state_digest(), engine.stats, traffic.state()
+    return engine.state_digest(), engine.stats, traffic.report()
 
 
 def _assert_differential(key, events, passes, cuts):
@@ -298,11 +298,9 @@ class TestDoctoredImplementationsAreCaught:
 
         log = _small_log()
         factory = _FACTORIES["pssm"]
-        scalar = replay_events(log, factory, VOLTA, workers=1, path="object")
+        scalar = replay_events(log, factory, VOLTA, path="object")
         monkeypatch.setattr(PssmEngine, "on_fill_batch", doctored)
-        columnar = replay_events(
-            log, factory, VOLTA, workers=1, path="columnar"
-        )
+        columnar = replay_events(log, factory, VOLTA, path="columnar")
         # The columnar-object-identity invariant is results_equal over
         # exactly this pair; it must name the diverging surface.
         messages = results_equal(scalar, columnar)

@@ -145,17 +145,6 @@ class TestDoctoredRuns:
         )
         assert "nosec-floor" in _names(check_run(run))
 
-    def test_serial_parallel_divergence_detected(self):
-        log = _log()
-        serial = _consistent_result("plutus", log, metadata_bytes=64)
-        diverged = _consistent_result("plutus", log, metadata_bytes=96)
-        run = MatrixRun(
-            log=log, config=VOLTA,
-            results={"plutus": serial},
-            parallel=("plutus", diverged),
-        )
-        assert "serial-parallel" in _names(check_run(run))
-
     def test_roundtrip_divergence_detected(self):
         log = _log()
         run = MatrixRun(

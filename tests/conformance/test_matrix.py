@@ -59,8 +59,7 @@ class TestRunMatrix:
             functional_events=16,
         )
         assert set(run.results) == {"nosec", "pssm", "plutus"}
-        assert run.parallel is not None and run.parallel[0] == "plutus"
-        assert run.roundtrip is not None
+        assert run.roundtrip is not None and run.roundtrip[0] == "plutus"
         assert set(run.functional) == {"pssm"}
         assert set(run.object_path) == set(run.results)
 
@@ -68,7 +67,6 @@ class TestRunMatrix:
         run = run_matrix(
             _log(),
             engines=("nosec", "plutus"),
-            check_parallel=False,
             check_roundtrip=False,
             functional_modes=(),
         )
@@ -81,37 +79,26 @@ class TestRunMatrix:
         run = run_matrix(
             _log(),
             engines=("nosec",),
-            check_parallel=False,
             check_roundtrip=False,
             check_columnar=False,
             functional_modes=(),
         )
         assert run.object_path == {}
 
-    def test_single_partition_skips_parallel(self):
-        run = run_matrix(
-            _log(partitions=(3,)),
-            engines=("nosec", "plutus"),
-            functional_modes=(),
-        )
-        assert run.parallel is None
-
     def test_stages_can_be_disabled(self):
         run = run_matrix(
             _log(),
             engines=("nosec",),
-            check_parallel=False,
             check_roundtrip=False,
             functional_modes=(),
         )
-        assert run.parallel is None
         assert run.roundtrip is None
         assert run.functional == {}
 
     def test_claims_flag_recorded(self):
         run = run_matrix(
             _log(), engines=("nosec",), claims_apply=True,
-            check_parallel=False, check_roundtrip=False, functional_modes=(),
+            check_roundtrip=False, functional_modes=(),
         )
         assert run.claims_apply
 

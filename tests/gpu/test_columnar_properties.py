@@ -1,10 +1,8 @@
 """Property tests (hypothesis): the columnar core is exactly lossless.
 
-Three identities the refactor rests on:
+Two identities the refactor rests on:
 
 * ``from_columns(to_columns(log))`` reproduces any event log exactly;
-* the vectorized ``split_event_log`` produces the same shards as the
-  scalar object-path grouping it replaced;
 * the lazy ``events`` view is element-wise equal to a materialized
   list of the same events.
 """
@@ -13,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpu.columnar import EventKind, EventView, MemoryEvent
-from repro.gpu.simulator import MemoryEventLog, split_event_log
+from repro.gpu.simulator import MemoryEventLog
 
 
 @st.composite
@@ -59,29 +57,6 @@ def test_columns_roundtrip_is_exact(events):
     assert rebuilt.events == log.events
     assert rebuilt.fill_sectors == log.fill_sectors
     assert rebuilt.writeback_sectors == log.writeback_sectors
-
-
-@settings(max_examples=60, deadline=None)
-@given(events=event_lists)
-def test_columnar_split_matches_object_path_grouping(events):
-    log = _log(events)
-    shards = split_event_log(log)
-    # The scalar grouping the vectorized path replaced.
-    reference = {}
-    for event in events:
-        reference.setdefault(event.partition, []).append(event)
-    assert set(shards) == set(reference)
-    for partition, shard in shards.items():
-        expected = reference[partition]
-        assert list(shard.events) == expected
-        assert shard.fill_sectors == sum(
-            e.kind is EventKind.FILL for e in expected
-        )
-        assert shard.writeback_sectors == sum(
-            e.kind is EventKind.WRITEBACK for e in expected
-        )
-        assert shard.trace_name == log.trace_name
-    assert sum(len(s.events) for s in shards.values()) == len(events)
 
 
 @settings(max_examples=60, deadline=None)

@@ -47,18 +47,16 @@ class TestRunBench:
         assert set(entry["engines"]) == set(DEFAULT_ENGINES[:3])
         for row in entry["engines"].values():
             assert row["serial_eps"] > 0
-            # default_shard_workers() >= 2, so the sharded pass always runs
-            assert row["sharded_eps"] > 0
-        assert entry["workers"] >= 2
 
     def test_entry_is_json_serializable(self, entry):
         assert json.loads(json.dumps(entry))["events"] == entry["events"]
 
-    def test_workers_one_skips_sharded_pass(self):
-        entry = run_bench("bfs", ["nosec"], length=200, repeats=1, workers=1)
-        row = entry["engines"]["nosec"]
-        assert "sharded_eps" not in row
-        assert entry["workers"] == 1
+    def test_entry_carries_no_sharded_fields(self, entry):
+        # Replay has one (serial) path; the sharded_* row fields and the
+        # entry's workers field exist only in older trajectory entries.
+        assert "workers" not in entry
+        for row in entry["engines"].values():
+            assert not [key for key in row if key.startswith("sharded_")]
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(KeyError, match="bogus"):
@@ -83,9 +81,7 @@ class TestRunBench:
         assert entry["engines"]["pssm"]["batched"] is True
 
     def test_recoverable_engine_opts_out_of_batching(self):
-        entry = run_bench(
-            "bfs", ["recoverable"], length=200, repeats=1, workers=1,
-        )
+        entry = run_bench("bfs", ["recoverable"], length=200, repeats=1)
         # The WAL's append-per-event ordering cannot be vectorized
         # without changing the log; the engine must stay on the scalar
         # replay contract.
@@ -93,8 +89,7 @@ class TestRunBench:
 
     def test_object_path_recorded_when_requested(self):
         entry = run_bench(
-            "bfs", ["nosec"], length=200, repeats=1, workers=1,
-            path="object",
+            "bfs", ["nosec"], length=200, repeats=1, path="object",
         )
         assert entry["path"] == "object"
 
@@ -104,7 +99,7 @@ class TestRunBench:
 
     def test_verify_identity_passes_on_real_engines(self):
         entry = run_bench(
-            "bfs", ["nosec", "plutus"], length=200, repeats=1, workers=1,
+            "bfs", ["nosec", "plutus"], length=200, repeats=1,
             verify_identity=True,
         )
         assert set(entry["engines"]) == {"nosec", "plutus"}
@@ -123,7 +118,7 @@ class TestRunBench:
         monkeypatch.setattr(simulator, "replay_events", skewed)
         with pytest.raises(IdentityMismatchError, match="nosec"):
             run_bench(
-                "bfs", ["nosec"], length=200, repeats=1, workers=1,
+                "bfs", ["nosec"], length=200, repeats=1,
                 verify_identity=True,
             )
 
@@ -155,14 +150,13 @@ class TestTrajectoryFile:
             load_trajectory(path)
 
     def test_committed_trajectory_is_loadable_and_complete(self):
-        """The committed file must carry serial+sharded eps for >= 3 engines."""
+        """The committed file must carry serial eps for >= 3 engines."""
         payload = load_trajectory(REPO_ROOT / "benchmarks" / "BENCH_0001.json")
         assert payload["entries"], "committed trajectory has no entries"
         latest = payload["entries"][-1]
         assert len(latest["engines"]) >= 3
         for row in latest["engines"].values():
             assert row["serial_eps"] > 0
-            assert row["sharded_eps"] > 0
 
 
 class TestCompareTrajectory:
@@ -172,9 +166,7 @@ class TestCompareTrajectory:
             "length": 200,
             "seed": 2023,
             "calibration_seconds": calibration,
-            "engines": {
-                "plutus": {"serial_eps": eps, "sharded_eps": eps},
-            },
+            "engines": {"plutus": {"serial_eps": eps}},
         }
         entry.update(overrides)
         return entry
@@ -203,12 +195,14 @@ class TestCompareTrajectory:
     def test_slowdown_beyond_tolerance_regresses(self):
         mod = load_check_regression()
         base = self.make_entry(1000.0)
+        # Older committed entries also carry sharded_eps; only the
+        # serial throughput is gated.
+        base["engines"]["plutus"]["sharded_eps"] = 1000.0
         report = mod.compare_trajectory(
             self.make_entry(400.0), {"entries": [base]}, tolerance=1.5
         )
-        assert report["regressions"] == [
-            "plutus:serial_eps", "plutus:sharded_eps"
-        ]
+        assert report["regressions"] == ["plutus:serial_eps"]
+        assert [r["name"] for r in report["rows"]] == ["plutus:serial_eps"]
 
     def test_unknown_engine_is_new_not_regression(self):
         mod = load_check_regression()
@@ -267,10 +261,7 @@ class TestImprovementGate:
             "path": path,
             "calibration_seconds": calibration,
             "engines": {
-                "nosec": {
-                    "serial_eps": eps, "sharded_eps": eps,
-                    "batched": batched,
-                },
+                "nosec": {"serial_eps": eps, "batched": batched},
             },
         }
         entry.update(overrides)

@@ -63,33 +63,53 @@ class TestCli:
         assert "not-an-engine" in err
         assert "Traceback" not in err
 
-    def test_workers_flag_accepts_auto_and_ints(self, capsys):
-        rc = main(["eq1", "--length", "300", "--benchmarks", "bfs",
-                   "--workers", "auto"])
-        assert rc == 0
-        rc = main(["eq1", "--length", "300", "--benchmarks", "bfs",
-                   "--workers", "1"])
-        assert rc == 0
+    def test_workers_one_is_the_default(self, capsys):
+        args = ["eq1", "--length", "300", "--benchmarks", "bfs"]
+        assert main(args) == 0
+        default = capsys.readouterr().out
+        assert main(args + ["--workers", "1"]) == 0
+        assert capsys.readouterr().out == default
 
     def test_workers_flag_rejects_garbage(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["eq1", "--workers", "zero"])
         assert excinfo.value.code == 2
-        with pytest.raises(SystemExit):
-            main(["eq1", "--workers", "0"])
+        for value in ("0", "-2", "auto"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["eq1", "--workers", value])
+            assert excinfo.value.code == 2
 
-    def test_shard_timeout_flag_accepts_seconds(self, capsys):
-        rc = main(["eq1", "--length", "300", "--benchmarks", "bfs",
-                   "--shard-timeout", "30"])
-        assert rc == 0
 
-    def test_shard_timeout_flag_rejects_garbage(self):
-        with pytest.raises(SystemExit):
-            main(["eq1", "--shard-timeout", "soon"])
-        with pytest.raises(SystemExit):
-            main(["eq1", "--shard-timeout", "0"])
-        with pytest.raises(SystemExit):
-            main(["eq1", "--shard-timeout", "-3"])
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestWorkersFlag:
+    @pytest.mark.parametrize("argv", [
+        ["eq1", "--length", "300", "--benchmarks", "bfs", "--cache-dir", ""],
+        ["sweep", "partitions", "bfs", "--length", "300", "--cache-dir", ""],
+        ["inject", "bfs", "--length", "300", "--cache-dir", ""],
+        ["conform", "--fuzz", "2"],
+    ], ids=["experiments", "sweep", "inject", "conform"])
+    def test_workers_without_run_journal_is_usage_error(self, argv, capsys):
+        # The lease executor keeps its queue in the run directory, so
+        # asking for it with journaling off must not run serially.
+        rc = _exit_code(argv + ["--workers", "2", "--run-dir", ""])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert "--workers needs a run journal" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [["profile", "bfs"], ["bench"]],
+                             ids=["profile", "bench"])
+    def test_replay_commands_take_no_workers(self, argv, capsys):
+        assert _exit_code(argv + ["--workers", "2"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestProfileCli:

@@ -147,6 +147,35 @@ class TestProfileCli:
         with pytest.raises(SystemExit):
             main(["profile", "bfs", "--engine", "doom"])
 
+    def test_default_run_records_every_event(self, capsys, tmp_path):
+        # The default profile replays in this process, so per-event
+        # records and spans reach the exports and interval snapshots
+        # fall on global trace positions.
+        rc = main([
+            "profile", "bfs",
+            "--length", "800",
+            "--interval", "256",
+            "--trace-events",
+            "--span-detail",
+            "--cache-dir", "",
+            "--metrics-out", str(tmp_path / "m.json"),
+            "--trace-out", str(tmp_path / "t.jsonl"),
+            "--chrome-out", str(tmp_path / "c.json"),
+        ])
+        assert rc == 0
+        capsys.readouterr()
+        with open(tmp_path / "t.jsonl") as handle:
+            traced = {json.loads(line)["name"] for line in handle}
+        assert "mem.fill" in traced
+        chrome = json.loads((tmp_path / "c.json").read_text())
+        assert "engine.fill" in {e["name"] for e in chrome["traceEvents"]}
+        metrics = json.loads((tmp_path / "m.json").read_text())["metrics"]
+        positions = metrics["traffic.total.bytes"]["positions"]
+        assert len(positions) >= 2
+        # Every snapshot but the tail one lands on an interval boundary.
+        assert all(p % 256 == 0 for p in positions[:-1])
+        assert positions[-1] == metrics["replay.events"]["value"]
+
 
 class TestSparkline:
     def test_empty(self):

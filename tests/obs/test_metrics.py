@@ -185,16 +185,6 @@ class TestSamplerCompactionEdges:
         assert s.compactions >= 2
         assert s.as_dict()["compactions"] == s.compactions
 
-    def test_merge_snapshot_accumulates_compactions(self):
-        a = Sampler("t", window=8, agg="sum")
-        b = Sampler("t", window=8, agg="sum")
-        for i in range(20):
-            a.record(i, 1.0)
-            b.record(i, 1.0)
-        before = a.compactions
-        a.merge_snapshot(b.as_dict())
-        assert a.compactions >= before + b.compactions
-
 
 class TestRegistry:
     def test_get_or_create_returns_same_instrument(self):

@@ -318,8 +318,7 @@ class TestAtomicSavers:
         )
 
         log = simulate_l2(build_trace("bfs", length=200, seed=5), VOLTA)
-        result = replay_events(log, EngineSpec(NoSecurityEngine), VOLTA,
-                               workers=1)
+        result = replay_events(log, EngineSpec(NoSecurityEngine), VOLTA)
         path = tmp_path / "snap.txt"
         save_traffic_reports({"nosec": result.traffic}, path, name="t")
         with path.open("r", encoding="utf-8") as fp:
