@@ -113,10 +113,9 @@ def compare_trajectory(entry: dict, trajectory: dict, tolerance: float,
     the pre-columnar object path). Regressions always compare same
     path against same path; when the fresh entry measured the columnar
     path *and* the trajectory holds a comparable object-path entry, a
-    second **improvement gate** arms: every engine whose row is marked
-    ``batched`` (a native columnar fast path) must show at least
-    ``min_improvement`` x the object entry's normalized serial
-    throughput — the refactor's payoff, demonstrated, not assumed.
+    second **improvement gate** arms: every engine row must show at
+    least ``min_improvement`` x the object entry's normalized serial
+    throughput — the columnar core's payoff, demonstrated, not assumed.
     """
     entries = trajectory.get("entries") or []
     entry_path = _entry_path(entry)
@@ -186,13 +185,11 @@ def compare_trajectory(entry: dict, trajectory: dict, tolerance: float,
 
 def _gate_improvement(entry: dict, object_ref: dict, cur_cal: float,
                       min_improvement: float) -> dict:
-    """Demand the columnar speedup from every batch-native engine row."""
+    """Demand the columnar speedup from every engine row."""
     ref_cal = float(object_ref["calibration_seconds"])
     rows = []
     failures = []
     for engine, current in sorted(entry.get("engines", {}).items()):
-        if not current.get("batched"):
-            continue
         cur_eps = current.get("serial_eps")
         base = object_ref.get("engines", {}).get(engine, {})
         base_eps = base.get("serial_eps")
@@ -213,7 +210,7 @@ def _gate_improvement(entry: dict, object_ref: dict, cur_cal: float,
             failures.append(f"{engine}:serial_eps")
     if not rows:
         failures.append(
-            "no batched engine rows to demonstrate the columnar speedup"
+            "no engine rows to demonstrate the columnar speedup"
         )
     return {
         "min_improvement": min_improvement,
@@ -321,7 +318,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--min-improvement", type=float, default=3.0, metavar="RATIO",
-        help="required normalized serial speedup of batched engines in a "
+        help="required normalized serial speedup of every engine in a "
              "columnar --trajectory-entry over the latest object-path "
              "entry (default 3.0)",
     )

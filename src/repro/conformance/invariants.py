@@ -5,8 +5,8 @@ Invariants come in two scopes:
 * **Universal** invariants are exact accounting identities that must
   hold for *every* event log, including the adversarial ones the fuzzer
   produces: sector-quantum traffic, data-side accounting, cross-engine
-  data identity, round-trip and columnar/object replay identity, and
-  functional-crypto verification closing.
+  data identity, text-IO round-trip identity, functional-crypto
+  verification closing, and crash-recovery consistency.
 * **Claim** invariants encode the paper's *ordering* claims (Plutus
   metadata <= PSSM). They hold for workload-shaped access patterns but
   are deliberately breakable by adversarial streams — a write-storm
@@ -155,9 +155,8 @@ def results_equal(a: SimulationResult, b: SimulationResult) -> List[str]:
     """Describe every way two replay results differ (empty = identical).
 
     Compares per-stream bytes/transactions and the engine statistics —
-    the full observable surface of a symbolic replay. Shared by the IO
-    round-trip and columnar/object identity invariants, and by
-    ``bench --verify-identity``.
+    the full observable surface of a symbolic replay. Used by the IO
+    round-trip invariant.
     """
     messages = []
     for stream in Stream:
@@ -190,22 +189,6 @@ def _check_roundtrip(run: MatrixRun) -> List[str]:
         f"{key}: original vs text-IO round-trip — {msg}"
         for msg in results_equal(original, replayed)
     ]
-
-
-def _check_columnar_identity(run: MatrixRun) -> List[str]:
-    # run.results replayed through the default (columnar where
-    # eligible) path; run.object_path through the forced scalar loop.
-    # The refactor is only sound if no engine can tell them apart.
-    messages = []
-    for key, scalar in run.object_path.items():
-        columnar = run.results.get(key)
-        if columnar is None:
-            continue
-        messages.extend(
-            f"{key}: columnar vs object replay — {msg}"
-            for msg in results_equal(columnar, scalar)
-        )
-    return messages
 
 
 def _check_functional(run: MatrixRun) -> List[str]:
@@ -363,14 +346,6 @@ INVARIANTS: Tuple[Invariant, ...] = (
         "io-roundtrip", True,
         "replaying a dumped-and-reloaded log is byte-identical",
         _check_roundtrip,
-    ),
-    Invariant(
-        "columnar-object-identity", True,
-        "the vectorized columnar replay path is byte-identical to the "
-        "scalar object path for every engine; the object path walks the "
-        "log in global order, so this check (with the golden corpus) "
-        "covers that replaying partition by partition changes nothing",
-        _check_columnar_identity,
     ),
     Invariant(
         "functional-verify", True,

@@ -2,8 +2,8 @@
 
 One :class:`MatrixRun` bundles everything the invariant oracle looks
 at for a single event log: the symbolic replay results of the full
-engine matrix, the functional-crypto outcomes, and the two execution
-cross-checks (columnar vs. object replay, text-IO round-trip replay).
+engine matrix, the functional-crypto outcomes, the text-IO round-trip
+replay, and the crash-recovery probe.
 :func:`run_matrix` is the only way these are produced, so every caller
 — corpus verification, the fuzzer, tests — checks the same thing.
 """
@@ -75,11 +75,6 @@ class MatrixRun:
     functional: Dict[str, FunctionalOutcome] = field(default_factory=dict)
     #: (engine key, reloaded-log replay result) when the round-trip ran.
     roundtrip: Optional[Tuple[str, SimulationResult]] = None
-    #: Per-engine results of a forced scalar object-path replay, filled
-    #: when the columnar identity cross-check ran. ``results`` holds the
-    #: default (columnar where eligible) path, so the oracle can demand
-    #: byte-identity between the two replay implementations.
-    object_path: Dict[str, SimulationResult] = field(default_factory=dict)
     #: Crash-recovery probe outcome; ``None`` when the stage was
     #: disabled or the log has no writebacks (nothing to tear).
     recovery: Optional[RecoveryOutcome] = None
@@ -107,7 +102,6 @@ def run_matrix(
     engines: Sequence[str] = CONFORMANCE_ENGINES,
     claims_apply: bool = False,
     check_roundtrip: bool = True,
-    check_columnar: bool = True,
     check_recovery: bool = True,
     functional_modes: Sequence[str] = FUNCTIONAL_MODES,
     functional_events: Optional[int] = DEFAULT_FUNCTIONAL_EVENTS,
@@ -124,15 +118,6 @@ def run_matrix(
     run = MatrixRun(
         log=log, config=config, results=results, claims_apply=claims_apply
     )
-
-    if check_columnar:
-        # Replay the whole roster a second time with the vectorized
-        # path disabled; the columnar-object-identity invariant compares
-        # the two result sets engine by engine.
-        run.object_path = {
-            key: replay_events(log, factory, config, path="object")
-            for key, factory in factories.items()
-        }
 
     if check_roundtrip:
         cross_key = (

@@ -208,8 +208,8 @@ class ColumnValues(Sequence):
         uint32 matrix (absent rows are zero-filled and flagged False in
         ``present``) — the input the batched value-cache probe masks in
         one vectorized pass. ``None`` when the payload holds any
-        non-32-byte value; callers then fall back to the scalar
-        per-event decode, which preserves exact error semantics.
+        non-32-byte value; callers then decode the rows one by one and
+        reject a run holding a malformed image.
         """
         cols = self._cols
         if not cols.fixed32:

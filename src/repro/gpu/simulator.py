@@ -49,16 +49,11 @@ from repro.workloads.trace import Trace
 __all__ = [
     "EventKind", "MemoryEvent", "MemoryEventLog", "L2Stats",
     "SimulationResult", "simulate_l2", "replay_events", "replay_matrix",
-    "simulate", "EngineFactory", "REPLAY_PATHS",
+    "simulate", "EngineFactory",
 ]
 
 #: Factory signature every engine exposes for the simulator.
 EngineFactory = Callable[[int, int, TrafficCounter], PartitionEngine]
-
-#: Replay execution strategies: ``auto`` picks the columnar batched
-#: path unless per-event instrumentation forces the scalar loop;
-#: ``object``/``columnar`` force one side (for differential checks).
-REPLAY_PATHS = ("auto", "columnar", "object")
 
 
 @dataclass
@@ -269,86 +264,24 @@ def _merge_stats(per_partition: List[EngineStats]) -> EngineStats:
     return merged
 
 
-def _columnar_serial_replay(
-    log: MemoryEventLog,
-    engine_for: Callable[[int], PartitionEngine],
-    engines: Dict[int, PartitionEngine],
-    traffic: TrafficCounter,
-    counter_warmup_passes: int,
-    obs: "ObsSession",
-) -> str:
-    """Batched serial replay over the columnar snapshot.
+def _run_bounds(
+    partition: np.ndarray, kind: np.ndarray, interval: int
+) -> List[int]:
+    """Where replay cuts the ordered rows into runs: ``[0, ..., n]``.
 
-    Events are regrouped partition-major (in-partition order preserved),
-    then dispatched to the engines as consecutive same-kind runs via the
-    batch hooks — one ``traffic.record`` per run instead of one per
-    event. The result is byte-identical to the scalar loop: partitions
-    share no state, the traffic counter and every ``EngineStats`` field
-    are commutative integer sums, and the default batch hooks replay the
-    scalar calls in order for engines without native batching.
-
-    Returns the engine design name (``"no-traffic"`` for an empty log).
+    A run never spans two partitions or two event kinds; with interval
+    sampling on it also ends at every multiple of *interval*, so each
+    snapshot sees exactly the events before its position.
     """
-    cols = log.to_columns()
-    kind = cols.kind
-    partition = cols.partition
-    blocks: List[np.ndarray] = []
-    if cols.n_events:
-        order = np.argsort(partition, kind="stable")
-        cuts = np.flatnonzero(np.diff(partition[order])) + 1
-        blocks = np.split(order, cuts)
-
-    with obs.phase("replay_warmup", trace=log.trace_name,
-                   passes=counter_warmup_passes):
-        if counter_warmup_passes:
-            for rows in blocks:
-                writebacks = rows[kind[rows] == WRITEBACK_CODE]
-                if not writebacks.size:
-                    continue
-                engine = engine_for(int(partition[writebacks[0]]))
-                # Batch-native engines take the sector column directly
-                # (and collapse the passes internally when provably
-                # order-free); the scalar fallback gets plain ints.
-                if engine.batch_native:
-                    engine.warm_counters_batch(
-                        cols.sector[writebacks], counter_warmup_passes
-                    )
-                else:
-                    engine.warm_counters_batch(
-                        cols.sector[writebacks].tolist(),
-                        counter_warmup_passes,
-                    )
-
-    with obs.phase("replay_events", trace=log.trace_name):
-        for rows in blocks:
-            engine = engine_for(int(partition[rows[0]]))
-            batch_native = engine.batch_native
-            kinds = kind[rows]
-            cuts = np.flatnonzero(np.diff(kinds)) + 1
-            bounds = [0, *cuts.tolist(), rows.size]
-            for start, end in zip(bounds, bounds[1:]):
-                run = rows[start:end]
-                count = end - start
-                if batch_native:
-                    sectors = cols.sector[run]
-                else:
-                    sectors = cols.sector[run].tolist()
-                values = cols.values_for(run)
-                if kinds[start] == FILL_CODE:
-                    traffic.record(
-                        Stream.DATA_READ, 32 * count, transactions=count
-                    )
-                    engine.on_fill_batch(sectors, values)
-                else:
-                    traffic.record(
-                        Stream.DATA_WRITE, 32 * count, transactions=count
-                    )
-                    engine.on_writeback_batch(sectors, values)
-        engine_name = "no-traffic"
-        for engine in engines.values():
-            engine.finalize()
-            engine_name = engine.name
-    return engine_name
+    n = int(kind.size)
+    if n == 0:
+        return [0]
+    cuts = np.flatnonzero(
+        (partition[1:] != partition[:-1]) | (kind[1:] != kind[:-1])
+    ) + 1
+    if interval:
+        cuts = np.union1d(cuts, np.arange(interval, n, interval))
+    return [0, *cuts.tolist(), n]
 
 
 def replay_events(
@@ -356,13 +289,12 @@ def replay_events(
     engine_factory: EngineFactory,
     config: GpuConfig,
     counter_warmup_passes: "int | None" = None,
-    path: str = "auto",
 ) -> SimulationResult:
     """Run a logged event stream through one security-engine design.
 
     ``counter_warmup_passes`` models the execution history before the
     simulated window: each pass silently replays the window's writeback
-    sectors through the engines' ``warm_counters`` hook, advancing
+    sectors through the engines' ``warm_counters_batch`` hook, advancing
     encryption-counter state (compact-counter saturation, common-counter
     region demotion, split-counter growth) the way the billions of
     pre-window instructions would have, without contributing any
@@ -370,25 +302,26 @@ def replay_events(
     (``None``) takes the depth recorded in the event log, which
     benchmark profiles set to match how iterative the workload is.
 
-    ``path`` selects the inner loop: ``"auto"`` (the default) runs the
-    columnar batched pass unless per-event instrumentation (interval
-    sampling, memory-event tracing, span detail) requires the scalar
-    loop; ``"columnar"``/``"object"`` force one side, which is how the
-    conformance invariant cross-checks them. Both produce byte-identical
-    :class:`SimulationResult`\\ s.
+    Events reach the engines as runs of consecutive same-kind events of
+    one partition, through the batch hooks. Rows are taken partition by
+    partition; interval sampling, memory-event tracing and span detail
+    take them in the log's global order instead, so samples, ``mem.*``
+    records and spans follow the trace. The result is the same either
+    way: partitions share no state, traffic and ``EngineStats`` are
+    sums, and an engine's result does not depend on where its runs are
+    cut (docs/ARCHITECTURE.md § The batch contract).
     """
     if counter_warmup_passes is None:
         counter_warmup_passes = log.counter_warmup_passes
     if counter_warmup_passes < 0:
         raise ValueError("warmup passes cannot be negative")
-    if path not in REPLAY_PATHS:
-        raise ValueError(
-            f"unknown replay path {path!r}; expected one of {REPLAY_PATHS}"
-        )
     obs = _obs_active()
     metrics_on = obs.config.metrics_active
     interval = obs.config.interval_events if metrics_on else 0
     trace_mem = obs.config.tracing_active and obs.config.trace_memory_events
+    # One span per run, only under span_detail: a clock pair per run is
+    # too hot for the default profile path.
+    detail_prof = obs.profiler if obs.config.span_detail_active else None
     traffic = TrafficCounter()
     sectors_per_partition = config.sectors_per_partition
     engines: Dict[int, PartitionEngine] = {}
@@ -400,20 +333,31 @@ def replay_events(
             engines[partition] = engine
         return engine
 
-    # Per-event instrumentation (interval windows, per-event trace
-    # emission, per-event spans) needs the scalar loop; everything else
-    # takes the batched columnar pass.
-    use_columnar = path != "object" and not (
-        interval or trace_mem or obs.config.span_detail_active
-    )
-    if use_columnar:
-        start = time.perf_counter() if obs.enabled else 0.0
-        engine_name = _columnar_serial_replay(
-            log, engine_for, engines, traffic, counter_warmup_passes, obs
-        )
-        return _finish_serial_replay(
-            log, obs, traffic, engines, engine_name, start
-        )
+    cols = log.to_columns()
+    kind = cols.kind
+    partition = cols.partition
+    sector = cols.sector
+    by_partition = np.argsort(partition, kind="stable")
+
+    with obs.phase("replay_warmup", trace=log.trace_name,
+                   passes=counter_warmup_passes):
+        if counter_warmup_passes:
+            writebacks = by_partition[kind[by_partition] == WRITEBACK_CODE]
+            blocks = np.split(
+                writebacks,
+                np.flatnonzero(np.diff(partition[writebacks])) + 1,
+            )
+            for rows in blocks:
+                if rows.size:
+                    engine_for(int(partition[rows[0]])).warm_counters_batch(
+                        sector[rows], counter_warmup_passes
+                    )
+
+    if interval or trace_mem or detail_prof is not None:
+        order = np.arange(cols.n_events)
+    else:
+        order = by_partition
+    bounds = _run_bounds(partition[order], kind[order], interval)
 
     snapshot = None
     total: Optional[TrafficCounter] = None
@@ -475,48 +419,34 @@ def replay_events(
                 metadata_bytes=report.metadata_bytes,
             )
 
-    with obs.phase("replay_warmup", trace=log.trace_name,
-                   passes=counter_warmup_passes):
-        for _ in range(counter_warmup_passes):
-            for event in log.events:
-                if event.kind is EventKind.WRITEBACK:
-                    engine_for(event.partition).warm_counters(
-                        event.sector_index
-                    )
-
     start = time.perf_counter() if obs.enabled else 0.0
-    # Per-event spans only under span_detail: a clock pair per DRAM
-    # event is far too hot for the default profile path.
-    detail_prof = (
-        obs.profiler if obs.config.span_detail_active else None
-    )
     with obs.phase("replay_events", trace=log.trace_name):
-        position = 0
-        for event in log.events:
-            engine = engine_for(event.partition)
-            if event.kind is EventKind.FILL:
-                traffic.record(Stream.DATA_READ, 32, transactions=1)
-                if detail_prof is not None:
-                    with detail_prof.span("engine.fill"):
-                        engine.on_fill(event.sector_index, event.values)
-                else:
-                    engine.on_fill(event.sector_index, event.values)
-            else:
-                traffic.record(Stream.DATA_WRITE, 32, transactions=1)
-                if detail_prof is not None:
-                    with detail_prof.span("engine.writeback"):
-                        engine.on_writeback(event.sector_index, event.values)
-                else:
-                    engine.on_writeback(event.sector_index, event.values)
-            if trace_mem:
-                obs.tracer.emit(
-                    f"mem.{event.kind.value}",
-                    partition=event.partition,
-                    sector=event.sector_index,
+        for a, b in zip(bounds, bounds[1:]):
+            rows = order[a:b]
+            part = int(partition[rows[0]])
+            engine = engine_for(part)
+            count = b - a
+            if kind[rows[0]] == FILL_CODE:
+                traffic.record(
+                    Stream.DATA_READ, 32 * count, transactions=count
                 )
-            position += 1
-            if interval and position % interval == 0:
-                snapshot(position)
+                hook, name = engine.on_fill_batch, "fill"
+            else:
+                traffic.record(
+                    Stream.DATA_WRITE, 32 * count, transactions=count
+                )
+                hook, name = engine.on_writeback_batch, "writeback"
+            sectors = sector[rows]
+            if detail_prof is None:
+                hook(sectors, cols.values_for(rows))
+            else:
+                with detail_prof.span(f"engine.{name}"):
+                    hook(sectors, cols.values_for(rows))
+            if trace_mem:
+                for s in sectors.tolist():
+                    obs.tracer.emit(f"mem.{name}", partition=part, sector=s)
+            if interval and b % interval == 0:
+                snapshot(b)
 
         engine_name = "no-traffic"
         for engine in engines.values():
@@ -524,32 +454,18 @@ def replay_events(
             engine_name = engine.name
         if interval:
             # Tail events plus finalize()'s metadata drain.
-            snapshot(position)
+            snapshot(cols.n_events)
             traffic = total
 
-    return _finish_serial_replay(
-        log, obs, traffic, engines, engine_name, start
-    )
-
-
-def _finish_serial_replay(
-    log: MemoryEventLog,
-    obs: "ObsSession",
-    traffic: TrafficCounter,
-    engines: Dict[int, PartitionEngine],
-    engine_name: str,
-    start: float,
-) -> SimulationResult:
-    """Fold engine stats, publish gauges, and package the result."""
     merged_stats = _merge_stats([e.stats for e in engines.values()])
     if obs.enabled:
         elapsed = time.perf_counter() - start
-        if obs.config.metrics_active:
+        if metrics_on:
             registry = obs.registry
-            registry.gauge("replay.events").set(len(log.events))
+            registry.gauge("replay.events").set(cols.n_events)
             if elapsed > 0:
                 registry.gauge("replay.events_per_sec").set(
-                    len(log.events) / elapsed
+                    cols.n_events / elapsed
                 )
             for f in fields(EngineStats):
                 registry.gauge(f"engine.{f.name}").set(
@@ -581,7 +497,6 @@ def replay_matrix(
     factories: "Mapping[str, EngineFactory]",
     config: GpuConfig,
     counter_warmup_passes: "int | None" = None,
-    path: str = "auto",
 ) -> "Dict[str, SimulationResult]":
     """Replay one event log through a whole matrix of engine designs.
 
@@ -599,6 +514,5 @@ def replay_matrix(
             factory,
             config,
             counter_warmup_passes=counter_warmup_passes,
-            path=path,
         )
     return results

@@ -147,7 +147,7 @@ def profile_main(argv) -> int:
     )
     parser.add_argument(
         "--span-detail", action="store_true",
-        help="profile per-event spans too (engine reads/writes, BMT "
+        help="profile detail spans too (engine fill/writeback runs, BMT "
              "traversals, crypto primitives); higher overhead",
     )
     parser.add_argument(

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Sequence
 
 from repro.common.atomicio import atomic_write_text
-from repro.common.errors import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, ReproError
+from repro.common.errors import EXIT_OK, EXIT_USAGE, ReproError
 
 log = logging.getLogger("repro.harness.bench")
 
@@ -45,29 +45,11 @@ DEFAULT_ENGINES = ("nosec", "pssm", "common-counters", "plutus")
 DEFAULT_BENCH_LENGTH = 8000
 QUICK_BENCH_LENGTH = 2000
 
-#: Replay path measured by default: the vectorized columnar core.
-DEFAULT_BENCH_PATH = "columnar"
-
-
-class IdentityMismatchError(ReproError):
-    """``--verify-identity`` found columnar/object replay divergence."""
-
-
-def _factory_batch_native(factory: object) -> bool:
-    """Whether *factory* builds engines with a native batch fast path.
-
-    :class:`~repro.harness.runner.EngineSpec` exposes its engine class
-    directly; anything else is probed by building a minimal engine.
-    """
-    engine_cls = getattr(factory, "engine_cls", None)
-    if engine_cls is not None:
-        return bool(getattr(engine_cls, "batch_native", False))
-    from repro.mem.traffic import TrafficCounter
-
-    try:
-        return bool(factory(0, 1024, TrafficCounter()).batch_native)
-    except Exception:  # pragma: no cover - exotic factory shapes
-        return False
+#: Replay path every entry records. Replay has one (batched columnar)
+#: path; entries recorded before the object path was deleted say
+#: ``object`` or nothing, and the regression gate only compares like
+#: with like.
+BENCH_PATH = "columnar"
 
 
 def calibrate(rounds: int = 3, iterations: int = 20000) -> float:
@@ -106,29 +88,16 @@ def run_bench(
     length: int = DEFAULT_BENCH_LENGTH,
     seed: int = 2023,
     repeats: int = 2,
-    path: str = DEFAULT_BENCH_PATH,
-    verify_identity: bool = False,
     clock: Callable[[], float] = time.perf_counter,
 ) -> Dict[str, object]:
-    """Measure replay throughput; returns one trajectory entry.
-
-    ``path`` picks the replay implementation that is measured (and
-    recorded in the entry); ``verify_identity`` additionally replays
-    every engine through *both* paths and raises
-    :class:`IdentityMismatchError` if any observable differs — the
-    end-to-end gate the columnar-equivalence CI job runs.
-    """
+    """Measure replay throughput; returns one trajectory entry."""
     from repro.gpu.config import VOLTA
-    from repro.gpu.simulator import REPLAY_PATHS, replay_events, simulate_l2
+    from repro.gpu.simulator import replay_events, simulate_l2
     from repro.harness.runner import engine_factories
     from repro.workloads.benchmarks import build_trace
 
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    if path not in REPLAY_PATHS:
-        raise ValueError(
-            f"unknown replay path {path!r}; known: {REPLAY_PATHS}"
-        )
     factories = engine_factories()
     unknown = [key for key in engines if key not in factories]
     if unknown:
@@ -150,32 +119,16 @@ def run_bench(
         best = float("inf")
         for _ in range(repeats):
             start = clock()
-            replay_events(event_log, factory, VOLTA, path=path)
+            replay_events(event_log, factory, VOLTA)
             best = min(best, clock() - start)
         return best
 
     measured: Dict[str, Dict[str, object]] = {}
     for key in engines:
-        factory = factories[key]
-        if verify_identity:
-            scalar = replay_events(event_log, factory, VOLTA, path="object")
-            columnar = replay_events(
-                event_log, factory, VOLTA, path="columnar"
-            )
-            from repro.conformance.invariants import results_equal
-
-            diffs = results_equal(columnar, scalar)
-            if diffs:
-                raise IdentityMismatchError(
-                    f"{key}: columnar vs object replay differ: "
-                    + "; ".join(diffs)
-                )
-            log.info("%s: columnar/object identity verified", key)
-        serial_s = best_of(factory)
+        serial_s = best_of(factories[key])
         row: Dict[str, object] = {
             "serial_s": round(serial_s, 6),
             "serial_eps": round(events / serial_s, 3) if serial_s else 0.0,
-            "batched": _factory_batch_native(factory),
         }
         measured[key] = row
         log.info("%s: %s", key, row)
@@ -187,7 +140,7 @@ def run_bench(
         "seed": seed,
         "events": events,
         "repeats": repeats,
-        "path": path,
+        "path": BENCH_PATH,
         "calibration_seconds": round(calibrate(), 6),
         "env": environment_fingerprint(),
         "engines": measured,
@@ -274,18 +227,6 @@ def bench_main(argv: List[str]) -> int:
         help="CI mode: small trace, single repeat",
     )
     parser.add_argument(
-        "--path", default=DEFAULT_BENCH_PATH,
-        choices=("auto", "columnar", "object"),
-        help=f"replay implementation to measure "
-             f"(default {DEFAULT_BENCH_PATH}; recorded in the entry)",
-    )
-    parser.add_argument(
-        "--verify-identity", action="store_true",
-        help="before measuring, replay every engine through both the "
-             "columnar and object paths and fail on any observable "
-             "difference",
-    )
-    parser.add_argument(
         "--trajectory", default=str(DEFAULT_TRAJECTORY), metavar="PATH",
         help=f"trajectory file to append to (default {DEFAULT_TRAJECTORY}; "
              "pass '' to measure without recording)",
@@ -332,8 +273,6 @@ def bench_main(argv: List[str]) -> int:
             length=length,
             seed=args.seed,
             repeats=repeats,
-            path=args.path,
-            verify_identity=args.verify_identity,
         )
         if args.trajectory:
             count = append_entry(Path(args.trajectory), entry)
@@ -344,9 +283,6 @@ def bench_main(argv: List[str]) -> int:
             atomic_write_text(
                 args.entry_out, json.dumps(entry, indent=2) + "\n"
             )
-    except IdentityMismatchError as exc:
-        print(f"identity violation: {exc.args[0]}", file=sys.stderr)
-        return EXIT_FAILURE
     except (ReproError, OSError, ValueError, KeyError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)

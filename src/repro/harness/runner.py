@@ -57,9 +57,8 @@ class EngineSpec:
     """An engine factory as data: a design class plus constructor kwargs.
 
     Calling a spec builds one partition's engine exactly like a closure
-    would; unlike a closure, a spec exposes its design class (``bench``
-    reads ``engine_cls`` to report batch-native engines) and prints as
-    the design point it names.
+    would; unlike a closure, a spec exposes its design class
+    (``engine_cls``) and prints as the design point it names.
     """
 
     __slots__ = ("engine_cls", "kwargs")

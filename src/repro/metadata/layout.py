@@ -99,8 +99,11 @@ class MetadataLayout:
     def counter_locations(
         self, data_sectors: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`counter_location` over an int64 array."""
-        self._check_array(data_sectors)
+        """Vectorized :meth:`counter_location` over an int64 array.
+
+        Like the other vectorized lookups, it trusts its input: callers
+        validate a run once with :meth:`check_sectors`.
+        """
         idx = data_sectors // self.sectors_per_counter_sector
         byte_addr = idx * self.sector_bytes
         lines = byte_addr - (byte_addr % self.line_bytes)
@@ -140,8 +143,7 @@ class MetadataLayout:
     def mac_locations(
         self, data_sectors: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`mac_location` over an int64 array."""
-        self._check_array(data_sectors)
+        """Vectorized :meth:`mac_location` (input checked by the caller)."""
         idx = data_sectors // self.macs_per_sector
         byte_addr = idx * self.sector_bytes
         lines = byte_addr - (byte_addr % self.line_bytes)
@@ -181,8 +183,7 @@ class MetadataLayout:
         return counter_sector
 
     def bmt_leaf_indices(self, data_sectors: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`bmt_leaf_index` over an int64 array."""
-        self._check_array(data_sectors)
+        """Vectorized :meth:`bmt_leaf_index` (input checked by the caller)."""
         counter_sector = data_sectors // self.sectors_per_counter_sector
         if self.design is GranularityDesign.BLOCK_128:
             return counter_sector // (self.line_bytes // self.sector_bytes)
@@ -206,7 +207,8 @@ class MetadataLayout:
                 f"{self.data_sectors} sectors"
             )
 
-    def _check_array(self, data_sectors: np.ndarray) -> None:
+    def check_sectors(self, data_sectors: np.ndarray) -> None:
+        """Raise ValueError unless every sector lies in the partition."""
         if data_sectors.size == 0:
             return
         lo = int(data_sectors.min())

@@ -170,7 +170,7 @@ class SplitCounterStore:
 
         Callers pass each sector once with its total increment count;
         under that precondition the final state is independent of the
-        order the scalar increments would have interleaved in.
+        order the single increments would have interleaved in.
         """
         minors = self._minors
         get = minors.get

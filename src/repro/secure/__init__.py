@@ -12,7 +12,6 @@ from repro.secure.functional import SECTOR_BYTES, ReadFlow, SecureMemory
 from repro.secure.plutus import PlutusEngine
 from repro.secure.pssm import PssmEngine
 from repro.secure.value_cache import (
-    UnitCheck,
     ValueCache,
     ValueCacheConfig,
     ValueCacheStats,
@@ -30,7 +29,6 @@ __all__ = [
     "ReadFlow",
     "SECTOR_BYTES",
     "SecureMemory",
-    "UnitCheck",
     "ValueCache",
     "ValueCacheConfig",
     "ValueCacheStats",

@@ -25,11 +25,7 @@ import numpy as np
 
 from repro.mem.traffic import TrafficCounter
 from repro.metadata.layout import GranularityDesign
-from repro.secure.engine import (
-    MetadataCacheConfig,
-    MetadataEngine,
-    PartitionEngine,
-)
+from repro.secure.engine import MetadataCacheConfig, MetadataEngine
 
 
 class CommonCountersEngine(MetadataEngine):
@@ -72,51 +68,18 @@ class CommonCountersEngine(MetadataEngine):
         #: chosen deterministically by region id.
         self.init_written_fraction = init_written_fraction
 
-    def _region_of(self, sector_index: int) -> int:
-        return sector_index // self.region_sectors
-
-    def _init_written(self, region: int) -> bool:
-        if self.init_written_fraction >= 1.0:
-            return True
-        # Cheap deterministic hash spreads demoted regions uniformly.
-        h = (region * 2654435761 + self.partition_id * 97) & 0xFFFFFFFF
-        return (h / 2**32) < self.init_written_fraction
-
     def counter_is_common(self, sector_index: int) -> bool:
         """True while the sector's region has never been written."""
-        region = self._region_of(sector_index)
-        return region not in self._written_regions and not self._init_written(region)
+        common = self._common_mask(
+            np.array([sector_index // self.region_sectors], dtype=np.int64)
+        )
+        return common is not None and bool(common[0])
 
-    def warm_counters(self, sector_index: int) -> None:
-        """Pre-window write: advance the counter and demote the region."""
-        self.counters.increment(sector_index)
-        self._written_regions.add(self._region_of(sector_index))
-
-    def on_fill(self, sector_index: int, values: Optional[bytes]) -> None:
-        """Read miss: counter on-chip if the region is pristine; MAC always."""
-        self.stats.fills += 1
-        if self.counter_is_common(sector_index):
-            self.stats.counter_onchip_hits += 1
-        else:
-            self.counter_read(sector_index)
-        self.mac_read(sector_index)
-
-    def on_writeback(self, sector_index: int, values: Optional[bytes]) -> None:
-        """Dirty eviction: demote the region, then the full PSSM path."""
-        self.stats.writebacks += 1
-        self._written_regions.add(self._region_of(sector_index))
-        self.counter_write(sector_index)
-        self.mac_write(sector_index)
-
-    # -- batch hooks (columnar path) --------------------------------------
-    #
     # The common-region test is a pure function of the written-region
     # set, which only writebacks and warmup mutate — so within a fill
     # run every event sees the same set and the test vectorizes over
     # the unique regions. Within a writeback run no event reads the
     # set, so the region demotions hoist to one bulk update.
-
-    batch_native = True
 
     def _common_mask(self, regions: np.ndarray) -> Optional[np.ndarray]:
         """Per-event common-counter verdicts, or None when none can be."""
@@ -135,7 +98,8 @@ class CommonCountersEngine(MetadataEngine):
         return (never_written & ~init_written)[inverse]
 
     def on_fill_batch(self, sector_indices, values) -> None:
-        sectors = np.asarray(sector_indices, dtype=np.int64)
+        """Read misses: counter on-chip if the region is pristine; MAC always."""
+        sectors = self._checked(sector_indices)
         n = int(sectors.size)
         self.stats.fills += n
         common = (
@@ -151,7 +115,8 @@ class CommonCountersEngine(MetadataEngine):
         self._batch_mac_reads(sectors)
 
     def on_writeback_batch(self, sector_indices, values) -> None:
-        sectors = np.asarray(sector_indices, dtype=np.int64)
+        """Dirty evictions: demote the regions, then the full PSSM path."""
+        sectors = self._checked(sector_indices)
         self.stats.writebacks += int(sectors.size)
         if sectors.size:
             self._written_regions.update(
@@ -161,16 +126,10 @@ class CommonCountersEngine(MetadataEngine):
         self._batch_mac_writes(sectors)
 
     def warm_counters_batch(self, sector_indices, passes: int = 1) -> None:
+        """Pre-window writes: advance the counters and demote the regions."""
         if passes <= 0:
             return
-        sectors = np.asarray(sector_indices, dtype=np.int64)
-        if sectors.size == 0:
-            return
-        if int(sectors.min()) < 0:
-            # Scalar error semantics: raise mid-warmup, regions of the
-            # already-processed prefix demoted.
-            PartitionEngine.warm_counters_batch(self, sectors.tolist(), passes)
-            return
+        sectors = self._checked(sector_indices)
         super().warm_counters_batch(sectors, passes)
         self._written_regions.update(
             np.unique(sectors // self.region_sectors).tolist()

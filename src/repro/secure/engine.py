@@ -2,12 +2,12 @@
 
 A *partition engine* sits where the paper's per-partition security
 engines sit: between the L2 bank and the DRAM channel. The GPU simulator
-feeds it two event kinds —
+feeds it runs of two event kinds —
 
-* ``on_fill(sector, values)``: a data sector is being fetched from DRAM
-  (L2 read miss) and must be verified/decrypted;
-* ``on_writeback(sector, values)``: a dirty data sector is leaving the
-  chip and must be encrypted/authenticated;
+* ``on_fill_batch(sectors, values)``: data sectors are being fetched
+  from DRAM (L2 read misses) and must be verified/decrypted;
+* ``on_writeback_batch(sectors, values)``: dirty data sectors are
+  leaving the chip and must be encrypted/authenticated;
 
 — and the engine responds by generating security-metadata traffic into
 the partition's :class:`~repro.mem.traffic.TrafficCounter`. Data traffic
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import astuple, dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -99,71 +99,42 @@ class PartitionEngine:
         #: singleton by default); subclasses emit tracer events and the
         #: replay loop polls :meth:`obs_snapshot` through it.
         self.obs = _obs_active()
-        #: Span profiler for per-operation hot-path spans, or None
-        #: unless ``span_detail`` profiling is on — the metadata paths
-        #: guard on this single attribute.
-        self._prof = (
-            self.obs.profiler
-            if self.obs.config.span_detail_active else None
-        )
 
-    #: True when the engine overrides the batch hooks with a genuinely
-    #: vectorized implementation; the default hooks replay the scalar
-    #: calls in order, so stateful engines stay byte-identical without
-    #: opting in. The bench records this per design point.
-    batch_native = False
-
-    def on_fill(self, sector_index: int, values: Optional[bytes]) -> None:
-        """Handle a data-sector fetch from DRAM (L2 read miss)."""
-        raise NotImplementedError
-
-    def on_writeback(self, sector_index: int, values: Optional[bytes]) -> None:
-        """Handle a dirty data-sector eviction to DRAM."""
-        raise NotImplementedError
-
-    # -- batch hooks (columnar replay) -----------------------------------
+    # -- the hooks (ARCHITECTURE.md § The batch contract) ------------------
     #
-    # The columnar replay path delivers consecutive same-kind events of
-    # one partition as a single call. The contract is strict: a batch
-    # call must leave the engine in exactly the state the equivalent
-    # sequence of scalar calls would, so the defaults below are the
-    # scalar loop and only stateless (or order-free) designs override.
+    # Replay delivers consecutive same-kind events of one partition as a
+    # single call, a *run*. A run's result must not depend on where the
+    # runs were cut: one call over a run leaves the engine in exactly
+    # the state the same events split into shorter runs (down to length
+    # 1) would. A hook that rejects a run raises ValueError before it
+    # changes any state.
 
     def on_fill_batch(self, sector_indices, values) -> None:
-        """Handle a run of fills (scalar fallback: in-order replay)."""
-        on_fill = self.on_fill
-        for sector_index, image in zip(sector_indices, values):
-            on_fill(sector_index, image)
+        """Handle a run of data-sector fetches from DRAM (L2 read misses).
+
+        ``values[i]`` is the 32-byte plaintext image of the i-th sector,
+        or None when the trace carried none.
+        """
+        raise NotImplementedError
 
     def on_writeback_batch(self, sector_indices, values) -> None:
-        """Handle a run of writebacks (scalar fallback: in-order replay)."""
-        on_writeback = self.on_writeback
-        for sector_index, image in zip(sector_indices, values):
-            on_writeback(sector_index, image)
+        """Handle a run of dirty data-sector evictions to DRAM."""
+        raise NotImplementedError
 
     def warm_counters_batch(self, sector_indices, passes: int = 1) -> None:
-        """Warm counter state for *passes* pre-window write rounds.
-
-        Equivalent to ``passes`` pass-major scalar rounds over the whole
-        sector list (the order the replay loop used to drive). Batch
-        implementations may collapse the rounds only where the result is
-        provably order-free (no overflow, no saturation crossing).
-        """
-        warm_counters = self.warm_counters
-        for _ in range(passes):
-            for sector_index in sector_indices:
-                warm_counters(sector_index)
-
-    def warm_counters(self, sector_index: int) -> None:
-        """Advance counter state for one pre-window write (no traffic).
+        """Advance counter state for *passes* pre-window write rounds.
 
         Simulated windows are slices of much longer executions; the
         writes that happened before the window have already advanced the
         encryption counters (and saturated compact counters, demoted
         common-counter regions, ...). Warmup replays the window's
         writeback sectors through this hook so counter *state* matches a
-        long-running execution while measured traffic stays clean.
+        long-running execution while measured traffic stays clean. The
+        result is that of ``passes`` pass-major rounds over the sector
+        list; implementations may collapse the rounds only where that is
+        provably order-free (no overflow, no saturation crossing).
         """
+        raise NotImplementedError
 
     def finalize(self) -> None:
         """Drain dirty metadata at end of simulation (kernel boundary)."""
@@ -196,8 +167,9 @@ class PartitionEngine:
 
         Two engines with equal digests are behaviorally
         indistinguishable from here on — the comparison surface of the
-        batch-vs-scalar differential suite, strictly stronger than the
-        traffic/stats identity the conformance invariant checks.
+        cut-invariance suite and the recorded scalar oracle, strictly
+        stronger than the traffic/stats identity the conformance
+        invariants check.
         """
         summary = repr(self._state_summary()).encode()
         return hashlib.sha256(summary).hexdigest()
@@ -207,15 +179,8 @@ class NoSecurityEngine(PartitionEngine):
     """The insecure baseline: data moves, no metadata exists."""
 
     name = "no-security"
-    batch_native = True
 
-    def on_fill(self, sector_index: int, values: Optional[bytes]) -> None:
-        self.stats.fills += 1
-
-    def on_writeback(self, sector_index: int, values: Optional[bytes]) -> None:
-        self.stats.writebacks += 1
-
-    # Only the counts matter: batch runs are O(1), and the lazy value
+    # Only the counts matter: runs are O(1), and the lazy value
     # sequence is never materialized.
 
     def on_fill_batch(self, sector_indices, values) -> None:
@@ -301,61 +266,17 @@ class MetadataEngine(PartitionEngine):
                 transactions=ev.dirty_sector_count,
             )
 
-    # -- counter path ----------------------------------------------------------
-    #
-    # The public counter/MAC methods are span-instrumented template
-    # methods; designs that specialize a path override the ``_``-prefixed
-    # implementation so detail profiling covers every engine uniformly.
+    def _checked(self, sector_indices) -> np.ndarray:
+        """The run's sectors as int64, after checking every one is in range.
 
-    def counter_read(self, sector_index: int) -> None:
-        """Bring the sector's encryption counter on-chip, verified."""
-        if self._prof is None:
-            self._counter_read(sector_index)
-        else:
-            with self._prof.span("engine.counter_read"):
-                self._counter_read(sector_index)
+        Hooks call this before they change any state, so a rejected run
+        leaves the engine exactly as it was.
+        """
+        sectors = np.asarray(sector_indices, dtype=np.int64)
+        self.layout.check_sectors(sectors)
+        return sectors
 
-    def _counter_read(self, sector_index: int) -> None:
-        line, mask = self.layout.counter_location(sector_index)
-        result = self.counter_cache.access(line, mask, write=False)
-        if result.miss_mask:
-            self.stats.counter_fetches += 1
-            self.traffic.record(
-                Stream.COUNTER_READ,
-                result.miss_sector_count * self.layout.sector_bytes,
-                transactions=result.miss_sector_count,
-            )
-            self.bmt.verify_leaf(self.layout.bmt_leaf_index(sector_index))
-        self._drain_counter_evictions(result.evictions)
-
-    def counter_write(self, sector_index: int) -> None:
-        """Advance the sector's counter for a writeback (dirty in cache)."""
-        if self._prof is None:
-            self._counter_write(sector_index)
-        else:
-            with self._prof.span("engine.counter_write"):
-                self._counter_write(sector_index)
-
-    def _counter_write(self, sector_index: int) -> None:
-        outcome = self.counters.increment(sector_index)
-        if outcome.minor_overflowed:
-            self._on_minor_overflow(outcome)
-        line, mask = self.layout.counter_location(sector_index)
-        result = self.counter_cache.access(line, mask, write=True)
-        if result.miss_mask:
-            # Updating a counter needs its block resident and verified.
-            self.stats.counter_fetches += 1
-            self.traffic.record(
-                Stream.COUNTER_READ,
-                result.miss_sector_count * self.layout.sector_bytes,
-                transactions=result.miss_sector_count,
-            )
-            self.bmt.verify_leaf(self.layout.bmt_leaf_index(sector_index))
-        self._drain_counter_evictions(result.evictions)
-
-    def _on_minor_overflow(self, outcome) -> None:
-        """A minor overflow re-encrypts the whole major-counter group."""
-        self._reencrypt_group(outcome.reencrypted_sectors)
+    # -- counter overflow --------------------------------------------------------
 
     def _reencrypt_group(self, reencrypted_sectors) -> None:
         """Account a major-counter bump's group re-encryption.
@@ -380,54 +301,11 @@ class MetadataEngine(PartitionEngine):
         self.traffic.record(Stream.DATA_READ, nbytes, transactions=len(group))
         self.traffic.record(Stream.DATA_WRITE, nbytes, transactions=len(group))
 
-    # -- MAC path ------------------------------------------------------------------
-
-    def mac_read(self, sector_index: int) -> None:
-        """Fetch the sector's MAC for conventional verification."""
-        if self._prof is None:
-            self._mac_read(sector_index)
-        else:
-            with self._prof.span("engine.mac_read"):
-                self._mac_read(sector_index)
-
-    def _mac_read(self, sector_index: int) -> None:
-        line, mask = self.layout.mac_location(sector_index)
-        result = self.mac_cache.access(line, mask, write=False)
-        if result.miss_mask:
-            self.stats.mac_fetches += 1
-            self.traffic.record(
-                Stream.MAC_READ,
-                result.miss_sector_count * self.layout.sector_bytes,
-                transactions=result.miss_sector_count,
-            )
-        self._drain_mac_evictions(result.evictions)
-
-    def mac_write(self, sector_index: int) -> None:
-        """Install a freshly computed MAC (read-modify-write on miss)."""
-        if self._prof is None:
-            self._mac_write(sector_index)
-        else:
-            with self._prof.span("engine.mac_write"):
-                self._mac_write(sector_index)
-
-    def _mac_write(self, sector_index: int) -> None:
-        line, mask = self.layout.mac_location(sector_index)
-        result = self.mac_cache.access(line, mask, write=True)
-        if result.miss_mask:
-            # The 32 B MAC sector holds several tags; merging one tag
-            # into a non-resident sector fetches it first.
-            self.traffic.record(
-                Stream.MAC_READ,
-                result.miss_sector_count * self.layout.sector_bytes,
-                transactions=result.miss_sector_count,
-            )
-        self._drain_mac_evictions(result.evictions)
-
-    # -- batch replay machinery (columnar path) ---------------------------------
+    # -- run machinery --------------------------------------------------------
     #
-    # The helpers below are what the batch-native engines compose their
-    # on_fill_batch / on_writeback_batch overrides from. Each one is a
-    # provably byte-identical replay of the scalar per-event sequence:
+    # The helpers below are what the engines compose their hooks from.
+    # Each one gives the result of handling the run's events one at a
+    # time, in order:
     #
     # * metadata locations for the whole run come from one vectorized
     #   layout pass;
@@ -437,7 +315,7 @@ class MetadataEngine(PartitionEngine):
     # * per-access miss traffic and fetch stats accumulate in locals and
     #   post once per run (traffic streams and EngineStats are
     #   commutative sums);
-    # * tree verification and eviction draining keep their scalar
+    # * tree verification and eviction draining keep their per-event
     #   position relative to every cache-state mutation.
     #
     # Counter-phase and MAC-phase state are disjoint (separate caches,
@@ -576,7 +454,7 @@ class MetadataEngine(PartitionEngine):
         """MAC-write phase of a batched writeback run.
 
         A miss is a read-modify-write: the fetch is MAC_READ traffic but
-        does not count as a demand MAC fetch — same as the scalar path.
+        does not count as a demand MAC fetch.
         """
         if sectors.size == 0:
             return
@@ -608,20 +486,13 @@ class MetadataEngine(PartitionEngine):
 
         When no minor counter can overflow across all passes, the
         per-sector totals are order-free and apply in one bulk pass;
-        otherwise the exact pass-major scalar order replays (overflow
-        side effects depend on interleaving).
+        otherwise the exact pass-major order replays (overflow side
+        effects depend on interleaving).
         """
         if passes <= 0:
             return
-        sectors = np.asarray(sector_indices, dtype=np.int64)
+        sectors = self._checked(sector_indices)
         if sectors.size == 0:
-            return
-        if int(sectors.min()) < 0:
-            # Match the scalar error behavior (increment raises on the
-            # first negative index, after earlier warms applied).
-            PartitionEngine.warm_counters_batch(
-                self, sectors.tolist(), passes
-            )
             return
         uniq, counts = np.unique(sectors, return_counts=True)
         uniq_l = uniq.tolist()
@@ -636,10 +507,6 @@ class MetadataEngine(PartitionEngine):
                 increment(s)
 
     # -- lifecycle -------------------------------------------------------------------
-
-    def warm_counters(self, sector_index: int) -> None:
-        """Pre-window write: advance the split counter silently."""
-        self.counters.increment(sector_index)
 
     def finalize(self) -> None:
         """Flush all dirty metadata (counters, MACs, tree nodes)."""

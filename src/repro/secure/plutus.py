@@ -29,21 +29,11 @@ from repro.metadata.compact import (
     DESIGN_3BIT_ADAPTIVE,
     CompactCounterConfig,
     CompactCounterState,
-    CounterRoute,
 )
 from repro.metadata.layout import GranularityDesign, MetadataLayout
 from repro.metadata.bmt import BmtTraversal
-from repro.secure.engine import (
-    MetadataCacheConfig,
-    MetadataEngine,
-    PartitionEngine,
-)
+from repro.secure.engine import MetadataCacheConfig, MetadataEngine
 from repro.secure.value_cache import ValueCache, ValueCacheConfig
-
-#: Sentinel returned by the key scan when a present image has the wrong
-#: length; the batch hooks then fall back to the scalar replay, which
-#: raises at exactly the event the scalar sequence would.
-_MALFORMED = object()
 
 
 class PlutusEngine(MetadataEngine):
@@ -112,48 +102,9 @@ class PlutusEngine(MetadataEngine):
         if self.tree_enabled:
             traversal.verify_leaf(leaf)
 
-    def _update_tree(self, traversal: BmtTraversal, leaf: int) -> None:
-        if self.tree_enabled:
-            traversal.update_leaf(leaf)
-
-    # MetadataEngine's counter paths call self.bmt directly; override the
-    # drain hook and read path to honor the gate. The public
-    # counter_read/counter_write stay MetadataEngine's span-instrumented
-    # template methods.
-    def _counter_read(self, sector_index: int) -> None:
-        """Original-layer counter fetch, honoring the tree gate."""
-        line, mask = self.layout.counter_location(sector_index)
-        result = self.counter_cache.access(line, mask, write=False)
-        if result.miss_mask:
-            self.stats.counter_fetches += 1
-            self.traffic.record(
-                Stream.COUNTER_READ,
-                result.miss_sector_count * self.layout.sector_bytes,
-                transactions=result.miss_sector_count,
-            )
-            self._verify_tree(self.bmt, self.layout.bmt_leaf_index(sector_index))
-        self._drain_counter_evictions(result.evictions)
-
-    def _counter_write(self, sector_index: int) -> None:
-        """Original-layer counter bump, honoring the tree gate."""
-        outcome = self.counters.increment(sector_index)
-        if outcome.minor_overflowed:
-            self._on_minor_overflow(outcome)
-            if self.compact is not None:
-                # All sectors sharing the bumped major must use the
-                # original layer from now on (paper Section IV-D).
-                self.compact.force_original(outcome.reencrypted_sectors)
-        line, mask = self.layout.counter_location(sector_index)
-        result = self.counter_cache.access(line, mask, write=True)
-        if result.miss_mask:
-            self.stats.counter_fetches += 1
-            self.traffic.record(
-                Stream.COUNTER_READ,
-                result.miss_sector_count * self.layout.sector_bytes,
-                transactions=result.miss_sector_count,
-            )
-            self._verify_tree(self.bmt, self.layout.bmt_leaf_index(sector_index))
-        self._drain_counter_evictions(result.evictions)
+    def _verify_counter_tree(self, leaf_index: int) -> None:
+        """Original-tree walk for the shared run helpers, gated."""
+        self._verify_tree(self.bmt, leaf_index)
 
     def _drain_counter_evictions(self, evictions) -> None:
         sector_bytes = self.counter_cache.config.sector_bytes
@@ -172,22 +123,6 @@ class PlutusEngine(MetadataEngine):
                 self.bmt.update_leaves(leaves)
 
     # -- compact-counter layer ---------------------------------------------------
-
-    def _compact_access(self, sector_index: int, write: bool) -> None:
-        """Touch the sector's compact counter (fetch + verify on miss)."""
-        line, mask = self.compact_layout.counter_location(sector_index)
-        result = self.compact_cache.access(line, mask, write=write)
-        if result.miss_mask:
-            self.traffic.record(
-                Stream.COMPACT_COUNTER_READ,
-                result.miss_sector_count * self.compact_layout.sector_bytes,
-                transactions=result.miss_sector_count,
-            )
-            self._verify_tree(
-                self.compact_bmt,
-                self.compact_layout.bmt_leaf_index(sector_index),
-            )
-        self._drain_compact_evictions(result.evictions)
 
     def _compact_leaf_of_sector(self, counter_sector: int) -> int:
         if self.compact_layout.design is GranularityDesign.BLOCK_128:
@@ -210,50 +145,6 @@ class PlutusEngine(MetadataEngine):
                     leaves.add(self._compact_leaf_of_sector(counter_sector))
             if self.tree_enabled:
                 self.compact_bmt.update_leaves(leaves)
-
-    def _counter_read_flow(self, sector_index: int) -> None:
-        """Route a read's counter access through the mirror hierarchy."""
-        if self.compact is None:
-            self.counter_read(sector_index)
-            return
-        plan = self.compact.plan_read(sector_index)
-        if plan.route is CounterRoute.COMPACT_ONLY:
-            self.stats.compact_only_accesses += 1
-            self._compact_access(sector_index, write=False)
-        elif plan.route is CounterRoute.COMPACT_THEN_ORIGINAL:
-            self.stats.compact_double_accesses += 1
-            self._compact_access(sector_index, write=False)
-            self.counter_read(sector_index)
-        else:
-            self.stats.original_only_accesses += 1
-            self.counter_read(sector_index)
-
-    def _counter_write_flow(self, sector_index: int) -> None:
-        """Route a writeback's counter increment through the hierarchy."""
-        if self.compact is None:
-            self.counter_write(sector_index)
-            return
-        plan = self.compact.plan_write(sector_index)
-        if plan.route is CounterRoute.COMPACT_ONLY:
-            self.stats.compact_only_accesses += 1
-            self._compact_access(sector_index, write=True)
-        elif plan.route is CounterRoute.COMPACT_THEN_ORIGINAL:
-            self.stats.compact_double_accesses += 1
-            self._compact_access(sector_index, write=True)
-            self.counter_write(sector_index)
-        else:
-            self.stats.original_only_accesses += 1
-            self.counter_write(sector_index)
-        if plan.disables_block:
-            self.stats.compact_disable_events += 1
-            if self.obs.enabled:
-                self.obs.tracer.emit(
-                    "compact.disable",
-                    partition=self.partition_id,
-                    block=self.compact.block_of(sector_index),
-                    sector=sector_index,
-                )
-            self._sync_block_to_original(sector_index)
 
     def _sync_block_to_original(self, sector_index: int) -> None:
         """One-time copy of a disabled block's live counters to originals.
@@ -280,61 +171,6 @@ class PlutusEngine(MetadataEngine):
             self._drain_counter_evictions(result.evictions)
 
     # -- request flows (paper Fig. 11) --------------------------------------------
-
-    @staticmethod
-    def _check_image(values: Optional[bytes]) -> None:
-        if values is not None and len(values) != 32:
-            raise ValueError(
-                f"sector image must be 32 bytes, got {len(values)}"
-            )
-
-    def on_fill(self, sector_index: int, values: Optional[bytes]) -> None:
-        """Read miss: counter via mirror layer, then value-check or MAC."""
-        self._check_image(values)
-        self.stats.fills += 1
-        self._counter_read_flow(sector_index)
-
-        if self.value_cache is None or values is None:
-            self.mac_read(sector_index)
-            return
-
-        sector_values = split_values(values, 4)
-        if self.value_cache.verify_sector(sector_values):
-            self.stats.value_verified_fills += 1
-            self.stats.mac_fetches_avoided += 1
-        else:
-            self.stats.value_check_failures += 1
-            self.mac_read(sector_index)
-        self.value_cache.observe_many(sector_values)
-
-    def on_writeback(self, sector_index: int, values: Optional[bytes]) -> None:
-        """Dirty eviction: counter bump via mirror layer; MAC if needed."""
-        self._check_image(values)
-        self.stats.writebacks += 1
-        self._counter_write_flow(sector_index)
-
-        if self.value_cache is None or values is None:
-            self.mac_write(sector_index)
-            return
-
-        sector_values = split_values(values, 4)
-        self.value_cache.observe_many(sector_values)
-        if self.value_cache.write_verifiable(sector_values):
-            # Guaranteed to value-verify at next read: the MAC update is
-            # skipped entirely (paper Fig. 11, write path).
-            self.stats.mac_writes_avoided += 1
-        else:
-            self.mac_write(sector_index)
-
-    def warm_counters(self, sector_index: int) -> None:
-        """Pre-window write: advance both counter layers silently."""
-        outcome = self.counters.increment(sector_index)
-        if self.compact is not None:
-            self.compact.plan_write(sector_index)
-            if outcome.minor_overflowed:
-                self.compact.force_original(outcome.reencrypted_sectors)
-
-    # -- batch hooks (columnar path) ----------------------------------------
     #
     # A Plutus event touches up to four disjoint structures — the compact
     # layer (compact cache + mini BMT), the original layer (counter cache
@@ -345,13 +181,6 @@ class PlutusEngine(MetadataEngine):
     # probes are order-dependent, so both replay per event while the
     # cache accesses around them compress into same-location runs.
 
-    batch_native = True
-
-    def _verify_counter_tree(self, leaf_index: int) -> None:
-        """Original-tree walk for the shared batch helpers, gated."""
-        if self.tree_enabled:
-            self.bmt.verify_leaf(leaf_index)
-
     def _batch_value_keys(self, values, n: int):
         """Masked value-cache keys per event (None = no image).
 
@@ -359,8 +188,8 @@ class PlutusEngine(MetadataEngine):
         as little-endian u32 words and masks all of them with one numpy
         AND — byte-identical to per-value ``split_values`` + ``_key``
         because both decode little-endian and the combined range+low
-        mask is a single constant. Returns ``_MALFORMED`` when a present
-        image has the wrong length (caller falls back to scalar).
+        mask is a single constant. Raises ValueError when a present
+        image is not 32 bytes, before the hook changes any state.
         """
         vc = self.value_cache
         u32_matrix = getattr(values, "u32_matrix", None)
@@ -388,7 +217,9 @@ class PlutusEngine(MetadataEngine):
             if image is None:
                 append(None)
             elif len(image) != 32:
-                return _MALFORMED
+                raise ValueError(
+                    f"sector image must be 32 bytes, got {len(image)}"
+                )
             elif mask_keys is None:
                 append(None)  # valid image; keys unused without a cache
             else:
@@ -426,7 +257,7 @@ class PlutusEngine(MetadataEngine):
                 transactions=miss_sectors,
             )
 
-    def _batch_counter_write_flow(self, sectors: np.ndarray) -> None:
+    def _batch_mirror_writes(self, sectors: np.ndarray) -> None:
         """Batched mirror-hierarchy counter increments (write path).
 
         Routing decisions (``plan_write_code``), split-counter
@@ -563,12 +394,10 @@ class PlutusEngine(MetadataEngine):
             )
 
     def on_fill_batch(self, sector_indices, values) -> None:
-        sectors = np.asarray(sector_indices, dtype=np.int64)
+        """Read misses: counter via mirror layer, then value-check or MAC."""
+        sectors = self._checked(sector_indices)
         n = int(sectors.size)
         keys_list = self._batch_value_keys(values, n)
-        if keys_list is _MALFORMED:
-            PartitionEngine.on_fill_batch(self, sectors.tolist(), values)
-            return
         self.stats.fills += n
 
         # Counter phase: plan_read is pure and nothing in a fill run
@@ -624,18 +453,20 @@ class PlutusEngine(MetadataEngine):
             self._batch_mac_reads(sectors[mac_rows])
 
     def on_writeback_batch(self, sector_indices, values) -> None:
-        sectors = np.asarray(sector_indices, dtype=np.int64)
+        """Dirty evictions: counter bump via mirror layer; MAC if needed.
+
+        A write whose image the value cache can verify from pinned
+        entries alone skips its MAC update (paper Fig. 11, write path).
+        """
+        sectors = self._checked(sector_indices)
         n = int(sectors.size)
         keys_list = self._batch_value_keys(values, n)
-        if keys_list is _MALFORMED:
-            PartitionEngine.on_writeback_batch(self, sectors.tolist(), values)
-            return
         self.stats.writebacks += n
 
         if self.compact is None:
             self._batch_counter_writes(sectors)
         else:
-            self._batch_counter_write_flow(sectors)
+            self._batch_mirror_writes(sectors)
 
         if self.value_cache is None:
             self._batch_mac_writes(sectors)
@@ -662,20 +493,15 @@ class PlutusEngine(MetadataEngine):
         Bulk application needs *both* layers order-free: no minor
         overflow (whose force_original would redirect later compact
         plans) and no compact saturation crossing. Otherwise the exact
-        scalar interleaving replays.
+        pass-major interleaving replays.
         """
         if self.compact is None:
-            MetadataEngine.warm_counters_batch(self, sector_indices, passes)
+            super().warm_counters_batch(sector_indices, passes)
             return
         if passes <= 0:
             return
-        sectors = np.asarray(sector_indices, dtype=np.int64)
+        sectors = self._checked(sector_indices)
         if sectors.size == 0:
-            return
-        if int(sectors.min()) < 0:
-            PartitionEngine.warm_counters_batch(
-                self, sectors.tolist(), passes
-            )
             return
         uniq, counts = np.unique(sectors, return_counts=True)
         uniq_l = uniq.tolist()

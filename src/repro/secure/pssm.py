@@ -13,10 +13,6 @@ exposed for the 4-byte variant.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
 from repro.mem.traffic import TrafficCounter
 from repro.metadata.layout import GranularityDesign
 from repro.secure.engine import MetadataCacheConfig, MetadataEngine
@@ -51,35 +47,21 @@ class PssmEngine(MetadataEngine):
             counter_config=counter_config or SplitCounterConfig(),
         )
 
-    def on_fill(self, sector_index: int, values: Optional[bytes]) -> None:
-        """Read miss: verified counter for the decrypt pad, MAC check."""
-        self.stats.fills += 1
-        self.counter_read(sector_index)
-        self.mac_read(sector_index)
-
-    def on_writeback(self, sector_index: int, values: Optional[bytes]) -> None:
-        """Dirty eviction: counter bump, fresh MAC, lazy tree update."""
-        self.stats.writebacks += 1
-        self.counter_write(sector_index)
-        self.mac_write(sector_index)
-
-    # -- batch hooks (columnar path) --------------------------------------
-    #
     # PSSM touches two disjoint metadata structures per event, so a run
     # splits into a counter phase and a MAC phase; each phase is the
     # shared vectorized replay from MetadataEngine. Values never matter
     # to this design, so the lazy value columns stay unmaterialized.
 
-    batch_native = True
-
     def on_fill_batch(self, sector_indices, values) -> None:
-        sectors = np.asarray(sector_indices, dtype=np.int64)
+        """Read misses: verified counter for the decrypt pad, MAC check."""
+        sectors = self._checked(sector_indices)
         self.stats.fills += int(sectors.size)
         self._batch_counter_reads(sectors)
         self._batch_mac_reads(sectors)
 
     def on_writeback_batch(self, sector_indices, values) -> None:
-        sectors = np.asarray(sector_indices, dtype=np.int64)
+        """Dirty evictions: counter bump, fresh MAC, lazy tree update."""
+        sectors = self._checked(sector_indices)
         self.stats.writebacks += int(sectors.size)
         self._batch_counter_writes(sectors)
         self._batch_mac_writes(sectors)

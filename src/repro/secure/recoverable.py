@@ -46,7 +46,7 @@ from repro.common.errors import ConfigurationError, RecoveryError
 from repro.mem.backing import NvmRegion
 from repro.mem.traffic import Stream, TrafficCounter
 from repro.metadata.split_counter import SplitCounterConfig
-from repro.secure.engine import MetadataCacheConfig, PartitionEngine
+from repro.secure.engine import MetadataCacheConfig
 from repro.secure.functional import SECTOR_BYTES, SecureMemory
 from repro.secure.pssm import PssmEngine
 
@@ -702,29 +702,24 @@ class RecoverableEngine(PssmEngine):
             counter_config=counter_config,
         )
 
-    # Journaling is strictly per event (one WAL append *before* each
-    # home update, one per overflow), so PSSM's phase-split batch hooks
-    # would misorder the log stream relative to nothing they can see.
-    # Opt back into the scalar in-order replay.
-    batch_native = False
-    on_fill_batch = PartitionEngine.on_fill_batch
-    on_writeback_batch = PartitionEngine.on_writeback_batch
-    warm_counters_batch = PartitionEngine.warm_counters_batch
-
-    def _log_append(self) -> None:
-        self.stats.wal_appends += 1
+    def _log_append(self, count: int = 1) -> None:
+        self.stats.wal_appends += count
         self.traffic.record(
-            Stream.METADATA_LOG_WRITE, SECTOR_BYTES, transactions=1
+            Stream.METADATA_LOG_WRITE, count * SECTOR_BYTES,
+            transactions=count,
         )
 
-    def on_writeback(self, sector_index: int, values: Optional[bytes]) -> None:
-        # WAL append strictly precedes the home update it journals.
-        self._log_append()
-        super().on_writeback(sector_index, values)
+    def on_writeback_batch(self, sector_indices, values) -> None:
+        super().on_writeback_batch(sector_indices, values)
+        # One append journals each writeback ahead of its home update;
+        # the log stream and its count are order-free sums, so the run
+        # posts them together.
+        self._log_append(len(sector_indices))
 
-    def _on_minor_overflow(self, outcome) -> None:
+    def _reencrypt_group(self, reencrypted_sectors) -> None:
+        # A minor overflow journals the extra group rewrite.
         self._log_append()
-        super()._on_minor_overflow(outcome)
+        super()._reencrypt_group(reencrypted_sectors)
 
     def finalize(self) -> None:
         super().finalize()

@@ -48,7 +48,9 @@ class ValueCacheConfig:
             raise ConfigurationError("pinned fraction must be in [0, 1)")
         if not 0 < self.hits_required <= self.values_per_unit:
             raise ConfigurationError("hits_required outside unit size")
-        if self.pin_threshold >= (1 << self.freq_bits) + 1:
+        if self.pin_threshold > (1 << self.freq_bits) - 1:
+            # The frequency counter saturates at 2**freq_bits - 1, so a
+            # higher threshold could never pin anything.
             raise ConfigurationError("pin threshold exceeds frequency counter")
 
     @property
@@ -94,16 +96,6 @@ class ValueCacheStats:
             if self.sectors_checked
             else 0.0
         )
-
-
-@dataclass(frozen=True)
-class UnitCheck:
-    """Verification outcome of one 128-bit cipher-block unit."""
-
-    hits: int
-    pinned_hits: int
-    passed: bool
-    all_hits_pinned: bool
 
 
 class ValueCache:
@@ -165,92 +157,43 @@ class ValueCache:
 
     def observe_many(self, values: Iterable[int]) -> None:
         """Record every value of a sector (insertion order preserved)."""
-        for v in values:
-            self.observe(v)
-
-    def check_unit(self, values: Sequence[int]) -> UnitCheck:
-        """Probe one 128-bit unit's four values against the cache."""
-        if len(values) != self.config.values_per_unit:
-            raise ValueError(
-                f"unit must contain {self.config.values_per_unit} values"
-            )
-        hits = 0
-        pinned = 0
-        for v in values:
-            hit, was_pinned = self.probe(v)
-            if hit:
-                hits += 1
-                if was_pinned:
-                    pinned += 1
-        passed = hits >= self.config.hits_required
-        return UnitCheck(
-            hits=hits,
-            pinned_hits=pinned,
-            passed=passed,
-            all_hits_pinned=passed and pinned >= self.config.hits_required,
-        )
+        self.observe_keys(self.mask_keys(values))
 
     def verify_sector(self, values: Sequence[int]) -> bool:
-        """Value-verify a 32-byte sector (two 128-bit units).
-
-        Every unit must pass independently — a tampered ciphertext block
-        randomizes exactly one 16-byte unit, so a single passing unit
-        says nothing about its neighbour (paper: "both halves need to
-        satisfy this").
-        """
-        per_unit = self.config.values_per_unit
-        if len(values) % per_unit != 0:
-            raise ValueError("sector values must fill whole units")
-        self.stats.sectors_checked += 1
-        for i in range(0, len(values), per_unit):
-            if not self.check_unit(values[i : i + per_unit]).passed:
-                self.stats.sectors_failed += 1
-                return False
-        self.stats.sectors_verified += 1
-        return True
+        """Value-verify a 32-byte sector (see :meth:`verify_keys`)."""
+        return self.verify_keys(self.mask_keys(values))
 
     def write_verifiable(self, values: Sequence[int]) -> bool:
         """Will this written sector pass value verification at next read?
 
-        Guaranteed only when every unit passes using *pinned* hits —
-        pinned entries cannot be evicted, so they will still be resident
-        when the sector returns from memory (paper Fig. 11, right).
-        Probes here do not touch stats or LRU state: this is the write
-        path's side-band check.
+        See :meth:`write_verifiable_keys`.
         """
-        per_unit = self.config.values_per_unit
-        if len(values) % per_unit != 0:
-            raise ValueError("sector values must fill whole units")
-        for i in range(0, len(values), per_unit):
-            pinned_hits = sum(
-                1
-                for v in values[i : i + per_unit]
-                if self._key(v) in self._pinned
-            )
-            if pinned_hits < self.config.hits_required:
-                return False
-        return True
+        return self.write_verifiable_keys(self.mask_keys(values))
 
     def pinned_values(self) -> List[int]:
         """Masked values currently pinned (diagnostics/tests)."""
         return list(self._pinned)
 
-    # -- batch replay support (pre-masked keys) -------------------------------
+    # -- the key-based implementation ----------------------------------------
     #
-    # The batch replay path derives the masked probe keys for a whole
-    # run with one numpy pass (see :meth:`mask_keys`) and then drives
-    # the cache through these key-based twins of verify_sector /
-    # observe_many / write_verifiable. Each twin replays the scalar
-    # method's per-key dict operations in the same order, so state,
-    # LRU order, and statistics stay byte-identical; only the per-value
-    # ``_key()`` calls and the UnitCheck allocations are gone.
+    # Engines derive the masked probe keys for a whole run with one
+    # numpy pass (see :meth:`mask_keys`) and drive the cache through
+    # these methods; the value-based ones above mask and delegate.
 
-    def mask_keys(self, values: Sequence[int]) -> List[int]:
+    def mask_keys(self, values: Iterable[int]) -> List[int]:
         """Masked probe keys for raw 32-bit values (order preserved)."""
         return [self._key(v) for v in values]
 
     def verify_keys(self, keys: Sequence[int]) -> bool:
-        """:meth:`verify_sector` over pre-masked keys."""
+        """Value-verify a 32-byte sector (two 128-bit units) by its keys.
+
+        A unit passes when at least ``hits_required`` of its values hit;
+        every unit must pass independently — a tampered ciphertext block
+        randomizes exactly one 16-byte unit, so a single passing unit
+        says nothing about its neighbour (paper: "both halves need to
+        satisfy this"). Each probe refreshes LRU position and bumps the
+        hit entry's frequency counter, as :meth:`probe` does.
+        """
         cfg = self.config
         per_unit = cfg.values_per_unit
         nkeys = len(keys)
@@ -284,7 +227,7 @@ class ValueCache:
             hits_total += hits
             if hits < need:
                 passed = False
-                break  # scalar verify_sector short-circuits here too
+                break  # the remaining units are not probed
         stats.probes += probes
         stats.hits += hits_total
         stats.pinned_hits += pinned_total
@@ -295,8 +238,8 @@ class ValueCache:
             stats.sectors_failed += 1
         return passed
 
-    def observe_keys(self, keys: Sequence[int]) -> None:
-        """:meth:`observe_many` over pre-masked keys."""
+    def observe_keys(self, keys: Iterable[int]) -> None:
+        """Record every key of a sector (see :meth:`observe`)."""
         pinned = self._pinned
         transient = self._transient
         cap = self.config.transient_capacity
@@ -311,7 +254,14 @@ class ValueCache:
             transient[key] = 1
 
     def write_verifiable_keys(self, keys: Sequence[int]) -> bool:
-        """:meth:`write_verifiable` over pre-masked keys (state-free)."""
+        """Will the sector with these keys value-verify at its next read?
+
+        Guaranteed only when every unit passes using *pinned* hits —
+        pinned entries cannot be evicted, so they will still be resident
+        when the sector returns from memory (paper Fig. 11, right).
+        Probes here do not touch stats or LRU state: this is the write
+        path's side-band check.
+        """
         cfg = self.config
         per_unit = cfg.values_per_unit
         if len(keys) % per_unit != 0:

@@ -156,33 +156,6 @@ class TestDoctoredRuns:
         )
         assert "io-roundtrip" in _names(check_run(run))
 
-    def test_columnar_object_divergence_detected(self):
-        log = _log()
-        run = MatrixRun(
-            log=log, config=VOLTA,
-            results={"plutus": _consistent_result("plutus", log,
-                                                  metadata_bytes=64)},
-            object_path={"plutus": _consistent_result("plutus", log,
-                                                      metadata_bytes=96)},
-        )
-        violations = check_run(run)
-        assert "columnar-object-identity" in _names(violations)
-        [message] = [
-            str(v) for v in violations
-            if v.invariant == "columnar-object-identity"
-        ]
-        assert "columnar vs object replay" in message
-
-    def test_columnar_object_identity_passes_when_equal(self):
-        log = _log()
-        same = _consistent_result("plutus", log, metadata_bytes=64)
-        run = MatrixRun(
-            log=log, config=VOLTA,
-            results={"plutus": same},
-            object_path={"plutus": same},
-        )
-        assert check_run(run) == []
-
 
 class TestClaimScoping:
     def _ordering_violation_run(self, claims_apply):

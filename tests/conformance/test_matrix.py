@@ -61,29 +61,6 @@ class TestRunMatrix:
         assert set(run.results) == {"nosec", "pssm", "plutus"}
         assert run.roundtrip is not None and run.roundtrip[0] == "plutus"
         assert set(run.functional) == {"pssm"}
-        assert set(run.object_path) == set(run.results)
-
-    def test_columnar_cross_check_matches_default_path(self):
-        run = run_matrix(
-            _log(),
-            engines=("nosec", "plutus"),
-            check_roundtrip=False,
-            functional_modes=(),
-        )
-        for key, scalar in run.object_path.items():
-            columnar = run.results[key]
-            assert columnar.traffic == scalar.traffic
-            assert columnar.engine_stats == scalar.engine_stats
-
-    def test_columnar_cross_check_can_be_disabled(self):
-        run = run_matrix(
-            _log(),
-            engines=("nosec",),
-            check_roundtrip=False,
-            check_columnar=False,
-            functional_modes=(),
-        )
-        assert run.object_path == {}
 
     def test_stages_can_be_disabled(self):
         run = run_matrix(

@@ -98,18 +98,18 @@ class TestValueCacheMonotonicity:
     )
     @settings(max_examples=40, deadline=None)
     def test_hit_rate_nondecreasing_in_entries(self, sectors):
-        # Probe both units of every sector (check_unit, not
-        # verify_sector — the latter short-circuits after a failed
-        # unit, which would make probe counts size-dependent), then
-        # observe, mirroring the fill path's state updates.
+        # Probe every value of every sector (probe, not verify_sector —
+        # the latter short-circuits after a failed unit, which would
+        # make probe counts size-dependent), then observe, mirroring
+        # the fill path's state updates.
         caches = [
             ValueCache(ValueCacheConfig(entries=n, pinned_fraction=0.0))
             for n in (16, 64, 256)
         ]
         for cache in caches:
             for values in sectors:
-                cache.check_unit(values[:4])
-                cache.check_unit(values[4:])
+                for value in values:
+                    cache.probe(value)
                 cache.observe_many(values)
         # Identical probe sequences, so hit-rate order is hit order.
         probes = {cache.stats.probes for cache in caches}

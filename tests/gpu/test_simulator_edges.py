@@ -72,7 +72,7 @@ class TestEngineLifecycle:
 
         traffic = TrafficCounter()
         engine = PssmEngine(0, 1 << 20, traffic)
-        engine.on_writeback(3, None)
+        engine.on_writeback_batch([3], [None])
         engine.finalize()
         after_first = traffic.report().total_bytes
         engine.finalize()
@@ -83,5 +83,5 @@ class TestEngineLifecycle:
 
         traffic = TrafficCounter()
         engine = NoSecurityEngine(0, 1 << 20, traffic)
-        engine.warm_counters(5)
+        engine.warm_counters_batch([5])
         assert traffic.report().total_bytes == 0

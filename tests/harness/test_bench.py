@@ -10,7 +10,6 @@ from repro.common.errors import EXIT_OK, EXIT_USAGE, ReproError
 from repro.harness.bench import (
     DEFAULT_ENGINES,
     TRAJECTORY_SCHEMA,
-    IdentityMismatchError,
     append_entry,
     bench_main,
     environment_fingerprint,
@@ -74,53 +73,19 @@ class TestRunBench:
         assert "calibration:" in text
         assert "columnar path" in text
 
-    def test_entry_records_path_and_batched_flags(self, entry):
+    def test_entry_records_the_columnar_path(self, entry):
+        # Replay has one path; entries keep naming it so the regression
+        # gate still compares them with the committed columnar entries.
         assert entry["path"] == "columnar"
-        # Every roster metadata engine carries a native batch fast path.
-        assert entry["engines"]["nosec"]["batched"] is True
-        assert entry["engines"]["pssm"]["batched"] is True
-
-    def test_recoverable_engine_opts_out_of_batching(self):
-        entry = run_bench("bfs", ["recoverable"], length=200, repeats=1)
-        # The WAL's append-per-event ordering cannot be vectorized
-        # without changing the log; the engine must stay on the scalar
-        # replay contract.
-        assert entry["engines"]["recoverable"]["batched"] is False
-
-    def test_object_path_recorded_when_requested(self):
-        entry = run_bench(
-            "bfs", ["nosec"], length=200, repeats=1, path="object",
-        )
-        assert entry["path"] == "object"
+        for row in entry["engines"].values():
+            assert "batched" not in row
 
     def test_unknown_path_rejected(self):
-        with pytest.raises(ValueError, match="replay path"):
-            run_bench("bfs", ["nosec"], length=200, path="simd")
-
-    def test_verify_identity_passes_on_real_engines(self):
-        entry = run_bench(
-            "bfs", ["nosec", "plutus"], length=200, repeats=1,
-            verify_identity=True,
-        )
-        assert set(entry["engines"]) == {"nosec", "plutus"}
-
-    def test_verify_identity_mismatch_raises(self, monkeypatch):
-        import repro.gpu.simulator as simulator
-
-        real = simulator.replay_events
-
-        def skewed(log, factory, config, **kwargs):
-            result = real(log, factory, config, **kwargs)
-            if kwargs.get("path") == "columnar":
-                result.engine_stats.fills += 1
-            return result
-
-        monkeypatch.setattr(simulator, "replay_events", skewed)
-        with pytest.raises(IdentityMismatchError, match="nosec"):
-            run_bench(
-                "bfs", ["nosec"], length=200, repeats=1,
-                verify_identity=True,
-            )
+        # Replay has one path, so the option that picked one is gone:
+        # argparse rejects it as a usage error.
+        with pytest.raises(SystemExit) as exc:
+            bench_main(["--path", "columnar", "--trajectory", ""])
+        assert exc.value.code == EXIT_USAGE
 
 
 class TestTrajectoryFile:
@@ -252,17 +217,14 @@ class TestCompareTrajectory:
 
 
 class TestImprovementGate:
-    def make_entry(self, eps, calibration=0.01, path="object",
-                   batched=True, **overrides):
+    def make_entry(self, eps, calibration=0.01, **overrides):
+        """An entry; without a ``path`` it reads as an object-path one."""
         entry = {
             "benchmark": "bfs",
             "length": 200,
             "seed": 2023,
-            "path": path,
             "calibration_seconds": calibration,
-            "engines": {
-                "nosec": {"serial_eps": eps, "batched": batched},
-            },
+            "engines": {"nosec": {"serial_eps": eps}},
         }
         entry.update(overrides)
         return entry
@@ -314,17 +276,30 @@ class TestImprovementGate:
         assert row["normalized_ratio"] == pytest.approx(1.5)
         assert report["improvement"]["failures"] == ["nosec:serial_eps"]
 
-    def test_no_batched_rows_fails_gate(self):
+    def test_no_engine_rows_fails_gate(self):
         mod = load_check_regression()
         object_ref = self.make_entry(1000.0)
-        fresh = self.make_entry(5000.0, path="columnar", batched=False)
+        fresh = self.make_entry(5000.0, path="columnar", engines={})
         report = mod.compare_trajectory(
             fresh, {"entries": [object_ref]}, tolerance=1.5,
         )
         assert any(
-            "no batched" in failure
+            "no engine rows" in failure
             for failure in report["improvement"]["failures"]
         )
+
+    def test_every_row_is_gated(self):
+        # Rows of older entries flagged ``batched: false`` are no
+        # longer exempt: every engine must show the speedup.
+        mod = load_check_regression()
+        object_ref = self.make_entry(1000.0)
+        fresh = self.make_entry(2000.0, path="columnar")
+        fresh["engines"]["nosec"]["batched"] = False
+        report = mod.compare_trajectory(
+            fresh, {"entries": [object_ref]}, tolerance=1.5,
+            min_improvement=3.0,
+        )
+        assert report["improvement"]["failures"] == ["nosec:serial_eps"]
 
     def test_missing_object_reference_noted_not_failed(self):
         mod = load_check_regression()
@@ -419,7 +394,6 @@ class TestTrajectoryGateCli:
         entry = tmp_path / "columnar.json"
         payload = json.loads(self._entry(tmp_path).read_text())
         payload["path"] = "columnar"
-        payload["engines"]["plutus"]["batched"] = True
         payload["engines"]["plutus"]["serial_eps"] = 1500.0
         entry.write_text(json.dumps(payload))
         rc = mod.main([

@@ -176,6 +176,29 @@ class TestProfileCli:
         assert all(p % 256 == 0 for p in positions[:-1])
         assert positions[-1] == metrics["replay.events"]["value"]
 
+    def test_interval_windows_hold_exactly_their_events(self, capsys,
+                                                        tmp_path):
+        # Replay cuts its runs at every interval boundary: each window
+        # but the tail holds exactly 256 events of 32 data bytes, so a
+        # run straddling a boundary would show up as a lopsided window.
+        rc = main([
+            "profile", "bfs",
+            "--engine", "nosec",
+            "--length", "2000",
+            "--interval", "256",
+            "--cache-dir", "",
+            "--metrics-out", str(tmp_path / "m.json"),
+        ])
+        assert rc == 0
+        capsys.readouterr()
+        metrics = json.loads((tmp_path / "m.json").read_text())["metrics"]
+        data = metrics["traffic.data.bytes"]
+        assert len(data["values"]) > 2
+        assert data["values"][:-1] == [32 * 256] * (len(data["values"]) - 1)
+        assert data["positions"][:-1] == [
+            256 * (i + 1) for i in range(len(data["positions"]) - 1)
+        ]
+
 
 class TestSparkline:
     def test_empty(self):

@@ -42,9 +42,9 @@ def run_stream(factory, stream):
     engine = factory(traffic)
     for sector, is_writeback, values in stream:
         if is_writeback:
-            engine.on_writeback(sector, values)
+            engine.on_writeback_batch([sector], [values])
         else:
-            engine.on_fill(sector, values)
+            engine.on_fill_batch([sector], [values])
     engine.finalize()
     return engine, traffic.report()
 

@@ -17,26 +17,26 @@ def engine(request):
 class TestOutOfRange:
     def test_fill_beyond_partition_rejected(self, engine):
         with pytest.raises(ValueError):
-            engine.on_fill(SECTORS, None)
+            engine.on_fill_batch([SECTORS], [None])
 
     def test_writeback_beyond_partition_rejected(self, engine):
         with pytest.raises(ValueError):
-            engine.on_writeback(SECTORS + 100, None)
+            engine.on_writeback_batch([SECTORS + 100], [None])
 
     def test_last_valid_sector_accepted(self, engine):
-        engine.on_fill(SECTORS - 1, None)
-        engine.on_writeback(SECTORS - 1, None)
+        engine.on_fill_batch([SECTORS - 1], [None])
+        engine.on_writeback_batch([SECTORS - 1], [None])
         engine.finalize()
 
     def test_negative_sector_rejected(self, engine):
         with pytest.raises(ValueError):
-            engine.on_fill(-1, None)
+            engine.on_fill_batch([-1], [None])
 
 
 class TestMalformedValues:
     def test_short_value_image_rejected(self, engine):
         if isinstance(engine, PlutusEngine):
             with pytest.raises(ValueError):
-                engine.on_fill(0, b"\x00" * 16)  # not a whole sector
+                engine.on_fill_batch([0], [b"\x00" * 16])  # not a whole sector
         else:
-            engine.on_fill(0, b"\x00" * 16)  # PSSM ignores values
+            engine.on_fill_batch([0], [b"\x00" * 16])  # PSSM ignores values

@@ -24,8 +24,8 @@ class TestNoSecurity:
     def test_generates_no_metadata_traffic(self):
         engine, traffic = make(NoSecurityEngine)
         for i in range(100):
-            engine.on_fill(i, ZEROS)
-            engine.on_writeback(i, ZEROS)
+            engine.on_fill_batch([i], [ZEROS])
+            engine.on_writeback_batch([i], [ZEROS])
         engine.finalize()
         assert traffic.report().total_bytes == 0
         assert engine.stats.fills == 100
@@ -34,26 +34,26 @@ class TestNoSecurity:
 class TestPssm:
     def test_fill_fetches_counter_and_mac(self):
         engine, traffic = make(PssmEngine)
-        engine.on_fill(0, None)
+        engine.on_fill_batch([0], [None])
         report = traffic.report()
         assert report.bytes_by_stream[Stream.COUNTER_READ] == 128  # whole block
         assert report.bytes_by_stream[Stream.MAC_READ] == 32
 
     def test_cached_metadata_costs_nothing(self):
         engine, traffic = make(PssmEngine)
-        engine.on_fill(0, None)
+        engine.on_fill_batch([0], [None])
         before = traffic.report().total_bytes
-        engine.on_fill(1, None)  # same counter block, same MAC sector
+        engine.on_fill_batch([1], [None])  # same counter block, same MAC sector
         assert traffic.report().total_bytes == before
 
     def test_writeback_advances_counter(self):
         engine, _ = make(PssmEngine)
-        engine.on_writeback(7, None)
+        engine.on_writeback_batch([7], [None])
         assert engine.counters.combined(7) == 1
 
     def test_finalize_writes_dirty_metadata(self):
         engine, traffic = make(PssmEngine)
-        engine.on_writeback(7, None)
+        engine.on_writeback_batch([7], [None])
         engine.finalize()
         report = traffic.report()
         assert report.bytes_by_stream[Stream.COUNTER_WRITE] > 0
@@ -64,8 +64,8 @@ class TestPssm:
         fine, fine_traffic = make(PssmEngine, design=GranularityDesign.ALL_32)
         # Touch widely-spaced sectors so counter blocks never share.
         for i in range(0, 100):
-            coarse.on_fill(i * 1024, None)
-            fine.on_fill(i * 1024, None)
+            coarse.on_fill_batch([i * 1024], [None])
+            fine.on_fill_batch([i * 1024], [None])
         assert (
             fine_traffic.report().bytes_by_stream[Stream.COUNTER_READ]
             < coarse_traffic.report().bytes_by_stream[Stream.COUNTER_READ]
@@ -75,19 +75,19 @@ class TestPssm:
 class TestCommonCounters:
     def test_unwritten_region_counter_is_onchip(self):
         engine, traffic = make(CommonCountersEngine, init_written_fraction=0.0)
-        engine.on_fill(0, None)
+        engine.on_fill_batch([0], [None])
         assert engine.stats.counter_onchip_hits == 1
         assert traffic.report().bytes_by_stream[Stream.COUNTER_READ] == 0
 
     def test_mac_traffic_unaffected(self):
         """The design's blind spot the paper attacks."""
         engine, traffic = make(CommonCountersEngine, init_written_fraction=0.0)
-        engine.on_fill(0, None)
+        engine.on_fill_batch([0], [None])
         assert traffic.report().bytes_by_stream[Stream.MAC_READ] == 32
 
     def test_first_write_demotes_region_forever(self):
         engine, _ = make(CommonCountersEngine, init_written_fraction=0.0)
-        engine.on_writeback(0, None)
+        engine.on_writeback_batch([0], [None])
         assert not engine.counter_is_common(0)
         # The whole 16 KiB region is demoted, not just the sector.
         assert not engine.counter_is_common(engine.region_sectors - 1)
@@ -100,7 +100,7 @@ class TestCommonCounters:
 
     def test_warm_counters_demotes(self):
         engine, _ = make(CommonCountersEngine, init_written_fraction=0.0)
-        engine.warm_counters(5)
+        engine.warm_counters_batch([5])
         assert not engine.counter_is_common(5)
 
 
@@ -110,15 +110,15 @@ class TestPlutusValuePath:
 
     def test_value_verified_fill_skips_mac(self):
         engine, traffic = make(PlutusEngine)
-        engine.on_fill(0, self.hot_values())  # cold: MAC fetched
+        engine.on_fill_batch([0], [self.hot_values()])  # cold: MAC fetched
         first_mac = traffic.report().mac_bytes
-        engine.on_fill(1024, self.hot_values())  # values now resident
+        engine.on_fill_batch([1024], [self.hot_values()])  # values now resident
         assert engine.stats.value_verified_fills == 1
         assert traffic.report().mac_bytes == first_mac
 
     def test_fill_without_values_falls_back(self):
         engine, traffic = make(PlutusEngine)
-        engine.on_fill(0, None)
+        engine.on_fill_batch([0], [None])
         assert engine.stats.value_verified_fills == 0
         assert traffic.report().mac_bytes > 0
 
@@ -130,14 +130,14 @@ class TestPlutusValuePath:
             value_cache_config=ValueCacheConfig(pin_threshold=2),
         )
         for i in range(6):  # promote the values to pinned
-            engine.on_fill(i * 64, self.hot_values())
-        engine.on_writeback(9999, self.hot_values())
+            engine.on_fill_batch([i * 64], [self.hot_values()])
+        engine.on_writeback_batch([9999], [self.hot_values()])
         assert engine.stats.mac_writes_avoided == 1
 
     def test_value_only_configuration(self):
         engine, traffic = make(PlutusEngine, compact_config=None,
                                design=GranularityDesign.BLOCK_128)
-        engine.on_fill(0, self.hot_values())
+        engine.on_fill_batch([0], [self.hot_values()])
         report = traffic.report()
         assert report.bytes_by_stream[Stream.COMPACT_COUNTER_READ] == 0
         assert report.bytes_by_stream[Stream.COUNTER_READ] == 128
@@ -146,7 +146,7 @@ class TestPlutusValuePath:
 class TestPlutusCompactPath:
     def test_fresh_reads_touch_only_compact_layer(self):
         engine, traffic = make(PlutusEngine)
-        engine.on_fill(0, None)
+        engine.on_fill_batch([0], [None])
         report = traffic.report()
         assert report.bytes_by_stream[Stream.COMPACT_COUNTER_READ] == 32
         assert report.bytes_by_stream[Stream.COUNTER_READ] == 0
@@ -154,8 +154,8 @@ class TestPlutusCompactPath:
     def test_saturated_sector_costs_both_layers(self):
         engine, traffic = make(PlutusEngine)
         for _ in range(8):  # saturate the 3-bit compact counter
-            engine.on_writeback(0, None)
-        engine.on_fill(0, None)
+            engine.on_writeback_batch([0], [None])
+        engine.on_fill_batch([0], [None])
         report = traffic.report()
         assert report.bytes_by_stream[Stream.COUNTER_READ] > 0
         assert engine.stats.compact_double_accesses > 0
@@ -163,7 +163,7 @@ class TestPlutusCompactPath:
     def test_warm_counters_advances_both_layers(self):
         engine, _ = make(PlutusEngine)
         for _ in range(5):
-            engine.warm_counters(3)
+            engine.warm_counters_batch([3])
         assert engine.counters.combined(3) == 5
         assert engine.compact.write_count(3) == 5
 
@@ -173,8 +173,8 @@ class TestPlutusCompactPath:
         engine, traffic = make(PlutusEngine, value_cache_config=None)
         pssm, pssm_traffic = make(PssmEngine, design=GranularityDesign.ALL_32)
         for i in range(200):
-            engine.on_fill(i * 64, None)
-            pssm.on_fill(i * 64, None)
+            engine.on_fill_batch([i * 64], [None])
+            pssm.on_fill_batch([i * 64], [None])
         assert (
             traffic.report().bytes_by_stream[Stream.COMPACT_COUNTER_READ]
             <= pssm_traffic.report().bytes_by_stream[Stream.COUNTER_READ]
@@ -185,8 +185,8 @@ class TestPlutusTreeElimination:
     def test_no_tree_traffic_when_eliminated(self):
         engine, traffic = make(PlutusEngine, eliminate_tree=True)
         for i in range(50):
-            engine.on_fill(i * 512, None)
-            engine.on_writeback(i * 512, None)
+            engine.on_fill_batch([i * 512], [None])
+            engine.on_writeback_batch([i * 512], [None])
         engine.finalize()
         report = traffic.report()
         assert report.tree_bytes == 0
@@ -194,7 +194,7 @@ class TestPlutusTreeElimination:
     def test_tree_traffic_present_by_default(self):
         engine, traffic = make(PlutusEngine)
         for i in range(50):
-            engine.on_fill(i * 4096, None)
+            engine.on_fill_batch([i * 4096], [None])
         assert traffic.report().tree_bytes > 0
 
 
@@ -211,7 +211,7 @@ class TestMinorOverflowInteraction:
         # Writes 1-6 stay compact-only; the 7th saturates and starts
         # advancing the original minor, which overflows 4 writes later.
         for _ in range(12):
-            engine.on_writeback(0, None)
+            engine.on_writeback_batch([0], [None])
         assert engine.stats.minor_overflows >= 1
         # Sectors sharing the major must now bypass the compact layer.
         plan = engine.compact.plan_read(1)

@@ -33,6 +33,17 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ValueCacheConfig(hits_required=5, values_per_unit=4)
 
+    def test_pin_threshold_must_be_reachable(self):
+        # The 4-bit frequency counter saturates at 15, so a threshold of
+        # 16 could never pin anything.
+        with pytest.raises(ConfigurationError):
+            ValueCacheConfig(entries=16, pin_threshold=16)
+        cache = ValueCache(ValueCacheConfig(entries=16, pin_threshold=15))
+        cache.observe(0xAA0)
+        for _ in range(100):
+            cache.probe(0xAA0)
+        assert cache.stats.promotions == 1
+
 
 class TestProbeAndObserve:
     def test_miss_then_hit(self):
@@ -102,26 +113,31 @@ class TestPinning:
 
 
 class TestUnitVerification:
+    """Each 128-bit unit of a sector passes on its own hit count; a
+    sector of two identical units passes exactly when the unit does."""
+
     def test_all_hits_pass(self):
         cache = ValueCache()
         cache.observe_many([0x10, 0x20, 0x30, 0x40])
-        check = cache.check_unit([0x10, 0x20, 0x30, 0x40])
-        assert check.passed and check.hits == 4
+        assert cache.verify_sector([0x10, 0x20, 0x30, 0x40] * 2)
+        assert cache.stats.hits == 8
 
     def test_three_of_four_passes(self):
         """Eq. 1 solution: x = 3 suffices."""
         cache = ValueCache()
         cache.observe_many([0x10, 0x20, 0x30])
-        assert cache.check_unit([0x10, 0x20, 0x30, 0xDEAD0000]).passed
+        assert cache.verify_sector([0x10, 0x20, 0x30, 0xDEAD0000] * 2)
 
     def test_two_of_four_fails(self):
         cache = ValueCache()
         cache.observe_many([0x10, 0x20])
-        assert not cache.check_unit([0x10, 0x20, 0xBEEF0000, 0xDEAD0000]).passed
+        assert not cache.verify_sector(
+            [0x10, 0x20, 0xBEEF0000, 0xDEAD0000] * 2
+        )
 
     def test_unit_size_enforced(self):
         with pytest.raises(ValueError):
-            ValueCache().check_unit([1, 2, 3])
+            ValueCache().verify_keys([1, 2, 3])
 
 
 class TestSectorVerification:
