@@ -48,7 +48,6 @@ from repro.faults.plan import (
 )
 from repro.faults.workload import Op, synthetic_ops, value_sweep_ops
 from repro.metadata.split_counter import SplitCounterConfig
-from repro.obs import active
 from repro.secure.functional import SecureMemory
 from repro.secure.value_cache import ValueCacheConfig
 
@@ -615,7 +614,6 @@ def run_campaign(
     degrade gracefully (missing engines are reported, not silently
     absent), and the outcome rides along as ``report.supervision``.
     """
-    registry = active().registry
     if ops is None:
         ops = _default_ops(spec)
     plans = build_plans(spec, ops)
@@ -637,6 +635,4 @@ def run_campaign(
         if cell is None:
             cell = report.matrix[key] = MatrixCell()
         cell.absorb(record.outcome)
-        registry.counter("faults.injected").inc()
-        registry.counter(f"faults.{record.outcome.value}").inc()
     return report

@@ -125,7 +125,7 @@ class InjectionPlan:
             raise FaultInjectionError("tree level cannot be negative")
 
     def describe(self) -> str:
-        """One-line human description for reports and trace events."""
+        """One-line human description for reports."""
         extra = ""
         if self.kind is FaultKind.BITFLIP:
             extra = f" bit {self.bit}"

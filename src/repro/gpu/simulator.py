@@ -177,7 +177,7 @@ def simulate_l2(trace: Trace, config: GpuConfig) -> MemoryEventLog:
     obs = _obs_active()
     with obs.phase("simulate_l2", trace=trace.name):
         log = _simulate_l2(trace, config)
-    if obs.config.metrics_active:
+    if obs.enabled:
         obs.registry.gauge("l2.sector_hit_rate").set(
             log.l2_stats.sector_hit_rate
         )
@@ -316,9 +316,12 @@ def replay_events(
     if counter_warmup_passes < 0:
         raise ValueError("warmup passes cannot be negative")
     obs = _obs_active()
-    metrics_on = obs.config.metrics_active
-    interval = obs.config.interval_events if metrics_on else 0
-    trace_mem = obs.config.tracing_active and obs.config.trace_memory_events
+    interval = obs.config.interval_events if obs.enabled else 0
+    mem_events = (
+        obs.profiler
+        if obs.enabled and obs.config.trace_memory_events
+        else None
+    )
     # One span per run, only under span_detail: a clock pair per run is
     # too hot for the default profile path.
     detail_prof = obs.profiler if obs.config.span_detail_active else None
@@ -353,7 +356,7 @@ def replay_events(
                         sector[rows], counter_warmup_passes
                     )
 
-    if interval or trace_mem or detail_prof is not None:
+    if interval or mem_events is not None or detail_prof is not None:
         order = np.arange(cols.n_events)
     else:
         order = by_partition
@@ -367,28 +370,12 @@ def replay_events(
         # per-interval deltas cost no re-allocation and engines keep
         # writing into the same counter they were constructed with.
         total = TrafficCounter()
-        window = obs.config.sampler_window
         registry = obs.registry
         series = {
-            "data": registry.sampler(
-                "traffic.data.bytes", window=window, agg="sum"
-            ),
-            "counter": registry.sampler(
-                "traffic.counter.bytes", window=window, agg="sum"
-            ),
-            "mac": registry.sampler(
-                "traffic.mac.bytes", window=window, agg="sum"
-            ),
-            "bmt": registry.sampler(
-                "traffic.bmt.bytes", window=window, agg="sum"
-            ),
-            "total": registry.sampler(
-                "traffic.total.bytes", window=window, agg="sum"
-            ),
+            group: registry.sampler(f"traffic.{group}.bytes", agg="sum")
+            for group in ("data", "counter", "mac", "bmt", "total")
         }
-        hit_rate_series = registry.sampler(
-            "value_cache.hit_rate", window=window, agg="mean"
-        )
+        hit_rate_series = registry.sampler("value_cache.hit_rate")
         previous = {"probes": 0, "hits": 0}
 
         def snapshot(position: int) -> None:
@@ -412,12 +399,6 @@ def replay_events(
                 )
             previous["probes"] = probes
             previous["hits"] = hits
-            obs.tracer.emit(
-                "traffic.interval",
-                position=position,
-                interval_bytes=report.total_bytes,
-                metadata_bytes=report.metadata_bytes,
-            )
 
     start = time.perf_counter() if obs.enabled else 0.0
     with obs.phase("replay_events", trace=log.trace_name):
@@ -442,9 +423,10 @@ def replay_events(
             else:
                 with detail_prof.span(f"engine.{name}"):
                     hook(sectors, cols.values_for(rows))
-            if trace_mem:
+            if mem_events is not None:
+                event = f"mem.{name}"
                 for s in sectors.tolist():
-                    obs.tracer.emit(f"mem.{name}", partition=part, sector=s)
+                    mem_events.event(event, partition=part, sector=s)
             if interval and b % interval == 0:
                 snapshot(b)
 
@@ -460,17 +442,16 @@ def replay_events(
     merged_stats = _merge_stats([e.stats for e in engines.values()])
     if obs.enabled:
         elapsed = time.perf_counter() - start
-        if metrics_on:
-            registry = obs.registry
-            registry.gauge("replay.events").set(cols.n_events)
-            if elapsed > 0:
-                registry.gauge("replay.events_per_sec").set(
-                    cols.n_events / elapsed
-                )
-            for f in fields(EngineStats):
-                registry.gauge(f"engine.{f.name}").set(
-                    getattr(merged_stats, f.name)
-                )
+        registry = obs.registry
+        registry.gauge("replay.events").set(cols.n_events)
+        if elapsed > 0:
+            registry.gauge("replay.events_per_sec").set(
+                cols.n_events / elapsed
+            )
+        for f in fields(EngineStats):
+            registry.gauge(f"engine.{f.name}").set(
+                getattr(merged_stats, f.name)
+            )
 
     return SimulationResult(
         engine_name=engine_name,

@@ -135,7 +135,7 @@ def profile_main(argv) -> int:
     )
     parser.add_argument(
         "--trace-out", default=None, metavar="PATH",
-        help="write the event trace as JSONL",
+        help="write the span ring (spans and events) as JSONL",
     )
     parser.add_argument(
         "--interval", type=int, default=1024, metavar="EVENTS",
@@ -143,7 +143,8 @@ def profile_main(argv) -> int:
     )
     parser.add_argument(
         "--trace-events", action="store_true",
-        help="also trace every individual fill/writeback (verbose)",
+        help="also record every individual fill/writeback as an event "
+             "(verbose)",
     )
     parser.add_argument(
         "--span-detail", action="store_true",

@@ -18,8 +18,7 @@ formats plus a SHA-256 checksum footer; writes are atomic (temp file +
 rename) so concurrent runs never observe torn artifacts. A truncated,
 bit-flipped, or otherwise mangled entry fails the checksum (or the
 format validation behind it) and degrades to a cache miss — counted in
-:attr:`DiskCache.corrupt_entries` and the ``cache.corrupt_entries``
-metric, never surfaced as a parse error. Delete the cache root, or bump
+:attr:`DiskCache.corrupt_entries`, never surfaced as a parse error. Delete the cache root, or bump
 :data:`SCHEMA_VERSION` after changing trace generators, to invalidate
 everything.
 
@@ -61,7 +60,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set
 from repro.common.atomicio import atomic_write_text
 from repro.common.digest import content_digest
 from repro.common.errors import TraceError
-from repro.obs import active
 from repro.workloads.trace import Trace
 from repro.workloads.traceio import (
     dumps_event_log,
@@ -244,7 +242,6 @@ class DiskCache:
     def _note_corrupt(self, path: Path) -> None:
         """Count and evict a mangled entry; callers report a cache miss."""
         self.corrupt_entries += 1
-        active().registry.counter("cache.corrupt_entries").inc()
         self._discard(path)
 
     def _read(self, path: Path) -> Optional[str]:
@@ -481,7 +478,6 @@ class DiskCache:
             evicted += 1
             freed += size
             total -= size
-        active().registry.counter("cache.gc_evicted").inc(evicted)
         return GcResult(
             examined=len(ordered),
             evicted=evicted,

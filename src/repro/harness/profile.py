@@ -2,7 +2,8 @@
 
 Runs a single (benchmark, engine) simulation under an enabled
 :class:`~repro.obs.ObsConfig`, then exports the collected metrics
-(``--metrics-out``), the event trace (``--trace-out``), and an ASCII
+(``--metrics-out``), the span profiler's record ring of spans and
+events (``--trace-out``), and an ASCII
 dashboard (:func:`repro.harness.report.render_profile`) showing traffic
 and value-cache hit rate *over trace position* — the phase behaviour the
 end-of-run aggregates can't show.
@@ -113,7 +114,7 @@ def run_profile(
         )
     if trace_out:
         profile.trace_events_written = write_trace_jsonl(
-            trace_out, ctx.obs_session.tracer
+            trace_out, ctx.obs_session.profiler
         )
     if chrome_out:
         profile.chrome_events_written = write_chrome_trace(

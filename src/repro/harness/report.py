@@ -112,18 +112,15 @@ def render_profile(profile) -> str:
     end-of-run aggregates hide about *when* the engine wins or loses.
     """
     registry = profile.session.registry
-    tracer = profile.session.tracer
+    profiler = profile.session.profiler
     lines = [
         f"== profile: {profile.benchmark} / {profile.engine_key} =="
     ]
 
-    # Phase timings + throughput.
-    phases = []
-    for name, inst in registry.items():
-        if name.startswith("phase.") and name.endswith(".seconds"):
-            phases.append((name[len("phase."):-len(".seconds")], inst.value))
+    # Phase timings (the root spans) + throughput.
+    phases = [st for path, st in profiler.stats().items() if len(path) == 1]
     if phases:
-        rendered = "  ".join(f"{n} {v:.3f}s" for n, v in phases)
+        rendered = "  ".join(f"{st.name} {st.wall_s:.3f}s" for st in phases)
         lines.append(f"phases:   {rendered}")
     events = registry.get("replay.events")
     rate = registry.get("replay.events_per_sec")
@@ -212,15 +209,11 @@ def render_profile(profile) -> str:
         lines.append(f"engine:   {rendered}")
 
     # Span hotspots (wall-time tree of instrumented pipeline phases).
-    profiler = profile.session.profiler
-    if profiler.enabled and profiler.stats():
+    if profiler.stats():
         from repro.obs import render_hotspots
 
         lines.append(render_hotspots(profiler))
 
-    if tracer.enabled:
-        dropped = f" ({tracer.dropped:,} dropped)" if tracer.dropped else ""
-        lines.append(f"trace:    {len(tracer):,} events retained{dropped}")
     from repro.obs import sampler_compactions
 
     compactions = sampler_compactions(registry)

@@ -169,9 +169,9 @@ class ExperimentContext:
     When an enabled :class:`~repro.obs.ObsConfig` is supplied, every
     trace build, L2 pass, and engine replay executed through the context
     runs under one :class:`~repro.obs.ObsSession`, whose registry and
-    tracer accumulate across runs (the ``profile`` subcommand drives a
-    single run and exports them). The default config is disabled and
-    changes nothing.
+    span profiler accumulate across runs (the ``profile`` subcommand
+    drives a single run and exports them). The default config is
+    disabled and changes nothing.
 
     ``cache_dir`` names the disk-cache root (``None`` = resolve from
     ``REPRO_CACHE_DIR``, default ``.cache``; empty string disables disk
@@ -256,7 +256,7 @@ class ExperimentContext:
                     "simulate_l2", trace=trace.name, cached=True
                 ):
                     pass
-                if self.obs.metrics_active:
+                if self.obs.enabled:
                     registry = self.obs_session.registry
                     registry.gauge("l2.sector_hit_rate").set(
                         log.l2_stats.sector_hit_rate

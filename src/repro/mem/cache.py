@@ -154,7 +154,7 @@ class SectoredCache:
         # "ctr[0]".."ctr[31]" all feed "cache.ctr.*". Disabled sessions
         # leave the slots None and access() pays one check.
         obs = _obs_active()
-        if obs.config.metrics_active:
+        if obs.enabled:
             family = config.name.split("[", 1)[0]
             registry = obs.registry
             self._m_hits = registry.counter(f"cache.{family}.sector_hits")

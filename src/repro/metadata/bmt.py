@@ -178,7 +178,7 @@ class BmtTraversal:
             if read_stream is Stream.COMPACT_BMT_READ
             else "bmt"
         )
-        if obs.config.metrics_active:
+        if obs.enabled:
             self._h_verify_depth = obs.registry.histogram(
                 f"{self._family}.verify_depth",
                 bounds=tuple(range(0, max(2, geometry.root_level) + 1)),

@@ -1,4 +1,4 @@
-"""Observability layer: metrics registry, event tracing, profiling hooks.
+"""Observability layer: metrics registry, span profiler, exports.
 
 Everything here is zero-dependency and *opt-in*: the pipeline's
 instrumentation sites bind to the :func:`active` session at construction
@@ -26,28 +26,18 @@ from repro.obs.hotspots import (
     write_collapsed,
 )
 from repro.obs.metrics import (
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
     Sampler,
 )
 from repro.obs.session import DISABLED_SESSION, ObsSession, activate, active
-from repro.obs.spans import (
-    NULL_SPAN_PROFILER,
-    NullSpanProfiler,
-    SpanProfiler,
-    SpanStats,
-)
-from repro.obs.tracer import NULL_TRACER, EventTracer, NullTracer
+from repro.obs.spans import SpanProfiler, SpanStats
 
 __all__ = [
     "SpanProfiler",
     "SpanStats",
-    "NullSpanProfiler",
-    "NULL_SPAN_PROFILER",
     "CHROME_TRACE_SCHEMA",
     "hotspot_tree",
     "render_hotspots",
@@ -64,15 +54,10 @@ __all__ = [
     "active",
     "activate",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "Counter",
     "Gauge",
     "Histogram",
     "Sampler",
-    "EventTracer",
-    "NullTracer",
-    "NULL_TRACER",
     "METRICS_SCHEMA",
     "metrics_payload",
     "write_metrics_json",

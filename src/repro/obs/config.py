@@ -2,10 +2,11 @@
 
 One frozen dataclass controls the entire instrumentation layer. The
 default is *fully disabled*: every hook in the pipeline collapses to a
-single attribute check, simulation outputs are byte-identical to an
-uninstrumented build, and no clocks are read. Enabling it (the
-``profile`` harness subcommand does) turns on a metrics registry,
-an event tracer, and periodic traffic snapshots in the replay loop.
+single attribute check that reads no clock, and simulation outputs are
+byte-identical to an uninstrumented build. Enabling it (the
+``profile`` harness subcommand does) turns on the metrics registry,
+the span profiler with its record ring, and periodic traffic snapshots
+in the replay loop.
 """
 
 from __future__ import annotations
@@ -22,60 +23,24 @@ class ObsConfig:
 
     #: Master switch. False keeps every hook a no-op.
     enabled: bool = False
-    #: Collect counters/gauges/histograms/samplers (requires ``enabled``).
-    metrics: bool = True
-    #: Collect structured events and phase spans (requires ``enabled``).
-    tracing: bool = True
     #: DRAM-side events between traffic/engine snapshots in the replay
     #: loop; 0 disables interval sampling even when enabled.
     interval_events: int = 1024
-    #: Ring-buffer capacity of the event tracer; older events are
-    #: dropped (and counted) once full.
-    ring_capacity: int = 65536
-    #: Maximum retained points per time-series sampler; full samplers
-    #: compact by merging adjacent points, so a series always spans the
-    #: whole run at bounded memory.
-    sampler_window: int = 512
-    #: Also trace every individual fill/writeback event (very verbose;
-    #: bounded by the ring buffer).
+    #: Also record every individual fill/writeback as an event in the
+    #: span ring (very verbose; bounded by the ring).
     trace_memory_events: bool = False
-    #: Collect hierarchical profiler spans at pipeline-phase granularity
-    #: (requires ``enabled``).
-    spans: bool = True
     #: Also open per-operation spans on the hot paths — engine
-    #: counter/MAC reads, BMT traversals, crypto primitives, individual
-    #: replay events. Expensive (a clock pair per operation); off by
-    #: default even in profile runs.
+    #: fill/writeback runs, BMT traversals, crypto primitives. Expensive
+    #: (a clock pair per operation); off by default even in profile runs.
     span_detail: bool = False
-    #: Raw per-call span records retained for the Chrome trace export;
-    #: aggregates are unaffected by this bound.
-    max_spans: int = 65536
 
     def __post_init__(self) -> None:
         if self.interval_events < 0:
             raise ConfigurationError("interval_events cannot be negative")
-        if self.ring_capacity <= 0:
-            raise ConfigurationError("ring_capacity must be positive")
-        if self.sampler_window < 8:
-            raise ConfigurationError("sampler_window must be at least 8")
-        if self.max_spans <= 0:
-            raise ConfigurationError("max_spans must be positive")
-
-    @property
-    def metrics_active(self) -> bool:
-        return self.enabled and self.metrics
-
-    @property
-    def tracing_active(self) -> bool:
-        return self.enabled and self.tracing
-
-    @property
-    def spans_active(self) -> bool:
-        return self.enabled and self.spans
 
     @property
     def span_detail_active(self) -> bool:
-        return self.enabled and self.spans and self.span_detail
+        return self.enabled and self.span_detail
 
     def as_dict(self) -> Dict[str, object]:
         return asdict(self)

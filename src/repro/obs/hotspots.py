@@ -7,9 +7,10 @@ Three views of one :class:`~repro.obs.spans.SpanProfiler`:
 * :func:`collapsed_stacks` — the collapsed-stack format flamegraph
   tools consume (``outer;inner <self-microseconds>`` per line);
 * :func:`chrome_trace` — Chrome's ``trace_event`` JSON (complete ``X``
-  events with microsecond timestamps), loadable in ``chrome://tracing``
-  or Perfetto. Built from the raw record ring, so long runs export the
-  *most recent* ``max_spans`` calls and report the drop count.
+  events for spans, instant ``i`` events for events, microsecond
+  timestamps), loadable in ``chrome://tracing`` or Perfetto. Built from
+  the raw record ring, so long runs export the *most recent* records
+  and report the drop count.
 
 All exports are derived views: they never mutate the profiler, and all
 file writers are crash-atomic.
@@ -134,7 +135,7 @@ def collapsed_stacks(profiler: SpanProfiler) -> List[str]:
 
 
 def chrome_trace(profiler: SpanProfiler) -> Dict[str, object]:
-    """Chrome ``trace_event`` JSON object for the retained span records."""
+    """Chrome ``trace_event`` JSON object for the retained ring records."""
     events: List[Dict[str, object]] = [
         {
             "ph": "M",
@@ -146,15 +147,19 @@ def chrome_trace(profiler: SpanProfiler) -> Dict[str, object]:
     ]
     for record in profiler.records():
         path: Tuple[str, ...] = record["path"]  # type: ignore[assignment]
+        is_span = record["kind"] == "span"
         event: Dict[str, object] = {
-            "ph": "X",
+            "ph": "X" if is_span else "i",
             "name": path[-1],
             "cat": ";".join(path[:-1]) or "root",
             "ts": round(record["ts"] * 1e6, 3),  # type: ignore[operator]
-            "dur": round(record["wall_s"] * 1e6, 3),  # type: ignore[operator]
             "pid": 1,
             "tid": 1,
         }
+        if is_span:
+            event["dur"] = round(record["wall_s"] * 1e6, 3)  # type: ignore[operator]
+        else:
+            event["s"] = "t"  # thread-scoped instant
         args = record.get("args")
         if args:
             event["args"] = args

@@ -3,7 +3,7 @@
 Four instrument kinds cover what the secure-memory pipeline needs:
 
 * :class:`Counter` — monotonic event counts (cache hits, MAC skips);
-* :class:`Gauge` — last-value-wins scalars (phase durations, hit rates);
+* :class:`Gauge` — last-value-wins scalars (engine totals, hit rates);
 * :class:`Histogram` — fixed-bucket distributions (BMT verification
   depths);
 * :class:`Sampler` — bounded time series over trace position (traffic
@@ -12,16 +12,19 @@ Four instrument kinds cover what the secure-memory pipeline needs:
   covers the whole run.
 
 Instruments are created get-or-create through a :class:`MetricsRegistry`
-and serialize to plain JSON via ``as_dict``. The :data:`NULL_REGISTRY`
-twin implements the same surface as shared no-op singletons; disabled
-sessions hand it out so instrumentation sites never branch on "is
-observability on" beyond a single ``is not None`` / ``enabled`` check.
+and serialize to plain JSON via ``as_dict``. They hold the values a span
+cannot carry (time series, distributions, end-of-run totals); timings
+live in the span profiler. Instrumentation sites check the session's
+``enabled`` flag before they create or write an instrument.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
+
+#: Points a sampler retains before it compacts.
+SAMPLER_POINTS = 512
 
 
 class Counter:
@@ -96,34 +99,6 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def percentile(self, q: float) -> Optional[float]:
-        """Upper-bound estimate of the *q*-quantile (``0 <= q <= 1``).
-
-        Returns the inclusive upper edge of the bucket containing the
-        q-th recorded value, clamped to the observed ``min``/``max``
-        (so ``percentile(0)`` is exactly ``min`` and ``percentile(1)``
-        exactly ``max``, even for the overflow bucket). ``None`` when
-        nothing was recorded.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"percentile q must be in [0, 1], got {q}")
-        if not self.count:
-            return None
-        # min/max are recorded, so they are not None here.
-        if q == 0.0:
-            return self.min
-        rank = q * self.count
-        cumulative = 0
-        for i, bucket_count in enumerate(self.counts):
-            cumulative += bucket_count
-            if cumulative >= rank:
-                if i == len(self.bounds):
-                    return self.max  # Overflow bucket has no upper edge.
-                edge = self.bounds[i]
-                assert self.min is not None and self.max is not None
-                return min(max(edge, self.min), self.max)
-        return self.max  # pragma: no cover - cumulative always reaches count
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "type": self.kind,
@@ -144,7 +119,9 @@ class Sampler:
     fills, adjacent pairs are merged — summed for additive series
     (``agg="sum"``, e.g. bytes per interval) or averaged for rates
     (``agg="mean"``) — halving the resolution but preserving full-run
-    coverage and, for sums, the series total.
+    coverage and, for sums, the series total. A point is recorded at the
+    *end* of the window it covers, so a merged point takes the later
+    position of its pair.
     """
 
     kind = "sampler"
@@ -153,7 +130,9 @@ class Sampler:
         "compactions",
     )
 
-    def __init__(self, name: str, window: int = 512, agg: str = "mean") -> None:
+    def __init__(
+        self, name: str, window: int = SAMPLER_POINTS, agg: str = "mean"
+    ) -> None:
         if window < 8:
             raise ValueError("sampler window must be at least 8")
         if agg not in ("mean", "sum"):
@@ -180,7 +159,7 @@ class Sampler:
         values: List[float] = []
         n = len(self._values)
         for i in range(0, n - 1, 2):
-            positions.append(self._positions[i])
+            positions.append(self._positions[i + 1])
             merged = self._values[i] + self._values[i + 1]
             values.append(merged / 2.0 if self.agg == "mean" else merged)
         if n % 2:
@@ -215,8 +194,6 @@ class Sampler:
 class MetricsRegistry:
     """Get-or-create instrument store, serializable to plain JSON."""
 
-    enabled = True
-
     def __init__(self) -> None:
         self._instruments: Dict[str, object] = {}
 
@@ -243,9 +220,9 @@ class MetricsRegistry:
             name, Histogram, lambda: Histogram(name, bounds)
         )
 
-    def sampler(self, name: str, window: int = 512, agg: str = "mean") -> Sampler:
+    def sampler(self, name: str, agg: str = "mean") -> Sampler:
         return self._get_or_create(
-            name, Sampler, lambda: Sampler(name, window=window, agg=agg)
+            name, Sampler, lambda: Sampler(name, agg=agg)
         )
 
     def get(self, name: str):
@@ -263,59 +240,3 @@ class MetricsRegistry:
 
     def as_dict(self) -> Dict[str, Dict[str, object]]:
         return {name: inst.as_dict() for name, inst in self.items()}
-
-
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def record(self, value: float) -> None:
-        pass
-
-
-class _NullSampler(Sampler):
-    __slots__ = ()
-
-    def record(self, position: float, value: float) -> None:
-        pass
-
-
-_NULL_COUNTER = _NullCounter("null")
-_NULL_GAUGE = _NullGauge("null")
-_NULL_HISTOGRAM = _NullHistogram("null", (0,))
-_NULL_SAMPLER = _NullSampler("null")
-
-
-class NullRegistry(MetricsRegistry):
-    """Shared no-op registry handed out by disabled sessions."""
-
-    enabled = False
-
-    def counter(self, name: str) -> Counter:
-        return _NULL_COUNTER
-
-    def gauge(self, name: str) -> Gauge:
-        return _NULL_GAUGE
-
-    def histogram(self, name: str, bounds: Sequence[float]) -> Histogram:
-        return _NULL_HISTOGRAM
-
-    def sampler(self, name: str, window: int = 512, agg: str = "mean") -> Sampler:
-        return _NULL_SAMPLER
-
-
-#: Process-wide no-op registry (stateless; safe to share).
-NULL_REGISTRY = NullRegistry()

@@ -3,8 +3,10 @@
 Instrumented components (caches, BMT traversals, engines, the replay
 loop) do not take an observability argument — they capture the *active*
 session at construction time via :func:`active`. The default active
-session is a shared disabled singleton whose registry and tracer are
-no-ops, so an uninstrumented run pays one attribute check per hook.
+session is a shared disabled singleton. Every write site checks
+``enabled`` (or ``config.span_detail_active``) first, so a disabled
+session's registry and profiler stay empty and an uninstrumented run
+pays one attribute check per hook.
 
 The harness activates a real session around a region::
 
@@ -19,61 +21,38 @@ exit), which keeps concurrently constructed contexts independent.
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
 from repro.obs.config import ObsConfig
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
-from repro.obs.spans import NULL_SPAN_PROFILER, SpanProfiler
-from repro.obs.tracer import NULL_TRACER, EventTracer
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.spans import SpanProfiler
 
 
 class ObsSession:
-    """One instrumentation scope: config, registry, tracer, profiler."""
+    """One instrumentation scope: config, registry, profiler."""
 
-    __slots__ = ("config", "enabled", "registry", "tracer", "profiler")
+    __slots__ = ("config", "enabled", "registry", "profiler")
 
     def __init__(self, config: Optional[ObsConfig] = None) -> None:
         self.config = config if config is not None else ObsConfig()
         self.enabled = self.config.enabled
-        self.registry = (
-            MetricsRegistry() if self.config.metrics_active else NULL_REGISTRY
-        )
-        self.tracer = (
-            EventTracer(self.config.ring_capacity)
-            if self.config.tracing_active
-            else NULL_TRACER
-        )
-        self.profiler = (
-            SpanProfiler(self.config.max_spans)
-            if self.config.spans_active
-            else NULL_SPAN_PROFILER
-        )
+        self.registry = MetricsRegistry()
+        self.profiler = SpanProfiler()
 
     @contextmanager
     def phase(self, name: str, **attrs: object) -> Iterator[None]:
-        """Time a pipeline phase into both the tracer and the registry.
+        """Open one profiler span for a pipeline phase.
 
-        Emits a ``phase.<name>`` span and sets a ``phase.<name>.seconds``
-        gauge, so phase timings survive in the metrics JSON even when
-        tracing is off. Each phase also opens a profiler span, giving
-        the hotspot tree its top-level hierarchy. No clock is read when
+        Phases are the root spans of the hotspot tree; their aggregates
+        reach the metrics JSON under ``spans``. No clock is read when
         the session is disabled.
         """
         if not self.enabled:
             yield
             return
-        start = time.perf_counter()
         with self.profiler.span(name, **attrs):
-            try:
-                yield
-            finally:
-                elapsed = time.perf_counter() - start
-                self.registry.gauge(f"phase.{name}.seconds").set(elapsed)
-                self.tracer.emit(
-                    f"phase.{name}", kind="span", dur=elapsed, **attrs
-                )
+            yield
 
 
 #: The shared everything-off session; the default active session.

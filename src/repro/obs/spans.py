@@ -9,10 +9,16 @@ of every closed span:
   (so self time is derivable without a second pass), and any counters
   attached via :meth:`SpanProfiler.add`. Aggregates are unbounded but
   tiny — one entry per distinct path, not per call.
-* a **raw record** per call in a bounded ring (for the Chrome
-  ``trace_event`` export); once the ring fills, the oldest records fall
-  off and are counted in :attr:`SpanProfiler.dropped`, exactly like the
-  event tracer.
+* a **raw record** per call in a bounded ring (for the JSONL and
+  Chrome ``trace_event`` exports); once the ring fills, the oldest
+  records fall off and are counted in :attr:`SpanProfiler.dropped`.
+
+The ring also holds **events**: :meth:`SpanProfiler.event` appends a
+zero-duration record (a memory fill, a counter overflow) at the current
+nesting path without touching the aggregates, so events never change
+the hotspot tree or the collapsed stacks. Spans and events share the
+ring: a run that records many events pushes its early span records
+out, while the aggregates stay complete.
 
 Wall time uses :func:`time.perf_counter`, CPU time
 :func:`time.process_time`; both clocks are injectable for tests.
@@ -23,9 +29,6 @@ late) force-closes the intervening spans first and counts the repair in
 :attr:`SpanProfiler.forced_closes`; spans still open at inspection time
 are reported by :meth:`SpanProfiler.open_spans` so exports can flag
 them instead of silently under-reporting.
-
-The :data:`NULL_SPAN_PROFILER` twin keeps disabled sessions at a single
-attribute check per hook, mirroring the registry/tracer pattern.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ from __future__ import annotations
 import time
 from collections import deque
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
+
+#: Raw span and event records the ring retains.
+RING_RECORDS = 65536
 
 
 class SpanStats:
@@ -81,15 +87,16 @@ class _ActiveSpan:
     """Mutable state of one currently-open span."""
 
     __slots__ = (
-        "name", "attrs", "wall_start", "cpu_start", "child_wall", "child_cpu",
-        "counters",
+        "name", "path", "attrs", "wall_start", "cpu_start", "child_wall",
+        "child_cpu", "counters",
     )
 
     def __init__(
-        self, name: str, attrs: Dict[str, object],
+        self, name: str, path: Tuple[str, ...], attrs: Dict[str, object],
         wall_start: float, cpu_start: float,
     ) -> None:
         self.name = name
+        self.path = path
         self.attrs = attrs
         self.wall_start = wall_start
         self.cpu_start = cpu_start
@@ -122,11 +129,9 @@ class _SpanContext:
 class SpanProfiler:
     """Collects nested spans into per-path aggregates plus a raw ring."""
 
-    enabled = True
-
     def __init__(
         self,
-        max_records: int = 65536,
+        max_records: int = RING_RECORDS,
         clock: Callable[[], float] = time.perf_counter,
         cpu_clock: Callable[[], float] = time.process_time,
     ) -> None:
@@ -158,9 +163,32 @@ class SpanProfiler:
             counters = self._stack[-1].counters
             counters[counter] = counters.get(counter, 0) + amount
 
+    def event(self, name: str, **attrs: object) -> None:
+        """Append a zero-duration record at the current nesting path.
+
+        Events share the raw ring with span records but never touch the
+        per-path aggregates.
+        """
+        stack = self._stack
+        record: Dict[str, object] = {
+            "kind": "event",
+            "path": (stack[-1].path if stack else ()) + (name,),
+            "ts": self._clock() - self._origin,
+            "wall_s": 0.0,
+            "cpu_s": 0.0,
+        }
+        if attrs:
+            record["args"] = attrs
+        self._records.append(record)
+        self.recorded += 1
+
     def _open(self, name: str, attrs: Dict[str, object]) -> _ActiveSpan:
-        span = _ActiveSpan(name, attrs, self._clock(), self._cpu_clock())
-        self._stack.append(span)
+        stack = self._stack
+        path = (stack[-1].path if stack else ()) + (name,)
+        span = _ActiveSpan(
+            name, path, attrs, self._clock(), self._cpu_clock()
+        )
+        stack.append(span)
         return span
 
     def _close(self, span: _ActiveSpan) -> None:
@@ -176,7 +204,7 @@ class SpanProfiler:
         span = self._stack.pop()
         wall = self._clock() - span.wall_start
         cpu = self._cpu_clock() - span.cpu_start
-        path = tuple(s.name for s in self._stack) + (span.name,)
+        path = span.path
 
         stats = self._stats.get(path)
         if stats is None:
@@ -195,6 +223,7 @@ class SpanProfiler:
             parent.child_cpu += cpu
 
         record: Dict[str, object] = {
+            "kind": "span",
             "path": path,
             "ts": span.wall_start - self._origin,
             "wall_s": wall,
@@ -211,7 +240,7 @@ class SpanProfiler:
 
     @property
     def dropped(self) -> int:
-        """Raw span records lost to ring overflow (aggregates keep all)."""
+        """Raw records lost to ring overflow (aggregates keep all)."""
         return self.recorded - len(self._records)
 
     def open_spans(self) -> List[str]:
@@ -223,52 +252,8 @@ class SpanProfiler:
         return dict(self._stats)
 
     def records(self) -> Iterator[Dict[str, object]]:
-        """Raw per-call records retained in the ring, oldest first."""
+        """Raw span and event records retained in the ring, oldest first."""
         return iter(self._records)
 
     def __len__(self) -> int:
         return len(self._records)
-
-
-class NullSpanProfiler:
-    """No-op profiler twin handed out by disabled sessions."""
-
-    enabled = False
-    recorded = 0
-    forced_closes = 0
-    dropped = 0
-    max_records = 0
-
-    def span(self, name: str, **attrs: object) -> _SpanContext:
-        return _NULL_SPAN_CONTEXT
-
-    def add(self, counter: str, amount: float = 1) -> None:
-        pass
-
-    def open_spans(self) -> List[str]:
-        return []
-
-    def stats(self) -> Dict[Tuple[str, ...], SpanStats]:
-        return {}
-
-    def records(self) -> Iterator[Dict[str, object]]:
-        return iter(())
-
-    def __len__(self) -> int:
-        return 0
-
-
-class _NullSpanContext:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpanContext":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-
-_NULL_SPAN_CONTEXT = _NullSpanContext()
-
-#: Process-wide no-op profiler (stateless; safe to share).
-NULL_SPAN_PROFILER = NullSpanProfiler()

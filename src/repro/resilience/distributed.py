@@ -48,11 +48,10 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.common.atomicio import atomic_write_text
 from repro.common.errors import ResilienceError
-from repro.obs import active
 from repro.resilience.budget import BudgetGuard, ResourceBudget
 from repro.resilience.chaos import WorkerChaosConfig
 from repro.resilience.journal import RunJournal
-from repro.resilience.policy import FailureClass, RetryPolicy
+from repro.resilience.policy import RetryPolicy
 from repro.resilience.queue import WorkQueue
 from repro.resilience.supervisor import (
     STATUS_CANCELLED,
@@ -344,9 +343,6 @@ class DistributedSupervisor:
     # -- public contract -----------------------------------------------------
 
     def run(self, campaign: Campaign) -> CampaignOutcome:
-        session = active()
-        registry = session.registry
-        tracer = session.tracer
         run_dir = self.journal.path.parent
         guard = BudgetGuard(self.budget, clock=self.clock)
         guard.start()
@@ -359,20 +355,13 @@ class DistributedSupervisor:
         # is idempotent, so running it before reading the skip set
         # makes --resume reuse every journaled unit, not just the ones
         # the previous coordinator got around to merging.
-        self._merge(campaign, run_dir, registry)
+        self._merge(campaign, run_dir)
         completed = self.journal.completed()
         pending = [
             unit.unit_id
             for unit in campaign.units
             if unit.unit_id not in completed
         ]
-        tracer.emit(
-            "resilience.run",
-            campaign=campaign.name,
-            units=len(campaign.units),
-            resumed=len(completed),
-            workers=self.config.workers,
-        )
         try:
             if pending:
                 queue = WorkQueue(
@@ -383,14 +372,11 @@ class DistributedSupervisor:
                 }
                 queue.populate(pending, labels=labels)
                 write_campaign_spec(run_dir, self.spec, campaign)
-                self._run_fleet(
-                    queue, pending, guard, outcome, run_dir, registry,
-                    tracer,
-                )
-                self._merge(campaign, run_dir, registry)
+                self._run_fleet(queue, pending, guard, outcome, run_dir)
+                self._merge(campaign, run_dir)
         finally:
             guard.stop()
-        self._finalize(campaign, completed, outcome, guard, registry, tracer)
+        self._finalize(campaign, completed, outcome, guard)
         self._clear_pins()
         return outcome
 
@@ -471,16 +457,12 @@ class DistributedSupervisor:
         guard: BudgetGuard,
         outcome: CampaignOutcome,
         run_dir: Path,
-        registry,
-        tracer,
     ) -> None:
         cfg = self.config
         fleet: Dict[str, _WorkerProc] = {}
         for index in range(cfg.workers):
             worker_id = f"w{index}"
             fleet[worker_id] = self._spawn(run_dir, worker_id, index, 0)
-            registry.counter("resilience.worker.spawned").inc()
-            tracer.emit("resilience.worker_spawn", worker=worker_id)
         respawns_left = cfg.respawn_budget
         speculated: set = set()
         try:
@@ -489,7 +471,7 @@ class DistributedSupervisor:
                     break
                 reason = guard.exceeded()
                 if reason is not None:
-                    self._degrade(outcome, reason, registry, tracer)
+                    self._degrade(outcome, reason)
                     break
                 for worker_id, entry in list(fleet.items()):
                     code = entry.proc.poll()
@@ -502,15 +484,6 @@ class DistributedSupervisor:
                     # dead worker's unit; here the death itself feeds
                     # the failure taxonomy and the respawn budget.
                     self.deaths += 1
-                    registry.counter("resilience.worker.deaths").inc()
-                    registry.counter(
-                        f"resilience.failures.{FailureClass.CRASH.value}"
-                    ).inc()
-                    tracer.emit(
-                        "resilience.worker_death",
-                        worker=worker_id,
-                        returncode=code,
-                    )
                     if respawns_left > 0 and not queue.all_done(pending):
                         respawns_left -= 1
                         self.respawns += 1
@@ -518,34 +491,18 @@ class DistributedSupervisor:
                         fleet[worker_id] = self._spawn(
                             run_dir, worker_id, entry.index, incarnation
                         )
-                        registry.counter(
-                            "resilience.worker.respawns"
-                        ).inc()
-                        tracer.emit(
-                            "resilience.worker_spawn",
-                            worker=worker_id,
-                            incarnation=incarnation,
-                        )
                 if not fleet:
                     if queue.all_done(pending):
                         break
-                    self._degrade(
-                        outcome, REASON_WORKERS_EXHAUSTED, registry, tracer
-                    )
+                    self._degrade(outcome, REASON_WORKERS_EXHAUSTED)
                     break
                 if cfg.speculate:
-                    self._speculate(queue, speculated, registry, tracer)
-                registry.gauge("resilience.worker.active").set(
-                    float(len(fleet))
-                )
+                    self._speculate(queue, speculated)
                 self.sleep(cfg.poll_s)
         finally:
             self._shutdown(fleet, degraded=outcome.degraded is not None)
-            registry.gauge("resilience.worker.active").set(0.0)
 
-    def _speculate(
-        self, queue: WorkQueue, speculated: set, registry, tracer
-    ) -> None:
+    def _speculate(self, queue: WorkQueue, speculated: set) -> None:
         cfg = self.config
         durations = []
         for unit_id in queue.done_ids():
@@ -570,13 +527,6 @@ class DistributedSupervisor:
             if queue.request_speculation(lease["unit_id"], lease["gen"]):
                 speculated.add(key)
                 self.speculations += 1
-                registry.counter("resilience.worker.speculations").inc()
-                tracer.emit(
-                    "resilience.speculate",
-                    unit=str(lease["unit_id"])[:12],
-                    gen=lease["gen"],
-                    age_s=round(float(age), 3),
-                )
 
     def _shutdown(
         self, fleet: Dict[str, _WorkerProc], degraded: bool
@@ -595,7 +545,7 @@ class DistributedSupervisor:
 
     # -- merge and finalization ----------------------------------------------
 
-    def _merge(self, campaign: Campaign, run_dir: Path, registry) -> int:
+    def _merge(self, campaign: Campaign, run_dir: Path) -> int:
         """Fold per-worker journals into the campaign journal; idempotent."""
         worker_records = read_worker_journals(
             run_dir, fingerprint=campaign.fingerprint
@@ -632,26 +582,17 @@ class DistributedSupervisor:
             self.journal.append_record(record)
             appended += 1
             gen = record.get("gen")
-            if isinstance(gen, int) and gen > 1:
-                if record.get("speculative"):
-                    registry.counter(
-                        "resilience.worker.speculation_wins"
-                    ).inc()
-                else:
-                    self.steals += 1
-                    registry.counter("resilience.worker.steals").inc()
-                    # A steal means the previous holder's heartbeat
-                    # went stale: a presumed hang, taxonomy-wise.
-                    registry.counter(
-                        f"resilience.failures.{FailureClass.TIMEOUT.value}"
-                    ).inc()
+            if (
+                isinstance(gen, int) and gen > 1
+                and not record.get("speculative")
+            ):
+                # The previous holder's heartbeat went stale.
+                self.steals += 1
         return appended
 
-    def _degrade(self, outcome, reason, registry, tracer) -> None:
+    def _degrade(self, outcome, reason) -> None:
         if outcome.degraded is None:
             outcome.degraded = reason
-            registry.counter("resilience.degraded").inc()
-            tracer.emit("resilience.degraded", reason=reason)
 
     def _finalize(
         self,
@@ -659,8 +600,6 @@ class DistributedSupervisor:
         skipped: Dict[str, Dict[str, object]],
         outcome: CampaignOutcome,
         guard: BudgetGuard,
-        registry,
-        tracer,
     ) -> None:
         latest: Dict[str, Dict[str, object]] = {}
         for record in self.journal.records():
@@ -688,7 +627,6 @@ class DistributedSupervisor:
                         result=skipped[unit.unit_id].get("result"),
                     )
                 )
-                registry.counter("resilience.units_skipped").inc()
                 continue
             record = latest.get(unit.unit_id)
             if record is None:
@@ -701,7 +639,6 @@ class DistributedSupervisor:
                         error=outcome.degraded or REASON_WORKERS_EXHAUSTED,
                     )
                 )
-                registry.counter("resilience.units_cancelled").inc()
                 continue
             status = (
                 STATUS_OK if record.get("status") == "ok" else STATUS_FAILED
@@ -723,44 +660,14 @@ class DistributedSupervisor:
                     ),
                 )
             )
-            registry.counter(
-                "resilience.units_ok"
-                if status == STATUS_OK
-                else "resilience.units_failed"
-            ).inc()
         if outcome.degraded is None and any(
             o.status == STATUS_CANCELLED for o in outcome.outcomes
         ):
-            self._degrade(
-                outcome, REASON_WORKERS_EXHAUSTED, registry, tracer
-            )
+            self._degrade(outcome, REASON_WORKERS_EXHAUSTED)
         outcome.wall_s = guard.elapsed()
-        registry.gauge("resilience.wall_seconds").set(outcome.wall_s)
         outcome.telemetry = rollup(u.telemetry for u in outcome.outcomes)
-        for name, value in (
-            ("spawned", self.spawned),
-            ("deaths", self.deaths),
-            ("respawns", self.respawns),
-            ("steals", self.steals),
-            ("speculations", self.speculations),
-        ):
-            registry.gauge(f"resilience.worker.{name}_total").set(
-                float(value)
-            )
         self.journal.record_end(
             "partial" if outcome.partial else "complete",
             reason=outcome.degraded,
             telemetry=outcome.telemetry,
-        )
-        tracer.emit(
-            "resilience.end",
-            campaign=campaign.name,
-            status="partial" if outcome.partial else "complete",
-            ok=outcome.count(STATUS_OK),
-            skipped=outcome.count(STATUS_SKIPPED),
-            failed=outcome.count(STATUS_FAILED),
-            cancelled=outcome.count(STATUS_CANCELLED),
-            workers=self.spawned,
-            steals=self.steals,
-            speculations=self.speculations,
         )

@@ -16,10 +16,9 @@ monkey, and optional run journal:
 * every finished unit (ok or failed) is journaled with an fsync before
   the supervisor moves on.
 
-Journal, retry, chaos, and watchdog events flow into the ambient
-:mod:`repro.obs` session (``resilience.*`` metrics and trace events),
-so a profile of a supervised run shows *how* it survived, not just
-that it did.
+The journal's unit and end records (attempts, failure class, per-unit
+telemetry) are the record of *how* a run survived, not just that it
+did; ``status`` renders them.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.common.errors import EXIT_OK, EXIT_PARTIAL
-from repro.obs import active
 from repro.resilience.budget import BudgetGuard, ResourceBudget, current_rss_mb
 from repro.resilience.chaos import ChaosMonkey
 from repro.resilience.journal import RunJournal
@@ -132,9 +130,6 @@ class Supervisor:
 
     def run(self, campaign: Campaign) -> CampaignOutcome:
         """Execute *campaign* to a :class:`CampaignOutcome`."""
-        session = active()
-        registry = session.registry
-        tracer = session.tracer
         guard = BudgetGuard(self.budget, clock=self.clock)
         guard.start()
         outcome = CampaignOutcome(
@@ -143,12 +138,6 @@ class Supervisor:
             run_id=self.journal.run_id if self.journal else None,
         )
         completed = self.journal.completed() if self.journal else {}
-        tracer.emit(
-            "resilience.run",
-            campaign=campaign.name,
-            units=len(campaign.units),
-            resumed=len(completed),
-        )
         try:
             for unit in campaign.units:
                 prior = completed.get(unit.unit_id)
@@ -163,12 +152,9 @@ class Supervisor:
                             result=prior.get("result"),
                         )
                     )
-                    registry.counter("resilience.units_skipped").inc()
                     continue
                 if outcome.degraded is None:
-                    reason = guard.exceeded()
-                    if reason is not None:
-                        self._degrade(outcome, reason, registry, tracer)
+                    outcome.degraded = guard.exceeded()
                 if outcome.degraded is not None:
                     outcome.outcomes.append(
                         UnitOutcome(
@@ -179,56 +165,26 @@ class Supervisor:
                             error=outcome.degraded,
                         )
                     )
-                    registry.counter("resilience.units_cancelled").inc()
                     continue
-                unit_outcome = self._run_unit(unit, guard, registry, tracer)
+                unit_outcome = self._run_unit(unit, guard)
                 outcome.outcomes.append(unit_outcome)
                 if unit_outcome.failure_class == FailureClass.BUDGET.value:
-                    self._degrade(
-                        outcome,
-                        unit_outcome.error or "budget exhausted",
-                        registry,
-                        tracer,
-                    )
+                    outcome.degraded = unit_outcome.error or "budget exhausted"
         finally:
             guard.stop()
         outcome.wall_s = guard.elapsed()
-        registry.gauge("resilience.wall_seconds").set(outcome.wall_s)
         outcome.telemetry = rollup(u.telemetry for u in outcome.outcomes)
-        registry.gauge("resilience.cpu_seconds").set(
-            float(outcome.telemetry.get("cpu_s", 0.0))  # type: ignore[arg-type]
-        )
         if self.journal is not None:
             self.journal.record_end(
                 "partial" if outcome.partial else "complete",
                 reason=outcome.degraded,
                 telemetry=outcome.telemetry,
             )
-        tracer.emit(
-            "resilience.end",
-            campaign=campaign.name,
-            status="partial" if outcome.partial else "complete",
-            ok=outcome.count(STATUS_OK),
-            skipped=outcome.count(STATUS_SKIPPED),
-            failed=outcome.count(STATUS_FAILED),
-            cancelled=outcome.count(STATUS_CANCELLED),
-        )
         return outcome
 
     # -- internals -----------------------------------------------------------
 
-    def _degrade(self, outcome, reason, registry, tracer) -> None:
-        outcome.degraded = reason
-        registry.counter("resilience.degraded").inc()
-        tracer.emit("resilience.degraded", reason=reason)
-
-    def _run_unit(
-        self,
-        unit: WorkUnit,
-        guard: BudgetGuard,
-        registry,
-        tracer,
-    ) -> UnitOutcome:
+    def _run_unit(self, unit: WorkUnit, guard: BudgetGuard) -> UnitOutcome:
         policy = self.policy
         start = self.clock()
         cpu_start = self.cpu_clock()
@@ -254,16 +210,6 @@ class Supervisor:
             except BaseException as exc:
                 failure = classify_failure(exc)
                 error = f"{type(exc).__name__}: {exc}"
-                registry.counter(
-                    f"resilience.failures.{failure.value}"
-                ).inc()
-                tracer.emit(
-                    "resilience.unit_failure",
-                    unit=unit.label,
-                    attempt=attempt,
-                    failure=failure.value,
-                    error=error,
-                )
                 if not policy.should_retry(failure, attempt):
                     break
                 reason = guard.exceeded()
@@ -273,7 +219,6 @@ class Supervisor:
                     failure = FailureClass.BUDGET
                     error = reason
                     break
-                registry.counter("resilience.retries").inc()
                 self.sleep(policy.backoff_delay(unit.unit_id, attempt))
             else:
                 elapsed = self.clock() - start
@@ -283,13 +228,6 @@ class Supervisor:
                         unit, STATUS_OK, attempt, elapsed, result=payload,
                         telemetry=telemetry,
                     )
-                registry.counter("resilience.units_ok").inc()
-                tracer.emit(
-                    "resilience.unit_ok",
-                    unit=unit.label,
-                    attempts=attempt,
-                    dur=elapsed,
-                )
                 return UnitOutcome(
                     unit_id=unit.unit_id,
                     kind=unit.kind,
@@ -315,7 +253,6 @@ class Supervisor:
                 error=error,
                 telemetry=telemetry,
             )
-        registry.counter("resilience.units_failed").inc()
         return UnitOutcome(
             unit_id=unit.unit_id,
             kind=unit.kind,

@@ -61,7 +61,7 @@ class WorkUnit:
 
     ``params`` define the unit id; the runner does not (two campaigns
     computing the same cell share completed work through the journal).
-    ``label`` is the human name used in reports and trace events.
+    ``label`` is the human name used in reports and the journal.
     """
 
     kind: str

@@ -96,8 +96,8 @@ class PartitionEngine:
         self.traffic = traffic
         self.stats = EngineStats()
         #: Observability session captured at construction (disabled
-        #: singleton by default); subclasses emit tracer events and the
-        #: replay loop polls :meth:`obs_snapshot` through it.
+        #: singleton by default); engines record span-ring events into
+        #: it and the replay loop polls :meth:`obs_snapshot`.
         self.obs = _obs_active()
 
     # -- the hooks (ARCHITECTURE.md § The batch contract) ------------------
@@ -291,7 +291,7 @@ class MetadataEngine(PartitionEngine):
             s for s in reencrypted_sectors if s < self.data_sectors
         ]
         if self.obs.enabled:
-            self.obs.tracer.emit(
+            self.obs.profiler.event(
                 "counter.minor_overflow",
                 partition=self.partition_id,
                 reencrypted_sectors=len(group),

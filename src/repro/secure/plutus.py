@@ -359,7 +359,7 @@ class PlutusEngine(MetadataEngine):
             if code & 8:
                 self.stats.compact_disable_events += 1
                 if self.obs.enabled:
-                    self.obs.tracer.emit(
+                    self.obs.profiler.event(
                         "compact.disable",
                         partition=self.partition_id,
                         block=self.compact.block_of(s),

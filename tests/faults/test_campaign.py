@@ -153,19 +153,3 @@ class TestValueStress:
             config, config.transient_capacity
         )
         assert rate <= mac_collision_rate(8)
-
-
-class TestObservability:
-    def test_campaign_bumps_counters(self):
-        from repro.obs import ObsConfig, ObsSession, activate
-
-        obs = ObsSession(ObsConfig(enabled=True))
-        spec = CampaignSpec(
-            name="tiny", kinds=(FaultKind.BITFLIP,),
-            engines=("functional",), trials_per_kind=1,
-        )
-        with activate(obs):
-            report = run_campaign(spec)
-        assert report.ok
-        assert obs.registry.counter("faults.injected").value == 1
-        assert obs.registry.counter("faults.detected").value == 1

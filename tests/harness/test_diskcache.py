@@ -124,17 +124,6 @@ class TestCorruption:
         assert cache.load_event_log(key) is None
         assert cache.corrupt_entries == 1
 
-    def test_corruption_bumps_obs_counter(self, cache):
-        from repro.obs import ObsConfig, ObsSession, activate
-
-        key, path = self._stored(cache)
-        text = path.read_text()
-        path.write_text(text[:-5])
-        obs = ObsSession(ObsConfig(enabled=True))
-        with activate(obs):
-            assert cache.load_trace(key) is None
-        assert obs.registry.counter("cache.corrupt_entries").value == 1
-
 
 class TestEventLogCache:
     def test_roundtrip_preserves_replay_inputs(self, cache):

@@ -6,7 +6,6 @@ import pytest
 
 from repro.obs import (
     CHROME_TRACE_SCHEMA,
-    NULL_SPAN_PROFILER,
     ObsConfig,
     ObsSession,
     SpanProfiler,
@@ -171,30 +170,53 @@ class TestRecords:
         assert record["args"] == {"benchmark": "bfs", "events": 42}
 
 
-class TestNullTwin:
-    def test_null_profiler_is_inert(self):
-        with NULL_SPAN_PROFILER.span("x", attr=1):
-            NULL_SPAN_PROFILER.add("c", 5)
-        assert not NULL_SPAN_PROFILER.enabled
-        assert len(NULL_SPAN_PROFILER) == 0
-        assert NULL_SPAN_PROFILER.stats() == {}
-        assert NULL_SPAN_PROFILER.open_spans() == []
-        assert list(NULL_SPAN_PROFILER.records()) == []
-        assert NULL_SPAN_PROFILER.dropped == 0
-
-    def test_disabled_session_hands_out_null_profiler(self):
-        session = ObsSession(ObsConfig())
-        assert session.profiler is NULL_SPAN_PROFILER
-
-    def test_spans_opt_out_with_enabled_session(self):
-        session = ObsSession(ObsConfig(enabled=True, spans=False))
-        assert session.profiler is NULL_SPAN_PROFILER
-
+class TestSessionSpans:
     def test_enabled_session_phase_records_a_span(self):
         session = ObsSession(ObsConfig(enabled=True))
         with session.phase("build_trace", benchmark="bfs"):
             pass
         assert ("build_trace",) in session.profiler.stats()
+
+
+class TestEvents:
+    def test_event_joins_the_ring_but_not_the_aggregates(self):
+        prof, wall, _ = make_profiler()
+        with prof.span("replay"):
+            wall.advance(1.0)
+            prof.event("mem.fill", sector=3)
+        assert set(prof.stats()) == {("replay",)}
+        assert prof.recorded == 2
+        event, span = prof.records()
+        assert event["kind"] == "event"
+        assert event["path"] == ("replay", "mem.fill")
+        assert event["ts"] == pytest.approx(1.0)
+        assert event["wall_s"] == 0.0
+        assert event["args"] == {"sector": 3}
+        assert span["kind"] == "span"
+
+    def test_events_leave_hotspots_and_stacks_unchanged(self):
+        plain = TestExports().build()
+        noisy, wall, cpu = make_profiler()
+        with noisy.span("replay"):
+            with noisy.span("fill"):
+                noisy.event("mem.fill")
+                wall.advance(0.25)
+                cpu.advance(0.2)
+            noisy.event("counter.minor_overflow", partition=0)
+            wall.advance(0.75)
+        assert collapsed_stacks(noisy) == collapsed_stacks(plain)
+        assert render_hotspots(noisy) == render_hotspots(plain)
+
+    def test_events_share_the_ring_with_spans(self):
+        prof, _, _ = make_profiler(max_records=3)
+        with prof.span("early"):
+            pass
+        for i in range(3):
+            prof.event("e", i=i)
+        assert prof.dropped == 1
+        assert [r["kind"] for r in prof.records()] == ["event"] * 3
+        # The aggregate of the pushed-out span survives.
+        assert prof.stats()[("early",)].calls == 1
 
 
 class TestHotspotTree:
@@ -282,6 +304,19 @@ class TestExports:
         fill = next(e for e in complete if e["name"] == "fill")
         assert fill["cat"] == "replay"
         assert fill["dur"] == pytest.approx(0.25 * 1e6)
+
+    def test_chrome_trace_renders_events_as_instants(self):
+        prof, wall, _ = make_profiler()
+        with prof.span("replay"):
+            wall.advance(0.5)
+            prof.event("mem.fill", sector=7)
+        events = chrome_trace(prof)["traceEvents"]
+        (instant,) = [e for e in events if e["ph"] == "i"]
+        assert instant["name"] == "mem.fill"
+        assert instant["cat"] == "replay"
+        assert instant["ts"] == pytest.approx(0.5 * 1e6)
+        assert instant["args"] == {"sector": 7}
+        assert "dur" not in instant
 
     def test_writers_are_atomic_and_report_counts(self, tmp_path):
         prof = self.build()

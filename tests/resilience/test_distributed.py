@@ -17,7 +17,6 @@ import time
 import pytest
 
 from repro.common.errors import EXIT_OK, ResilienceError
-from repro.obs import active
 from repro.resilience import (
     STATUS_OK,
     STATUS_SKIPPED,
@@ -180,11 +179,8 @@ class TestSpeculationTrigger:
         lease = queue.claim("straggler", "w1")
         past = time.time() - lease_age_s
         os.utime(lease.path, (past, past))
-        session = active()
         speculated = set()
-        supervisor._speculate(
-            queue, speculated, session.registry, session.tracer
-        )
+        supervisor._speculate(queue, speculated)
         return queue, speculated
 
     def test_straggler_past_threshold_gets_one_request(self, tmp_path):
@@ -195,7 +191,6 @@ class TestSpeculationTrigger:
         assert queue.speculation_requested("straggler", 1)
         assert speculated == {("straggler", 1)}
         # The request is remembered: no second request for this gen.
-        session = active()
         before = queue.speculation_count()
         assert queue.request_speculation("straggler", 1) is False
         assert queue.speculation_count() == before

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.common.bitops import split_values
 from repro.common.errors import ConfigurationError
 from repro.common.rng import RngStream
+from repro.secure.value_cache import ValueCache, ValueCacheConfig
+from repro.workloads.benchmarks import build_trace
 from repro.workloads.values import (
     ValueModel,
     ValueModelConfig,
@@ -120,3 +123,44 @@ class TestReuseStudy:
         report = study_trace_values(bfs_trace)
         assert set(report) == {"full", "halves", "masked"}
         assert 0.0 < report["masked"] < 1.0
+
+
+def three_cache_study(trace, cache_entries=512):
+    """The study with one cache per scenario, each probed by its rule."""
+
+    def make_cache(mask_bits):
+        return ValueCache(ValueCacheConfig(
+            entries=cache_entries, mask_bits=mask_bits,
+            pinned_fraction=0.0, hits_required=3,
+        ))
+
+    def reused(scenario, cache, values):
+        if scenario == "full":
+            return all(cache.probe(v)[0] for v in values)
+        for half in (values[:4], values[4:]):
+            if sum(1 for v in half if cache.probe(v)[0]) < 3:
+                return False
+        return True
+
+    caches = {"full": make_cache(0), "halves": make_cache(0),
+              "masked": make_cache(4)}
+    counts = dict.fromkeys(caches, 0)
+    seen = 0
+    for access in trace:
+        if access.values is None:
+            continue
+        for _slot, image in access.values:
+            values = split_values(image, 4)
+            seen += not access.write
+            for scenario, cache in caches.items():
+                if not access.write and reused(scenario, cache, values):
+                    counts[scenario] += 1
+                cache.observe_many(values)
+    return {s: counts[s] / seen if seen else 0.0 for s in caches}
+
+
+@pytest.mark.parametrize("name", ["bfs", "color", "lbm"])
+def test_study_matches_three_cache_reference(name):
+    """One unmasked cache scores ``full`` and ``halves`` as two did."""
+    trace = build_trace(name, length=1000, seed=2023)
+    assert study_trace_values(trace) == three_cache_study(trace)
