@@ -9,13 +9,6 @@ from repro.analysis.forgery import (
     single_hit_probability,
 )
 from repro.analysis.empirical import ForgeryExperiment, run_forgery_experiment
-from repro.analysis.latency import (
-    LatencyEstimate,
-    LatencyParams,
-    estimate_fill_latency,
-    latency_is_hidden,
-    resident_warps,
-)
 from repro.analysis.power import (
     EnergyParams,
     PowerEstimate,
@@ -45,11 +38,6 @@ from repro.analysis.summarize import (
 __all__ = [
     "EnergyParams",
     "ForgeryExperiment",
-    "LatencyEstimate",
-    "LatencyParams",
-    "estimate_fill_latency",
-    "latency_is_hidden",
-    "resident_warps",
     "StorageReport",
     "design_comparison",
     "kernel_seconds",

@@ -29,11 +29,17 @@ def percent(value: float, digits: int = 2) -> str:
 def improvement_summary(
     per_benchmark: Mapping[str, float]
 ) -> Dict[str, float]:
-    """Min/mean/max summary of per-benchmark speedups (ratios)."""
+    """Min/mean/max summary of per-benchmark speedups (ratios).
+
+    The geomean is defined over positive values only. A value at or
+    below zero (a short window where Plutus moves more metadata than
+    PSSM, say) makes it ``nan``; the other fields are reported as usual.
+    """
     values = list(per_benchmark.values())
+    positive = all(v > 0 for v in values)
     return {
         "mean": arithmetic_mean(values),
-        "geomean": geometric_mean(values),
+        "geomean": geometric_mean(values) if positive else float("nan"),
         "min": min(values),
         "max": max(values),
     }

@@ -6,9 +6,27 @@ engines are compared), and per-engine simulation results. The
 :class:`ExperimentContext` memoizes traces and logs twice — in memory
 for the lifetime of one context, and content-hashed on disk (see
 :mod:`repro.harness.diskcache`) so repeated sweeps across processes
-skip trace generation and ``simulate_l2`` entirely. Replay results stay
-in-memory only: they are cheap relative to the L2 pass and depend on
-the engine design under study.
+skip trace generation and ``simulate_l2`` entirely.
+
+Replay results stay in memory, and replay is most of a replay
+experiment's CPU, so the context shares it across design points. A
+``PssmEngine`` or ``PlutusEngine`` design point has two sides that share
+no state: its counter side and its value/MAC side
+(:data:`~repro.secure.engine.VALUE_MAC_STREAMS`). Each side is keyed by
+the constructor arguments it reads, and each (log, side key) is
+replayed at most once per context:
+
+* neither side memoized: the design point replays whole, as any other
+  engine does, and memoizes its value/MAC side, plus its counter side
+  when its tree is on;
+* one side memoized: only the other side replays, through its
+  side-only driver with the tree on;
+* both memoized: nothing replays.
+
+The result is then composed from the two sides, with the tree streams
+zeroed when the design point eliminates its tree. Aliases
+(``plutus:vcache-256`` is ``plutus``, ``gran:128B`` is ``pssm``) cost
+nothing, and each ablation pays for the one side it changes.
 
 Engine design points are addressed by *keys* (e.g. ``"plutus"``,
 ``"pssm"``, ``"plutus:gran32"``) so experiments stay declarative and
@@ -18,9 +36,10 @@ results cache across figures. Every named factory is an
 
 from __future__ import annotations
 
+import inspect
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Type
+from dataclasses import dataclass, field, fields, replace
+from typing import Dict, List, Optional, Tuple, Type
 
 from repro.gpu.config import VOLTA, GpuConfig
 from repro.gpu.simulator import (
@@ -31,7 +50,12 @@ from repro.gpu.simulator import (
     simulate_l2,
 )
 from repro.harness.diskcache import DiskCache, content_digest
-from repro.mem.traffic import TrafficCounter
+from repro.mem.traffic import (
+    TREE_STREAMS,
+    Stream,
+    TrafficCounter,
+    TrafficReport,
+)
 from repro.metadata.compact import (
     DESIGN_2BIT,
     DESIGN_3BIT,
@@ -40,8 +64,18 @@ from repro.metadata.compact import (
 from repro.metadata.layout import GranularityDesign
 from repro.obs import ObsConfig, ObsSession, activate
 from repro.secure.common_counters import CommonCountersEngine
-from repro.secure.engine import NoSecurityEngine, PartitionEngine
-from repro.secure.plutus import PlutusEngine
+from repro.secure.engine import (
+    VALUE_MAC_STATS,
+    VALUE_MAC_STREAMS,
+    EngineStats,
+    NoSecurityEngine,
+    PartitionEngine,
+)
+from repro.secure.plutus import (
+    PlutusCounterSide,
+    PlutusEngine,
+    PlutusValueMacSide,
+)
 from repro.secure.pssm import PssmEngine
 from repro.secure.recoverable import RecoverableEngine
 from repro.secure.value_cache import ValueCacheConfig
@@ -158,8 +192,62 @@ def engine_factories() -> Dict[str, EngineFactory]:
     return factories
 
 
-#: Backwards-compatible alias for the pre-observability private name.
-_engine_factories = engine_factories
+def _side_keys(factory: EngineFactory) -> Optional[Tuple[tuple, tuple, bool]]:
+    """``(counter key, value/MAC key, tree on)`` of a split design point.
+
+    Each key is the sorted constructor arguments of its side-only
+    driver, class defaults filled in; the counter side reads every
+    argument but the value-cache config and ``eliminate_tree``. ``None``
+    for every factory but an exact ``PssmEngine`` or ``PlutusEngine``
+    spec: subclasses such as ``RecoverableEngine`` add streams of their
+    own, so they replay whole.
+    """
+    if not isinstance(factory, EngineSpec) or factory.engine_cls not in (
+        PssmEngine, PlutusEngine
+    ):
+        return None
+    params = inspect.signature(factory.engine_cls).parameters.values()
+    args = {p.name: p.default for p in params if p.default is not p.empty}
+    args.update(factory.kwargs)
+    args.setdefault("compact_config", None)  # PSSM has no compact layer
+    tree = not args.pop("eliminate_tree", False)
+    value_mac = {
+        "value_cache_config": args.pop("value_cache_config", None),
+        "mac_tag_bytes": args["mac_tag_bytes"],
+        "cache_config": args["cache_config"],
+    }
+    return tuple(sorted(args.items())), tuple(sorted(value_mac.items())), tree
+
+
+def _compose(
+    counter: SimulationResult,
+    value_mac: SimulationResult,
+    engine_name: str,
+    tree: bool,
+) -> SimulationResult:
+    """One design point's result from the replays of its two sides."""
+    streams = [s for s in Stream if tree or s not in TREE_STREAMS]
+    sides = {
+        s: (value_mac if s in VALUE_MAC_STREAMS else counter).traffic
+        for s in streams
+    }
+    stats = {
+        f.name: getattr(
+            (value_mac if f.name in VALUE_MAC_STATS else counter).engine_stats,
+            f.name,
+        )
+        for f in fields(EngineStats)
+    }
+    return replace(
+        counter,
+        engine_name=engine_name,
+        # Streams left out (a dropped tree's) read 0.
+        traffic=TrafficReport(
+            {s: sides[s].bytes_by_stream[s] for s in streams},
+            {s: sides[s].transactions_for(s) for s in streams},
+        ),
+        engine_stats=EngineStats(**stats),
+    )
 
 
 @dataclass
@@ -189,6 +277,9 @@ class ExperimentContext:
         self._traces: Dict[str, Trace] = {}
         self._logs: Dict[str, MemoryEventLog] = {}
         self._results: Dict[str, SimulationResult] = {}
+        #: ``(benchmark, side driver, side key)`` -> the replay whose
+        #: fields that side owns.
+        self._sides: Dict[tuple, SimulationResult] = {}
         self.factories = engine_factories()
         self.obs_session = ObsSession(self.obs)
         self.disk_cache = DiskCache.from_spec(self.cache_dir)
@@ -266,7 +357,12 @@ class ExperimentContext:
         return self._logs[benchmark]
 
     def run(self, benchmark: str, engine_key: str) -> SimulationResult:
-        """Simulate one (benchmark, engine) pair, memoized."""
+        """Simulate one (benchmark, engine) pair, memoized.
+
+        A ``PssmEngine`` or ``PlutusEngine`` design point replays only
+        the sides no earlier run on this benchmark has (module
+        docstring); every other engine replays whole.
+        """
         cache_key = f"{benchmark}|{engine_key}"
         if cache_key not in self._results:
             factory = self.factories.get(engine_key)
@@ -277,10 +373,39 @@ class ExperimentContext:
                 )
             log = self.event_log(benchmark)
             with activate(self.obs_session):
-                self._results[cache_key] = replay_events(
-                    log, factory, self.config
+                self._results[cache_key] = self._replay(
+                    benchmark, log, factory
                 )
         return self._results[cache_key]
+
+    def _replay(
+        self, benchmark: str, log: MemoryEventLog, factory: EngineFactory
+    ) -> SimulationResult:
+        keys = _side_keys(factory)
+        if keys is None:
+            return replay_events(log, factory, self.config)
+        counter_args, value_mac_args, tree = keys
+        counter_key = (benchmark, PlutusCounterSide, counter_args)
+        value_mac_key = (benchmark, PlutusValueMacSide, value_mac_args)
+        counter = self._sides.get(counter_key)
+        value_mac = self._sides.get(value_mac_key)
+        if counter is None and value_mac is None:
+            result = replay_events(log, factory, self.config)
+            self._sides[value_mac_key] = result
+            if tree:
+                self._sides[counter_key] = result
+            return result
+        if counter is None:
+            counter = self._sides[counter_key] = replay_events(
+                log, EngineSpec(PlutusCounterSide, **dict(counter_args)),
+                self.config,
+            )
+        if value_mac is None:
+            value_mac = self._sides[value_mac_key] = replay_events(
+                log, EngineSpec(PlutusValueMacSide, **dict(value_mac_args)),
+                self.config,
+            )
+        return _compose(counter, value_mac, factory.engine_cls.name, tree)
 
     def run_custom(
         self,

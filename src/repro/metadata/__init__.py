@@ -1,4 +1,4 @@
-"""Security metadata: counters (split/monolithic/compact), BMT, ToC, MACs."""
+"""Security metadata: counters (split/compact), BMT, MACs."""
 
 from repro.metadata.bmt import BmtGeometry, BmtTraversal
 from repro.metadata.compact import (
@@ -13,13 +13,11 @@ from repro.metadata.compact import (
 from repro.metadata.layout import GranularityDesign, MetadataLayout, compact_layout
 from repro.metadata.mac_store import MacStore
 from repro.metadata.merkle import MerkleTree
-from repro.metadata.monolithic import MonolithicCounterConfig, MonolithicCounterStore
 from repro.metadata.split_counter import (
     IncrementOutcome,
     SplitCounterConfig,
     SplitCounterStore,
 )
-from repro.metadata.toc import TreeOfCounters
 
 __all__ = [
     "BmtGeometry",
@@ -36,10 +34,7 @@ __all__ = [
     "MacStore",
     "MerkleTree",
     "MetadataLayout",
-    "MonolithicCounterConfig",
-    "MonolithicCounterStore",
     "SplitCounterConfig",
     "SplitCounterStore",
-    "TreeOfCounters",
     "compact_layout",
 ]

@@ -60,6 +60,26 @@ class EngineStats:
     wal_appends: int = 0
 
 
+# A Plutus or PSSM design point has two sides that share no state: the
+# counter side (split counters, the compact layer, the counter, compact
+# and tree caches, warmup) and the value/MAC side (value cache, MAC
+# cache). The sets below are what the value/MAC side decides; the
+# counter side decides everything else, the data streams included
+# (a minor-counter overflow re-encrypts its group).
+
+#: Streams the value/MAC side moves.
+VALUE_MAC_STREAMS = frozenset({Stream.MAC_READ, Stream.MAC_WRITE})
+
+#: ``EngineStats`` fields the value/MAC side counts.
+VALUE_MAC_STATS = frozenset({
+    "mac_fetches",
+    "mac_fetches_avoided",
+    "mac_writes_avoided",
+    "value_verified_fills",
+    "value_check_failures",
+})
+
+
 @dataclass(frozen=True)
 class MetadataCacheConfig:
     """Per-partition metadata cache sizing (Table II defaults)."""

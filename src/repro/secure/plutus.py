@@ -174,12 +174,16 @@ class PlutusEngine(MetadataEngine):
     #
     # A Plutus event touches up to four disjoint structures — the compact
     # layer (compact cache + mini BMT), the original layer (counter cache
-    # + BMT + split counters), the value cache, and the MAC cache — so a
-    # run splits into a counter phase, an in-order value phase, and a MAC
-    # phase over the events the value cache could not cover. Only the
-    # write flow needs care: compact routing decisions and value-cache
-    # probes are order-dependent, so both replay per event while the
-    # cache accesses around them compress into same-location runs.
+    # + BMT + split counters), the value cache, and the MAC cache. They
+    # form two sides that share no state: the counter side (both counter
+    # layers) and the value/MAC side (the value cache, then a MAC phase
+    # over the events it could not cover). So a hook runs all of a run's
+    # counter work, then all of its value/MAC work, one method per side
+    # that the whole engine and the side-only drivers below share. Only
+    # the write flow needs care: compact routing decisions and
+    # value-cache probes are order-dependent, so both replay per event
+    # while the cache accesses around them compress into same-location
+    # runs.
 
     def _batch_value_keys(self, values, n: int):
         """Masked value-cache keys per event (None = no image).
@@ -393,48 +397,46 @@ class PlutusEngine(MetadataEngine):
                 transactions=o_miss,
             )
 
-    def on_fill_batch(self, sector_indices, values) -> None:
-        """Read misses: counter via mirror layer, then value-check or MAC."""
-        sectors = self._checked(sector_indices)
-        n = int(sectors.size)
-        keys_list = self._batch_value_keys(values, n)
-        self.stats.fills += n
+    def _fill_counters(self, sectors: np.ndarray) -> None:
+        """Counter side of a fill run.
 
-        # Counter phase: plan_read is pure and nothing in a fill run
-        # mutates compact state, so all routes are decided up front.
+        ``plan_read`` is pure and nothing in a fill run mutates compact
+        state, so all routes are decided up front.
+        """
         if self.compact is None:
             self._batch_counter_reads(sectors)
-        else:
-            codes = self.compact.plan_read_codes(sectors.tolist())
-            if codes is None:
-                self.stats.compact_only_accesses += n
-                self._batch_compact_accesses(sectors, write=False)
-            else:
-                codes_arr = np.asarray(codes, dtype=np.int8)
-                n_original_only = int(np.count_nonzero(codes_arr == 2))
-                n_double = int(np.count_nonzero(codes_arr == 1))
-                self.stats.compact_only_accesses += (
-                    n - n_original_only - n_double
-                )
-                self.stats.compact_double_accesses += n_double
-                self.stats.original_only_accesses += n_original_only
-                compact_rows = codes_arr != 2
-                if compact_rows.any():
-                    self._batch_compact_accesses(
-                        sectors[compact_rows], write=False
-                    )
-                original_rows = codes_arr != 0
-                if original_rows.any():
-                    self._batch_counter_reads(sectors[original_rows])
+            return
+        n = int(sectors.size)
+        codes = self.compact.plan_read_codes(sectors.tolist())
+        if codes is None:
+            self.stats.compact_only_accesses += n
+            self._batch_compact_accesses(sectors, write=False)
+            return
+        codes_arr = np.asarray(codes, dtype=np.int8)
+        n_original_only = int(np.count_nonzero(codes_arr == 2))
+        n_double = int(np.count_nonzero(codes_arr == 1))
+        self.stats.compact_only_accesses += n - n_original_only - n_double
+        self.stats.compact_double_accesses += n_double
+        self.stats.original_only_accesses += n_original_only
+        compact_rows = codes_arr != 2
+        if compact_rows.any():
+            self._batch_compact_accesses(sectors[compact_rows], write=False)
+        original_rows = codes_arr != 0
+        if original_rows.any():
+            self._batch_counter_reads(sectors[original_rows])
 
-        # Value phase: per-event, in order — every probe reshapes the
-        # cache the next event sees. MAC fetches for uncovered events
-        # defer to one batched MAC phase (disjoint state).
+    def _fill_macs(self, sectors: np.ndarray, keys_list) -> None:
+        """Value/MAC side of a fill run.
+
+        Value checks go per event, in order: every probe reshapes the
+        cache the next event sees. MAC fetches for the events the value
+        cache could not cover defer to one batched MAC phase.
+        """
         if self.value_cache is None:
             self._batch_mac_reads(sectors)
             return
         vc = self.value_cache
-        mac_rows = np.zeros(n, dtype=bool)
+        mac_rows = np.zeros(int(sectors.size), dtype=bool)
         verified = failures = 0
         for i, keys in enumerate(keys_list):
             if keys is None:
@@ -452,27 +454,24 @@ class PlutusEngine(MetadataEngine):
         if mac_rows.any():
             self._batch_mac_reads(sectors[mac_rows])
 
-    def on_writeback_batch(self, sector_indices, values) -> None:
-        """Dirty evictions: counter bump via mirror layer; MAC if needed.
-
-        A write whose image the value cache can verify from pinned
-        entries alone skips its MAC update (paper Fig. 11, write path).
-        """
-        sectors = self._checked(sector_indices)
-        n = int(sectors.size)
-        keys_list = self._batch_value_keys(values, n)
-        self.stats.writebacks += n
-
+    def _writeback_counters(self, sectors: np.ndarray) -> None:
+        """Counter side of a writeback run."""
         if self.compact is None:
             self._batch_counter_writes(sectors)
         else:
             self._batch_mirror_writes(sectors)
 
+    def _writeback_macs(self, sectors: np.ndarray, keys_list) -> None:
+        """Value/MAC side of a writeback run.
+
+        A write whose image the value cache can verify from pinned
+        entries alone skips its MAC update (paper Fig. 11, write path).
+        """
         if self.value_cache is None:
             self._batch_mac_writes(sectors)
             return
         vc = self.value_cache
-        mac_rows = np.zeros(n, dtype=bool)
+        mac_rows = np.zeros(int(sectors.size), dtype=bool)
         avoided = 0
         for i, keys in enumerate(keys_list):
             if keys is None:
@@ -486,6 +485,22 @@ class PlutusEngine(MetadataEngine):
         self.stats.mac_writes_avoided += avoided
         if mac_rows.any():
             self._batch_mac_writes(sectors[mac_rows])
+
+    def on_fill_batch(self, sector_indices, values) -> None:
+        """Read misses: counter via mirror layer, then value-check or MAC."""
+        sectors = self._checked(sector_indices)
+        keys_list = self._batch_value_keys(values, int(sectors.size))
+        self.stats.fills += int(sectors.size)
+        self._fill_counters(sectors)
+        self._fill_macs(sectors, keys_list)
+
+    def on_writeback_batch(self, sector_indices, values) -> None:
+        """Dirty evictions: counter bump via mirror layer; MAC if needed."""
+        sectors = self._checked(sector_indices)
+        keys_list = self._batch_value_keys(values, int(sectors.size))
+        self.stats.writebacks += int(sectors.size)
+        self._writeback_counters(sectors)
+        self._writeback_macs(sectors, keys_list)
 
     def warm_counters_batch(self, sector_indices, passes: int = 1) -> None:
         """Vectorized two-layer warmup.
@@ -560,3 +575,64 @@ class PlutusEngine(MetadataEngine):
             snap["value_hits"] = self.value_cache.stats.hits
             snap["value_pinned_hits"] = self.value_cache.stats.pinned_hits
         return snap
+
+
+class PlutusCounterSide(PlutusEngine):
+    """One design point's counter side alone, with its tree on.
+
+    Runs the counter phase of every hook and the full warmup; the value
+    cache is off and no MAC is touched. Its result therefore carries the
+    counter side's streams and ``EngineStats`` fields exactly as the
+    whole engine would (:data:`~repro.secure.engine.VALUE_MAC_STREAMS`
+    and :data:`~repro.secure.engine.VALUE_MAC_STATS` name the rest).
+    :class:`~repro.harness.runner.ExperimentContext` replays it to share
+    one counter side among design points.
+    """
+
+    def __init__(self, partition_id: int, data_sectors: int,
+                 traffic: TrafficCounter, **counter_args) -> None:
+        super().__init__(partition_id, data_sectors, traffic,
+                         value_cache_config=None, **counter_args)
+
+    def on_fill_batch(self, sector_indices, values) -> None:
+        sectors = self._checked(sector_indices)
+        self.stats.fills += int(sectors.size)
+        self._fill_counters(sectors)
+
+    def on_writeback_batch(self, sector_indices, values) -> None:
+        sectors = self._checked(sector_indices)
+        self.stats.writebacks += int(sectors.size)
+        self._writeback_counters(sectors)
+
+
+class PlutusValueMacSide(PlutusEngine):
+    """One design point's value/MAC side alone: value cache and MACs.
+
+    MAC locations depend only on the tag size, and the value cache only
+    on the images, so this side reads nothing of the counter side's
+    configuration. Warmup advances counter state alone and does nothing
+    here. The counterpart of :class:`PlutusCounterSide`.
+    """
+
+    def __init__(self, partition_id: int, data_sectors: int,
+                 traffic: TrafficCounter, mac_tag_bytes: int,
+                 cache_config: MetadataCacheConfig,
+                 value_cache_config: Optional[ValueCacheConfig]) -> None:
+        super().__init__(partition_id, data_sectors, traffic,
+                         mac_tag_bytes=mac_tag_bytes,
+                         cache_config=cache_config,
+                         value_cache_config=value_cache_config,
+                         compact_config=None)
+
+    def on_fill_batch(self, sector_indices, values) -> None:
+        sectors = self._checked(sector_indices)
+        keys_list = self._batch_value_keys(values, int(sectors.size))
+        self._fill_macs(sectors, keys_list)
+
+    def on_writeback_batch(self, sector_indices, values) -> None:
+        sectors = self._checked(sector_indices)
+        keys_list = self._batch_value_keys(values, int(sectors.size))
+        self._writeback_macs(sectors, keys_list)
+
+    def warm_counters_batch(self, sector_indices, passes: int = 1) -> None:
+        """Warmup moves counter state only, none of this side's."""

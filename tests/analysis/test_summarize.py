@@ -1,5 +1,7 @@
 """Tests for aggregation helpers."""
 
+import math
+
 import pytest
 
 from repro.analysis.summarize import (
@@ -48,6 +50,13 @@ class TestSummaries:
         assert summary["min"] == 0.9
         assert summary["max"] == 1.5
         assert summary["mean"] == pytest.approx((1.1 + 1.5 + 0.9) / 3)
+
+    def test_improvement_summary_with_non_positive_value(self):
+        summary = improvement_summary({"a": 0.5, "b": -0.03})
+        assert math.isnan(summary["geomean"])
+        assert summary["mean"] == pytest.approx(0.235)
+        assert summary["min"] == -0.03
+        assert summary["max"] == 0.5
 
     def test_normalize_by(self):
         out = normalize_by({"a": 10, "b": 20}, {"a": 5, "b": 10, "c": 1})
