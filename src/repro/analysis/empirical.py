@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.bitops import split_values
+from repro.common.bitops import mask_low_bits, split_values
 from repro.common.rng import RngStream
 from repro.crypto.xts import AesXts
-from repro.secure.value_cache import ValueCache, ValueCacheConfig
+from repro.secure.value_cache import ValueCacheConfig
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,6 @@ class ForgeryExperiment:
     def sector_pass_rate(self) -> float:
         return self.sector_passes / self.trials if self.trials else 0.0
 
-    @property
-    def value_hit_rate(self) -> float:
-        return self.value_hits / self.total_values if self.total_values else 0.0
-
 
 def run_forgery_experiment(
     trials: int = 2000,
@@ -47,18 +43,19 @@ def run_forgery_experiment(
 ) -> ForgeryExperiment:
     """Tamper *trials* random sectors and score the value check.
 
-    The cache is stocked to capacity with known-hot values; every honest
-    sector is built entirely from those values (so it would pass), then
-    one random ciphertext bit is flipped before decryption.
+    The value cache is modelled as Eq. 1 does: ``entries`` known-hot
+    values, all resident. Every honest sector is built entirely from
+    those values (so it would pass), then one random ciphertext bit is
+    flipped before decryption.
     """
     rng = RngStream(seed, "forgery")
     xts = AesXts(bytes(rng.bytes(32)))
-    cache = ValueCache(cache_config)
+    mask_bits, need = cache_config.mask_bits, cache_config.hits_required
 
-    # Stock the cache to capacity with values that stay distinct after
-    # low-bit masking (stride of one masked-granularity unit).
-    hot = [int(v) << cache_config.mask_bits for v in range(cache_config.entries)]
-    cache.observe_many(hot)
+    # Values that stay distinct after low-bit masking (a stride of one
+    # masked-granularity unit), so they are their own masked keys.
+    hot = [v << mask_bits for v in range(cache_config.entries)]
+    resident = frozenset(hot)
 
     sector_passes = 0
     unit_passes = 0
@@ -76,19 +73,17 @@ def run_forgery_experiment(
         ciphertext[bit // 8] ^= 1 << (bit % 8)
         recovered = xts.decrypt(bytes(ciphertext), tweak)
 
-        tampered_block = bit // 128  # which 16-byte unit was hit
-        values = split_values(recovered, 4)
-        tampered_values = values[4 * tampered_block : 4 * tampered_block + 4]
-        # Score only the tampered unit: the untouched one passes by
-        # construction and would dilute the statistics.
-        hits = sum(1 for v in tampered_values if cache._key(v) in
-                   set(cache._transient) | set(cache._pinned))
+        keys = [mask_low_bits(v, mask_bits) for v in split_values(recovered, 4)]
+        unit_hits = [sum(k in resident for k in keys[i:i + 4]) for i in (0, 4)]
+        # Value statistics count only the tampered unit (bit // 128):
+        # the untouched one is honest hot values and would dilute them.
+        hits = unit_hits[bit // 128]
         value_hits += hits
         total_values += 4
-        if hits >= cache_config.hits_required:
+        if hits >= need:
             unit_passes += 1
-            # A forged unit only forges the sector if the clean unit
-            # also passes — which it does, being untampered hot values.
+        # A forged unit forges the sector only if the other unit passes.
+        if min(unit_hits) >= need:
             sector_passes += 1
 
     return ForgeryExperiment(

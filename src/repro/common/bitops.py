@@ -88,7 +88,7 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     """Return the byte-wise XOR of two equal-length byte strings."""
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
 
 
 def rotate_left(value: int, shift: int, width: int = 32) -> int:

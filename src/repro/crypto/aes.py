@@ -7,15 +7,19 @@ derived from the GF(2^8) multiplicative inverse plus the affine map, key
 expansion follows the Rijndael schedule, and both the encrypt and decrypt
 directions are provided.
 
-The implementation favours clarity over throughput; the performance
-simulator never encrypts real data (it accounts traffic symbolically), so
-this code only runs in functional mode and in the test suite, where known
-NIST vectors pin it down.
+Rounds run on 32-bit T-tables, each entry one S-box output pushed
+through (Inv)MixColumns with :func:`gf256_mul`, built when an
+:class:`AES` is keyed and no other is alive; decryption is the
+equivalent inverse cipher on the same round function. The performance simulator never encrypts real
+data; the functional engine and the ``ext-forgery`` campaign run this
+cipher, NIST vectors pin it down, and a test compares it with OpenSSL.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+import struct
+import weakref
+from typing import List, Sequence, Tuple
 
 from repro.common.errors import BlockSizeError, KeySizeError
 
@@ -85,91 +89,86 @@ while len(_RCON) < 14:
 _ROUNDS_BY_KEY_LEN = {16: 10, 24: 12, 32: 14}
 
 
-def expand_key(key: bytes) -> List[List[int]]:
-    """Run the Rijndael key schedule.
+def _sub_word(word: int) -> int:
+    """SubWord: the S-box applied to each byte of a 32-bit word."""
+    return int.from_bytes(bytes(_SBOX[b] for b in word.to_bytes(4, "big")), "big")
 
-    Returns one 16-byte round key per round plus the initial whitening
-    key, each as a flat list of 16 ints in column-major (FIPS) order.
-    """
+
+def expand_key(key: bytes) -> List[int]:
+    """Run the Rijndael key schedule: the round keys as big-endian 32-bit
+    column words, four per round, starting with the whitening key."""
     if len(key) not in _ROUNDS_BY_KEY_LEN:
         raise KeySizeError(
             f"AES key must be 16, 24, or 32 bytes, got {len(key)}"
         )
     rounds = _ROUNDS_BY_KEY_LEN[len(key)]
     nk = len(key) // 4
-    words: List[List[int]] = [list(key[4 * i : 4 * i + 4]) for i in range(nk)]
+    words = list(struct.unpack(f">{nk}I", key))
     for i in range(nk, 4 * (rounds + 1)):
-        temp = list(words[i - 1])
+        temp = words[i - 1]
         if i % nk == 0:
-            temp = temp[1:] + temp[:1]
-            temp = [_SBOX[b] for b in temp]
-            temp[0] ^= _RCON[i // nk - 1]
+            rotated = (temp << 8 | temp >> 24) & 0xFFFFFFFF
+            temp = _sub_word(rotated) ^ _RCON[i // nk - 1] << 24
         elif nk > 6 and i % nk == 4:
-            temp = [_SBOX[b] for b in temp]
-        words.append([words[i - nk][j] ^ temp[j] for j in range(4)])
-    round_keys = []
-    for r in range(rounds + 1):
-        flat: List[int] = []
-        for w in words[4 * r : 4 * r + 4]:
-            flat.extend(w)
-        round_keys.append(flat)
-    return round_keys
+            temp = _sub_word(temp)
+        words.append(words[i - nk] ^ temp)
+    return words
 
 
-def _sub_bytes(state: List[int]) -> None:
-    for i in range(16):
-        state[i] = _SBOX[state[i]]
+class _RoundTables:
+    """The encryption and decryption T-tables.
+
+    Table 0 maps x to the MixColumns image of S[x] in row 0, the word
+    ``(2, 1, 1, 3)·S[x]`` (decryption: ``(14, 9, 13, 11)·Si[x]``); tables
+    1-3 are rows 1-3, the same words rotated right by 8, 16, 24 bits.
+    The final round has no MixColumns: its tables use ``(1, 0, 0, 0)``."""
+
+    __slots__ = ("enc", "dec", "__weakref__")
+
+    def __deepcopy__(self, memo: dict) -> "_RoundTables":
+        return self  # read-only: deep copies of an AES share them
+
+    def __init__(self) -> None:
+        def tables(box: List[int], column: Tuple[int, ...]) -> tuple:
+            row0 = [int.from_bytes(bytes(gf256_mul(box[x], c) for c in column), "big")
+                    for x in range(256)]
+            return tuple(tuple(w >> n | (w << (32 - n)) & 0xFFFFFFFF for w in row0)
+                         for n in (0, 8, 16, 24))
+
+        self.enc = tables(_SBOX, (2, 1, 1, 3)), tables(_SBOX, (1, 0, 0, 0))
+        self.dec = tables(_INV_SBOX, (14, 9, 13, 11)), tables(_INV_SBOX, (1, 0, 0, 0))
 
 
-def _inv_sub_bytes(state: List[int]) -> None:
-    for i in range(16):
-        state[i] = _INV_SBOX[state[i]]
+#: The tables while some AES holds them, so the last one frees their 149 kB.
+_LIVE_TABLES: "weakref.WeakValueDictionary[str, _RoundTables]" = weakref.WeakValueDictionary()
 
 
-# State layout: state[4*c + r] is row r of column c (FIPS byte order).
-_SHIFT_MAP = [0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11]
-_INV_SHIFT_MAP = [0, 13, 10, 7, 4, 1, 14, 11, 8, 5, 2, 15, 12, 9, 6, 3]
+_WORDS = struct.Struct(">4I")
 
 
-def _shift_rows(state: List[int]) -> List[int]:
-    return [state[_SHIFT_MAP[i]] for i in range(16)]
+def _rounds(s0: int, s1: int, s2: int, s3: int, keys: Sequence[int],
+            tables: tuple, final: tuple) -> Tuple[int, int, int, int]:
+    """Run every round over a state of four big-endian column words.
 
-
-def _inv_shift_rows(state: List[int]) -> List[int]:
-    return [state[_INV_SHIFT_MAP[i]] for i in range(16)]
-
-
-def _mix_single_column(col: List[int]) -> List[int]:
-    a0, a1, a2, a3 = col
-    return [
-        gf256_mul(a0, 2) ^ gf256_mul(a1, 3) ^ a2 ^ a3,
-        a0 ^ gf256_mul(a1, 2) ^ gf256_mul(a2, 3) ^ a3,
-        a0 ^ a1 ^ gf256_mul(a2, 2) ^ gf256_mul(a3, 3),
-        gf256_mul(a0, 3) ^ a1 ^ a2 ^ gf256_mul(a3, 2),
-    ]
-
-
-def _inv_mix_single_column(col: List[int]) -> List[int]:
-    a0, a1, a2, a3 = col
-    return [
-        gf256_mul(a0, 14) ^ gf256_mul(a1, 11) ^ gf256_mul(a2, 13) ^ gf256_mul(a3, 9),
-        gf256_mul(a0, 9) ^ gf256_mul(a1, 14) ^ gf256_mul(a2, 11) ^ gf256_mul(a3, 13),
-        gf256_mul(a0, 13) ^ gf256_mul(a1, 9) ^ gf256_mul(a2, 14) ^ gf256_mul(a3, 11),
-        gf256_mul(a0, 11) ^ gf256_mul(a1, 13) ^ gf256_mul(a2, 9) ^ gf256_mul(a3, 14),
-    ]
-
-
-def _mix_columns(state: List[int], inverse: bool = False) -> List[int]:
-    mix = _inv_mix_single_column if inverse else _mix_single_column
-    out: List[int] = []
-    for c in range(4):
-        out.extend(mix(state[4 * c : 4 * c + 4]))
-    return out
-
-
-def _add_round_key(state: List[int], round_key: List[int]) -> None:
-    for i in range(16):
-        state[i] ^= round_key[i]
+    Row r of output column c comes from input column ``(c + r) % 4``
+    (ShiftRows). InvShiftRows is that with columns 1 and 3 swapped, so
+    decryption swaps them in its state, round keys and output.
+    """
+    s0, s1, s2, s3 = s0 ^ keys[0], s1 ^ keys[1], s2 ^ keys[2], s3 ^ keys[3]
+    last = len(keys) - 4
+    for k in range(4, len(keys), 4):
+        t0, t1, t2, t3 = tables if k < last else final
+        s0, s1, s2, s3 = (
+            t0[s0 >> 24] ^ t1[(s1 >> 16) & 255] ^ t2[(s2 >> 8) & 255]
+            ^ t3[s3 & 255] ^ keys[k],
+            t0[s1 >> 24] ^ t1[(s2 >> 16) & 255] ^ t2[(s3 >> 8) & 255]
+            ^ t3[s0 & 255] ^ keys[k + 1],
+            t0[s2 >> 24] ^ t1[(s3 >> 16) & 255] ^ t2[(s0 >> 8) & 255]
+            ^ t3[s1 & 255] ^ keys[k + 2],
+            t0[s3 >> 24] ^ t1[(s0 >> 16) & 255] ^ t2[(s1 >> 8) & 255]
+            ^ t3[s2 & 255] ^ keys[k + 3],
+        )
+    return s0, s1, s2, s3
 
 
 class AES:
@@ -180,9 +179,20 @@ class AES:
     """
 
     def __init__(self, key: bytes) -> None:
-        self._round_keys = expand_key(key)
+        self._enc_keys = expand_key(key)
         self.key_len = len(key)
         self.rounds = _ROUNDS_BY_KEY_LEN[self.key_len]
+        tables = self._tables = _LIVE_TABLES.get("aes") or _RoundTables()
+        _LIVE_TABLES["aes"] = tables
+        # The equivalent inverse cipher (FIPS-197 5.3.5): round keys in
+        # reverse, InvMixColumns (td of S[b]: S cancels the Si inside td) on
+        # all but the first and last, and columns 1 and 3 swapped for _rounds.
+        keys, (td0, td1, td2, td3) = self._enc_keys, tables.dec[0]
+        mixed = keys[:4] + [td0[_SBOX[w >> 24]] ^ td1[_SBOX[(w >> 16) & 255]]
+                            ^ td2[_SBOX[(w >> 8) & 255]] ^ td3[_SBOX[w & 255]]
+                            for w in keys[4:-4]] + keys[-4:]
+        self._dec_keys = [mixed[4 * r + c] for r in range(self.rounds, -1, -1)
+                          for c in (0, 3, 2, 1)]
 
     def encrypt_block(self, plaintext: bytes) -> bytes:
         """Encrypt exactly one 16-byte block."""
@@ -190,17 +200,8 @@ class AES:
             raise BlockSizeError(
                 f"AES block must be {BLOCK_SIZE} bytes, got {len(plaintext)}"
             )
-        state = list(plaintext)
-        _add_round_key(state, self._round_keys[0])
-        for r in range(1, self.rounds):
-            _sub_bytes(state)
-            state = _shift_rows(state)
-            state = _mix_columns(state)
-            _add_round_key(state, self._round_keys[r])
-        _sub_bytes(state)
-        state = _shift_rows(state)
-        _add_round_key(state, self._round_keys[self.rounds])
-        return bytes(state)
+        s0, s1, s2, s3 = _WORDS.unpack(plaintext)
+        return _WORDS.pack(*_rounds(s0, s1, s2, s3, self._enc_keys, *self._tables.enc))
 
     def decrypt_block(self, ciphertext: bytes) -> bytes:
         """Decrypt exactly one 16-byte block."""
@@ -208,17 +209,9 @@ class AES:
             raise BlockSizeError(
                 f"AES block must be {BLOCK_SIZE} bytes, got {len(ciphertext)}"
             )
-        state = list(ciphertext)
-        _add_round_key(state, self._round_keys[self.rounds])
-        state = _inv_shift_rows(state)
-        _inv_sub_bytes(state)
-        for r in range(self.rounds - 1, 0, -1):
-            _add_round_key(state, self._round_keys[r])
-            state = _mix_columns(state, inverse=True)
-            state = _inv_shift_rows(state)
-            _inv_sub_bytes(state)
-        _add_round_key(state, self._round_keys[0])
-        return bytes(state)
+        s0, s1, s2, s3 = _WORDS.unpack(ciphertext)
+        o0, o3, o2, o1 = _rounds(s0, s3, s2, s1, self._dec_keys, *self._tables.dec)
+        return _WORDS.pack(o0, o1, o2, o3)
 
 
 def sbox_table() -> List[int]:

@@ -11,7 +11,9 @@ which is both the Fig. 9 reproduction and the calibration instrument.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -19,7 +21,6 @@ import numpy as np
 from repro.common.bitops import split_values
 from repro.common.errors import ConfigurationError
 from repro.common.rng import RngStream
-from repro.secure.value_cache import ValueCache, ValueCacheConfig
 
 #: Values over-represented in real GPU memory regardless of workload.
 _UBIQUITOUS_VALUES = np.array(
@@ -27,6 +28,11 @@ _UBIQUITOUS_VALUES = np.array(
      0xBF800000, 0x7F800000, 0x00000010, 0x80000000],
     dtype=np.uint32,
 )
+
+#: Clears a 32-bit value's 4 LSBs: the ``masked`` scenario's key.
+_MASK_4_LSBS = 0xFFFFFFF0
+#: Sectors per numpy decode; a whole trace's keys at once cost megabytes.
+_CHUNK_SECTORS = 64
 
 
 @dataclass(frozen=True)
@@ -112,10 +118,6 @@ class ValueModel:
         flat = values.tobytes()
         return [flat[i * 32 : (i + 1) * 32] for i in range(count)]
 
-    def sector_image(self) -> bytes:
-        """Generate a single image (convenience for tests)."""
-        return self.sector_images(1)[0]
-
 
 class ValueReuseStudy:
     """Paper Fig. 8/9: three ways of counting sector-level value reuse.
@@ -128,28 +130,21 @@ class ValueReuseStudy:
     * ``halves`` — each 16-byte half has >= 3 of its 4 values hit;
     * ``masked`` — as ``halves`` with the 4 LSBs of every value masked.
 
-    ``full`` and ``halves`` score the same unmasked cache. The study
-    caches have no pinned region, so a probe can neither insert, evict
-    nor pin, and ``observe_many`` then moves all eight keys of the
-    sector to the MRU end in order: a second unmasked cache probed by
-    the ``halves`` rule would hold the same keys in the same order.
+    The study cache has no pinned region, and a probe only touches keys
+    that the sector's observe touches again right after. So a hit is
+    membership before the sector, in plain LRU over the observe stream:
+    one ordered set of exact keys (``full`` and ``halves``) and one of
+    masked keys, checked against ``ValueCache`` in the tests.
     """
 
     SCENARIOS = ("full", "halves", "masked")
 
     def __init__(self, cache_entries: int = 512) -> None:
-        def make_cache(mask_bits: int) -> ValueCache:
-            return ValueCache(
-                ValueCacheConfig(
-                    entries=cache_entries,
-                    mask_bits=mask_bits,
-                    pinned_fraction=0.0,
-                    hits_required=3,
-                )
-            )
-
-        self._exact = make_cache(0)
-        self._masked = make_cache(4)
+        if cache_entries <= 0:
+            raise ConfigurationError("value-reuse study needs cache entries")
+        self._capacity = cache_entries
+        self._exact: "OrderedDict[int, None]" = OrderedDict()
+        self._masked: "OrderedDict[int, None]" = OrderedDict()
         self.sectors_seen = 0
         self.reused: Dict[str, int] = {s: 0 for s in self.SCENARIOS}
 
@@ -157,22 +152,36 @@ class ValueReuseStudy:
         """Process one sector access exactly as the paper's study does:
         reads are checked for reuse before insertion; all accesses insert."""
         values = split_values(image, 4)
+        self.observe_keys(values, [v & _MASK_4_LSBS for v in values], is_read)
+
+    def observe_keys(self, exact: Sequence[int], masked: Sequence[int],
+                     is_read: bool = True) -> None:
+        """:meth:`observe_sector` by the sector's eight 32-bit values and
+        their masked keys."""
         if is_read:
             self.sectors_seen += 1
-            probe = self._exact.probe
-            hits = [probe(v)[0] for v in values]
-            if all(hits):
+            r = self._exact
+            a, b, c, d, e, f, g, h = exact
+            low = (a in r) + (b in r) + (c in r) + (d in r)
+            high = (e in r) + (f in r) + (g in r) + (h in r)
+            if low == high == 4:
                 self.reused["full"] += 1
-            if sum(hits[:4]) >= 3 and sum(hits[4:]) >= 3:
+            if low >= 3 and high >= 3:
                 self.reused["halves"] += 1
-            probe = self._masked.probe
-            if (
-                sum(probe(v)[0] for v in values[:4]) >= 3
-                and sum(probe(v)[0] for v in values[4:]) >= 3
-            ):
+            r = self._masked
+            a, b, c, d, e, f, g, h = masked
+            if ((a in r) + (b in r) + (c in r) + (d in r) >= 3
+                    and (e in r) + (f in r) + (g in r) + (h in r) >= 3):
                 self.reused["masked"] += 1
-        self._exact.observe_many(values)
-        self._masked.observe_many(values)
+        for lru, keys in ((self._exact, exact), (self._masked, masked)):
+            for key in keys:
+                if key in lru:
+                    lru.move_to_end(key)
+                else:
+                    lru[key] = None
+            # Trimming once per sector leaves what evicting per insert would.
+            while len(lru) > self._capacity:
+                lru.popitem(last=False)
 
     def reuse_fraction(self, scenario: str) -> float:
         if scenario not in self.reused:
@@ -188,9 +197,12 @@ class ValueReuseStudy:
 def study_trace_values(trace, cache_entries: int = 512) -> Dict[str, float]:
     """Run the three-scenario reuse study over a trace's sector images."""
     study = ValueReuseStudy(cache_entries=cache_entries)
-    for access in trace:
-        if access.values is None:
-            continue
-        for _slot, image in access.values:
-            study.observe_sector(image, is_read=not access.write)
+    sectors = ((image, not access.write) for access in trace
+               if access.values is not None for _slot, image in access.values)
+    while chunk := list(islice(sectors, _CHUNK_SECTORS)):
+        images, reads = zip(*chunk)
+        keys = np.frombuffer(b"".join(images), dtype="<u4").reshape(-1, 8)
+        masked = (keys & np.uint32(_MASK_4_LSBS)).tolist()
+        for exact, masked_keys, is_read in zip(keys.tolist(), masked, reads):
+            study.observe_keys(exact, masked_keys, is_read)
     return study.report()

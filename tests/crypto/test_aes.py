@@ -1,5 +1,7 @@
 """AES tests pinned to the FIPS-197 vectors."""
 
+import copy
+
 import pytest
 
 from repro.common.errors import BlockSizeError, KeySizeError
@@ -112,3 +114,14 @@ class TestAvalanche:
         b = cipher.encrypt_block(b"\x80" + b"\x00" * 15)
         differing = sum(bin(x ^ y).count("1") for x, y in zip(a, b))
         assert differing > 40
+
+
+class TestTables:
+    def test_deep_copies_share_the_tables(self):
+        """Fault campaigns deep-copy whole secure memories; the read-only
+        T-tables must be shared, not copied table entry by entry."""
+        cipher = AES(bytes(range(16)))
+        clone = copy.deepcopy(cipher)
+        assert clone._tables is cipher._tables
+        assert clone.encrypt_block(FIPS_PLAINTEXT) == cipher.encrypt_block(FIPS_PLAINTEXT)
+        assert clone.decrypt_block(FIPS_PLAINTEXT) == cipher.decrypt_block(FIPS_PLAINTEXT)

@@ -1,12 +1,17 @@
 """Tests for value models and the reuse study."""
 
+import struct
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.bitops import split_values
 from repro.common.errors import ConfigurationError
 from repro.common.rng import RngStream
 from repro.secure.value_cache import ValueCache, ValueCacheConfig
 from repro.workloads.benchmarks import build_trace
+from repro.workloads.trace import TraceAccess
 from repro.workloads.values import (
     ValueModel,
     ValueModelConfig,
@@ -164,3 +169,35 @@ def test_study_matches_three_cache_reference(name):
     """One unmasked cache scores ``full`` and ``halves`` as two did."""
     trace = build_trace(name, length=1000, seed=2023)
     assert study_trace_values(trace) == three_cache_study(trace)
+
+
+@st.composite
+def _values(draw):
+    """Mostly 24 values that mask to 6 keys, and one in ten arbitrary:
+    exact and near duplicates, inside a sector and across sectors, and
+    misses all occur, and a 1-16 entry cache evicts constantly."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.integers(0, 2**32 - 1))
+    return draw(st.integers(0, 5)) << 4 | draw(st.integers(0, 3))
+
+
+_images = st.lists(_values(), min_size=8, max_size=8).map(
+    lambda vs: struct.pack("<8I", *vs)
+)
+_accesses = st.builds(
+    lambda write, images: TraceAccess(
+        0, (1 << len(images)) - 1, write, list(enumerate(images))
+    ),
+    st.booleans(),
+    st.lists(_images, min_size=1, max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace=st.lists(_accesses, max_size=40),
+       entries=st.integers(min_value=1, max_value=16))
+def test_small_study_cache_matches_three_cache_reference(trace, entries):
+    """Capacities that evict within a sector, where LRU membership over
+    the observe stream must still equal probe-then-observe caches."""
+    assert (study_trace_values(trace, cache_entries=entries)
+            == three_cache_study(trace, cache_entries=entries))
