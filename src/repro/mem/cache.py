@@ -166,13 +166,14 @@ class SectoredCache:
             self._m_hits = None
             self._m_misses = None
             self._m_evictions = None
-        # Hot-path precomputation for :meth:`access_run_raw`. The XOR
-        # fold in :meth:`_set_index` is pure in the address, so repeat
-        # lookups hit a memo dict (bounded by the distinct lines the
-        # metadata address space ever touches); popcounts of sector
-        # masks come from a table when lines are narrow enough (the
-        # 128 B / 32 B metadata lines have only 4 sectors).
-        self._set_memo: Dict[int, int] = {}
+        # Hot-path precomputation for :meth:`access_run_raw`: the
+        # config's derived geometry is read once, and popcounts of
+        # sector masks come from a table when lines are narrow enough
+        # (the 128 B / 32 B metadata lines have only 4 sectors).
+        self._line_bytes = config.line_bytes
+        self._num_sets = config.num_sets
+        self._full_mask = config.full_mask
+        self._sectored = config.sectored
         self._pc_table: Optional[List[int]] = (
             [bin(m).count("1") for m in range(1 << config.sectors_per_line)]
             if config.sectors_per_line <= 16 else None
@@ -188,8 +189,8 @@ class SectoredCache:
         upper line-index bits into the index (as real cache hash
         functions do) decorrelates those strides.
         """
-        line = line_addr // self.config.line_bytes
-        sets = self.config.num_sets
+        line = line_addr // self._line_bytes
+        sets = self._num_sets
         if sets == 1:
             return 0  # fully-associative: the fold below cannot shrink line
         folded = 0
@@ -201,12 +202,12 @@ class SectoredCache:
         return folded % sets
 
     def _normalize_mask(self, sector_mask: int) -> int:
-        mask = sector_mask & self.config.full_mask
+        mask = sector_mask & self._full_mask
         if mask == 0:
             raise ValueError("sector mask selects no sectors")
-        if not self.config.sectored:
+        if not self._sectored:
             # Non-sectored caches always operate on the whole line.
-            return self.config.full_mask
+            return self._full_mask
         return mask
 
     def probe(self, line_addr: int, sector_mask: int) -> Tuple[int, int]:
@@ -266,9 +267,9 @@ class SectoredCache:
 
         return AccessResult(hit_mask=hit_mask, miss_mask=miss_mask, evictions=evictions)
 
-    def access_run(
+    def access_run_raw(
         self, line_addr: int, sector_mask: int, write: bool, count: int
-    ) -> AccessResult:
+    ):
         """*count* consecutive identical accesses, compressed to one.
 
         State- and stats-identical to calling :meth:`access` *count*
@@ -276,46 +277,19 @@ class SectoredCache:
         is resident with every masked sector valid (and dirty, on a
         write), so each repeat is a full hit that moves the line to the
         MRU slot it already occupies and evicts nothing. The batch
-        replay path leans on this to collapse the per-event metadata
-        lookups of a same-location run into one real access plus bulk
-        hit accounting.
-        """
-        if count < 1:
-            raise ValueError("access_run needs count >= 1")
-        result = self.access(line_addr, sector_mask, write)
-        if count > 1:
-            repeats = count - 1
-            hits = repeats * popcount(
-                self._normalize_mask(sector_mask)
-            )
-            self.stats.accesses += repeats
-            self.stats.sector_hits += hits
-            if self._m_hits is not None and hits:
-                self._m_hits.inc(hits)
-        return result
+        replay layer collapses a same-location run of metadata lookups
+        into one call, and the BMT walk calls it with ``count=1``.
 
-    def access_run_raw(
-        self, line_addr: int, sector_mask: int, write: bool, count: int
-    ):
-        """:meth:`access_run` without the :class:`AccessResult` wrapper.
-
-        The batch replay layer calls this once per same-location
-        sub-run; at that rate the dataclass allocation and the popcount
-        properties dominate, so the raw form returns a plain
-        ``(miss_mask, miss_sector_count, evictions)`` tuple with an
-        empty-tuple placeholder when nothing dirty left the cache.
-        State and statistics transitions are identical to
-        :meth:`access_run`.
+        At that rate the :class:`AccessResult` allocation and its
+        popcount properties dominate, so the result is a plain
+        ``(miss_mask, miss_sector_count, evictions)`` tuple of the first
+        access, with an empty-tuple placeholder when nothing dirty left
+        the cache.
         """
         mask = self._normalize_mask(sector_mask)
         stats = self.stats
         stats.accesses += count
-        memo = self._set_memo
-        index = memo.get(line_addr)
-        if index is None:
-            index = self._set_index(line_addr)
-            memo[line_addr] = index
-        set_ = self._sets[index]
+        set_ = self._sets[self._set_index(line_addr)]
         evictions = ()
 
         line = set_.get(line_addr)

@@ -330,7 +330,7 @@ class MetadataEngine(PartitionEngine):
     # * metadata locations for the whole run come from one vectorized
     #   layout pass;
     # * consecutive events hitting the same (line, mask) collapse into a
-    #   single ``access_run`` — the repeats are full hits by
+    #   single ``access_run_raw`` call — the repeats are full hits by
     #   construction, so only bulk hit accounting remains;
     # * per-access miss traffic and fetch stats accumulate in locals and
     #   post once per run (traffic streams and EngineStats are

@@ -435,19 +435,20 @@ class PlutusEngine(MetadataEngine):
         if self.value_cache is None:
             self._batch_mac_reads(sectors)
             return
-        vc = self.value_cache
+        verify = self.value_cache.verify_keys
+        observe = self.value_cache.observe_keys
         mac_rows = np.zeros(int(sectors.size), dtype=bool)
         verified = failures = 0
         for i, keys in enumerate(keys_list):
             if keys is None:
                 mac_rows[i] = True
                 continue
-            if vc.verify_keys(keys):
+            if verify(keys):
                 verified += 1
             else:
                 failures += 1
                 mac_rows[i] = True
-            vc.observe_keys(keys)
+            observe(keys)
         self.stats.value_verified_fills += verified
         self.stats.mac_fetches_avoided += verified
         self.stats.value_check_failures += failures
@@ -470,15 +471,16 @@ class PlutusEngine(MetadataEngine):
         if self.value_cache is None:
             self._batch_mac_writes(sectors)
             return
-        vc = self.value_cache
+        observe = self.value_cache.observe_keys
+        write_verifiable = self.value_cache.write_verifiable_keys
         mac_rows = np.zeros(int(sectors.size), dtype=bool)
         avoided = 0
         for i, keys in enumerate(keys_list):
             if keys is None:
                 mac_rows[i] = True
                 continue
-            vc.observe_keys(keys)
-            if vc.write_verifiable_keys(keys):
+            observe(keys)
+            if write_verifiable(keys):
                 avoided += 1
             else:
                 mac_rows[i] = True

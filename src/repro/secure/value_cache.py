@@ -108,6 +108,12 @@ class ValueCache:
         self._transient: "OrderedDict[int, int]" = OrderedDict()
         #: Pinned region: masked value -> frequency (never evicted).
         self._pinned: Dict[int, int] = {}
+        # The config's derived limits, read on every key probe. The
+        # per-value probe/observe keep reading the config: they are the
+        # reference the key methods are tested against.
+        self._pinned_capacity = config.pinned_capacity
+        self._transient_capacity = config.transient_capacity
+        self._freq_cap = (1 << config.freq_bits) - 1
 
     def _key(self, value: int) -> int:
         return mask_low_bits(value & ((1 << self.config.value_bits) - 1),
@@ -194,43 +200,43 @@ class ValueCache:
         satisfy this"). Each probe refreshes LRU position and bumps the
         hit entry's frequency counter, as :meth:`probe` does.
         """
-        cfg = self.config
-        per_unit = cfg.values_per_unit
-        nkeys = len(keys)
-        if nkeys % per_unit != 0:
+        per_unit = self.config.values_per_unit
+        if len(keys) % per_unit != 0:
             raise ValueError("sector values must fill whole units")
         stats = self.stats
         pinned = self._pinned
         transient = self._transient
-        freq_cap = (1 << cfg.freq_bits) - 1
-        pin_at = cfg.pin_threshold
-        pin_cap = cfg.pinned_capacity
-        need = cfg.hits_required
-        probes = hits_total = pinned_total = promotions = 0
+        freq_cap = self._freq_cap
+        pin_at = self.config.pin_threshold
+        pin_cap = self._pinned_capacity
+        need = self.config.hits_required
+        probes = hits = pinned_hits = promotions = unit_start = 0
+        unit_end = per_unit
         passed = True
         stats.sectors_checked += 1
-        for start in range(0, nkeys, per_unit):
-            hits = 0
-            for key in keys[start:start + per_unit]:
-                probes += 1
-                if key in pinned:
+        for probes, key in enumerate(keys, 1):
+            if key in pinned:
+                hits += 1
+                pinned_hits += 1
+            else:
+                freq = transient.get(key)
+                if freq is not None:
                     hits += 1
-                    pinned_total += 1
-                elif key in transient:
-                    hits += 1
-                    freq = min(transient[key] + 1, freq_cap)
+                    freq = freq + 1 if freq < freq_cap else freq_cap
                     transient[key] = freq
                     transient.move_to_end(key)
                     if freq >= pin_at and len(pinned) < pin_cap:
                         pinned[key] = transient.pop(key)
                         promotions += 1
-            hits_total += hits
-            if hits < need:
-                passed = False
-                break  # the remaining units are not probed
+            if probes == unit_end:
+                if hits - unit_start < need:
+                    passed = False
+                    break  # the remaining units are not probed
+                unit_start = hits
+                unit_end += per_unit
         stats.probes += probes
-        stats.hits += hits_total
-        stats.pinned_hits += pinned_total
+        stats.hits += hits
+        stats.pinned_hits += pinned_hits
         stats.promotions += promotions
         if passed:
             stats.sectors_verified += 1
@@ -242,7 +248,7 @@ class ValueCache:
         """Record every key of a sector (see :meth:`observe`)."""
         pinned = self._pinned
         transient = self._transient
-        cap = self.config.transient_capacity
+        cap = self._transient_capacity
         for key in keys:
             if key in pinned:
                 continue

@@ -1,6 +1,8 @@
 """Tests for the Plutus value cache."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.secure.value_cache import ValueCache, ValueCacheConfig
@@ -188,3 +190,78 @@ class TestWriteVerifiability:
         probes_before = cache.stats.probes
         cache.write_verifiable([0x10] * 8)
         assert cache.stats.probes == probes_before
+
+
+def reference_verify(cache, keys):
+    """verify_keys through the per-value probe: every value of a unit is
+    probed, and the first unit short of ``hits_required`` ends the
+    sector."""
+    per_unit = cache.config.values_per_unit
+    cache.stats.sectors_checked += 1
+    for start in range(0, len(keys), per_unit):
+        hits = sum(cache.probe(key)[0] for key in keys[start:start + per_unit])
+        if hits < cache.config.hits_required:
+            cache.stats.sectors_failed += 1
+            return False
+    cache.stats.sectors_verified += 1
+    return True
+
+
+def reference_write_verifiable(cache, keys):
+    """write_verifiable_keys from the pinned set: every unit needs
+    ``hits_required`` pinned values."""
+    pinned = set(cache.pinned_values())
+    per_unit = cache.config.values_per_unit
+    return all(
+        sum(key in pinned for key in keys[start:start + per_unit])
+        >= cache.config.hits_required
+        for start in range(0, len(keys), per_unit)
+    )
+
+
+#: Masked keys (low four bits clear), so the per-value methods probe
+#: exactly these keys. Eight of them keep every key hot enough to
+#: saturate its frequency counter.
+ORACLE_KEYS = [0x1230 + 0x100 * i for i in range(8)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    entries=st.integers(min_value=8, max_value=64),
+    pinned_fraction=st.sampled_from((0.0, 0.25, 0.5)),
+    pin_threshold=st.integers(min_value=1, max_value=15),
+    distinct=st.integers(min_value=1, max_value=len(ORACLE_KEYS)),
+    sectors=st.lists(
+        st.tuples(st.booleans(), st.lists(
+            st.integers(min_value=0, max_value=len(ORACLE_KEYS) - 1),
+            min_size=8, max_size=8,
+        )),
+        min_size=1, max_size=80,
+    ),
+)
+def test_key_methods_match_per_value_reference(
+    entries, pinned_fraction, pin_threshold, distinct, sectors
+):
+    """Reads verify then observe; writes observe then check pinned
+    verifiability. After every sector the key methods leave the cache
+    exactly where the per-value probe/observe do."""
+    config = ValueCacheConfig(entries=entries, pinned_fraction=pinned_fraction,
+                              pin_threshold=pin_threshold)
+    fast = ValueCache(config)
+    ref = ValueCache(config)
+    for step, (is_read, picks) in enumerate(sectors):
+        keys = [ORACLE_KEYS[pick % distinct] for pick in picks]
+        if is_read:
+            got = fast.verify_keys(keys)
+            want = reference_verify(ref, keys)
+            fast.observe_keys(keys)
+            for key in keys:
+                ref.observe(key)
+        else:
+            fast.observe_keys(keys)
+            for key in keys:
+                ref.observe(key)
+            got = fast.write_verifiable_keys(keys)
+            want = reference_write_verifiable(ref, keys)
+        assert got == want, step
+        assert fast.state_summary() == ref.state_summary(), step
