@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.gpu.config import VOLTA
 from repro.mem.traffic import Stream, TrafficCounter
 from repro.metadata.compact import DESIGN_3BIT_ADAPTIVE
 from repro.metadata.layout import GranularityDesign
 from repro.secure.common_counters import CommonCountersEngine
-from repro.secure.engine import NoSecurityEngine
+from repro.secure.engine import MetadataCacheConfig, NoSecurityEngine
 from repro.secure.plutus import PlutusEngine
 from repro.secure.pssm import PssmEngine
 
@@ -196,6 +197,31 @@ class TestPlutusTreeElimination:
         for i in range(50):
             engine.on_fill_batch([i * 4096], [None])
         assert traffic.report().tree_bytes > 0
+
+
+class TestWholeLineMetadataCaches:
+    def test_fine_grained_plutus_finalizes(self):
+        """The sectored-cache ablation's engine: 32 B tree nodes with
+        lazy updates in whole-line caches, on a full Volta partition.
+        No cache line holds a node and its off-chip parent, so the
+        final flush drains."""
+        traffic = TrafficCounter()
+        engine = PlutusEngine(
+            0, VOLTA.sectors_per_partition, traffic,
+            design=GranularityDesign.ALL_32,
+            value_cache_config=None,
+            compact_config=None,
+            cache_config=MetadataCacheConfig(sectored=False),
+        )
+        for i in range(50):
+            engine.on_fill_batch([i * 4096], [None])
+            engine.on_writeback_batch([i * 4096], [None])
+        engine.finalize()
+        assert not engine.bmt_cache.flush()
+        report = traffic.report()
+        assert report.bytes_by_stream[Stream.BMT_WRITE] > 0
+        # Each 32 B counter miss fetched its whole 128 B line.
+        assert report.bytes_by_stream[Stream.COUNTER_READ] == 50 * 128
 
 
 class TestMinorOverflowInteraction:
