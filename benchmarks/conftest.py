@@ -10,10 +10,11 @@ runtime; override with REPRO_BENCH_TRACE_LEN (the EXPERIMENTS.md numbers
 were recorded at 30000).
 
 At session end every memoized simulation's *per-stream* traffic is
-emitted through the observability metrics writer (see
-``repro.obs.export``) so BENCH_*.json trajectories carry the full
-breakdown, not just headline totals. Set REPRO_BENCH_METRICS_OUT to
-choose the path, or to an empty string to disable the dump.
+written through the observability metrics writer (see
+``repro.obs.export``) to ``BENCH_METRICS.json``, so a bench run leaves
+the full traffic breakdown, not just the headline totals its
+assertions check. Set REPRO_BENCH_METRICS_OUT to choose the path, or
+to an empty string to disable the dump.
 """
 
 import os

@@ -46,10 +46,6 @@ artifact store: entry/byte counts and lifetime hit/corruption
 counters, plus LRU eviction down to ``--max-bytes`` that never evicts
 entries pinned by an in-flight campaign.
 
-``python -m repro.harness bench`` measures replay throughput
-(events/sec) across engine design points and appends the result to
-the committed benchmark trajectory (benchmarks/BENCH_0001.json).
-
 ``python -m repro.harness list`` enumerates every key the other
 subcommands accept (benchmarks, engine design points, experiments,
 sweeps, fault campaigns, fuzz patterns, conformance invariants).
@@ -608,10 +604,6 @@ def main(argv=None) -> int:
         from repro.harness.status import status_main
 
         return status_main(argv[1:])
-    if argv and argv[0] == "bench":
-        from repro.harness.bench import bench_main
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "cache":
         from repro.harness.cache_cli import cache_main
 

@@ -105,11 +105,18 @@ class TestWorkersFlag:
         assert "--workers needs a run journal" in err
         assert len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("argv", [["profile", "bfs"], ["bench"]],
-                             ids=["profile", "bench"])
+    @pytest.mark.parametrize("argv", [["profile", "bfs"]], ids=["profile"])
     def test_replay_commands_take_no_workers(self, argv, capsys):
         assert _exit_code(argv + ["--workers", "2"]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_removed_bench_subcommand_is_an_unknown_experiment(self, capsys):
+        # A script still calling the deleted replay-throughput
+        # subcommand gets a usage error, not a run.
+        assert _exit_code(["bench"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown experiments: ['bench']" in captured.err
 
 
 class TestProfileCli:
