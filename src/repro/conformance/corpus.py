@@ -2,7 +2,8 @@
 
 Six small deterministic event logs are committed under
 ``tests/conformance/corpus/`` as ``<name>.events`` (the
-:mod:`repro.workloads.traceio` event-log format) together with
+:mod:`repro.workloads.traceio` event-log format, hex-encoded column
+chunks) together with
 ``<name>.snap`` — the expected per-engine :class:`TrafficReport` of the
 full conformance matrix. Three are benchmark-derived (workload-shaped,
 so the paper's ordering claims are asserted on them); three come from
@@ -10,18 +11,16 @@ the fuzzer's adversarial generators under fixed seeds (universal
 invariants only).
 
 Verification replays the *committed* logs — the files are the source
-of truth — and reports three failure classes per entry: invariant
-violations, snapshot drift (current traffic differs from the committed
-snapshot), and disk-cache inconsistency (an event log stored to and
-loaded back from the PR-2 disk cache must replay byte-identically to a
-cache miss). ``--update`` rebuilds both files from the entry specs.
+of truth — and reports two failure classes per entry: invariant
+violations (the matrix's ``io-roundtrip`` invariant covers a
+serialize/reload of the log) and snapshot drift (current traffic
+differs from the committed snapshot). ``--update`` rebuilds both files
+from the entry specs.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -31,22 +30,14 @@ from repro.conformance.fuzzer import generate_log
 from repro.conformance.invariants import Violation, check_run
 from repro.conformance.matrix import (
     CONFORMANCE_ENGINES,
-    CROSS_CHECK_ENGINE,
     DEFAULT_FUNCTIONAL_EVENTS,
-    conformance_factories,
     run_matrix,
 )
 from repro.gpu.config import VOLTA, GpuConfig
-from repro.gpu.simulator import (
-    MemoryEventLog,
-    SimulationResult,
-    replay_events,
-)
-from repro.harness.diskcache import DiskCache
+from repro.gpu.simulator import MemoryEventLog, SimulationResult
 from repro.mem.traffic import Stream, TrafficReport
 from repro.workloads.benchmarks import build_trace
 from repro.workloads.traceio import (
-    dumps_event_log,
     load_event_log,
     load_traffic_reports,
     save_event_log,
@@ -114,50 +105,6 @@ def build_spec_log(spec: CorpusSpec, config: GpuConfig = VOLTA) -> MemoryEventLo
     raise ValueError(f"corpus entry {spec.name!r} has unknown kind {spec.kind!r}")
 
 
-def _check_disk_cache(
-    log: MemoryEventLog,
-    reference: SimulationResult,
-    config: GpuConfig,
-) -> List[str]:
-    """Store/load the log through the disk cache and replay the copy.
-
-    A cache hit must be indistinguishable from a miss: the reloaded
-    log's serialized form and its replay traffic must both match.
-    """
-    messages = []
-    key = hashlib.sha256(
-        dumps_event_log(log).encode("utf-8")
-    ).hexdigest()[:32]
-    with tempfile.TemporaryDirectory(prefix="conform-cache-") as root:
-        cache = DiskCache(root)
-        cache.store_event_log(key, log)
-        cached = cache.load_event_log(key)
-    if cached is None:
-        return ["disk cache lost a freshly stored event log"]
-    if dumps_event_log(cached) != dumps_event_log(log):
-        messages.append(
-            "event log reloaded from the disk cache serializes differently"
-        )
-    factory = conformance_factories((CROSS_CHECK_ENGINE,))[CROSS_CHECK_ENGINE]
-    replayed = replay_events(cached, factory, config)
-    for stream in Stream:
-        direct = (
-            reference.traffic.bytes_by_stream[stream],
-            reference.traffic.transactions_by_stream[stream],
-        )
-        via_cache = (
-            replayed.traffic.bytes_by_stream[stream],
-            replayed.traffic.transactions_by_stream[stream],
-        )
-        if direct != via_cache:
-            messages.append(
-                f"cache-hit replay diverged on stream {stream.value}: "
-                f"{direct[0]}B/{direct[1]}tx direct vs "
-                f"{via_cache[0]}B/{via_cache[1]}tx via cache"
-            )
-    return messages
-
-
 def _diff_reports(
     expected: Dict[str, TrafficReport],
     actual: Dict[str, SimulationResult],
@@ -196,16 +143,12 @@ class CorpusEntryResult:
     name: str
     violations: List[Violation] = field(default_factory=list)
     drift: List[str] = field(default_factory=list)
-    cache_errors: List[str] = field(default_factory=list)
     missing: List[str] = field(default_factory=list)
     updated: bool = False
 
     @property
     def ok(self) -> bool:
-        return not (
-            self.violations or self.drift or self.cache_errors
-            or self.missing
-        )
+        return not (self.violations or self.drift or self.missing)
 
 
 @dataclass
@@ -240,11 +183,10 @@ def run_corpus(
 
     Verification replays each committed ``.events`` log through the
     conformance matrix, checks the invariant set (claim invariants only
-    on entries whose spec asserts them), compares traffic to the
-    committed ``.snap``, and exercises the disk-cache consistency
-    check. Regeneration rebuilds both files from the entry specs — and
-    still runs the invariant oracle, so a regression cannot be baked
-    into fresh snapshots silently.
+    on entries whose spec asserts them), and compares traffic to the
+    committed ``.snap``. Regeneration rebuilds both files from the entry
+    specs — and still runs the invariant oracle, so a regression cannot
+    be baked into fresh snapshots silently.
     """
     root = default_corpus_dir() if corpus_dir is None else corpus_dir
     outcome = CorpusOutcome(corpus_dir=root)
@@ -273,9 +215,6 @@ def run_corpus(
             functional_events=functional_events,
         )
         entry.violations = check_run(run)
-        entry.cache_errors = _check_disk_cache(
-            log, run.results[CROSS_CHECK_ENGINE], config
-        )
 
         if update:
             # Atomic per-file replacement: an interrupted --update

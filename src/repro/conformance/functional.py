@@ -83,7 +83,7 @@ def execute_log(
     shadows: Dict[int, Dict[int, bytes]] = {}
     size_bytes = fold_sectors * SECTOR_BYTES
 
-    for index, event in enumerate(log.events):
+    for index, event in enumerate(log.events.iter_events()):
         if max_events is not None and index >= max_events:
             break
         outcome.events_consumed += 1
@@ -187,7 +187,7 @@ def execute_recovery_probe(
     size_bytes = fold_sectors * SECTOR_BYTES
 
     ops: List[tuple] = []
-    for index, event in enumerate(log.events):
+    for index, event in enumerate(log.events.iter_events()):
         address = (event.sector_index % fold_sectors) * SECTOR_BYTES
         if event.kind is EventKind.WRITEBACK:
             data = event.values

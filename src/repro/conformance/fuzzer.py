@@ -41,6 +41,7 @@ from repro.conformance.matrix import (
 )
 from repro.gpu.config import VOLTA, GpuConfig
 from repro.gpu.simulator import EventKind, MemoryEvent, MemoryEventLog
+from repro.workloads.traceio import dumps_event_log, loads_event_log
 
 #: Fold distance used by the alias pattern (matches the functional
 #: oracle's default bounded-memory size, in sectors).
@@ -77,13 +78,13 @@ def _finish(
         memory_intensity=0.5,
         instructions=max(1, len(events)),
         counter_warmup_passes=counter_warmup_passes,
-        events=events,
     )
     for event in events:
-        if event.kind is EventKind.FILL:
-            log.fill_sectors += 1
-        else:
-            log.writeback_sectors += 1
+        append = (
+            log.append_fill if event.kind is EventKind.FILL
+            else log.append_writeback
+        )
+        append(event.partition, event.sector_index, event.values)
     return log
 
 
@@ -282,7 +283,7 @@ def shrink(
     the ddmin sense: removing any single tried chunk breaks the
     predicate. The original *log* is never mutated.
     """
-    events = list(log.events)
+    events = list(log.events.iter_events())
     if not predicate(rebuild_log(log, events)):
         raise ValueError("original log does not satisfy the predicate")
     granularity = 2
@@ -434,43 +435,20 @@ def fuzz(
 
 # -- supervised decomposition -------------------------------------------------
 
-def _event_payload(event: MemoryEvent) -> Dict[str, object]:
-    return {
-        "kind": event.kind.name,
-        "partition": event.partition,
-        "sector": event.sector_index,
-        "values": event.values.hex() if event.values is not None else None,
-    }
-
-
-def _event_from_payload(payload: Dict[str, object]) -> MemoryEvent:
-    values = payload["values"]
-    return MemoryEvent(
-        EventKind[payload["kind"]],
-        payload["partition"],
-        payload["sector"],
-        bytes.fromhex(values) if values is not None else None,
-    )
-
-
 def _failure_payload(failure: FuzzFailure) -> Dict[str, object]:
     return {
         "iteration": failure.iteration,
         "pattern": failure.pattern,
-        "trace_name": failure.log.trace_name,
-        "warmup": failure.log.counter_warmup_passes,
         "violations": [
             {"invariant": v.invariant, "message": v.message}
             for v in failure.violations
         ],
-        "events": [_event_payload(e) for e in failure.log.events],
-        "shrunk": [_event_payload(e) for e in failure.shrunk.events],
+        "events": dumps_event_log(failure.log),
+        "shrunk": dumps_event_log(failure.shrunk),
     }
 
 
 def _failure_from_payload(payload: Dict[str, object]) -> FuzzFailure:
-    name = payload["trace_name"]
-    warmup = payload["warmup"]
     return FuzzFailure(
         iteration=payload["iteration"],
         pattern=payload["pattern"],
@@ -478,12 +456,8 @@ def _failure_from_payload(payload: Dict[str, object]) -> FuzzFailure:
             Violation(invariant=v["invariant"], message=v["message"])
             for v in payload["violations"]
         ],
-        log=_finish(
-            name, [_event_from_payload(e) for e in payload["events"]], warmup
-        ),
-        shrunk=_finish(
-            name, [_event_from_payload(e) for e in payload["shrunk"]], warmup
-        ),
+        log=loads_event_log(payload["events"]),
+        shrunk=loads_event_log(payload["shrunk"]),
     )
 
 
@@ -542,6 +516,10 @@ def fuzz_campaign(
                     "functional_events": functional_events,
                     "shrink": shrink_failures,
                     "config": config_id,
+                    # The journaled layout of failing logs is part of
+                    # the unit identity, so a journal holding another
+                    # layout is refused on resume instead of misparsed.
+                    "failure_logs": "event-log-text",
                 },
                 runner=runner_for(start, stop),
                 label=f"fuzz[{start}:{stop}]",

@@ -33,8 +33,6 @@ def render_corpus(outcome: CorpusOutcome) -> str:
             lines.append(f"    violation: {violation}")
         for message in entry.drift:
             lines.append(f"    drift: {message}")
-        for message in entry.cache_errors:
-            lines.append(f"    cache: {message}")
     verdict = "PASS" if outcome.ok else "FAIL"
     lines.append(
         f"corpus verdict: {verdict} "

@@ -1,9 +1,8 @@
 """Columnar (structure-of-arrays) core of the DRAM-side event log.
 
-The event log used to be a Python list of :class:`MemoryEvent` objects —
-fine at thousands of events, ruinous at millions: every event costs an
-object header, and every replay pass re-dispatches per event. This
-module stores the same stream as parallel columns instead:
+The log stores its event stream as parallel columns rather than one
+Python object per event, so millions of events cost a few buffers and
+replay can cut them into per-partition runs with numpy:
 
 * ``kind``      — one byte per event (0 = fill, 1 = writeback);
 * ``partition`` — int32 partition index;
@@ -11,20 +10,15 @@ module stores the same stream as parallel columns instead:
 * ``value_offset``/``value_length`` — int64/int32 slices into a shared
   ``payload`` byte blob (offset ``-1`` means the event carried no value).
 
-Three views cooperate:
+Two forms cooperate:
 
 * :class:`ColumnStore` — the growable builder (``bytearray`` +
-  ``array.array`` columns) the L2 pass appends into;
+  ``array.array`` columns) that *is* ``MemoryEventLog.events``: the L2
+  pass and the fuzzer append into it, the loader bulk-extends it, and
+  :meth:`ColumnStore.iter_events` materializes :class:`MemoryEvent`
+  objects one at a time for per-event readers;
 * :class:`EventColumns` — an immutable numpy snapshot of a store, the
-  form the vectorized replay and serialization operate on;
-* :class:`EventView` — a lazy ``Sequence[MemoryEvent]`` over a store, so
-  every caller written against ``log.events`` (iteration, indexing,
-  slicing, equality) keeps working unchanged; events are materialized
-  on access, never stored.
-
-Round-trips are exact by construction: ``ColumnStore.from_columns(
-store.to_columns())`` reproduces every event, and ``EventView`` equality
-against a plain list compares field-by-field.
+  form the vectorized replay and serialization operate on.
 """
 
 from __future__ import annotations
@@ -57,8 +51,9 @@ _KIND_BY_CODE = (EventKind.FILL, EventKind.WRITEBACK)
 class MemoryEvent:
     """One sector-granular DRAM-side event at a partition controller.
 
-    Compares by value (kind, partition, sector, payload), so a
-    materialized view event equals the object it round-tripped from.
+    Compares by value (kind, partition, sector, payload), so an event
+    materialized by :meth:`ColumnStore.iter_events` equals the one that
+    was appended.
     """
 
     __slots__ = ("kind", "partition", "sector_index", "values")
@@ -270,12 +265,6 @@ class ColumnStore:
                 self._fixed32 = False
         self._cols = None
 
-    def append_event(self, event: MemoryEvent) -> None:
-        self.append(
-            FILL_CODE if event.kind is EventKind.FILL else WRITEBACK_CODE,
-            event.partition, event.sector_index, event.values,
-        )
-
     def extend_decoded(
         self,
         kinds: bytes,
@@ -316,38 +305,10 @@ class ColumnStore:
             self._fixed32 = False
         self._cols = None
 
-    @classmethod
-    def from_columns(cls, cols: EventColumns) -> "ColumnStore":
-        store = cls()
-        lengths = np.where(
-            cols.value_offset >= 0, cols.value_length, -1
-        ).astype(np.int32)
-        store.extend_decoded(
-            cols.kind.tobytes(), cols.partition, cols.sector, lengths,
-            cols.payload,
-        )
-        return store
-
     # -- reading ----------------------------------------------------------
 
-    def event(self, row: int) -> MemoryEvent:
-        if row < 0:
-            row += len(self._kinds)
-        if not 0 <= row < len(self._kinds):
-            raise IndexError("event index out of range")
-        offset = self._offsets[row]
-        values = (
-            None if offset < 0
-            else bytes(self._payload[offset:offset + self._lengths[row]])
-        )
-        return MemoryEvent(
-            _KIND_BY_CODE[self._kinds[row]],
-            self._partitions[row],
-            self._sectors[row],
-            values,
-        )
-
     def iter_events(self) -> Iterator[MemoryEvent]:
+        """Materialize the events in log order, one object at a time."""
         payload = self._payload
         for code, partition, sector, offset, length in zip(
             self._kinds, self._partitions, self._sectors,
@@ -379,63 +340,3 @@ class ColumnStore:
                 fixed32=self._fixed32,
             )
         return self._cols
-
-    def equals(self, other: "ColumnStore") -> bool:
-        """Event-for-event equality (payload layout is canonical)."""
-        return (
-            self._kinds == other._kinds
-            and self._partitions == other._partitions
-            and self._sectors == other._sectors
-            and self._lengths == other._lengths
-            and self._offsets == other._offsets
-            and self._payload == other._payload
-        )
-
-
-class EventView(Sequence):
-    """Lazy ``Sequence[MemoryEvent]`` over a :class:`ColumnStore`.
-
-    Behaves like the ``List[MemoryEvent]`` it replaced — iteration,
-    ``len``, indexing, slicing (returns a plain list), ``append``,
-    ``extend``, and equality against lists or other views — but holds
-    no event objects; each access materializes from the columns.
-    """
-
-    __slots__ = ("store",)
-
-    #: Like lists, views are unhashable.
-    __hash__ = None  # type: ignore[assignment]
-
-    def __init__(self, store: Optional[ColumnStore] = None) -> None:
-        self.store = store if store is not None else ColumnStore()
-
-    def __len__(self) -> int:
-        return len(self.store)
-
-    def __iter__(self) -> Iterator[MemoryEvent]:
-        return self.store.iter_events()
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            rows = range(len(self.store))[index]
-            return [self.store.event(row) for row in rows]
-        return self.store.event(index)
-
-    def append(self, event: MemoryEvent) -> None:
-        self.store.append_event(event)
-
-    def extend(self, events) -> None:
-        for event in events:
-            self.store.append_event(event)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, EventView):
-            return self.store.equals(other.store)
-        if isinstance(other, (list, tuple)):
-            return len(other) == len(self) and all(
-                mine == theirs for mine, theirs in zip(self, other)
-            )
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"<EventView of {len(self)} events>"

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -35,13 +35,11 @@ from repro.gpu.columnar import (
     ColumnStore,
     EventColumns,
     EventKind,
-    EventView,
     MemoryEvent,
 )
 from repro.gpu.config import GpuConfig
 from repro.mem.cache import CacheConfig, SectoredCache
 from repro.mem.traffic import Stream, TrafficCounter, TrafficReport
-from repro.obs.session import ObsSession
 from repro.obs.session import active as _obs_active
 from repro.secure.engine import EngineStats, PartitionEngine
 from repro.workloads.trace import Trace
@@ -70,16 +68,15 @@ class L2Stats:
         return self.sector_hits / total if total else 0.0
 
 
-@dataclass
+@dataclass(eq=False)
 class MemoryEventLog:
     """The DRAM-side event stream distilled from one L2 pass.
 
-    Storage is columnar (:mod:`repro.gpu.columnar`): ``events`` accepts
-    a plain ``List[MemoryEvent]`` at construction for compatibility but
-    always *reads* as a lazy :class:`~repro.gpu.columnar.EventView` over
-    the structure-of-arrays store. ``fill_sectors``/``writeback_sectors``
-    stay caller-maintained (the L2 pass and the loaders count as they
-    append), exactly as with the old list field.
+    ``events`` is the columnar store (:mod:`repro.gpu.columnar`). Build
+    a log with :meth:`append_fill`/:meth:`append_writeback`, which keep
+    ``fill_sectors``/``writeback_sectors`` in step with the store, and
+    read it back with ``events.iter_events()`` or the numpy snapshot
+    :meth:`to_columns`.
     """
 
     trace_name: str
@@ -87,68 +84,30 @@ class MemoryEventLog:
     instructions: int
     #: Pre-window write-history depth recorded from the trace profile.
     counter_warmup_passes: int = 3
-    events: Union[EventView, List[MemoryEvent]] = field(
-        default_factory=list
-    )
-    fill_sectors: int = 0
-    writeback_sectors: int = 0
     l2_stats: L2Stats = field(default_factory=L2Stats)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.events, EventView):
-            view = EventView()
-            view.extend(self.events)
-            self.events = view
+    events: ColumnStore = field(default_factory=ColumnStore, init=False)
+    fill_sectors: int = field(default=0, init=False)
+    writeback_sectors: int = field(default=0, init=False)
 
     @property
     def data_bytes(self) -> int:
         return 32 * (self.fill_sectors + self.writeback_sectors)
 
-    # -- columnar access ---------------------------------------------------
-
     def append_fill(self, partition: int, sector: int,
                     values: Optional[bytes]) -> None:
-        """Append one fill event and account it (raw-column fast path)."""
-        self.events.store.append(FILL_CODE, partition, sector, values)
+        """Append one fill event and account it."""
+        self.events.append(FILL_CODE, partition, sector, values)
         self.fill_sectors += 1
 
     def append_writeback(self, partition: int, sector: int,
                          values: Optional[bytes]) -> None:
         """Append one writeback event and account it."""
-        self.events.store.append(WRITEBACK_CODE, partition, sector, values)
+        self.events.append(WRITEBACK_CODE, partition, sector, values)
         self.writeback_sectors += 1
 
     def to_columns(self) -> EventColumns:
         """Numpy snapshot of the event stream (cached by the store)."""
-        return self.events.store.to_columns()
-
-    @classmethod
-    def from_columns(
-        cls,
-        cols: EventColumns,
-        *,
-        trace_name: str,
-        memory_intensity: float,
-        instructions: int,
-        counter_warmup_passes: int = 3,
-        l2_stats: "L2Stats | None" = None,
-    ) -> "MemoryEventLog":
-        """Build a log directly from a columnar snapshot.
-
-        Fill/writeback counts are derived from the ``kind`` column, so a
-        snapshot round-trip reproduces the accounting exactly.
-        """
-        fills = cols.fill_count
-        return cls(
-            trace_name=trace_name,
-            memory_intensity=memory_intensity,
-            instructions=instructions,
-            counter_warmup_passes=counter_warmup_passes,
-            events=EventView(ColumnStore.from_columns(cols)),
-            fill_sectors=fills,
-            writeback_sectors=cols.n_events - fills,
-            l2_stats=l2_stats if l2_stats is not None else L2Stats(),
-        )
+        return self.events.to_columns()
 
 
 @dataclass

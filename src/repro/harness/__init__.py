@@ -3,13 +3,6 @@
 from repro.harness.experiments import EXPERIMENTS, ExperimentResult, run_all
 from repro.harness.report import format_bars, format_table, render_experiment
 from repro.harness.runner import DEFAULT_TRACE_LENGTH, ExperimentContext
-from repro.harness.sweeps import (
-    sweep_memory_intensity,
-    sweep_metadata_cache,
-    sweep_partitions,
-    sweep_seeds,
-    sweep_trace_length,
-)
 
 __all__ = [
     "DEFAULT_TRACE_LENGTH",
@@ -20,9 +13,4 @@ __all__ = [
     "format_table",
     "render_experiment",
     "run_all",
-    "sweep_memory_intensity",
-    "sweep_metadata_cache",
-    "sweep_partitions",
-    "sweep_seeds",
-    "sweep_trace_length",
 ]

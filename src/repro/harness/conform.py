@@ -61,8 +61,18 @@ def run_conform(
     into supervised execution: iterations run as chunked work units
     with retry, journaling, and budget degradation; the factory shape
     lets the caller open a run journal against the concrete campaign.
+    The supervisor is built before the corpus stage runs, so a journal
+    it refuses stops the command before any work is done.
     """
     outcome = ConformOutcome()
+    supervisor = None
+    if fuzz_iterations > 0 and supervisor_factory is not None:
+        campaign = fuzz_campaign(
+            fuzz_iterations, seed,
+            chunk_size=fuzz_chunk,
+            functional_events=functional_events,
+        )
+        supervisor = supervisor_factory(campaign)
     if corpus or update:
         outcome.corpus = run_corpus(
             corpus_dir=corpus_dir,
@@ -70,17 +80,12 @@ def run_conform(
             functional_events=functional_events,
         )
     if fuzz_iterations > 0:
-        if supervisor_factory is None:
+        if supervisor is None:
             outcome.fuzz = fuzz(
                 fuzz_iterations, seed, functional_events=functional_events
             )
         else:
-            campaign = fuzz_campaign(
-                fuzz_iterations, seed,
-                chunk_size=fuzz_chunk,
-                functional_events=functional_events,
-            )
-            supervised = supervisor_factory(campaign).run(campaign)
+            supervised = supervisor.run(campaign)
             outcome.supervision = supervised
             outcome.fuzz = fuzz_report_from_outcome(
                 supervised, fuzz_iterations, seed

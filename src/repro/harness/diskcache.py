@@ -13,12 +13,14 @@ their defining inputs:
   ``GpuConfig`` signature, so regenerating a trace differently (or
   changing the L2 geometry) invalidates dependent logs automatically.
 
-Storage is the human-readable :mod:`repro.workloads.traceio` line
-formats plus a SHA-256 checksum footer; writes are atomic (temp file +
-rename) so concurrent runs never observe torn artifacts. A truncated,
-bit-flipped, or otherwise mangled entry fails the checksum (or the
-format validation behind it) and degrades to a cache miss — counted in
-:attr:`DiskCache.corrupt_entries`, never surfaced as a parse error. Delete the cache root, or bump
+Storage is the :mod:`repro.workloads.traceio` text formats (a trace
+is one access per line; an event log is hex-encoded column chunks,
+which load through the bulk column path) plus a SHA-256 checksum
+footer; writes are atomic (temp file + rename) so concurrent runs never
+observe torn artifacts. A truncated, bit-flipped, or otherwise mangled
+entry fails the checksum (or the format validation behind it) and
+degrades to a cache miss — counted in :attr:`DiskCache.corrupt_entries`,
+never surfaced as a parse error. Delete the cache root, or bump
 :data:`SCHEMA_VERSION` after changing trace generators, to invalidate
 everything.
 
@@ -160,10 +162,6 @@ def resolve_cache_dir(spec: Optional[str] = None) -> Optional[str]:
     return spec or None
 
 
-#: Backwards-compatible alias for the pre-resilience private name.
-_digest = content_digest
-
-
 @dataclass(frozen=True)
 class GcResult:
     """What one :meth:`DiskCache.gc` pass did (or would do)."""
@@ -217,7 +215,7 @@ class DiskCache:
     @staticmethod
     def trace_key(benchmark: str, length: int, seed: int) -> str:
         """Key for a generated benchmark trace (generator identity)."""
-        return _digest(
+        return content_digest(
             "trace", SCHEMA_VERSION, benchmark, str(length), str(seed)
         )
 
@@ -230,7 +228,7 @@ class DiskCache:
         without bookkeeping. ``GpuConfig`` is a frozen dataclass tree;
         its repr is a complete structural signature.
         """
-        return _digest(
+        return content_digest(
             "eventlog", SCHEMA_VERSION, dumps_trace(trace), repr(config)
         )
 
@@ -331,12 +329,7 @@ class DiskCache:
         return log
 
     def store_event_log(self, key: str, log: "MemoryEventLog") -> None:
-        # Columnar chunks load through the bulk column fast path, so a
-        # cache hit skips both simulate_l2 *and* per-event parsing.
-        self._write_atomic(
-            self._path("events", key),
-            dumps_event_log(log, format="columnar"),
-        )
+        self._write_atomic(self._path("events", key), dumps_event_log(log))
 
     # -- artifact store: pins, GC, stats -------------------------------------
 

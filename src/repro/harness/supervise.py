@@ -10,7 +10,9 @@ same flag vocabulary:
 * ``--chaos`` / ``--chaos-seed`` — the seeded chaos monkey;
 * ``--run-dir`` / ``--run-id`` / ``--resume`` — the journal: where run
   directories live, which run this is, and whether to continue an
-  existing one instead of starting fresh;
+  existing one instead of starting fresh (journaled results are reused
+  only under ``--resume``; a fresh run whose journal already exists is
+  refused);
 * ``--workers N`` — the executor: the default, 1, runs units serially
   in-process; ``N >= 2`` runs N journaled worker subprocesses that pull
   units from a shared lease-based work queue, with ``--lease-ttl``
@@ -29,7 +31,7 @@ from __future__ import annotations
 import argparse
 from typing import Dict, Optional
 
-from repro.common.errors import ResilienceError
+from repro.common.errors import JournalError, ResilienceError
 
 from repro.resilience import (
     Campaign,
@@ -42,6 +44,7 @@ from repro.resilience import (
     RunJournal,
     Supervisor,
     WorkerChaosConfig,
+    journal_path,
 )
 
 #: Default root for run journals (mirrors the ``.cache`` convention).
@@ -148,7 +151,8 @@ def add_resilience_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--run-id", default=None, metavar="ID",
         help="name this run's journal directory (default: the "
-             "campaign fingerprint prefix)",
+             "campaign fingerprint prefix); an id whose journal exists "
+             "is refused unless passed to --resume",
     )
     group.add_argument(
         "--resume", default=None, metavar="RUN_ID",
@@ -192,8 +196,12 @@ def build_supervisor(
     With a *campaign* (and journaling flags present and enabled), the
     run journal is opened against it — creating a fresh journal, or
     validating and continuing an existing one under ``--resume``.
-    Raises :class:`~repro.common.errors.JournalError` for resume
-    mismatches, which callers surface as a usage error.
+    Journaled results are reused only under ``--resume``: a run without
+    it whose journal already exists is refused before the journal is
+    opened or repaired, since the run id (by default the campaign
+    fingerprint) does not cover the code that produced the results.
+    Raises :class:`~repro.common.errors.JournalError` for that and for
+    resume mismatches, which callers surface as a usage error.
 
     With *factory_spec* (a JSON-able ``{"factory": "module:function",
     "kwargs": ...}`` reference that rebuilds *campaign* in another
@@ -215,6 +223,12 @@ def build_supervisor(
     if campaign is not None and args.run_dir:
         resume = args.resume
         run_id = resume or args.run_id or campaign.default_run_id
+        if resume is None and journal_path(args.run_dir, run_id).exists():
+            raise JournalError(
+                f"run {run_id!r} already has a journal under "
+                f"{args.run_dir}; pass --resume {run_id} to reuse its "
+                "results, or --run-id with a new id to start afresh"
+            )
         # Record the budget in the run header so the live `status`
         # monitor can report consumption without access to the args.
         budget_meta = {

@@ -17,11 +17,12 @@ name, memory intensity, and warmup depth so a round-trip preserves the
 profile facts the simulator needs.
 
 The module also serializes :class:`~repro.gpu.simulator.MemoryEventLog`
-— the DRAM-side event stream distilled from one L2 pass — in a sibling
-line format (``F``/``W`` partition sector image), so the disk cache can
-skip ``simulate_l2`` entirely on repeated sweeps. Round-trips are
-exact: replaying a reloaded log is byte-identical to replaying the
-original.
+— the DRAM-side event stream distilled from one L2 pass — as
+hex-encoded column chunks (``#repro-events-columnar``, see SCHEMAS.md).
+That is the one event-log format: the disk cache stores it so a hit
+skips ``simulate_l2``, the golden corpus commits it, and supervised
+fuzz runs journal their failing logs in it. Round-trips are exact:
+replaying a reloaded log is byte-identical to replaying the original.
 """
 
 from __future__ import annotations
@@ -52,12 +53,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (gpu -> workloads)
     from repro.mem.traffic import TrafficReport
 
 _HEADER_PREFIX = "#repro-trace"
-_EVENTS_HEADER_PREFIX = "#repro-events"
-#: Columnar event-log sibling format: same header fields, events packed
-#: as hex-encoded column blobs in fixed-size chunks (see SCHEMAS.md).
-_COLUMNAR_HEADER_PREFIX = "#repro-events-columnar"
+#: Event-log header: the trace profile and L2 statistics; the events
+#: follow as hex-encoded column blobs in fixed-size chunks.
+_EVENTS_HEADER_PREFIX = "#repro-events-columnar"
 _CHUNK_PREFIX = "#chunk"
-#: Events per serialized chunk in the columnar format.
+#: Events per serialized event-log chunk.
 COLUMNAR_CHUNK_EVENTS = 4096
 #: Dumps end with ``#repro-end records=N``; loaders verify the count
 #: when the footer is present, so a truncated file cannot silently pass
@@ -239,12 +239,23 @@ def loads_trace(text: str, name: str = "imported") -> Trace:
     return load_trace(io.StringIO(text), name=name)
 
 
-def _event_log_header(log: "MemoryEventLog", prefix: str) -> str:
+def dump_event_log(log: "MemoryEventLog", fp: TextIO) -> None:
+    """Serialize a DRAM-side event log to a text stream.
+
+    The header records the trace profile and the L2 statistics of the
+    pass that produced the log, so a reload feeds the replay engine
+    exactly what the live pass did. Each chunk then holds up to
+    :data:`COLUMNAR_CHUNK_EVENTS` events as five records — ``K`` kind
+    bytes, ``P`` int32-LE partitions, ``S`` int64-LE sectors, ``L``
+    int32-LE value lengths (-1 = no value), ``D`` the packed value
+    payload — all hex-encoded; the shared ``#repro-end`` footer carries
+    the total event count.
+    """
     if any(ch.isspace() for ch in log.trace_name):
         raise TraceError("trace name cannot contain whitespace")
     stats = log.l2_stats
-    return (
-        f"{prefix} name={log.trace_name} "
+    fp.write(
+        f"{_EVENTS_HEADER_PREFIX} name={log.trace_name} "
         f"intensity={log.memory_intensity!r} "
         f"instructions={log.instructions} "
         f"warmup={log.counter_warmup_passes} "
@@ -252,66 +263,10 @@ def _event_log_header(log: "MemoryEventLog", prefix: str) -> str:
         f"l2_hits={stats.sector_hits} "
         f"l2_misses={stats.sector_misses}\n"
     )
-
-
-def dump_event_log(
-    log: "MemoryEventLog",
-    fp: TextIO,
-    format: str = "lines",
-    chunk_events: int = COLUMNAR_CHUNK_EVENTS,
-) -> None:
-    """Serialize a DRAM-side event log to a text stream.
-
-    ``format="lines"`` (the default, and the golden-corpus format) is
-    one event per line — ``F``/``W`` (fill/writeback), partition,
-    partition-local sector index, then the 32-byte sector image as hex
-    (or ``-`` when the event carried no value). The header records the
-    trace profile and the L2 statistics of the pass that produced the
-    log, so a reload feeds the replay engine exactly what the live pass
-    did.
-
-    ``format="columnar"`` writes the same stream as hex-encoded column
-    blobs in ``chunk_events``-sized chunks — the structure-of-arrays
-    serialization the disk cache uses (documented in SCHEMAS.md). Both
-    formats round-trip exactly and :func:`load_event_log` auto-detects
-    them by header.
-    """
-    if format == "columnar":
-        _dump_event_log_columnar(log, fp, chunk_events)
-        return
-    if format != "lines":
-        raise ValueError(
-            f"unknown event-log format {format!r}; "
-            "expected 'lines' or 'columnar'"
-        )
-    from repro.gpu.simulator import EventKind
-
-    fp.write(_event_log_header(log, _EVENTS_HEADER_PREFIX))
-    for event in log.events:
-        kind = "F" if event.kind is EventKind.FILL else "W"
-        image = event.values.hex() if event.values is not None else "-"
-        fp.write(f"{kind} {event.partition} {event.sector_index} {image}\n")
-    fp.write(f"{_FOOTER_PREFIX} records={len(log.events)}\n")
-
-
-def _dump_event_log_columnar(
-    log: "MemoryEventLog", fp: TextIO, chunk_events: int
-) -> None:
-    """Write the columnar chunk serialization (``#repro-events-columnar``).
-
-    Each chunk holds up to *chunk_events* events as five records —
-    ``K`` kind bytes, ``P`` int32-LE partitions, ``S`` int64-LE sectors,
-    ``L`` int32-LE value lengths (-1 = no value), ``D`` the packed value
-    payload — all hex-encoded; the shared ``#repro-end`` footer carries
-    the total event count.
-    """
-    if chunk_events < 1:
-        raise ValueError("chunk_events must be >= 1")
-    fp.write(_event_log_header(log, _COLUMNAR_HEADER_PREFIX))
     cols = log.to_columns()
     total = cols.n_events
-    for start in range(0, total, chunk_events):
-        rows = np.arange(start, min(start + chunk_events, total))
+    for start in range(0, total, COLUMNAR_CHUNK_EVENTS):
+        rows = np.arange(start, min(start + COLUMNAR_CHUNK_EVENTS, total))
         chunk = cols.take(rows)
         lengths = np.where(
             chunk.value_offset < 0, -1, chunk.value_length
@@ -328,10 +283,10 @@ def _dump_event_log_columnar(
     fp.write(f"{_FOOTER_PREFIX} records={total}\n")
 
 
-def dumps_event_log(log: "MemoryEventLog", format: str = "lines") -> str:
+def dumps_event_log(log: "MemoryEventLog") -> str:
     """Serialize an event log to a string."""
     buffer = io.StringIO()
-    dump_event_log(log, buffer, format=format)
+    dump_event_log(log, buffer)
     return buffer.getvalue()
 
 
@@ -356,112 +311,6 @@ def _apply_event_log_header(
         raise TraceFormatError(f"bad header: {exc}", line=line_no) from None
 
 
-def load_event_log(fp: TextIO, name: str = "imported") -> "MemoryEventLog":
-    """Parse an event log from a text stream.
-
-    Dispatches on the header line: ``#repro-events`` selects the
-    one-event-per-line format, ``#repro-events-columnar`` the chunked
-    columnar format; both return identical logs. Structural failures —
-    missing/misplaced header, malformed records, a record count that
-    contradicts the ``#repro-end`` footer — raise
-    :class:`~repro.common.errors.TraceFormatError` with the offending
-    line number.
-    """
-    lines = fp.read().splitlines()
-    for raw in lines:
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith(_COLUMNAR_HEADER_PREFIX):
-            return _load_event_log_columnar(lines, name)
-        if line.startswith(_EVENTS_HEADER_PREFIX):
-            break
-        if line.startswith("#"):
-            continue
-        break  # record before any header: the line parser reports it
-    return _load_event_log_lines(lines, name)
-
-
-def _load_event_log_lines(
-    lines: List[str], name: str
-) -> "MemoryEventLog":
-    from repro.gpu.simulator import MemoryEventLog
-
-    log = MemoryEventLog(
-        trace_name=name, memory_intensity=0.8, instructions=0
-    )
-    saw_header = False
-    expected_records = None
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith(_EVENTS_HEADER_PREFIX):
-            header = _parse_header_fields(line[len(_EVENTS_HEADER_PREFIX):])
-            _apply_event_log_header(log, header, name, line_no)
-            saw_header = True
-            continue
-        if line.startswith(_FOOTER_PREFIX):
-            expected_records = _parse_footer(line_no, line)
-            continue
-        if line.startswith("#"):
-            continue
-        if not saw_header:
-            raise TraceFormatError(
-                f"record before the '{_EVENTS_HEADER_PREFIX}' header "
-                "(missing or misplaced header line)",
-                line=line_no,
-            )
-        tokens = line.split()
-        if len(tokens) != 4:
-            raise TraceFormatError(
-                "expected 'F/W partition sector image' "
-                "(truncated record?)",
-                line=line_no,
-            )
-        kind_token, partition_token, sector_token, image_token = tokens
-        if kind_token not in ("F", "W"):
-            raise TraceFormatError("event kind must be F or W", line=line_no)
-        try:
-            partition = int(partition_token)
-            sector = int(sector_token)
-        except ValueError as exc:
-            raise TraceFormatError(str(exc), line=line_no) from None
-        if partition < 0 or sector < 0:
-            raise TraceFormatError(
-                "negative partition or sector", line=line_no
-            )
-        values = None
-        if image_token != "-":
-            try:
-                values = bytes.fromhex(image_token)
-            except ValueError:
-                raise TraceFormatError(
-                    "bad hex sector image", line=line_no
-                ) from None
-            if len(values) != 32:
-                raise TraceFormatError(
-                    f"sector image must be 32 bytes, got {len(values)} "
-                    "(truncated record?)",
-                    line=line_no,
-                )
-        if kind_token == "F":
-            log.append_fill(partition, sector, values)
-        else:
-            log.append_writeback(partition, sector, values)
-    if not saw_header:
-        raise TraceFormatError(
-            f"event-log file is missing its '{_EVENTS_HEADER_PREFIX}' "
-            "header line"
-        )
-    if expected_records is not None and expected_records != len(log.events):
-        raise TraceFormatError(
-            f"footer declares {expected_records} records but file "
-            f"contains {len(log.events)} (truncated file?)"
-        )
-    return log
-
-
 def _decode_chunk_blob(
     tag: str, token: str, expected_bytes: int, line_no: int
 ) -> bytes:
@@ -483,16 +332,22 @@ def _decode_chunk_blob(
     return blob
 
 
-def _load_event_log_columnar(
-    lines: List[str], name: str
-) -> "MemoryEventLog":
-    from repro.gpu.columnar import ColumnStore
+def load_event_log(fp: TextIO, name: str = "imported") -> "MemoryEventLog":
+    """Parse an event log from a text stream.
+
+    Structural failures — a missing or misplaced header, a malformed or
+    truncated chunk, a negative partition or sector, a record count
+    that contradicts the ``#repro-end`` footer — raise
+    :class:`~repro.common.errors.TraceFormatError` with the offending
+    line number.
+    """
     from repro.gpu.simulator import MemoryEventLog
 
+    lines = fp.read().splitlines()
     log = MemoryEventLog(
         trace_name=name, memory_intensity=0.8, instructions=0
     )
-    store: ColumnStore = log.events.store
+    store = log.events
     saw_header = False
     expected_records = None
     index = 0
@@ -502,17 +357,15 @@ def _load_event_log_columnar(
         index += 1
         if not line:
             continue
-        if line.startswith(_COLUMNAR_HEADER_PREFIX):
-            header = _parse_header_fields(
-                line[len(_COLUMNAR_HEADER_PREFIX):]
-            )
+        if line.startswith(_EVENTS_HEADER_PREFIX):
+            header = _parse_header_fields(line[len(_EVENTS_HEADER_PREFIX):])
             _apply_event_log_header(log, header, name, line_no)
             saw_header = True
             continue
         if line.startswith(_CHUNK_PREFIX):
             if not saw_header:
                 raise TraceFormatError(
-                    f"chunk before the '{_COLUMNAR_HEADER_PREFIX}' header "
+                    f"chunk before the '{_EVENTS_HEADER_PREFIX}' header "
                     "(missing or misplaced header line)",
                     line=line_no,
                 )
@@ -583,11 +436,11 @@ def _load_event_log_columnar(
         if line.startswith("#"):
             continue
         raise TraceFormatError(
-            "unexpected record in columnar event log", line=line_no
+            "unexpected record in event log", line=line_no
         )
     if not saw_header:
         raise TraceFormatError(
-            f"event-log file is missing its '{_COLUMNAR_HEADER_PREFIX}' "
+            f"event-log file is missing its '{_EVENTS_HEADER_PREFIX}' "
             "header line"
         )
     if expected_records is not None and expected_records != len(store):

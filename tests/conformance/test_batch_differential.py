@@ -272,7 +272,7 @@ class TestDoctoredImplementationsAreCaught:
             doctored["on"] = doctor
             candidate_events = [
                 (ev.kind is EventKind.WRITEBACK, ev.sector_index, ev.values)
-                for ev in candidate.events
+                for ev in candidate.events.iter_events()
             ]
             return replay("plutus", candidate_events, passes, set(),
                           partition)["digest"]
@@ -281,12 +281,15 @@ class TestDoctoredImplementationsAreCaught:
             return digest(candidate, True) != digest(candidate, False)
 
         kinds = (EventKind.FILL, EventKind.WRITEBACK)
-        log = MemoryEventLog(
-            trace_name=name, memory_intensity=0.5, instructions=1,
-            counter_warmup_passes=passes,
-            events=[MemoryEvent(kinds[w], partition, s, v)
-                    for w, s, v in events],
+        log = rebuild_log(
+            MemoryEventLog(
+                trace_name=name, memory_intensity=0.5, instructions=1,
+                counter_warmup_passes=passes,
+            ),
+            [MemoryEvent(kinds[w], partition, s, v) for w, s, v in events],
         )
         minimal = shrink(log, disagrees)
         assert len(minimal.events) < len(log.events)
-        assert disagrees(rebuild_log(minimal, list(minimal.events)))
+        assert disagrees(
+            rebuild_log(minimal, list(minimal.events.iter_events()))
+        )

@@ -31,6 +31,35 @@ class TestConformCli:
             main(["conform", "--doom"])
         assert excinfo.value.code == 2
 
+    def test_refused_fuzz_journal_runs_no_corpus_stage(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A rerun without --resume is refused before the corpus stage
+        # spends its time, not after.
+        import repro.harness.conform as conform_mod
+
+        calls = []
+        real_run_corpus = conform_mod.run_corpus
+
+        def counting_run_corpus(**kwargs):
+            calls.append(kwargs)
+            return real_run_corpus(**kwargs)
+
+        monkeypatch.setattr(conform_mod, "run_corpus", counting_run_corpus)
+        argv = ["conform", "--corpus",
+                "--corpus-dir", str(tmp_path / "nowhere"),
+                "--fuzz", "1", "--functional-events", "16",
+                "--run-dir", str(tmp_path / "runs"), "--run-id", "f1"]
+        assert main(argv) == 1  # the corpus directory is missing
+        assert len(calls) == 1
+        capsys.readouterr()
+
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert len(calls) == 1
+        assert captured.out == ""
+        assert "--resume f1" in captured.err
+
     def test_missing_corpus_dir_exits_nonzero(self, tmp_path, capsys):
         rc = main(["conform", "--corpus",
                    "--corpus-dir", str(tmp_path / "nowhere"),

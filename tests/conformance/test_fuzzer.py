@@ -20,7 +20,9 @@ class TestGenerators:
     @pytest.mark.parametrize("pattern", PATTERNS)
     def test_counts_match_events(self, pattern):
         log = generate_log(pattern, random.Random(99), f"t-{pattern}")
-        fills = sum(1 for e in log.events if e.kind is EventKind.FILL)
+        fills = sum(
+            1 for e in log.events.iter_events() if e.kind is EventKind.FILL
+        )
         assert log.fill_sectors == fills
         assert log.writeback_sectors == len(log.events) - fills
         assert log.events
@@ -41,21 +43,25 @@ class TestGenerators:
 
     def test_value_thrash_values_all_distinct(self):
         log = generate_log("value-thrash", random.Random(5), "t")
-        values = [e.values for e in log.events]
+        values = [e.values for e in log.events.iter_events()]
         assert len(set(values)) == len(values)
 
 
 class TestShrink:
     def test_minimizes_to_predicate_core(self):
         log = generate_log("uniform", random.Random(1), "t")
-        magic = log.events[len(log.events) // 2].sector_index
+        events = list(log.events.iter_events())
+        magic = events[len(events) // 2].sector_index
 
         def predicate(candidate):
-            return any(e.sector_index == magic for e in candidate.events)
+            return any(
+                e.sector_index == magic
+                for e in candidate.events.iter_events()
+            )
 
         shrunk = shrink(log, predicate)
-        assert len(shrunk.events) == 1
-        assert shrunk.events[0].sector_index == magic
+        [event] = shrunk.events.iter_events()
+        assert event.sector_index == magic
         assert predicate(shrunk)
 
     def test_counts_recomputed_on_shrunk_log(self):
@@ -99,7 +105,10 @@ class TestFuzzCampaign:
         from repro.conformance.invariants import Violation
 
         def fake_evaluate(log, **kwargs):
-            if any(e.kind is EventKind.WRITEBACK for e in log.events):
+            if any(
+                e.kind is EventKind.WRITEBACK
+                for e in log.events.iter_events()
+            ):
                 return [Violation("injected", "writeback present")]
             return []
 
@@ -108,15 +117,41 @@ class TestFuzzCampaign:
         assert not report.ok
         failure = report.failures[0]
         assert len(failure.shrunk.events) < len(failure.log.events)
-        assert len(failure.shrunk.events) == 1
-        assert failure.shrunk.events[0].kind is EventKind.WRITEBACK
+        [event] = failure.shrunk.events.iter_events()
+        assert event.kind is EventKind.WRITEBACK
         assert failure.violations
 
 
 class TestRebuild:
     def test_rebuild_preserves_profile(self):
         log = generate_log("sweep", random.Random(6), "profile-check")
-        rebuilt = rebuild_log(log, log.events[:3])
+        rebuilt = rebuild_log(log, list(log.events.iter_events())[:3])
         assert rebuilt.trace_name == log.trace_name
         assert rebuilt.counter_warmup_passes == log.counter_warmup_passes
         assert len(rebuilt.events) == 3
+
+
+class TestJournalPayload:
+    def test_failure_round_trips_as_event_log_text(self):
+        # Supervised fuzz chunks journal their failures as JSON; the
+        # logs travel as event-log text and reload event for event.
+        import json
+
+        from repro.conformance.fuzzer import FuzzFailure
+        from repro.conformance.invariants import Violation
+
+        log = generate_log("uniform", random.Random(8), "fuzz-s1-i0-uniform")
+        shrunk = rebuild_log(log, list(log.events.iter_events())[:2])
+        failure = FuzzFailure(
+            iteration=0, pattern="uniform",
+            violations=[Violation("injected", "writeback present")],
+            log=log, shrunk=shrunk,
+        )
+        payload = json.loads(json.dumps(fuzzer_mod._failure_payload(failure)))
+        assert payload["events"] == dumps_event_log(log)
+        back = fuzzer_mod._failure_from_payload(payload)
+        assert (back.iteration, back.pattern) == (0, "uniform")
+        assert back.violations == failure.violations
+        assert dumps_event_log(back.log) == dumps_event_log(log)
+        assert dumps_event_log(back.shrunk) == dumps_event_log(shrunk)
+        assert back.log.fill_sectors == log.fill_sectors

@@ -10,7 +10,6 @@ from repro.gpu.columnar import (
     WRITEBACK_CODE,
     ColumnStore,
     EventKind,
-    EventView,
     MemoryEvent,
 )
 
@@ -30,7 +29,8 @@ def _sample_events():
 def _store(events):
     store = ColumnStore()
     for event in events:
-        store.append_event(event)
+        code = FILL_CODE if event.kind is EventKind.FILL else WRITEBACK_CODE
+        store.append(code, event.partition, event.sector_index, event.values)
     return store
 
 
@@ -39,16 +39,7 @@ class TestColumnStore:
         events = _sample_events()
         store = _store(events)
         assert len(store) == len(events)
-        assert [store.event(i) for i in range(len(events))] == events
         assert list(store.iter_events()) == events
-
-    def test_negative_index_and_bounds(self):
-        store = _store(_sample_events())
-        assert store.event(-1) == store.event(len(store) - 1)
-        with pytest.raises(IndexError):
-            store.event(len(store))
-        with pytest.raises(IndexError):
-            store.event(-len(store) - 1)
 
     def test_snapshot_columns_match_events(self):
         store = _store(_sample_events())
@@ -82,9 +73,22 @@ class TestColumnStore:
         assert cols.value_at(0) == V32
 
     def test_from_columns_reproduces_store(self):
+        # The loader's bulk path: a store extended from a snapshot's
+        # decoded columns holds the same events and the same columns.
         store = _store(_sample_events())
-        rebuilt = ColumnStore.from_columns(store.to_columns())
-        assert rebuilt.equals(store)
+        cols = store.to_columns()
+        rebuilt = ColumnStore()
+        rebuilt.extend_decoded(
+            cols.kind.tobytes(), cols.partition, cols.sector,
+            np.where(cols.value_offset >= 0, cols.value_length, -1),
+            cols.payload,
+        )
+        assert list(rebuilt.iter_events()) == _sample_events()
+        again = rebuilt.to_columns()
+        for name in ("kind", "partition", "sector", "value_offset",
+                     "value_length"):
+            assert np.array_equal(getattr(again, name), getattr(cols, name))
+        assert again.payload == cols.payload
 
     def test_extend_decoded_rejects_payload_mismatch(self):
         store = ColumnStore()
@@ -101,8 +105,8 @@ class TestColumnStore:
         store = _store(_sample_events())
         store.to_columns()  # populate the snapshot cache
         clone = pickle.loads(pickle.dumps(store))
-        assert clone.equals(store)
         assert list(clone.iter_events()) == list(store.iter_events())
+        assert clone.to_columns().payload == store.to_columns().payload
 
     def test_mixed_value_lengths_clear_fixed32(self):
         store = _store(_sample_events())
@@ -148,30 +152,3 @@ class TestEventColumnsTake:
         assert values[0] == V32 and values[1] is None
         assert list(values) == [V32, None, V32B]
         assert values[0:2] == [V32, None]
-
-
-class TestEventView:
-    def test_behaves_like_the_list_it_replaced(self):
-        events = _sample_events()
-        view = EventView()
-        view.extend(events)
-        assert len(view) == 4
-        assert list(view) == events
-        assert view[1] == events[1] and view[-1] == events[-1]
-        assert view[1:3] == events[1:3]
-        assert view == events
-        assert view != events[:-1]
-
-    def test_view_equality_uses_columns(self):
-        a, b = EventView(), EventView()
-        a.extend(_sample_events())
-        b.extend(_sample_events())
-        assert a == b
-        b.append(MemoryEvent(EventKind.FILL, 0, 0, None))
-        assert a != b
-
-    def test_repr_and_unhashable(self):
-        view = EventView()
-        assert repr(view) == "<EventView of 0 events>"
-        with pytest.raises(TypeError):
-            hash(view)

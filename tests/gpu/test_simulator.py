@@ -15,6 +15,10 @@ from repro.secure.pssm import PssmEngine
 from repro.workloads.trace import Trace, TraceAccess
 
 
+def events_of(log, kind):
+    return [e for e in log.events.iter_events() if e.kind is kind]
+
+
 def tiny_trace(accesses):
     return Trace(name="tiny", accesses=accesses, memory_intensity=0.8)
 
@@ -24,7 +28,7 @@ class TestL2Pass:
         trace = tiny_trace([TraceAccess(0x0, 0b0001, False)])
         log = simulate_l2(trace, VOLTA)
         assert log.fill_sectors == 1
-        assert log.events[0].kind is EventKind.FILL
+        assert next(log.events.iter_events()).kind is EventKind.FILL
 
     def test_read_hit_emits_nothing(self):
         trace = tiny_trace(
@@ -42,21 +46,21 @@ class TestL2Pass:
     def test_dirty_data_flushed_at_end(self):
         trace = tiny_trace([TraceAccess(0x0, 0b0011, True)])
         log = simulate_l2(trace, VOLTA)
-        writebacks = [e for e in log.events if e.kind is EventKind.WRITEBACK]
+        writebacks = events_of(log, EventKind.WRITEBACK)
         assert len(writebacks) == 2
 
     def test_writeback_carries_written_values(self):
         image = bytes(range(32))
         trace = tiny_trace([TraceAccess(0x0, 0b0001, True, [(0, image)])])
         log = simulate_l2(trace, VOLTA)
-        wb = [e for e in log.events if e.kind is EventKind.WRITEBACK][0]
+        wb = events_of(log, EventKind.WRITEBACK)[0]
         assert wb.values == image
 
     def test_fill_carries_read_values(self):
         image = bytes(range(32))
         trace = tiny_trace([TraceAccess(0x80, 0b0001, False, [(0, image)])])
         log = simulate_l2(trace, VOLTA)
-        assert log.events[0].values == image
+        assert next(log.events.iter_events()).values == image
 
     def test_read_after_write_hits_in_l2(self):
         trace = tiny_trace(
@@ -68,7 +72,7 @@ class TestL2Pass:
     def test_partitions_route_by_address_map(self):
         accesses = [TraceAccess(i * 128, 0b0001, False) for i in range(64)]
         log = simulate_l2(tiny_trace(accesses), VOLTA)
-        partitions = {e.partition for e in log.events}
+        partitions = {e.partition for e in log.events.iter_events()}
         assert len(partitions) > 8  # spread across many partitions
 
     def test_metadata_carried_from_trace(self):

@@ -10,6 +10,10 @@ def tiny(accesses):
     return Trace(name="edge", accesses=accesses, memory_intensity=0.8)
 
 
+def events_of(log, kind):
+    return [e for e in log.events.iter_events() if e.kind is kind]
+
+
 class TestPartialSectorSemantics:
     def test_write_then_read_of_other_sector_fetches_only_missing(self):
         trace = tiny([
@@ -17,7 +21,7 @@ class TestPartialSectorSemantics:
             TraceAccess(0x0, 0b0011, False),   # read sectors 0 and 1
         ])
         log = simulate_l2(trace, VOLTA)
-        fills = [e for e in log.events if e.kind is EventKind.FILL]
+        fills = events_of(log, EventKind.FILL)
         assert len(fills) == 1  # only sector 1 missed
 
     def test_dirty_bit_survives_read_hits(self):
@@ -27,7 +31,7 @@ class TestPartialSectorSemantics:
             TraceAccess(0x0, 0b0001, False),
         ])
         log = simulate_l2(trace, VOLTA)
-        writebacks = [e for e in log.events if e.kind is EventKind.WRITEBACK]
+        writebacks = events_of(log, EventKind.WRITEBACK)
         assert len(writebacks) == 1  # flushed once, still dirty
 
     def test_rewrite_updates_writeback_values(self):
@@ -38,7 +42,7 @@ class TestPartialSectorSemantics:
             TraceAccess(0x0, 0b0001, True, [(0, second)]),
         ])
         log = simulate_l2(trace, VOLTA)
-        wb = [e for e in log.events if e.kind is EventKind.WRITEBACK][0]
+        wb = events_of(log, EventKind.WRITEBACK)[0]
         assert wb.values == second
 
     def test_mixed_masks_accumulate_dirty(self):
@@ -47,7 +51,7 @@ class TestPartialSectorSemantics:
             TraceAccess(0x0, 0b0100, True),
         ])
         log = simulate_l2(trace, VOLTA)
-        writebacks = [e for e in log.events if e.kind is EventKind.WRITEBACK]
+        writebacks = events_of(log, EventKind.WRITEBACK)
         assert len(writebacks) == 2
 
 

@@ -77,6 +77,32 @@ class TestSweepCli:
         assert captured.out == fresh_out  # byte-identical resumed report
         assert "5 resumed" in captured.err
 
+    @pytest.mark.parametrize("run_id", [["--run-id", "r1"], []],
+                             ids=["named", "default-id"])
+    def test_rerun_without_resume_refuses_existing_journal(
+        self, capsys, tmp_path, run_id
+    ):
+        # Results journaled by an earlier run (perhaps by other code)
+        # are reused only when asked for with --resume.
+        run_dir = tmp_path / "runs"
+        argv = [
+            "sweep", "memory-intensity", "bfs", "--length", "400",
+            "--run-dir", str(run_dir), *run_id,
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        [run_path] = run_dir.iterdir()
+        journal = run_path / "journal.jsonl"
+        before = journal.read_bytes()
+
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert f"--resume {run_path.name}" in captured.err
+        assert "--run-id" in captured.err
+        assert journal.read_bytes() == before
+
     def test_resume_unknown_run_id_is_usage_error(self, capsys, tmp_path):
         rc = main([
             "sweep", "memory-intensity", "bfs", "--length", "400",

@@ -141,14 +141,9 @@ class TestEventLogCache:
         assert recovered.fill_sectors == log.fill_sectors
         assert recovered.writeback_sectors == log.writeback_sectors
         assert recovered.l2_stats == log.l2_stats
-        # MemoryEvent compares by identity, so compare fields.
-        assert [
-            (e.kind, e.partition, e.sector_index, e.values)
-            for e in recovered.events
-        ] == [
-            (e.kind, e.partition, e.sector_index, e.values)
-            for e in log.events
-        ]
+        assert list(recovered.events.iter_events()) == list(
+            log.events.iter_events()
+        )
 
     def test_key_tracks_trace_content_and_config(self):
         trace_a = build_trace("bfs", length=60, seed=3)

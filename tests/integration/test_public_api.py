@@ -64,3 +64,28 @@ class TestSubpackageAlls:
         mod = importlib.import_module(module)
         for name in mod.__all__:
             assert getattr(mod, name, None) is not None, f"{module}.{name}"
+
+
+class TestImportPath:
+    def test_experiment_path_leaves_resilience_unloaded(self):
+        # The supervisor, lease queue and worker stack load only when a
+        # subcommand asks for them, not with every experiment run.
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        probe = (
+            "import sys, repro.harness.experiments, repro.harness.runner\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith('repro.resilience')))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout
+        assert out.strip() == "[]"

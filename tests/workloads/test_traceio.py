@@ -189,10 +189,9 @@ class TestEventLogRoundtrip:
         assert recovered.writeback_sectors == original.writeback_sectors
         assert recovered.l2_stats == original.l2_stats
         assert len(recovered.events) == len(original.events)
-        for a, b in zip(original.events, recovered.events):
-            assert (a.kind, a.partition, a.sector_index, a.values) == (
-                b.kind, b.partition, b.sector_index, b.values
-            )
+        assert list(recovered.events.iter_events()) == list(
+            original.events.iter_events()
+        )
 
     def test_roundtrip_replays_identically(self):
         from repro.gpu.config import VOLTA
@@ -227,20 +226,34 @@ class TestEventLogRoundtrip:
             dumps_event_log(log)
 
 
+def _event_chunk(kind="00", partition=3, sector=7, length=-1, payload=""):
+    """One hand-encoded single-event chunk of the event-log format."""
+    return (
+        f"#chunk events=1 payload={len(payload) // 2}\n"
+        f"K {kind}\n"
+        f"P {partition.to_bytes(4, 'little', signed=True).hex()}\n"
+        f"S {sector.to_bytes(8, 'little', signed=True).hex()}\n"
+        f"L {length.to_bytes(4, 'little', signed=True).hex()}\n"
+        f"D {payload or '-'}\n"
+    )
+
+
 class TestEventLogParsing:
-    HEADER = ("#repro-events name=k intensity=0.5 instructions=10 "
+    HEADER = ("#repro-events-columnar name=k intensity=0.5 instructions=10 "
               "warmup=2 l2_accesses=4 l2_hits=3 l2_misses=1\n")
 
     def test_header_required(self):
         from repro.workloads.traceio import loads_event_log
 
-        with pytest.raises(TraceError):
-            loads_event_log("F 0 0 -\n")
+        with pytest.raises(TraceError, match="missing its"):
+            loads_event_log("#repro-end records=0\n")
 
     def test_header_populates_profile_and_l2_stats(self):
         from repro.workloads.traceio import loads_event_log
 
-        log = loads_event_log(self.HEADER + "F 3 7 -\n")
+        log = loads_event_log(
+            self.HEADER + _event_chunk() + "#repro-end records=1\n"
+        )
         assert log.trace_name == "k"
         assert log.memory_intensity == 0.5
         assert log.instructions == 10
@@ -248,36 +261,60 @@ class TestEventLogParsing:
         assert (log.l2_stats.accesses, log.l2_stats.sector_hits,
                 log.l2_stats.sector_misses) == (4, 3, 1)
         assert log.fill_sectors == 1 and log.writeback_sectors == 0
+        [event] = log.events.iter_events()
+        assert (event.partition, event.sector_index, event.values) == (
+            3, 7, None
+        )
 
     def test_bad_kind_rejected(self):
         from repro.workloads.traceio import loads_event_log
 
-        with pytest.raises(TraceError):
-            loads_event_log(self.HEADER + "X 0 0 -\n")
+        with pytest.raises(TraceError, match="kind byte"):
+            loads_event_log(self.HEADER + _event_chunk(kind="02"))
 
     def test_short_line_rejected(self):
         from repro.workloads.traceio import loads_event_log
 
-        with pytest.raises(TraceError):
-            loads_event_log(self.HEADER + "F 0 0\n")
+        chunk = _event_chunk().replace(" payload=0", "")
+        with pytest.raises(TraceError, match="expected events=N"):
+            loads_event_log(self.HEADER + chunk)
 
     def test_negative_partition_rejected(self):
         from repro.workloads.traceio import loads_event_log
 
-        with pytest.raises(TraceError):
-            loads_event_log(self.HEADER + "F -1 0 -\n")
+        with pytest.raises(TraceError, match="negative partition"):
+            loads_event_log(self.HEADER + _event_chunk(partition=-1))
+
+    def test_negative_sector_rejected(self):
+        from repro.workloads.traceio import loads_event_log
+
+        with pytest.raises(TraceError, match="negative partition or sector"):
+            loads_event_log(self.HEADER + _event_chunk(sector=-1))
 
     def test_wrong_image_size_rejected(self):
         from repro.workloads.traceio import loads_event_log
 
-        with pytest.raises(TraceError):
-            loads_event_log(self.HEADER + "W 0 0 aabb\n")
+        chunk = _event_chunk(kind="01", length=2, payload="aabb")
+        with pytest.raises(TraceError, match="32 bytes"):
+            loads_event_log(self.HEADER + chunk)
 
     def test_bad_hex_rejected(self):
         from repro.workloads.traceio import loads_event_log
 
-        with pytest.raises(TraceError):
-            loads_event_log(self.HEADER + "W 0 0 " + "zz" * 32 + "\n")
+        chunk = _event_chunk(kind="01", length=32, payload="zz" * 32)
+        with pytest.raises(TraceError, match="bad hex blob in 'D'"):
+            loads_event_log(self.HEADER + chunk)
+
+    def test_line_format_header_is_not_an_event_log(self):
+        # A one-event-per-line file is not an event log: it fails
+        # loudly instead of loading as an empty or partial log.
+        from repro.workloads.traceio import loads_event_log
+
+        with pytest.raises(TraceError, match="unexpected record"):
+            loads_event_log(
+                "#repro-events name=k intensity=0.5 instructions=10\n"
+                "F 0 0 -\n"
+            )
 
 
 class TestAtomicSavers:

@@ -1,13 +1,11 @@
-"""Tests for the columnar chunk serialization of event logs."""
+"""Tests for the event-log serialization: hex-encoded column chunks."""
 
 import io
 
 import pytest
 
 from repro.common.errors import TraceFormatError
-from repro.gpu.config import VOLTA
-from repro.gpu.simulator import MemoryEventLog, simulate_l2
-from repro.workloads.benchmarks import build_trace
+from repro.gpu.simulator import MemoryEventLog
 from repro.workloads.traceio import (
     COLUMNAR_CHUNK_EVENTS,
     dump_event_log,
@@ -38,62 +36,40 @@ def _assert_logs_equal(a, b):
     assert b.counter_warmup_passes == a.counter_warmup_passes
     assert b.fill_sectors == a.fill_sectors
     assert b.writeback_sectors == a.writeback_sectors
-    assert b.events == a.events
+    assert list(b.events.iter_events()) == list(a.events.iter_events())
 
 
 class TestColumnarRoundtrip:
     def test_roundtrip_preserves_everything(self):
         log = _small_log()
-        text = dumps_event_log(log, format="columnar")
+        text = dumps_event_log(log)
         assert text.startswith("#repro-events-columnar ")
         _assert_logs_equal(log, loads_event_log(text))
 
     def test_multi_chunk_roundtrip(self):
         log = _small_log()
-        buffer = io.StringIO()
-        dump_event_log(log, buffer, format="columnar", chunk_events=3)
-        text = buffer.getvalue()
-        assert text.count("#chunk ") == 4
+        for sector in range(2 * COLUMNAR_CHUNK_EVENTS):
+            values = V32 if sector % 3 else None
+            log.append_writeback(sector % 5, sector, values)
+        text = dumps_event_log(log)
+        assert text.count("#chunk ") == 3
         _assert_logs_equal(log, loads_event_log(text))
 
     def test_redump_is_identical_text(self):
         log = _small_log()
-        text = dumps_event_log(log, format="columnar")
-        again = dumps_event_log(loads_event_log(text), format="columnar")
+        text = dumps_event_log(log)
+        again = dumps_event_log(loads_event_log(text))
         assert again == text
-
-    def test_columnar_and_lines_agree_on_real_log(self):
-        log = simulate_l2(build_trace("bfs", length=120, seed=7), VOLTA)
-        from_lines = loads_event_log(dumps_event_log(log, format="lines"))
-        from_columnar = loads_event_log(
-            dumps_event_log(log, format="columnar")
-        )
-        assert from_columnar.events == from_lines.events
-        assert from_columnar.fill_sectors == from_lines.fill_sectors
-        assert (
-            from_columnar.writeback_sectors == from_lines.writeback_sectors
-        )
 
     def test_stream_interface(self):
         log = _small_log()
         buffer = io.StringIO()
-        dump_event_log(log, buffer, format="columnar")
+        dump_event_log(log, buffer)
         buffer.seek(0)
         _assert_logs_equal(log, load_event_log(buffer))
 
     def test_default_chunk_capacity_is_sane(self):
         assert COLUMNAR_CHUNK_EVENTS >= 1
-
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError, match="format"):
-            dumps_event_log(_small_log(), format="parquet")
-
-    def test_bad_chunk_events_rejected(self):
-        with pytest.raises(ValueError, match="chunk_events"):
-            dump_event_log(
-                _small_log(), io.StringIO(), format="columnar",
-                chunk_events=0,
-            )
 
 
 def _mutate_line(text, prefix, rewrite):
@@ -107,7 +83,7 @@ def _mutate_line(text, prefix, rewrite):
 
 class TestColumnarErrors:
     def _text(self):
-        return dumps_event_log(_small_log(), format="columnar")
+        return dumps_event_log(_small_log())
 
     def test_bad_kind_byte_rejected(self):
         bad = _mutate_line(
@@ -151,7 +127,7 @@ class TestColumnarErrors:
             trace_name="col", memory_intensity=0.5, instructions=1
         )
         log.append_fill(0, 1, V32)
-        text = dumps_event_log(log, format="columnar")
+        text = dumps_event_log(log)
         # Claim a 16-byte value: the loader enforces 32-byte sectors.
         bad = _mutate_line(
             text, "L ",
