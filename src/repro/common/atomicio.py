@@ -17,8 +17,8 @@ source of truth (run journals, reports, the corpus) keep it.
 from __future__ import annotations
 
 import os
-import tempfile
-from typing import Union
+import secrets
+from typing import Tuple, Union
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -37,6 +37,25 @@ def fsync_directory(directory: str) -> None:
         os.close(fd)
 
 
+def _create_temp(directory: str, prefix: str) -> Tuple[int, str]:
+    """Create a fresh temporary file in *directory*; return (fd, path).
+
+    The file is created with mode 0666, which the kernel filters
+    through the umask exactly as for ``open(path, "w")``.
+    ``tempfile.mkstemp`` would create it 0600, and ``os.replace`` keeps
+    that mode on the published file; a chmod afterwards would need the
+    umask, and reading it means briefly setting it for every thread.
+    """
+    for _ in range(100):
+        tmp = os.path.join(directory, f"{prefix}{secrets.token_hex(6)}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue
+        return fd, tmp
+    raise FileExistsError(f"no free temporary name in {directory}")
+
+
 def atomic_write_text(
     path: PathLike,
     text: str,
@@ -46,15 +65,14 @@ def atomic_write_text(
     """Atomically replace *path* with *text* (temp file + ``os.replace``).
 
     The temporary file lives in the destination directory so the final
-    rename never crosses a filesystem boundary. On any failure the
-    temporary file is removed and the original *path* is untouched.
+    rename never crosses a filesystem boundary, and it gets the mode a
+    plain ``open()`` would give it. On any failure the temporary file
+    is removed and the original *path* is untouched.
     """
     target = os.fspath(path)
     directory = os.path.dirname(target) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        prefix=os.path.basename(target) + ".", suffix=".tmp", dir=directory
-    )
+    fd, tmp = _create_temp(directory, os.path.basename(target) + ".")
     try:
         with os.fdopen(fd, "w", encoding=encoding) as handle:
             handle.write(text)

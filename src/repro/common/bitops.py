@@ -91,19 +91,6 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
 
 
-def rotate_left(value: int, shift: int, width: int = 32) -> int:
-    """Rotate a *width*-bit integer left by *shift* bits."""
-    mask = (1 << width) - 1
-    shift %= width
-    value &= mask
-    return ((value << shift) | (value >> (width - shift))) & mask
-
-
-def rotate_right(value: int, shift: int, width: int = 32) -> int:
-    """Rotate a *width*-bit integer right by *shift* bits."""
-    return rotate_left(value, width - (shift % width), width)
-
-
 def popcount(value: int) -> int:
     """Count the set bits of a non-negative integer."""
     if value < 0:

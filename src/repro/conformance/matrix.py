@@ -51,9 +51,9 @@ CONFORMANCE_ENGINES: Tuple[str, ...] = (
 #: (the richest design: every mechanism on).
 CROSS_CHECK_ENGINE = "plutus"
 
-#: Cap on events the functional-crypto stage executes per mode; pure
-#: Python AES costs milliseconds per sector, so large logs run a
-#: representative prefix (recorded in the outcome).
+#: Cap on events the functional-crypto stage executes per mode; longer
+#: logs run a representative prefix (recorded in the outcome), which
+#: keeps the stage's cost independent of log length.
 DEFAULT_FUNCTIONAL_EVENTS = 240
 
 

@@ -1,4 +1,5 @@
-"""From-scratch cryptographic substrate: AES, XTS, CME, SHA-256, MACs."""
+"""Cryptographic substrate: from-scratch AES, XTS, CME and CMAC, plus
+HMAC-SHA-256 from the standard library."""
 
 from repro.crypto.aes import AES, BLOCK_SIZE, gf256_mul
 from repro.crypto.cme import CounterModeCipher
@@ -11,7 +12,6 @@ from repro.crypto.gf import (
     multiply_by_alpha_bytes,
 )
 from repro.crypto.mac import CmacAesMac, HmacSha256Mac, MacAlgorithm, make_mac
-from repro.crypto.sha256 import sha256, sha256_hex
 from repro.crypto.tweak import DEFAULT_TWEAK_LAYOUT, TweakLayout, make_tweak
 from repro.crypto.xts import AesXts
 
@@ -34,6 +34,4 @@ __all__ = [
     "make_tweak",
     "multiply_by_alpha",
     "multiply_by_alpha_bytes",
-    "sha256",
-    "sha256_hex",
 ]

@@ -2,8 +2,9 @@
 
 Two constructions are provided:
 
-* :class:`HmacSha256Mac` — HMAC over the from-scratch SHA-256, the
-  default integrity primitive for data sectors and BMT nodes.
+* :class:`HmacSha256Mac` — HMAC-SHA-256 from the standard library
+  (:func:`hmac.digest`), the default integrity primitive for data
+  sectors and BMT nodes.
 * :class:`CmacAesMac` — CMAC (NIST SP 800-38B) over the from-scratch
   AES, matching the AES-based MAC units typical in secure-memory
   hardware proposals.
@@ -18,10 +19,11 @@ the collision rate of the truncated tag.
 
 from __future__ import annotations
 
+import hmac
+
 from repro.common.bitops import xor_bytes
 from repro.common.errors import ConfigurationError
 from repro.crypto.aes import AES, BLOCK_SIZE
-from repro.crypto.sha256 import sha256
 from repro.obs.session import active as _obs_active
 
 
@@ -88,17 +90,12 @@ class HmacSha256Mac(MacAlgorithm):
     """HMAC-SHA256 (RFC 2104) with configurable truncation."""
 
     native_tag_bytes = 32
-    _BLOCK = 64
 
     def __init__(self, key: bytes, tag_bytes: int = 8) -> None:
         super().__init__(key, tag_bytes)
-        padded = key if len(key) <= self._BLOCK else sha256(key)
-        padded = padded + b"\x00" * (self._BLOCK - len(padded))
-        self._inner = xor_bytes(padded, b"\x36" * self._BLOCK)
-        self._outer = xor_bytes(padded, b"\x5c" * self._BLOCK)
 
     def _full_tag(self, message: bytes) -> bytes:
-        return sha256(self._outer + sha256(self._inner + message))
+        return hmac.digest(self.key, message, "sha256")
 
 
 class CmacAesMac(MacAlgorithm):

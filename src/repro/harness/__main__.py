@@ -3,8 +3,8 @@
 Runs the requested experiments (default: all) and prints their reports.
 Useful flags: ``--length`` to control trace size, ``--benchmarks`` to
 restrict the roster, ``--cache-dir`` to relocate or disable the on-disk
-trace/event-log cache, and ``--workers N`` to run the experiments as
-journaled units on N worker subprocesses (below).
+trace/event-log cache, and ``--supervise`` (or any resilience flag) to
+run the experiments as journaled units (below).
 
 ``python -m repro.harness profile <benchmark>`` instead runs one fully
 instrumented simulation and renders the observability dashboard; see
@@ -25,26 +25,18 @@ sensitivity sweep as a supervised campaign: every cell is a journaled
 work unit, so ``--resume <run-id>`` after a crash re-runs only the
 unfinished cells, ``--budget`` degrades gracefully into an explicit
 partial report, and ``--chaos`` sabotages the runtime on purpose; see
-docs/ARCHITECTURE.md § Resilient execution. ``--workers`` defaults
-to 1, which runs every unit serially in-process; with ``--workers N``
-(N >= 2) the campaign runs on N journaled worker *subprocesses*
-pulling from a shared lease-based work queue — dead workers are
-detected by heartbeat and their units stolen, ``--speculate``
-duplicates stragglers, and the merged report stays byte-identical to
-a serial run; see docs/ARCHITECTURE.md § Distributed execution. The
-same flag reaches ``inject``, ``conform --fuzz``, and the experiments
-command.
+docs/ARCHITECTURE.md § Resilient execution. Units run serially
+in-process. The same flags reach ``inject``, ``conform --fuzz``, and
+the experiments command.
 
 ``python -m repro.harness status <journal>`` monitors a supervised run
 from its journal, read-only and safe against the live campaign;
-``--follow`` tails it to completion, and distributed runs get a
-per-worker roll-up (throughput, leases held, steals, speculations).
-See docs/SCHEMAS.md for the journal record layout it consumes.
+``--follow`` tails it to completion. See docs/SCHEMAS.md for the
+journal record layout it consumes.
 
 ``python -m repro.harness cache stats|gc`` inspects the shared
 artifact store: entry/byte counts and lifetime hit/corruption
-counters, plus LRU eviction down to ``--max-bytes`` that never evicts
-entries pinned by an in-flight campaign.
+counters, plus LRU eviction down to ``--max-bytes``.
 
 ``python -m repro.harness list`` enumerates every key the other
 subcommands accept (benchmarks, engine design points, experiments,
@@ -81,7 +73,6 @@ from repro.harness.runner import (
 from repro.harness.supervise import (
     add_resilience_flags,
     build_supervisor,
-    distributed_requested,
     supervision_requested,
 )
 from repro.obs import ObsConfig
@@ -250,42 +241,16 @@ def inject_main(argv) -> int:
                 "--engines does not apply to crash campaigns: they "
                 "always torture the recoverable engine"
             )
-        if distributed_requested(args):
-            parser.error(
-                "--workers does not apply to crash campaigns: crash "
-                "points re-execute one recoverable engine serially"
-            )
         return _inject_crash(args)
 
     from repro.faults.report import render_campaign
     from repro.harness.inject import run_inject
-    from repro.resilience import factory_spec, render_outcome
+    from repro.resilience import render_outcome
 
     try:
-        supervisor = None
-        if distributed_requested(args):
-            # Distributed runs need the concrete campaign up front (the
-            # journal opens against its fingerprint) plus a JSON factory
-            # workers rebuild it from.
-            from repro.harness.inject import inject_campaign
-
-            kwargs = {
-                "benchmark": args.benchmark,
-                "campaign": args.campaign,
-                "length": args.length,
-                "seed": args.seed,
-                "engines": list(args.engines) if args.engines else None,
-                "cache_dir": args.cache_dir,
-            }
-            supervisor = build_supervisor(
-                args,
-                inject_campaign(**kwargs),
-                factory_spec=factory_spec(
-                    "repro.harness.inject:inject_campaign", kwargs
-                ),
-            )
-        elif supervision_requested(args):
-            supervisor = build_supervisor(args)
+        supervisor = (
+            build_supervisor(args) if supervision_requested(args) else None
+        )
         outcome = run_inject(
             args.benchmark,
             args.campaign,
@@ -383,7 +348,7 @@ def conform_main(argv) -> int:
     parser.add_argument(
         "--functional-events", type=int, default=None, metavar="N",
         help="cap on events the functional-crypto oracle executes per "
-             "mode (default 240; pure-Python AES is slow)",
+             "mode (default 240; longer logs run that prefix)",
     )
     parser.add_argument(
         "--fuzz-chunk", type=int, default=8, metavar="N",
@@ -398,8 +363,6 @@ def conform_main(argv) -> int:
         parser.error("--fuzz must be >= 0")
     if args.fuzz_chunk < 1:
         parser.error("--fuzz-chunk must be >= 1")
-    if distributed_requested(args) and args.fuzz <= 0:
-        parser.error("--workers applies to the fuzz stage; pass --fuzz N")
 
     from pathlib import Path
 
@@ -410,26 +373,8 @@ def conform_main(argv) -> int:
 
     supervisor_factory = None
     if args.fuzz > 0 and supervision_requested(args):
-        from repro.resilience import factory_spec
-
-        # Mirrors run_conform's own fuzz_campaign call so distributed
-        # workers rebuild the identical campaign.
-        fuzz_spec = factory_spec(
-            "repro.conformance.fuzzer:fuzz_campaign",
-            {
-                "iterations": args.fuzz,
-                "seed": args.seed,
-                "chunk_size": args.fuzz_chunk,
-                "functional_events": (
-                    args.functional_events
-                    if args.functional_events is not None
-                    else DEFAULT_FUNCTIONAL_EVENTS
-                ),
-            },
-        )
-
         def supervisor_factory(campaign):
-            return build_supervisor(args, campaign, factory_spec=fuzz_spec)
+            return build_supervisor(args, campaign)
 
     run_corpus_stage = args.corpus or args.update or args.fuzz == 0
     try:
@@ -503,7 +448,7 @@ def sweep_main(argv) -> int:
 
     from repro.harness.report import render_sweep
     from repro.harness.sweeps import completed_rows, sweep_campaign
-    from repro.resilience import factory_spec, render_outcome
+    from repro.resilience import render_outcome
 
     try:
         campaign = sweep_campaign(
@@ -513,19 +458,7 @@ def sweep_main(argv) -> int:
             seed=args.seed,
             cache_dir=args.cache_dir,
         )
-        # Worker-side factory; the cache root is outside unit identity,
-        # so fingerprints still match.
-        spec = factory_spec(
-            "repro.harness.sweeps:sweep_campaign",
-            {
-                "sweep": args.sweep,
-                "benchmark": args.benchmark,
-                "trace_length": args.length,
-                "seed": args.seed,
-                "cache_dir": args.cache_dir,
-            },
-        )
-        supervisor = build_supervisor(args, campaign, factory_spec=spec)
+        supervisor = build_supervisor(args, campaign)
         outcome = supervisor.run(campaign)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -573,10 +506,6 @@ def list_main(argv) -> int:
     # SWEEP_NAMES) so the listing is byte-stable across runs.
     section("benchmarks", sorted(benchmark_names()))
     section("engines", sorted(engine_factories()))
-    # How a campaign's units get executed: serially in-process
-    # (--workers 1, the default) or by the multi-process lease-queue
-    # executor (--workers N, N >= 2, journaled).
-    section("executors", ("serial", "distributed"))
     section("experiments", sorted(EXPERIMENTS))
     section("sweeps", SWEEP_NAMES)
     section("fault campaigns", sorted(CAMPAIGNS))
@@ -686,21 +615,11 @@ def _supervised_experiments(args, ctx, selected) -> int:
         experiments_campaign,
         result_from_payload,
     )
-    from repro.resilience import factory_spec, render_outcome
+    from repro.resilience import render_outcome
 
     try:
         campaign = experiments_campaign(ctx, selected)
-        spec = factory_spec(
-            "repro.harness.experiments:experiments_campaign_from_params",
-            {
-                "selected": list(selected),
-                "trace_length": args.length,
-                "seed": args.seed,
-                "benchmarks": list(ctx.benchmarks),
-                "cache_dir": args.cache_dir,
-            },
-        )
-        supervisor = build_supervisor(args, campaign, factory_spec=spec)
+        supervisor = build_supervisor(args, campaign)
         outcome = supervisor.run(campaign)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,13 +1,12 @@
 """The ``cache`` harness subcommand: artifact-store stats and GC.
 
 ``python -m repro.harness cache stats [--json]`` reports the store's
-entry and byte counts, active pins, and lifetime hit/miss/corruption
-counters (persisted across processes via ``counters.json``).
+entry and byte counts and lifetime hit/miss/corruption counters
+(persisted across processes via ``counters.json``).
 
 ``python -m repro.harness cache gc --max-bytes N [--dry-run]`` evicts
-least-recently-used entries until the store fits in N bytes, never
-touching entries pinned by an in-flight campaign. ``--dry-run`` prints
-what would be evicted without deleting anything.
+least-recently-used entries until the store fits in N bytes.
+``--dry-run`` prints what would be evicted without deleting anything.
 
 Exit statuses follow the harness convention (see
 :mod:`repro.common.errors`): 0 on success — including a GC that had
@@ -46,19 +45,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="action", required=True)
     stats = sub.add_parser(
-        "stats", help="entry/byte counts, pins, lifetime counters"
+        "stats", help="entry/byte counts, lifetime counters"
     )
     stats.add_argument(
         "--json", action="store_true", help="machine-readable output"
     )
     add_logging_flags(stats)
     gc = sub.add_parser(
-        "gc", help="evict LRU entries down to a byte budget (pins win)"
+        "gc", help="evict LRU entries down to a byte budget"
     )
     gc.add_argument(
         "--max-bytes", type=int, required=True, metavar="N",
-        help="target total size; oldest unpinned entries are evicted "
-             "until the store fits",
+        help="target total size; oldest entries are evicted until the "
+             "store fits",
     )
     gc.add_argument(
         "--dry-run", action="store_true",
@@ -89,8 +88,6 @@ def cache_main(argv) -> int:
         print(f"cache root:      {stats['root']}")
         print(f"entries:         {stats['entries']} "
               f"({_human_bytes(stats['total_bytes'])})")
-        print(f"pinned entries:  {stats['pinned_entries']} "
-              f"(pins: {', '.join(stats['pins']) or 'none'})")
         print(f"lifetime hits:   {counters['hits']}")
         print(f"lifetime misses: {counters['misses']}")
         print(f"lifetime stores: {counters['stores']}")
@@ -106,8 +103,7 @@ def cache_main(argv) -> int:
     print(
         f"{verb} {result.evicted} of {result.examined} entries "
         f"({_human_bytes(result.freed_bytes)} freed, "
-        f"{_human_bytes(result.remaining_bytes)} remain, "
-        f"{result.pinned_kept} pinned kept)"
+        f"{_human_bytes(result.remaining_bytes)} remain)"
     )
     return EXIT_OK
 

@@ -29,19 +29,11 @@ else the ``REPRO_CACHE_DIR`` environment variable, else ``.cache``;
 the empty string disables disk caching entirely.
 
 Beyond read-through/write-through caching, the root doubles as a
-**shared artifact store** for multi-process campaigns:
+**shared artifact store** for every process that points at it:
 
 * every successful read refreshes the entry's mtime, so mtime order is
   LRU order and :meth:`DiskCache.gc` can evict least-recently-used
   entries down to a byte budget;
-* **pins** protect in-flight artifacts from that GC. A process calls
-  :func:`activate_pin` once (the distributed executor's workers pin as
-  ``run-<run_id>-<worker_id>``); from then on every entry the process
-  hits or stores is appended to ``pins/<pin_id>.json``. Each pin file
-  has exactly one writer, so no locking is needed, and
-  :meth:`DiskCache.gc` never evicts a pinned entry regardless of age.
-  Pins are released by deleting the pin file
-  (:meth:`DiskCache.clear_pins`) when the campaign finishes;
 * session hit/miss/store/corruption counters are merged into a
   persisted ``counters.json`` by :func:`flush_counters` (best-effort,
   lock-file serialized), so ``repro.harness cache stats`` reports
@@ -89,9 +81,6 @@ ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 #: Default cache root, relative to the working directory.
 DEFAULT_CACHE_DIR = ".cache"
 
-#: Subdirectory of pin files (one JSON file per active pin id).
-PINS_DIR = "pins"
-
 #: Persisted lifetime counters, merged across processes on flush.
 COUNTERS_NAME = "counters.json"
 
@@ -102,38 +91,12 @@ COUNTER_FIELDS = ("hits", "misses", "stores", "corrupt_entries")
 #: holder was killed mid-flush) and broken by the next flusher.
 _LOCK_STALE_S = 5.0
 
-#: The process-wide pin id entries are recorded under, or ``None``.
-_ACTIVE_PIN: Optional[str] = None
-
 #: Every cache constructed in this process, so :func:`flush_counters`
 #: can flush them all. Strong references on purpose: a weak set would
 #: let an instance (and its unflushed counter deltas) be collected
 #: before the interpreter-exit flush runs. Instances are a few dicts
 #: each, so pinning them for the process lifetime costs nothing.
 _INSTANCES: "Set[DiskCache]" = set()
-
-
-def activate_pin(pin_id: str) -> None:
-    """Pin every artifact this process touches under *pin_id*.
-
-    Module-global by design: runner code deep inside a worker builds
-    its own :class:`DiskCache` instances, and all of them must honor
-    the pin without plumbing it through every constructor.
-    """
-    global _ACTIVE_PIN
-    if "/" in pin_id or os.sep in pin_id:
-        raise ValueError(f"pin id must be a bare name, got {pin_id!r}")
-    _ACTIVE_PIN = pin_id
-
-
-def deactivate_pin() -> None:
-    """Stop recording entries under the active pin (file stays)."""
-    global _ACTIVE_PIN
-    _ACTIVE_PIN = None
-
-
-def active_pin() -> Optional[str]:
-    return _ACTIVE_PIN
 
 
 def flush_counters() -> None:
@@ -146,8 +109,7 @@ def flush_counters() -> None:
 
 
 # Flush on interpreter exit so `cache stats` in a later process sees
-# lifetime counters from serial harness runs, not just from workers
-# (which flush explicitly before exiting). Best-effort by design.
+# the lifetime counters of every harness run. Best-effort by design.
 atexit.register(flush_counters)
 
 
@@ -170,8 +132,6 @@ class GcResult:
     evicted: int
     freed_bytes: int
     remaining_bytes: int
-    #: Entries old enough to evict but protected by a pin.
-    pinned_kept: int
     dry_run: bool = False
 
     def as_dict(self) -> Dict[str, object]:
@@ -180,7 +140,6 @@ class GcResult:
             "evicted": self.evicted,
             "freed_bytes": self.freed_bytes,
             "remaining_bytes": self.remaining_bytes,
-            "pinned_kept": self.pinned_kept,
             "dry_run": self.dry_run,
         }
 
@@ -197,9 +156,6 @@ class DiskCache:
         self.corrupt_entries = 0
         #: Counter values already merged into ``counters.json``.
         self._flushed: Dict[str, int] = {f: 0 for f in COUNTER_FIELDS}
-        #: In-memory mirror of this process's pin files (we are their
-        #: single writer, so the mirror cannot go stale).
-        self._pin_names: Dict[str, Set[str]] = {}
         #: Sizes captured by the last :meth:`entries` listing.
         self._entry_sizes: Dict[Path, int] = {}
         _INSTANCES.add(self)
@@ -270,7 +226,6 @@ class DiskCache:
             os.utime(path)
         except OSError:
             pass
-        self._record_pin(path)
         return payload
 
     def _write_atomic(self, path: Path, text: str) -> None:
@@ -283,7 +238,6 @@ class DiskCache:
         # of entries.
         atomic_write_text(path, sealed, fsync=False)
         self.stores += 1
-        self._record_pin(path)
 
     def _discard(self, path: Path) -> None:
         try:
@@ -331,7 +285,7 @@ class DiskCache:
     def store_event_log(self, key: str, log: "MemoryEventLog") -> None:
         self._write_atomic(self._path("events", key), dumps_event_log(log))
 
-    # -- artifact store: pins, GC, stats -------------------------------------
+    # -- artifact store: GC, stats -------------------------------------------
 
     def entries(self) -> List[Path]:
         """Every artifact entry under the root, oldest mtime first."""
@@ -356,115 +310,24 @@ class DiskCache:
             total += self._entry_sizes.get(path, 0)
         return total
 
-    def _pins_dir(self) -> Path:
-        return self.root / PINS_DIR
-
-    def _record_pin(self, path: Path) -> None:
-        """Record *path* under the process-wide active pin, if any."""
-        if _ACTIVE_PIN is not None:
-            self.pin(_ACTIVE_PIN, path.name)
-
-    def pin(self, pin_id: str, entry_name: str) -> None:
-        """Append *entry_name* to ``pins/<pin_id>.json`` (idempotent).
-
-        Each pin file is written only by the process that owns the pin
-        id, so plain read-modify-write is race-free; the write itself
-        is atomic so the GC never reads a torn pin file.
-        """
-        names = self._pin_names.get(pin_id)
-        if names is None:
-            names = set()
-            loaded = self._read_pin_file(self._pins_dir() / f"{pin_id}.json")
-            if loaded is not None:
-                names.update(loaded)
-            self._pin_names[pin_id] = names
-        if entry_name in names:
-            return
-        names.add(entry_name)
-        payload = {
-            "schema": 1,
-            "pin": pin_id,
-            "entries": sorted(names),
-        }
-        atomic_write_text(
-            self._pins_dir() / f"{pin_id}.json",
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            fsync=False,
-        )
-
-    @staticmethod
-    def _read_pin_file(path: Path) -> Optional[List[str]]:
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return None
-        entries = payload.get("entries") if isinstance(payload, dict) else None
-        if not isinstance(entries, list):
-            return None
-        return [name for name in entries if isinstance(name, str)]
-
-    def pinned_files(self) -> Set[str]:
-        """Union of entry names protected by *any* pin file."""
-        pinned: Set[str] = set()
-        pins_dir = self._pins_dir()
-        if not pins_dir.is_dir():
-            return pinned
-        for pin_file in sorted(pins_dir.glob("*.json")):
-            names = self._read_pin_file(pin_file)
-            if names:
-                pinned.update(names)
-        return pinned
-
-    def pin_ids(self) -> List[str]:
-        pins_dir = self._pins_dir()
-        if not pins_dir.is_dir():
-            return []
-        return sorted(path.stem for path in pins_dir.glob("*.json"))
-
-    def clear_pins(self, prefix: str = "") -> int:
-        """Drop pin files whose id starts with *prefix*; count removed.
-
-        The distributed coordinator calls this with
-        ``run-<run_id>-`` after a campaign finishes so its workers'
-        in-flight pins stop shielding entries from future GC.
-        """
-        removed = 0
-        for pin_id in self.pin_ids():
-            if not pin_id.startswith(prefix):
-                continue
-            try:
-                (self._pins_dir() / f"{pin_id}.json").unlink()
-                removed += 1
-            except OSError:
-                pass
-            self._pin_names.pop(pin_id, None)
-        return removed
-
     def gc(self, max_bytes: int, dry_run: bool = False) -> GcResult:
-        """Evict least-recently-used unpinned entries down to a budget.
+        """Evict least-recently-used entries down to a byte budget.
 
         mtime order *is* LRU order (reads refresh it), so eviction
-        walks entries oldest first, skipping anything pinned — an
-        in-flight campaign's artifacts survive even a ``max_bytes=0``
-        sweep. Racing with concurrent stores is safe: eviction is a
-        plain unlink of a sealed file, and a reader that loses the race
-        sees an ordinary miss.
+        walks entries oldest first. Racing with concurrent stores is
+        safe: eviction is a plain unlink of a sealed file, and a reader
+        that loses the race sees an ordinary miss.
         """
         if max_bytes < 0:
             raise ValueError(f"max_bytes cannot be negative: {max_bytes}")
         ordered = self.entries()
         sizes = dict(self._entry_sizes)
-        pinned = self.pinned_files()
         total = sum(sizes.values())
         evicted = 0
         freed = 0
-        pinned_kept = 0
         for path in ordered:
             if total <= max_bytes:
                 break
-            if path.name in pinned:
-                pinned_kept += 1
-                continue
             size = sizes.get(path, 0)
             if not dry_run:
                 self._discard(path)
@@ -476,7 +339,6 @@ class DiskCache:
             evicted=evicted,
             freed_bytes=freed,
             remaining_bytes=total,
-            pinned_kept=pinned_kept,
             dry_run=dry_run,
         )
 
@@ -504,7 +366,7 @@ class DiskCache:
         """Merge this session's counter deltas into ``counters.json``.
 
         Best-effort by design: concurrent flushers serialize on an
-        ``O_EXCL`` lock file (with a staleness breaker, so a worker
+        ``O_EXCL`` lock file (with a staleness breaker, so a process
         killed mid-flush cannot wedge the root forever), and a flush
         that cannot take the lock simply leaves its deltas for the
         next call. Lifetime counters are observability, not
@@ -558,8 +420,8 @@ class DiskCache:
 
     def stats(self) -> Dict[str, object]:
         """Roll-up for ``repro.harness cache stats``: entries, bytes,
-        pins, and lifetime counters (persisted + this session's
-        unflushed deltas)."""
+        and lifetime counters (persisted + this session's unflushed
+        deltas)."""
         ordered = self.entries()
         total = sum(self._entry_sizes.get(path, 0) for path in ordered)
         counters = self.read_persisted_counters()
@@ -569,7 +431,5 @@ class DiskCache:
             "root": str(self.root),
             "entries": len(ordered),
             "total_bytes": total,
-            "pins": self.pin_ids(),
-            "pinned_entries": len(self.pinned_files()),
             "counters": counters,
         }

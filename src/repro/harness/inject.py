@@ -92,47 +92,6 @@ def _victim_ops(trace: Trace, size_bytes: int, warmup_ops: int) -> List[Op]:
         limit *= 2
 
 
-def inject_campaign(
-    benchmark: str,
-    campaign: str = "quick",
-    *,
-    length: int = DEFAULT_TRACE_LENGTH,
-    seed: int = 2023,
-    engines: Optional[Sequence[str]] = None,
-    cache_dir: Optional[str] = None,
-):
-    """Build the fault campaign's work units without running them.
-
-    Exactly the campaign :func:`run_inject` would execute (same spec,
-    same victim ops, same seeded plans) — used as the worker-side
-    factory of distributed runs, where every process must rebuild an
-    identical, identically-fingerprinted campaign from JSON kwargs.
-    Crash campaigns are deliberately not constructible here: they
-    torture a single recoverable engine serially.
-    """
-    from repro.faults.campaign import build_plans, engine_campaign
-
-    spec = campaign_spec(campaign)
-    if engines is not None:
-        spec = replace(spec, engines=tuple(engines))
-    ops: Optional[List[Op]] = None
-    if spec.workload == "synthetic":
-        ctx = ExperimentContext(
-            trace_length=length,
-            seed=seed,
-            benchmarks=[benchmark],
-            cache_dir=cache_dir,
-        )
-        trace = ctx.trace(benchmark)
-        ops = _victim_ops(trace, spec.size_bytes, spec.warmup_ops)
-    if ops is None:
-        from repro.faults.campaign import _default_ops
-
-        ops = _default_ops(spec)
-    plans = build_plans(spec, ops)
-    return engine_campaign(spec, ops, plans)
-
-
 def run_inject(
     benchmark: str,
     campaign: str = "quick",

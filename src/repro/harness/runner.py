@@ -289,8 +289,8 @@ class ExperimentContext:
 
         The cache location is deliberately excluded: it changes *how*
         results are computed, never *what* they are, so a journaled run
-        may resume under a different cache root (or worker count) and
-        still merge byte-identically.
+        may resume under a different cache root and still report
+        byte-identically.
         """
         return content_digest(
             "experiment-context",

@@ -6,14 +6,6 @@ and ETA computed from the per-record timestamps, budget consumption
 against the budget recorded in the run header, and — once the run has
 ended — the final verdict and its resource-telemetry roll-up.
 
-Distributed runs (``--workers N``) are aggregated too: the monitor
-folds each per-worker journal under ``workers/`` into the live
-progress (a unit a worker finished counts as done even before the
-coordinator merges it), reports a per-worker roll-up — units executed,
-steals, speculations, speculation losses, respawn incarnations — and
-lists the lease-queue state (units currently held, by whom, for how
-long). All of it stays read-only.
-
 The monitor is **strictly read-only**: it never opens the journal for
 append (that path repairs torn tails by truncating the file) and never
 takes locks, so watching a live run cannot perturb it. A torn trailing
@@ -103,11 +95,6 @@ class StatusSnapshot:
     end_reason: Optional[str] = None
     #: The end record's resource-telemetry roll-up, if present.
     telemetry: Dict[str, object] = field(default_factory=dict)
-    #: Distributed runs: one roll-up dict per worker journal found
-    #: under ``workers/`` (sorted by worker id).
-    workers: List[Dict[str, object]] = field(default_factory=list)
-    #: Distributed runs: live lease-queue entries (unit, holder, age).
-    leases: List[Dict[str, object]] = field(default_factory=list)
 
     @property
     def running(self) -> bool:
@@ -143,10 +130,6 @@ class StatusSnapshot:
             payload["end_reason"] = self.end_reason
         if self.telemetry:
             payload["telemetry"] = self.telemetry
-        if self.workers:
-            payload["workers"] = self.workers
-        if self.leases:
-            payload["leases"] = self.leases
         return payload
 
 
@@ -192,11 +175,6 @@ def read_snapshot(
             if isinstance(telemetry, dict):
                 snapshot.telemetry = telemetry
 
-    run_dir = journal_file.parent
-    snapshot.workers = _worker_rollups(run_dir, latest)
-    if snapshot.running:
-        snapshot.leases = _live_leases(run_dir)
-
     snapshot.ok = sum(1 for s in latest.values() if s == "ok")
     snapshot.failed = sum(1 for s in latest.values() if s == "failed")
     snapshot.pending = max(0, snapshot.units_total - snapshot.ok)
@@ -213,74 +191,6 @@ def read_snapshot(
             if snapshot.running and snapshot.pending:
                 snapshot.eta_s = snapshot.pending / snapshot.units_per_s
     return snapshot
-
-
-def _worker_rollups(
-    run_dir: Path, latest: Dict[str, str]
-) -> List[Dict[str, object]]:
-    """Fold every per-worker journal under *run_dir* into roll-ups.
-
-    Worker unit verdicts are merged into *latest* with the same
-    sticky-ok rule as the campaign journal, so live progress counts
-    work the coordinator has not merged yet. Unreadable or headerless
-    journals (a worker mid-first-write) are skipped, not fatal.
-    """
-    rollups: List[Dict[str, object]] = []
-    for path in sorted((run_dir / "workers").glob(f"*/{JOURNAL_NAME}")):
-        try:
-            records = RunJournal(path, path.parent.name).records()
-        except JournalError:
-            continue
-        stats: Dict[str, object] = {
-            "worker": path.parent.name,
-            "ok": 0,
-            "failed": 0,
-            "steals": 0,
-            "speculations": 0,
-            "spec_losses": 0,
-            "incarnations": 0,
-        }
-        for record in records:
-            kind = record.get("type")
-            if kind == "unit":
-                unit_id = record.get("unit_id")
-                status = record.get("status")
-                if status == "ok":
-                    stats["ok"] += 1  # type: ignore[operator]
-                elif status == "failed":
-                    stats["failed"] += 1  # type: ignore[operator]
-                if isinstance(unit_id, str) and isinstance(status, str):
-                    if latest.get(unit_id) != "ok":
-                        latest[unit_id] = status
-            elif kind == "worker":
-                key = {
-                    "steal": "steals",
-                    "speculate": "speculations",
-                    "spec-loss": "spec_losses",
-                    "start": "incarnations",
-                }.get(str(record.get("event")))
-                if key is not None:
-                    stats[key] += 1  # type: ignore[operator]
-        rollups.append(stats)
-    return rollups
-
-
-def _live_leases(run_dir: Path) -> List[Dict[str, object]]:
-    """Current lease-queue holdings of a live distributed run."""
-    from repro.resilience.queue import WorkQueue
-
-    queue_dir = run_dir / "queue"
-    if not (queue_dir / "leases").is_dir():
-        return []
-    try:
-        leases = WorkQueue(queue_dir).live_leases()
-    except OSError:  # pragma: no cover - raced with queue teardown
-        return []
-    for lease in leases:
-        age = lease.get("age_s")
-        if isinstance(age, (int, float)):
-            lease["age_s"] = round(float(age), 3)
-    return leases
 
 
 def _fmt_duration(seconds: float) -> str:
@@ -321,30 +231,6 @@ def render_status(snapshot: StatusSnapshot, width: int = 30) -> str:
             f"budget:   wall {_fmt_duration(snapshot.elapsed_s)} of "
             f"{_fmt_duration(float(wall_budget))} ({used:.1f}%)"
         )
-    if snapshot.workers:
-        lines.append("workers:")
-        for worker in snapshot.workers:
-            parts = [f"{worker['ok']} ok", f"{worker['failed']} failed"]
-            if worker["steals"]:
-                parts.append(f"{worker['steals']} stolen")
-            if worker["speculations"]:
-                parts.append(f"{worker['speculations']} speculative")
-            if worker["spec_losses"]:
-                parts.append(f"{worker['spec_losses']} spec-lost")
-            if isinstance(worker["incarnations"], int) \
-                    and worker["incarnations"] > 1:
-                parts.append(f"{worker['incarnations']} incarnations")
-            lines.append(f"  {worker['worker']}: " + "  ".join(parts))
-    if snapshot.leases:
-        held = ", ".join(
-            f"{str(lease['unit_id'])[:12]} by {lease['worker']} "
-            f"({lease['age_s']}s)"
-            for lease in snapshot.leases[:4]
-        )
-        extra = len(snapshot.leases) - 4
-        if extra > 0:
-            held += f", +{extra} more"
-        lines.append(f"leases:   {len(snapshot.leases)} held: {held}")
     if snapshot.running:
         lines.append("state:    running")
     else:

@@ -12,38 +12,28 @@ same flag vocabulary:
   directories live, which run this is, and whether to continue an
   existing one instead of starting fresh (journaled results are reused
   only under ``--resume``; a fresh run whose journal already exists is
-  refused);
-* ``--workers N`` — the executor: the default, 1, runs units serially
-  in-process; ``N >= 2`` runs N journaled worker subprocesses that pull
-  units from a shared lease-based work queue, with ``--lease-ttl``
-  bounding dead-worker detection, ``--speculate`` duplicating
-  stragglers, and ``--chaos-workers`` sabotaging the worker
-  *processes* themselves (kill -9, freezes) rather than unit attempts.
+  refused).
 
 :func:`build_supervisor` turns parsed args (plus the concrete campaign,
-when journaling applies) into a ready :class:`Supervisor` — or a
-:class:`~repro.resilience.DistributedSupervisor` when the subcommand
-supplied a campaign factory spec and the flags ask for one.
+when journaling applies) into a ready :class:`Supervisor`, which runs
+the units serially in-process.
 """
 
 from __future__ import annotations
 
 import argparse
-from typing import Dict, Optional
+from typing import Optional
 
-from repro.common.errors import JournalError, ResilienceError
+from repro.common.errors import JournalError
 
 from repro.resilience import (
     Campaign,
     ChaosConfig,
     ChaosMonkey,
-    DistributedConfig,
-    DistributedSupervisor,
     ResourceBudget,
     RetryPolicy,
     RunJournal,
     Supervisor,
-    WorkerChaosConfig,
     journal_path,
 )
 
@@ -60,18 +50,6 @@ def _positive_float(value: str) -> float:
         ) from None
     if parsed <= 0:
         raise argparse.ArgumentTypeError("expected a positive number")
-    return parsed
-
-
-def _positive_int(value: str) -> int:
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {value!r}"
-        ) from None
-    if parsed < 1:
-        raise argparse.ArgumentTypeError("expected a positive integer")
     return parsed
 
 
@@ -118,32 +96,6 @@ def add_resilience_flags(parser: argparse.ArgumentParser) -> None:
              "of (seed, unit, attempt)",
     )
     group.add_argument(
-        "--chaos-workers", action="store_true",
-        help="distributed runs only: sabotage the worker processes "
-             "themselves — seeded kill -9s (exercising lease stealing "
-             "and respawn) and heartbeat-alive freezes (exercising "
-             "straggler speculation)",
-    )
-    group.add_argument(
-        "--workers", type=_positive_int, default=1, metavar="N",
-        help="worker processes for the campaign (default 1: units run "
-             "serially in-process); N >= 2 runs N journaled worker "
-             "subprocesses pulling from a shared lease-based work queue",
-    )
-    group.add_argument(
-        "--lease-ttl", type=_positive_float, default=5.0,
-        metavar="SECONDS",
-        help="distributed runs: heartbeat TTL of a unit lease "
-             "(default 5); a lease untouched for this long is "
-             "presumed dead and any peer may steal the unit",
-    )
-    group.add_argument(
-        "--speculate", action="store_true",
-        help="distributed runs: speculatively duplicate straggler "
-             "units (in flight longer than 3x the running median); "
-             "first completion wins, the loser is recorded",
-    )
-    group.add_argument(
         "--run-dir", default=DEFAULT_RUN_DIR, metavar="PATH",
         help=f"root for run journals (default {DEFAULT_RUN_DIR}; "
              "pass '' to disable journaling and resume)",
@@ -167,29 +119,16 @@ def supervision_requested(args: argparse.Namespace) -> bool:
         getattr(args, "supervise", False)
         or args.resume
         or args.run_id
-        or distributed_requested(args)
         or args.chaos
-        or args.chaos_workers
         or args.budget is not None
         or args.unit_timeout is not None
         or args.max_rss_mb is not None
     )
 
 
-def distributed_requested(args: argparse.Namespace) -> bool:
-    """Whether the flags ask for the multi-process executor (N >= 2).
-
-    The lease queue and per-worker journals live in the run directory,
-    so :func:`build_supervisor` refuses the request when journaling is
-    disabled (``--run-dir ''``) instead of silently running serially.
-    """
-    return args.workers >= 2
-
-
 def build_supervisor(
     args: argparse.Namespace,
     campaign: Optional[Campaign] = None,
-    factory_spec: Optional[Dict[str, object]] = None,
 ) -> Supervisor:
     """Construct the supervisor the parsed *args* describe.
 
@@ -202,11 +141,6 @@ def build_supervisor(
     fingerprint) does not cover the code that produced the results.
     Raises :class:`~repro.common.errors.JournalError` for that and for
     resume mismatches, which callers surface as a usage error.
-
-    With *factory_spec* (a JSON-able ``{"factory": "module:function",
-    "kwargs": ...}`` reference that rebuilds *campaign* in another
-    process) and distributed flags, the result is a
-    :class:`~repro.resilience.DistributedSupervisor` instead.
     """
     policy = RetryPolicy(
         max_attempts=max(1, args.retries), base_delay_s=args.backoff
@@ -246,32 +180,6 @@ def build_supervisor(
             campaign,
             require_existing=resume is not None,
             meta={"budget": budget_meta} if budget_meta else None,
-        )
-    if factory_spec is not None and distributed_requested(args):
-        if journal is None:
-            raise ResilienceError(
-                "--workers needs a run journal; do not combine it "
-                "with --run-dir ''"
-            )
-        worker_chaos = (
-            WorkerChaosConfig(seed=args.chaos_seed)
-            if args.chaos_workers
-            else None
-        )
-        config = DistributedConfig(
-            workers=args.workers,
-            lease_ttl_s=args.lease_ttl,
-            speculate=args.speculate,
-            chaos_seed=args.chaos_seed if args.chaos else None,
-            worker_chaos=worker_chaos,
-        )
-        return DistributedSupervisor(
-            config,
-            factory_spec,
-            journal,
-            policy=policy,
-            budget=budget,
-            cache_dir=getattr(args, "cache_dir", None),
         )
     return Supervisor(
         policy=policy, budget=budget, chaos=chaos, journal=journal

@@ -14,14 +14,14 @@ the detection path exercised by the tamper-injection tests.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Callable, List, Optional
 
 from repro.common.errors import ReplayError
-from repro.crypto.sha256 import sha256
 
 
 def _hash_node(payload: bytes, hash_bytes: int) -> bytes:
-    return sha256(payload)[:hash_bytes]
+    return hashlib.sha256(payload).digest()[:hash_bytes]
 
 
 class MerkleTree:

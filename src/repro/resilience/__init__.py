@@ -2,18 +2,11 @@
 
 The subsystem decomposes any multi-unit run — parameter sweeps, paper
 experiments, fault campaigns, conformance fuzzing — into
-content-addressed :class:`WorkUnit` s and executes them under a
-:class:`Supervisor` that retries transient failures, journals every
+content-addressed :class:`WorkUnit` s and executes them serially under
+a :class:`Supervisor` that retries transient failures, journals every
 outcome durably, honors resource budgets by degrading gracefully, and
 can sabotage itself on demand (:mod:`repro.resilience.chaos`) to prove
 all of the above works.
-
-Distributed execution (:mod:`repro.resilience.distributed`) scales the
-same contract across worker subprocesses: a shared lease-based
-:class:`WorkQueue` (:mod:`repro.resilience.queue`), per-worker
-journals merged deterministically back into the campaign journal, dead
-workers detected by heartbeat and their units stolen, stragglers
-speculatively duplicated.
 """
 
 from repro.resilience.budget import (
@@ -24,30 +17,8 @@ from repro.resilience.budget import (
     ResourceBudget,
     current_rss_mb,
 )
-from repro.resilience.chaos import (
-    ChaosConfig,
-    ChaosKill,
-    ChaosMonkey,
-    WorkerChaos,
-    WorkerChaosConfig,
-)
-from repro.resilience.distributed import (
-    DistributedConfig,
-    DistributedSupervisor,
-    build_campaign,
-    demo_campaign,
-    factory_spec,
-    merge_records,
-    read_worker_journals,
-)
+from repro.resilience.chaos import ChaosConfig, ChaosKill, ChaosMonkey
 from repro.resilience.journal import JOURNAL_SCHEMA, RunJournal, journal_path
-from repro.resilience.queue import (
-    DEFAULT_LEASE_TTL_S,
-    LEASE_SCHEMA,
-    Lease,
-    WorkQueue,
-    queue_progress,
-)
 from repro.resilience.policy import (
     RETRYABLE,
     FailureClass,
@@ -84,13 +55,8 @@ __all__ = [
     "ChaosConfig",
     "ChaosKill",
     "ChaosMonkey",
-    "DEFAULT_LEASE_TTL_S",
-    "DistributedConfig",
-    "DistributedSupervisor",
     "FailureClass",
     "JOURNAL_SCHEMA",
-    "LEASE_SCHEMA",
-    "Lease",
     "REASON_RSS",
     "REASON_TRACEMALLOC",
     "REASON_WALL_CLOCK",
@@ -105,24 +71,15 @@ __all__ = [
     "Supervisor",
     "UnitOutcome",
     "UnitTelemetry",
-    "WorkQueue",
     "WorkUnit",
-    "WorkerChaos",
-    "WorkerChaosConfig",
-    "build_campaign",
     "render_campaign_telemetry",
     "rollup",
     "campaign_fingerprint",
     "canonical_params",
     "classify_failure",
     "current_rss_mb",
-    "demo_campaign",
-    "factory_spec",
     "journal_path",
     "json_roundtrip",
-    "merge_records",
     "missing_cell_lines",
-    "queue_progress",
-    "read_worker_journals",
     "render_outcome",
 ]

@@ -63,15 +63,14 @@ def _psutil_rss_mb() -> Optional[float]:  # pragma: no cover - fallback path
 
 
 def current_rss_mb() -> Optional[float]:
-    """Peak resident-set size in MiB, workers included (None if unknown).
+    """Peak resident-set size in MiB, reaped children included.
 
-    ``--max-rss-mb`` must still bite when units run out-of-process (the
-    distributed executor), so this is the max of
-    the ``RUSAGE_SELF`` peak and the ``RUSAGE_CHILDREN`` peak — the
-    latter covers every *reaped* child, which is exactly when a
-    worker's memory bill is final. Where :mod:`resource` is missing
-    (non-Unix), an optional psutil fallback reports the live process
-    tree instead; with neither, the guard is advisory (returns None).
+    The max of the ``RUSAGE_SELF`` peak and the ``RUSAGE_CHILDREN``
+    peak, so a unit that spends its memory in a subprocess it has
+    reaped is still held to ``--max-rss-mb``. Where :mod:`resource` is
+    missing (non-Unix), an optional psutil fallback reports the live
+    process tree instead; with neither, the guard is advisory (returns
+    None).
     """
     try:
         import resource

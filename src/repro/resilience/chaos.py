@@ -15,9 +15,7 @@ forever.
 
 from __future__ import annotations
 
-import os
 import random
-import signal
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -26,7 +24,7 @@ from repro.common.errors import ResilienceError
 
 
 class ChaosKill(RuntimeError):
-    """Synthetic worker death (classified as a retryable CRASH)."""
+    """Synthetic death of a unit attempt (classified as a retryable CRASH)."""
 
 
 @dataclass(frozen=True)
@@ -97,78 +95,3 @@ class ChaosMonkey:
                 f"on attempt {attempt}"
             )
 
-
-@dataclass(frozen=True)
-class WorkerChaosConfig:
-    """Strike probabilities for *worker-process* sabotage.
-
-    Where :class:`ChaosMonkey` fails unit attempts (exercising the
-    retry policy), worker chaos attacks the distributed executor's
-    process model: ``kill`` is a real ``SIGKILL`` of the worker itself
-    (exercising lease expiry, stealing, and coordinator respawn) and
-    ``freeze`` is a long stall with the heartbeat still beating
-    (exercising straggler speculation — the lease stays fresh, the
-    unit just never finishes on time).
-    """
-
-    seed: int = 7
-    kill_prob: float = 0.2
-    freeze_prob: float = 0.15
-    freeze_s: float = 2.0
-
-    def __post_init__(self) -> None:
-        for name in ("kill_prob", "freeze_prob"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ResilienceError(f"{name} must be within [0, 1], got {p}")
-        if self.freeze_s < 0:
-            raise ResilienceError("freeze_s cannot be negative")
-
-
-class WorkerChaos:
-    """Deterministic worker-process sabotage.
-
-    Strikes are a pure function of ``(seed, worker_id, incarnation,
-    unit_id)``. The incarnation — the coordinator bumps it on every
-    respawn — is part of the draw so a respawned worker does not
-    deterministically die at the same unit forever; with the same seed
-    and respawn sequence the strike schedule still reproduces.
-    """
-
-    #: Fixed draw order, mirroring :class:`ChaosMonkey.strike`.
-    def __init__(
-        self,
-        config: WorkerChaosConfig,
-        worker_id: str,
-        incarnation: int = 0,
-        sleep: Callable[[float], None] = time.sleep,
-        kill: Callable[[], None] = lambda: os.kill(
-            os.getpid(), signal.SIGKILL
-        ),
-    ) -> None:
-        self.config = config
-        self.worker_id = worker_id
-        self.incarnation = incarnation
-        self.sleep = sleep
-        self.kill = kill
-        self.freezes = 0
-
-    def draws(self, unit_id: str) -> "tuple[bool, bool]":
-        """(kill?, freeze?) for this unit — pure, for tests and docs."""
-        cfg = self.config
-        rng = random.Random(
-            f"worker-chaos:{cfg.seed}:{self.worker_id}"
-            f":{self.incarnation}:{unit_id}"
-        )
-        kill = rng.random() < cfg.kill_prob
-        freeze = rng.random() < cfg.freeze_prob
-        return kill, freeze
-
-    def strike(self, unit_id: str) -> None:
-        """Maybe kill -9 this worker, or freeze it mid-unit."""
-        kill, freeze = self.draws(unit_id)
-        if kill:
-            self.kill()
-        if freeze:
-            self.freezes += 1
-            self.sleep(self.config.freeze_s)

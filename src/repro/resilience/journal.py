@@ -226,7 +226,6 @@ class RunJournal:
         error: Optional[str] = None,
         result: Optional[object] = None,
         telemetry: Optional[Dict[str, object]] = None,
-        extra: Optional[Dict[str, object]] = None,
     ) -> None:
         record: Dict[str, object] = {
             "type": "unit",
@@ -245,32 +244,7 @@ class RunJournal:
             record["telemetry"] = telemetry
         if status == "ok":
             record["result"] = result
-        if extra:
-            # Provenance fields (worker id, lease generation, ...) from
-            # the distributed executor; reserved keys always win.
-            for key, value in extra.items():
-                record.setdefault(key, value)
         self._append(record)
-
-    def record_event(self, event: str, **fields: object) -> None:
-        """Append a free-form ``worker`` record (steals, spec losses...).
-
-        Readers that only understand ``run`` / ``unit`` / ``end``
-        records skip these; the distributed status aggregation counts
-        them.
-        """
-        record: Dict[str, object] = {"type": "worker", "event": event}
-        record.update(fields)
-        self._append(record)
-
-    def append_record(self, record: Dict[str, object]) -> None:
-        """Append a record verbatim (the journal-merge path).
-
-        The record's own ``ts`` is preserved when present, so merging a
-        per-worker journal into the campaign journal keeps the original
-        completion timestamps.
-        """
-        self._append(dict(record))
 
     def record_end(
         self,

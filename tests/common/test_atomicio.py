@@ -1,6 +1,7 @@
 """Crash-atomic text writes: publish-or-nothing semantics."""
 
 import os
+import stat
 
 import pytest
 
@@ -41,6 +42,21 @@ class TestAtomicWriteText:
         monkeypatch.chdir(tmp_path)
         atomic_write_text("out.txt", "payload")
         assert (tmp_path / "out.txt").read_text() == "payload"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["0022", "0077"])
+    def test_mode_honours_the_umask_like_open(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            atomic_write_text(tmp_path / "atomic.txt", "payload")
+            with open(tmp_path / "plain.txt", "w") as handle:
+                handle.write("payload")
+        finally:
+            os.umask(previous)
+
+        def mode(name):
+            return stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+
+        assert mode("atomic.txt") == mode("plain.txt") == 0o666 & ~umask
 
 
 class TestFsyncDirectory:

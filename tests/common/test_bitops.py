@@ -90,24 +90,6 @@ class TestByteConversions:
         assert bitops.xor_bytes(bitops.xor_bytes(a, b), b) == a
 
 
-class TestRotations:
-    def test_rotate_left_basic(self):
-        assert bitops.rotate_left(0x80000000, 1) == 1
-
-    def test_rotate_right_basic(self):
-        assert bitops.rotate_right(1, 1) == 0x80000000
-
-    def test_rotate_full_width_is_identity(self):
-        assert bitops.rotate_left(0x12345678, 32) == 0x12345678
-
-    def test_rotate_inverse(self):
-        value = 0xA5A5A5A5
-        assert bitops.rotate_right(bitops.rotate_left(value, 13), 13) == value
-
-    def test_rotate_custom_width(self):
-        assert bitops.rotate_left(0b1000, 1, width=4) == 0b0001
-
-
 class TestPopcount:
     def test_known_values(self):
         assert bitops.popcount(0) == 0

@@ -1,28 +1,43 @@
 """MAC tests: RFC/NIST vectors, stateful binding, truncation."""
 
-import hashlib
-import hmac as hmac_stdlib
-
 import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.crypto.mac import CmacAesMac, HmacSha256Mac, make_mac
 
 
-class TestHmacAgainstStdlib:
-    def test_full_tag_matches_stdlib(self):
-        key = b"k" * 20
-        mac = HmacSha256Mac(key, tag_bytes=32)
-        message = (5).to_bytes(8, "little") + (7).to_bytes(8, "little") + b"data"
-        expected = hmac_stdlib.new(key, message, hashlib.sha256).digest()
-        assert mac.compute(b"data", address=5, counter=7) == expected
+class TestHmacRfc4231Vectors:
+    """RFC 4231 HMAC-SHA-256 test cases 1-7 on the untruncated tag.
 
-    def test_long_key_is_hashed_first(self):
-        key = b"K" * 100  # longer than the 64-byte block
-        mac = HmacSha256Mac(key, tag_bytes=32)
-        message = (0).to_bytes(8, "little") * 2 + b"m"
-        expected = hmac_stdlib.new(key, message, hashlib.sha256).digest()
-        assert mac.compute(b"m") == expected
+    Case 5 publishes only the first 128 bits; cases 6 and 7 use a
+    131-byte key, which HMAC hashes before use.
+    """
+
+    @pytest.mark.parametrize("key, data, expected", [
+        ("0b" * 20, b"Hi There",
+         "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"),
+        (b"Jefe".hex(), b"what do ya want for nothing?",
+         "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"),
+        ("aa" * 20, b"\xdd" * 50,
+         "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"),
+        ("0102030405060708090a0b0c0d0e0f10111213141516171819", b"\xcd" * 50,
+         "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"),
+        ("0c" * 20, b"Test With Truncation",
+         "a3b6167473100ee06e0c796c2955552b"),
+        ("aa" * 131,
+         b"Test Using Larger Than Block-Size Key - Hash Key First",
+         "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"),
+        ("aa" * 131,
+         b"This is a test using a larger than block-size key and a larger "
+         b"than block-size data. The key needs to be hashed before being "
+         b"used by the HMAC algorithm.",
+         "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"),
+    ], ids=[f"case{n}" for n in range(1, 8)])
+    def test_full_tag(self, key, data, expected):
+        mac = HmacSha256Mac(bytes.fromhex(key), tag_bytes=32)
+        tag = mac._full_tag(data)
+        assert len(tag) == 32
+        assert tag.hex()[: len(expected)] == expected
 
 
 class TestCmacNistVectors:

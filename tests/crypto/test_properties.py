@@ -1,7 +1,5 @@
 """Property-based tests over the crypto substrate (hypothesis)."""
 
-import hashlib
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +7,6 @@ from repro.crypto.aes import AES
 from repro.crypto.cme import CounterModeCipher
 from repro.crypto.gf import MASK_128, gf128_mul, multiply_by_alpha
 from repro.crypto.mac import HmacSha256Mac
-from repro.crypto.sha256 import sha256
 from repro.crypto.xts import AesXts
 
 keys16 = st.binary(min_size=16, max_size=16)
@@ -67,12 +64,6 @@ def test_gf128_commutes(a, b):
 @given(a=elements)
 def test_gf128_alpha_consistency(a):
     assert gf128_mul(a, 2) == multiply_by_alpha(a)
-
-
-@settings(max_examples=50, deadline=None)
-@given(data=st.binary(max_size=300))
-def test_sha256_matches_stdlib(data):
-    assert sha256(data) == hashlib.sha256(data).digest()
 
 
 @settings(max_examples=30, deadline=None)

@@ -63,22 +63,6 @@ class TestCli:
         assert "not-an-engine" in err
         assert "Traceback" not in err
 
-    def test_workers_one_is_the_default(self, capsys):
-        args = ["eq1", "--length", "300", "--benchmarks", "bfs"]
-        assert main(args) == 0
-        default = capsys.readouterr().out
-        assert main(args + ["--workers", "1"]) == 0
-        assert capsys.readouterr().out == default
-
-    def test_workers_flag_rejects_garbage(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["eq1", "--workers", "zero"])
-        assert excinfo.value.code == 2
-        for value in ("0", "-2", "auto"):
-            with pytest.raises(SystemExit) as excinfo:
-                main(["eq1", "--workers", value])
-            assert excinfo.value.code == 2
-
 
 def _exit_code(argv):
     try:
@@ -89,26 +73,29 @@ def _exit_code(argv):
 
 class TestWorkersFlag:
     @pytest.mark.parametrize("argv", [
-        ["eq1", "--length", "300", "--benchmarks", "bfs", "--cache-dir", ""],
-        ["sweep", "partitions", "bfs", "--length", "300", "--cache-dir", ""],
-        ["inject", "bfs", "--length", "300", "--cache-dir", ""],
-        ["conform", "--fuzz", "2"],
-    ], ids=["experiments", "sweep", "inject", "conform"])
-    def test_workers_without_run_journal_is_usage_error(self, argv, capsys):
-        # The lease executor keeps its queue in the run directory, so
-        # asking for it with journaling off must not run serially.
-        rc = _exit_code(argv + ["--workers", "2", "--run-dir", ""])
-        assert rc == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        err = captured.err.strip()
-        assert "--workers needs a run journal" in err
-        assert len(err.splitlines()) == 1
-
-    @pytest.mark.parametrize("argv", [["profile", "bfs"]], ids=["profile"])
+        ["eq1", "--length", "300", "--benchmarks", "bfs", "--cache-dir", "",
+         "--run-dir", ""],
+        ["sweep", "partitions", "bfs", "--length", "300", "--cache-dir", "",
+         "--run-dir", ""],
+        ["inject", "bfs", "--length", "300", "--cache-dir", "",
+         "--run-dir", ""],
+        ["conform", "--fuzz", "2", "--run-dir", ""],
+        ["profile", "bfs"],
+    ], ids=["experiments", "sweep", "inject", "conform", "profile"])
     def test_replay_commands_take_no_workers(self, argv, capsys):
-        assert _exit_code(argv + ["--workers", "2"]) == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        # Units run serially in-process: the executor flags are gone
+        # from every command, so a script passing one gets a usage
+        # error before any work starts.
+        for flag in (
+            ["--workers", "2"],
+            ["--lease-ttl", "1"],
+            ["--speculate"],
+            ["--chaos-workers"],
+        ):
+            assert _exit_code(argv + flag) == 2, flag
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
 
     def test_removed_bench_subcommand_is_an_unknown_experiment(self, capsys):
         # A script still calling the deleted replay-throughput

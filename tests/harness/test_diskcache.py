@@ -214,15 +214,6 @@ class TestEntriesAndGc:
         assert result.dry_run and result.evicted == 1
         assert len(cache.entries()) == 1
 
-    def test_gc_never_evicts_pinned_entries(self, cache):
-        pinned = seed_entry(cache, "inflight", size=100, age_s=300.0)
-        seed_entry(cache, "old", size=100, age_s=200.0)
-        cache.pin("run-abc-w0", pinned.name)
-        result = cache.gc(max_bytes=0)
-        assert result.pinned_kept == 1
-        assert result.evicted == 1
-        assert cache.entries() == [pinned]
-
     def test_gc_rejects_negative_budget(self, cache):
         with pytest.raises(ValueError):
             cache.gc(max_bytes=-1)
@@ -245,51 +236,6 @@ class TestEntriesAndGc:
         sizes = {p: s for p, s in cache._entry_sizes.items()}
         cache.gc(max_bytes=sizes[hot])
         assert cache.entries() == [hot]
-
-
-class TestPins:
-    def test_active_pin_records_touched_artifacts(self, cache):
-        from repro.harness import diskcache as mod
-
-        trace = build_trace("bfs", length=50, seed=3)
-        key = DiskCache.trace_key("bfs", 50, 3)
-        mod.activate_pin("run-xyz-w0")
-        try:
-            cache.store_trace(key, trace)
-            assert cache.load_trace(key) is not None
-        finally:
-            mod.deactivate_pin()
-        assert mod.active_pin() is None
-        (entry,) = cache.entries()
-        assert cache.pinned_files() == {entry.name}
-        assert cache.pin_ids() == ["run-xyz-w0"]
-        survivors = cache.gc(max_bytes=0)
-        assert survivors.evicted == 0 and survivors.pinned_kept == 1
-
-    def test_pin_id_must_be_a_bare_name(self):
-        from repro.harness.diskcache import activate_pin
-
-        with pytest.raises(ValueError):
-            activate_pin("../escape")
-
-    def test_pin_is_idempotent_and_sorted(self, cache):
-        cache.pin("p", "b.txt")
-        cache.pin("p", "a.txt")
-        cache.pin("p", "b.txt")
-        import json
-
-        payload = json.loads(
-            (cache.root / "pins" / "p.json").read_text(encoding="utf-8")
-        )
-        assert payload["entries"] == ["a.txt", "b.txt"]
-
-    def test_clear_pins_honors_prefix(self, cache):
-        cache.pin("run-a-w0", "x.txt")
-        cache.pin("run-b-w0", "y.txt")
-        assert cache.clear_pins("run-a-") == 1
-        assert cache.pin_ids() == ["run-b-w0"]
-        assert cache.clear_pins() == 1
-        assert cache.pinned_files() == set()
 
 
 class TestPersistedCounters:
@@ -322,4 +268,3 @@ class TestPersistedCounters:
         assert stats["total_bytes"] > 0
         assert stats["counters"]["stores"] == 1
         assert stats["counters"]["hits"] == 1
-        assert stats["pins"] == []

@@ -252,96 +252,3 @@ class TestFollow:
         assert rc == EXIT_OK
         assert len(sleeps) == 2  # the last poll returns before sleeping
 
-
-class TestDistributedRollup:
-    def start_worker(self, run_dir, campaign, worker_id):
-        journal = RunJournal(
-            journal_path(run_dir / "workers", worker_id), worker_id
-        )
-        journal.path.parent.mkdir(parents=True, exist_ok=True)
-        journal._append({
-            "type": "run",
-            "schema": 1,
-            "run_id": worker_id,
-            "campaign": campaign.name,
-            "fingerprint": campaign.fingerprint,
-            "units": len(campaign.units),
-        })
-        journal.record_event("start", worker=worker_id, incarnation=0)
-        return journal
-
-    def test_worker_journals_fold_into_progress(self, tmp_path):
-        campaign, journal, clock = start_run(tmp_path)
-        run_dir = journal.path.parent
-        w0 = self.start_worker(run_dir, campaign, "w0")
-        w1 = self.start_worker(run_dir, campaign, "w1")
-        # The coordinator merged unit 0; units 1 and 2 are done in
-        # worker journals only -- live progress must count them.
-        journal.record_unit(campaign.units[0], "ok", 1, 0.1, result={})
-        w0.record_unit(campaign.units[0], "ok", 1, 0.1, result={})
-        w0.record_unit(campaign.units[1], "ok", 1, 0.1, result={})
-        w1.record_event("steal", unit_id=campaign.units[2].unit_id,
-                        worker="w1", gen=2)
-        w1.record_unit(campaign.units[2], "ok", 1, 0.1, result={})
-        w1.record_event("speculate", unit_id="u", worker="w1", gen=2)
-        w1.record_event("spec-loss", unit_id="u", worker="w1", gen=2)
-        w1.record_event("start", worker="w1", incarnation=1)
-
-        snapshot = read_snapshot(journal.path, now=lambda: 1001.0)
-        assert snapshot.ok == 3
-        assert snapshot.pending == 1
-        rollup = {w["worker"]: w for w in snapshot.workers}
-        assert rollup["w0"]["ok"] == 2
-        assert rollup["w1"]["ok"] == 1
-        assert rollup["w1"]["steals"] == 1
-        assert rollup["w1"]["speculations"] == 1
-        assert rollup["w1"]["spec_losses"] == 1
-        assert rollup["w1"]["incarnations"] == 2
-        payload = snapshot.as_dict()
-        assert {w["worker"] for w in payload["workers"]} == {"w0", "w1"}
-
-    def test_live_leases_are_listed_while_running(self, tmp_path):
-        from repro.resilience import WorkQueue
-
-        campaign, journal, clock = start_run(tmp_path, n=2)
-        run_dir = journal.path.parent
-        queue = WorkQueue(run_dir / "queue", default_ttl_s=60.0)
-        queue.create()
-        queue.claim(campaign.units[0].unit_id, "w0")
-        snapshot = read_snapshot(journal.path, now=lambda: 1001.0)
-        assert len(snapshot.leases) == 1
-        assert snapshot.leases[0]["worker"] == "w0"
-        rendered = render_status(snapshot)
-        assert "leases:   1 held" in rendered
-
-    def test_ended_run_omits_leases(self, tmp_path):
-        from repro.resilience import WorkQueue
-
-        campaign, journal, clock = start_run(tmp_path, n=1)
-        run_dir = journal.path.parent
-        queue = WorkQueue(run_dir / "queue", default_ttl_s=60.0)
-        queue.create()
-        queue.claim(campaign.units[0].unit_id, "w0")
-        journal.record_unit(campaign.units[0], "ok", 1, 0.1, result={})
-        journal.record_end("complete")
-        snapshot = read_snapshot(journal.path, now=lambda: 1001.0)
-        assert snapshot.leases == []
-        assert "leases" not in snapshot.as_dict()
-
-    def test_render_includes_worker_lines(self, tmp_path):
-        campaign, journal, clock = start_run(tmp_path, n=2)
-        run_dir = journal.path.parent
-        w0 = self.start_worker(run_dir, campaign, "w0")
-        w0.record_event("steal", unit_id="u", worker="w0", gen=2)
-        w0.record_unit(campaign.units[0], "ok", 1, 0.1, result={})
-        rendered = render_status(
-            read_snapshot(journal.path, now=lambda: 1001.0)
-        )
-        assert "workers:" in rendered
-        assert "w0: 1 ok  0 failed  1 stolen" in rendered
-
-    def test_serial_runs_have_no_worker_section(self, tmp_path):
-        campaign, journal, clock = start_run(tmp_path, n=1)
-        snapshot = read_snapshot(journal.path, now=lambda: 1001.0)
-        assert snapshot.workers == []
-        assert "workers:" not in render_status(snapshot)

@@ -68,8 +68,8 @@ class TestSubpackageAlls:
 
 class TestImportPath:
     def test_experiment_path_leaves_resilience_unloaded(self):
-        # The supervisor, lease queue and worker stack load only when a
-        # subcommand asks for them, not with every experiment run.
+        # The supervisor and its journal load only when a subcommand
+        # asks for them, not with every experiment run.
         import os
         import subprocess
         import sys

@@ -206,10 +206,9 @@ class TestStackedGuards:
 
 class TestChildRssAccounting:
     def test_reaped_child_memory_is_billed(self):
-        # A worker subprocess's allocation must show up in the RSS
-        # probe once the child is reaped -- that is what lets
-        # --max-rss-mb bite on distributed runs, where the memory is
-        # spent in children, not in the coordinator.
+        # A subprocess's allocation must show up in the RSS probe once
+        # the child is reaped, so --max-rss-mb still bites when a unit
+        # spends its memory in a child process.
         resource = pytest.importorskip("resource")
         import subprocess
         import sys

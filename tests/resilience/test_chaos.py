@@ -105,67 +105,3 @@ class TestStrikes:
             monkey.strike(f"unit-{i}", 1)
         assert monkey.strikes == 0
 
-
-class TestWorkerChaos:
-    def make(self, kills, sleeps, seed=7, incarnation=0, **cfg):
-        from repro.resilience import WorkerChaos, WorkerChaosConfig
-
-        cfg.setdefault("kill_prob", 0.5)
-        cfg.setdefault("freeze_prob", 0.5)
-        return WorkerChaos(
-            WorkerChaosConfig(seed=seed, **cfg),
-            worker_id="w0",
-            incarnation=incarnation,
-            sleep=sleeps.append,
-            kill=lambda: kills.append(True),
-        )
-
-    def test_config_rejects_bad_probabilities(self):
-        from repro.resilience import WorkerChaosConfig
-
-        with pytest.raises(ResilienceError):
-            WorkerChaosConfig(kill_prob=1.5)
-        with pytest.raises(ResilienceError):
-            WorkerChaosConfig(freeze_prob=-0.1)
-
-    def test_draws_are_pure_over_seed_worker_incarnation_unit(self):
-        kills, sleeps = [], []
-        chaos = self.make(kills, sleeps)
-        schedule = [chaos.draws(f"unit-{i}") for i in range(64)]
-        again = self.make([], [])
-        assert [again.draws(f"unit-{i}") for i in range(64)] == schedule
-        assert any(kill for kill, _freeze in schedule)
-        assert any(freeze for _kill, freeze in schedule)
-
-    def test_incarnation_reshuffles_the_schedule(self):
-        # A respawned worker must not deterministically die at the
-        # same unit forever: bumping the incarnation changes draws.
-        base = self.make([], [])
-        respawned = self.make([], [], incarnation=1)
-        units = [f"unit-{i}" for i in range(64)]
-        assert [base.draws(u) for u in units] != [
-            respawned.draws(u) for u in units
-        ]
-
-    def test_strike_uses_injected_kill_and_sleep(self):
-        kills, sleeps = [], []
-        chaos = self.make(kills, sleeps, freeze_s=1.25)
-        unit_kill = next(
-            f"unit-{i}" for i in range(256)
-            if chaos.draws(f"unit-{i}") == (True, False)
-        )
-        unit_freeze = next(
-            f"unit-{i}" for i in range(256)
-            if chaos.draws(f"unit-{i}") == (False, True)
-        )
-        unit_calm = next(
-            f"unit-{i}" for i in range(256)
-            if chaos.draws(f"unit-{i}") == (False, False)
-        )
-        chaos.strike(unit_calm)
-        assert (kills, sleeps) == ([], [])
-        chaos.strike(unit_kill)
-        assert kills == [True]
-        chaos.strike(unit_freeze)
-        assert sleeps == [1.25]
-        assert chaos.freezes == 1
