@@ -12,17 +12,21 @@ from conftest import run_once
 
 from repro.harness.report import format_table
 from repro.harness.sweeps import (
-    sweep_memory_intensity,
-    sweep_metadata_cache,
-    sweep_seeds,
-    sweep_trace_length,
+    cache_cell,
+    intensity_cell,
+    length_cell,
+    seed_cell,
 )
 
 BENCH = "bfs"
+LENGTH = 8000
+SEED = 2023
 
 
 def test_sweep_seed_robustness(benchmark, ctx):
-    rows = run_once(benchmark, lambda: sweep_seeds(BENCH, seeds=(1, 2, 3, 4)))
+    rows = run_once(
+        benchmark, lambda: [seed_cell(BENCH, s, LENGTH) for s in (1, 2, 3, 4)]
+    )
     print(format_table(rows))
     speedups = [r["speedup"] for r in rows]
     assert min(speedups) > 1.05          # the win survives every seed
@@ -33,7 +37,8 @@ def test_sweep_seed_robustness(benchmark, ctx):
 
 def test_sweep_window_convergence(benchmark, ctx):
     rows = run_once(
-        benchmark, lambda: sweep_trace_length(BENCH, lengths=(2000, 6000, 12000))
+        benchmark,
+        lambda: [length_cell(BENCH, n, SEED) for n in (2000, 6000, 12000)],
     )
     print(format_table(rows))
     assert all(r["speedup"] > 1.0 for r in rows)
@@ -41,7 +46,11 @@ def test_sweep_window_convergence(benchmark, ctx):
 
 def test_sweep_metadata_cache(benchmark, ctx):
     rows = run_once(
-        benchmark, lambda: sweep_metadata_cache(BENCH, sizes=(1024, 2048, 8192))
+        benchmark,
+        lambda: [
+            cache_cell(BENCH, size, LENGTH, SEED)
+            for size in (1024, 2048, 8192)
+        ],
     )
     print(format_table(rows))
     by_size = {r["cache_bytes"]: r for r in rows}
@@ -52,7 +61,12 @@ def test_sweep_metadata_cache(benchmark, ctx):
 
 
 def test_sweep_memory_intensity(benchmark, ctx):
-    rows = run_once(benchmark, lambda: sweep_memory_intensity(ctx, BENCH))
+    rows = run_once(
+        benchmark,
+        lambda: [
+            intensity_cell(ctx, BENCH, i) for i in (0.0, 0.25, 0.5, 0.75, 1.0)
+        ],
+    )
     print(format_table(rows))
     by_i = {r["memory_intensity"]: r for r in rows}
     # Compute-bound kernels are indifferent; fully memory-bound ones

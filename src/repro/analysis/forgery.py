@@ -89,15 +89,10 @@ class ForgeryAnalysis:
     per_unit_probability: float
     per_sector_probability: float
     mac_collision_8B: float = 2.0**-64
-    mac_collision_4B: float = 2.0**-32
 
     @property
     def beats_8B_mac(self) -> bool:
         return self.per_sector_probability < self.mac_collision_8B
-
-    @property
-    def beats_4B_mac(self) -> bool:
-        return self.per_sector_probability < self.mac_collision_4B
 
 
 def design_space(

@@ -181,7 +181,7 @@ class JournalError(ResilienceError):
 
 
 class BudgetExceededError(ResilienceError):
-    """A resource budget (wall clock, RSS, tracemalloc) was exhausted.
+    """A resource budget (wall clock, RSS) was exhausted.
 
     The supervisor reacts with graceful degradation — remaining units
     are cancelled and the run is reported as partial — rather than

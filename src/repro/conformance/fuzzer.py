@@ -31,7 +31,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.conformance.invariants import Violation, check_run
 from repro.conformance.matrix import (
@@ -42,6 +50,9 @@ from repro.conformance.matrix import (
 from repro.gpu.config import VOLTA, GpuConfig
 from repro.gpu.simulator import EventKind, MemoryEvent, MemoryEventLog
 from repro.workloads.traceio import dumps_event_log, loads_event_log
+
+if TYPE_CHECKING:  # pragma: no cover - hint only; resilience loads lazily
+    from repro.resilience import CampaignOutcome
 
 #: Fold distance used by the alias pattern (matches the functional
 #: oracle's default bounded-memory size, in sectors).
@@ -324,11 +335,19 @@ class FuzzReport:
 
     iterations: int
     seed: int
+    #: The supervised outcome of the chunk units. A partial one means
+    #: some iteration ranges never reported.
+    supervision: CampaignOutcome
     pattern_counts: Dict[str, int] = field(default_factory=dict)
     failures: List[FuzzFailure] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
+        """No invariant violation among the iterations that ran.
+
+        It covers only the units that completed; ``supervision.partial``
+        says whether any iteration range is missing.
+        """
         return not self.failures
 
 
@@ -356,14 +375,13 @@ def _fuzz_range(
     config: GpuConfig = VOLTA,
     engines: Sequence[str] = CONFORMANCE_ENGINES,
     functional_events: Optional[int] = DEFAULT_FUNCTIONAL_EVENTS,
-    shrink_failures: bool = True,
-    on_iteration: Optional[Callable[[int, str], None]] = None,
 ) -> Tuple[Dict[str, int], List[FuzzFailure]]:
     """Run iterations ``[start, stop)`` of a seeded campaign.
 
     Each iteration derives its own RNG from (seed, iteration), so the
     result of a range never depends on how the campaign was chunked —
-    the property behind supervised (resumable) fuzzing.
+    the property behind supervised (resumable) fuzzing. Failing logs
+    are ddmin-shrunk against the same oracle.
     """
     pattern_counts: Dict[str, int] = {}
     failures: List[FuzzFailure] = []
@@ -371,8 +389,6 @@ def _fuzz_range(
         rng = random.Random(seed * 1_000_003 + iteration)
         pattern = rng.choice(PATTERNS)
         pattern_counts[pattern] = pattern_counts.get(pattern, 0) + 1
-        if on_iteration is not None:
-            on_iteration(iteration, pattern)
         name = f"fuzz-s{seed}-i{iteration}-{pattern}"
         log = generate_log(pattern, rng, name)
         violations = evaluate_log(
@@ -381,17 +397,16 @@ def _fuzz_range(
         )
         if not violations:
             continue
-        shrunk = log
-        if shrink_failures:
-            def still_failing(candidate: MemoryEventLog) -> bool:
-                return bool(
-                    evaluate_log(
-                        candidate, config=config, engines=engines,
-                        functional_events=functional_events,
-                    )
-                )
 
-            shrunk = shrink(log, still_failing)
+        def still_failing(candidate: MemoryEventLog) -> bool:
+            return bool(
+                evaluate_log(
+                    candidate, config=config, engines=engines,
+                    functional_events=functional_events,
+                )
+            )
+
+        shrunk = shrink(log, still_failing)
         failures.append(
             FuzzFailure(
                 iteration=iteration,
@@ -402,35 +417,6 @@ def _fuzz_range(
             )
         )
     return pattern_counts, failures
-
-
-def fuzz(
-    iterations: int,
-    seed: int,
-    config: GpuConfig = VOLTA,
-    engines: Sequence[str] = CONFORMANCE_ENGINES,
-    functional_events: Optional[int] = DEFAULT_FUNCTIONAL_EVENTS,
-    shrink_failures: bool = True,
-    on_iteration: Optional[Callable[[int, str], None]] = None,
-) -> FuzzReport:
-    """Run a seeded fuzz campaign against the universal invariants.
-
-    Each iteration derives its own RNG from (seed, iteration), so any
-    failure is reproducible in isolation from its iteration number.
-    Failing logs are ddmin-shrunk against the same oracle.
-    """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    report = FuzzReport(iterations=iterations, seed=seed)
-    report.pattern_counts, report.failures = _fuzz_range(
-        0, iterations, seed,
-        config=config,
-        engines=engines,
-        functional_events=functional_events,
-        shrink_failures=shrink_failures,
-        on_iteration=on_iteration,
-    )
-    return report
 
 
 # -- supervised decomposition -------------------------------------------------
@@ -468,7 +454,6 @@ def fuzz_campaign(
     config: GpuConfig = VOLTA,
     engines: Sequence[str] = CONFORMANCE_ENGINES,
     functional_events: Optional[int] = DEFAULT_FUNCTIONAL_EVENTS,
-    shrink_failures: bool = True,
 ):
     """Decompose a fuzz campaign into chunked, resumable work units.
 
@@ -493,7 +478,6 @@ def fuzz_campaign(
                 config=config,
                 engines=engines,
                 functional_events=functional_events,
-                shrink_failures=shrink_failures,
             )
             return {
                 "pattern_counts": counts,
@@ -514,7 +498,6 @@ def fuzz_campaign(
                     "stop": stop,
                     "engines": list(engines),
                     "functional_events": functional_events,
-                    "shrink": shrink_failures,
                     "config": config_id,
                     # The journaled layout of failing logs is part of
                     # the unit identity, so a journal holding another
@@ -528,13 +511,39 @@ def fuzz_campaign(
     return Campaign(name=f"fuzz:s{seed}:n{iterations}", units=units)
 
 
-def fuzz_report_from_outcome(outcome, iterations: int, seed: int) -> FuzzReport:
-    """Merge supervised chunk results back into one :class:`FuzzReport`.
+def fuzz(
+    iterations: int,
+    seed: int,
+    config: GpuConfig = VOLTA,
+    engines: Sequence[str] = CONFORMANCE_ENGINES,
+    functional_events: Optional[int] = DEFAULT_FUNCTIONAL_EVENTS,
+    chunk_size: int = 8,
+    supervisor=None,
+) -> FuzzReport:
+    """Run a seeded fuzz campaign against the universal invariants.
 
-    Chunks lost to failure or degradation contribute nothing here; the
-    supervised outcome itself records which ranges are missing.
+    Each iteration derives its own RNG from (seed, iteration), so any
+    failure is reproducible in isolation from its iteration number.
+    Failing logs are ddmin-shrunk against the same oracle. The
+    iterations run as :func:`fuzz_campaign` chunks under *supervisor*
+    (default: a plain :class:`~repro.resilience.Supervisor`, which
+    journals nothing); chunks lost to failure or degradation contribute
+    nothing to the report, so ``report.ok`` holds only together with
+    ``report.supervision.ok``, which records which ranges are missing.
     """
-    report = FuzzReport(iterations=iterations, seed=seed)
+    from repro.resilience import Supervisor
+
+    campaign = fuzz_campaign(
+        iterations, seed,
+        chunk_size=chunk_size,
+        config=config,
+        engines=engines,
+        functional_events=functional_events,
+    )
+    if supervisor is None:
+        supervisor = Supervisor()
+    outcome = supervisor.run(campaign)
+    report = FuzzReport(iterations=iterations, seed=seed, supervision=outcome)
     failures: List[FuzzFailure] = []
     for payload in outcome.results.values():
         for pattern, count in payload["pattern_counts"].items():

@@ -29,7 +29,7 @@ from copy import deepcopy
 from dataclasses import dataclass, field
 from enum import Enum
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import (
     FaultInjectionError,
@@ -50,6 +50,9 @@ from repro.faults.workload import Op, synthetic_ops, value_sweep_ops
 from repro.metadata.split_counter import SplitCounterConfig
 from repro.secure.functional import SecureMemory
 from repro.secure.value_cache import ValueCacheConfig
+
+if TYPE_CHECKING:  # pragma: no cover - hint only; resilience loads lazily
+    from repro.resilience import CampaignOutcome
 
 #: The exception class each fault kind must be caught with.
 EXPECTED_EXCEPTION = {
@@ -371,16 +374,14 @@ class CampaignReport:
     """Everything a campaign learned, plus the pass/fail verdict."""
 
     spec: CampaignSpec
+    #: The supervised outcome of the per-engine units. A partial one
+    #: means some engines never reported.
+    supervision: CampaignOutcome
     records: List[TrialRecord] = field(default_factory=list)
     #: (engine, kind) -> aggregated cell.
     matrix: Dict[Tuple[str, FaultKind], MatrixCell] = field(
         default_factory=dict
     )
-    #: The supervised :class:`~repro.resilience.CampaignOutcome` when
-    #: the campaign ran under a supervisor (``None`` for direct runs).
-    #: A partial outcome means some engines never reported: ``ok`` then
-    #: speaks only for the engines that did.
-    supervision: Optional[object] = None
 
     @property
     def missed(self) -> List[TrialRecord]:
@@ -430,6 +431,11 @@ class CampaignReport:
 
     @property
     def ok(self) -> bool:
+        """No disallowed outcome among the engines that reported.
+
+        It covers only the units that completed; ``supervision.partial``
+        says whether any engine is missing.
+        """
         return not (
             self.missed
             or self.disallowed_benign
@@ -609,26 +615,28 @@ def run_campaign(
 ) -> CampaignReport:
     """Mount *spec* (optionally over caller-supplied victim ops).
 
-    With a :class:`~repro.resilience.Supervisor`, each engine runs as
-    one supervised work unit: transient failures are retried, budgets
-    degrade gracefully (missing engines are reported, not silently
-    absent), and the outcome rides along as ``report.supervision``.
+    Each engine runs as one work unit under *supervisor*: transient
+    failures are retried, budgets degrade gracefully (missing engines
+    are reported, not silently absent), a named run is journaled and
+    resumable, and the outcome rides along as ``report.supervision``
+    (*supervisor* defaults to a plain
+    :class:`~repro.resilience.Supervisor`, which journals nothing). An
+    engine whose unit raised is missing from ``records``, so
+    ``report.ok`` holds only together with ``report.supervision.ok``.
     """
+    from repro.resilience import Supervisor
+
     if ops is None:
         ops = _default_ops(spec)
     plans = build_plans(spec, ops)
-    report = CampaignReport(spec=spec)
+    campaign = engine_campaign(spec, ops, plans)
     if supervisor is None:
-        for engine_name in spec.engines:
-            report.records.extend(_run_engine(engine_name, spec, ops, plans))
-    else:
-        campaign = engine_campaign(spec, ops, plans)
-        outcome = supervisor.run(campaign)
-        report.supervision = outcome
-        results = outcome.results
-        for unit in campaign.units:
-            for payload in results.get(unit.unit_id) or ():
-                report.records.append(_record_from_payload(payload))
+        supervisor = Supervisor()
+    outcome = supervisor.run(campaign)
+    report = CampaignReport(spec=spec, supervision=outcome)
+    for unit in campaign.units:
+        for payload in outcome.results.get(unit.unit_id) or ():
+            report.records.append(_record_from_payload(payload))
     for record in report.records:
         key = (record.engine, record.plan.kind)
         cell = report.matrix.get(key)

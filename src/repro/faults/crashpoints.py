@@ -29,9 +29,9 @@ module mounts *power loss*. A crash campaign
      corruption: recovery and replay completed but produced different
      bytes. This is the hard failure the sweep exists to rule out.
 
-Under a :class:`~repro.resilience.Supervisor` the sweep decomposes into
-one work unit per crash op index, so a torture run that dies mid-sweep
-resumes from its journal byte-identically.
+The sweep runs under a :class:`~repro.resilience.Supervisor` as one
+work unit per crash op index, so a journaled torture run that dies
+mid-sweep resumes from its journal byte-identically.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import hashlib
 import random
 from copy import deepcopy
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import (
     CrashError,
@@ -57,6 +57,9 @@ from repro.secure.recoverable import (
     UPDATE_SITES,
     RecoverableSecureMemory,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - hint only; resilience loads lazily
+    from repro.resilience import CampaignOutcome
 
 #: The non-partial persistence modes every barrier is killed under.
 BASE_MODES: Tuple[str, ...] = ("none", "all")
@@ -604,11 +607,12 @@ class CrashReport:
     """Everything a crash campaign learned, plus the verdict."""
 
     spec: CrashCampaignSpec
+    #: The supervised outcome of the per-op units; a partial one means
+    #: some ops never reported.
+    supervision: CampaignOutcome
     records: List[CrashTrialRecord] = field(default_factory=list)
     #: (site, op class) -> aggregated cell.
     cells: Dict[Tuple[str, str], CrashCell] = field(default_factory=dict)
-    #: Supervision outcome when run under a supervisor (``None`` direct).
-    supervision: Optional[object] = None
 
     def absorb(self, record: CrashTrialRecord) -> None:
         self.records.append(record)
@@ -650,6 +654,12 @@ class CrashReport:
 
     @property
     def ok(self) -> bool:
+        """No silent corruption, and full coverage, among the ops that
+        reported.
+
+        It covers only the units that completed; ``supervision.partial``
+        says whether any op is missing.
+        """
         return not self.silent_corruptions and self.complete
 
 
@@ -683,28 +693,36 @@ def _record_from_payload(payload: Dict[str, object]) -> CrashTrialRecord:
     )
 
 
-def _advance(
-    spec: CrashCampaignSpec, ops: Sequence[CrashOp], op_index: int
-) -> RecoverableSecureMemory:
-    """Fresh engine advanced to just before ``ops[op_index]``."""
-    engine = _build_engine(spec)
-    for op in ops[:op_index]:
-        _apply_op(engine, op)
-    return engine
+class _Cursor:
+    """One engine advanced forward through the workload, shared by units.
 
+    The per-op units of a crash sweep each need an engine advanced to
+    just before their op. Sharing one engine that only moves forward
+    keeps a fresh sweep linear in ops, as a single loop would be. The
+    engine is rebuilt from scratch when a unit is behind it (the same
+    campaign run again), and dropped when advancing it raised, since an
+    op may have half-applied.
+    """
 
-def _run_op_group(
-    spec: CrashCampaignSpec,
-    ops: Sequence[CrashOp],
-    trials: Sequence[CrashTrial],
-    ref_digest: str,
-    ref_committed: int,
-    base: Optional[RecoverableSecureMemory],
-) -> List[CrashTrialRecord]:
-    return [
-        run_crash_trial(spec, ops, trial, base, ref_digest, ref_committed)
-        for trial in trials
-    ]
+    def __init__(self, spec: CrashCampaignSpec, ops: Sequence[CrashOp]):
+        self.spec = spec
+        self.ops = ops
+        self.engine: Optional[RecoverableSecureMemory] = None
+        self.at = 0
+
+    def advance(self, op_index: int) -> RecoverableSecureMemory:
+        """The shared engine, advanced to just before ``ops[op_index]``."""
+        if self.engine is None or self.at > op_index:
+            self.engine = _build_engine(self.spec)
+            self.at = 0
+        try:
+            while self.at < op_index:
+                _apply_op(self.engine, self.ops[self.at])
+                self.at += 1
+        except BaseException:
+            self.engine = None
+            raise
+        return self.engine
 
 
 def crash_campaign(
@@ -717,10 +735,10 @@ def crash_campaign(
     """Decompose a crash sweep into per-op-index work units.
 
     The crash op index is the natural unit: all its trials fork from
-    one advanced engine state, and units share nothing but the seeded
-    workload. Identity covers the spec plus the ops digest, so a
-    journaled unit result is only ever reused against the exact same
-    torture.
+    one advanced engine state (a shared :class:`_Cursor`), and units
+    share nothing else but the seeded workload. Identity covers the
+    spec plus the ops digest, so a journaled unit result is only ever
+    reused against the exact same torture.
     """
     from repro.resilience import Campaign, WorkUnit
 
@@ -728,17 +746,18 @@ def crash_campaign(
     by_op: Dict[int, List[CrashTrial]] = {}
     for trial in trials:
         by_op.setdefault(trial.event.op_index, []).append(trial)
+    cursor = _Cursor(spec, ops)
 
     def runner_for(op_index: int, group: List[CrashTrial]):
         def run() -> List[Dict[str, object]]:
-            base = (
-                _advance(spec, ops, op_index) if op_index >= 0 else None
-            )
+            base = cursor.advance(op_index) if op_index >= 0 else None
             return [
-                _record_payload(r)
-                for r in _run_op_group(
-                    spec, ops, group, ref_digest, ref_committed, base
+                _record_payload(
+                    run_crash_trial(
+                        spec, ops, trial, base, ref_digest, ref_committed
+                    )
                 )
+                for trial in group
             ]
 
         return run
@@ -765,62 +784,31 @@ def run_crash_campaign(
     spec: CrashCampaignSpec,
     ops: Optional[Sequence[CrashOp]] = None,
     supervisor=None,
-    supervisor_factory=None,
 ) -> CrashReport:
     """Mount the full systematic sweep for *spec*.
 
-    Direct runs advance one cursor engine across the workload and fork
-    per trial (cost linear in ops + trials). Supervised runs decompose
-    into per-op work units: each is retried on transient failure,
-    journaled durably, and skipped on resume — a supervisor that died
-    mid-torture continues byte-identically. ``supervisor_factory``
-    receives the concrete :class:`~repro.resilience.Campaign` and
-    returns the supervisor — the shape journaled runs need, since the
-    journal is opened against the campaign fingerprint.
+    The sweep runs as per-op work units under *supervisor*: each is
+    retried on transient failure, journaled durably when the supervisor
+    names a run, and skipped on resume, so a supervisor that died
+    mid-torture continues byte-identically. The outcome rides along as
+    ``report.supervision`` (*supervisor* defaults to a plain
+    :class:`~repro.resilience.Supervisor`, which journals nothing). An
+    op whose unit raised is missing from ``records``, so ``report.ok``
+    holds only together with ``report.supervision.ok``.
     """
+    from repro.resilience import Supervisor
+
     if ops is None:
         ops = build_crash_ops(spec)
     events = enumerate_barriers(spec, ops)
     ref_digest, ref_committed = reference_digest(spec, ops)
     trials = build_crash_trials(spec, events)
-    report = CrashReport(spec=spec)
-
-    if supervisor is None and supervisor_factory is not None:
-        campaign = crash_campaign(
-            spec, ops, trials, ref_digest, ref_committed
-        )
-        supervisor = supervisor_factory(campaign)
-        outcome = supervisor.run(campaign)
-        report.supervision = outcome
-        for unit in campaign.units:
-            for payload in outcome.results.get(unit.unit_id) or ():
-                report.absorb(_record_from_payload(payload))
-        return report
-
+    campaign = crash_campaign(spec, ops, trials, ref_digest, ref_committed)
     if supervisor is None:
-        by_op: Dict[int, List[CrashTrial]] = {}
-        for trial in trials:
-            by_op.setdefault(trial.event.op_index, []).append(trial)
-        cursor = _build_engine(spec)
-        cursor_at = 0
-        for op_index in sorted(by_op):
-            base: Optional[RecoverableSecureMemory] = None
-            if op_index >= 0:
-                while cursor_at < op_index:
-                    _apply_op(cursor, ops[cursor_at])
-                    cursor_at += 1
-                base = cursor
-            for record in _run_op_group(
-                spec, ops, by_op[op_index], ref_digest, ref_committed, base
-            ):
-                report.absorb(record)
-    else:
-        campaign = crash_campaign(
-            spec, ops, trials, ref_digest, ref_committed
-        )
-        outcome = supervisor.run(campaign)
-        report.supervision = outcome
-        for unit in campaign.units:
-            for payload in outcome.results.get(unit.unit_id) or ():
-                report.absorb(_record_from_payload(payload))
+        supervisor = Supervisor()
+    outcome = supervisor.run(campaign)
+    report = CrashReport(spec=spec, supervision=outcome)
+    for unit in campaign.units:
+        for payload in outcome.results.get(unit.unit_id) or ():
+            report.absorb(_record_from_payload(payload))
     return report

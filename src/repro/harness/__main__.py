@@ -1,10 +1,11 @@
 """CLI entry: ``python -m repro.harness [experiment ...]``.
 
-Runs the requested experiments (default: all) and prints their reports.
-Useful flags: ``--length`` to control trace size, ``--benchmarks`` to
-restrict the roster, ``--cache-dir`` to relocate or disable the on-disk
-trace/event-log cache, and ``--supervise`` (or any resilience flag) to
-run the experiments as journaled units (below).
+Runs the requested experiments (default: all; a repeated name runs
+once) and prints their reports when the campaign ends. Useful flags:
+``--length`` to control trace size, ``--benchmarks`` to restrict the
+roster, ``--cache-dir`` to relocate or disable the on-disk
+trace/event-log cache, and the resilience flags shared with the other
+campaign commands (below).
 
 ``python -m repro.harness profile <benchmark>`` instead runs one fully
 instrumented simulation and renders the observability dashboard; see
@@ -21,16 +22,17 @@ invariants, seeded trace fuzzer — and exits 1 on any invariant
 violation or snapshot drift; see docs/ARCHITECTURE.md § Conformance.
 
 ``python -m repro.harness sweep <axis> <benchmark>`` runs one
-sensitivity sweep as a supervised campaign: every cell is a journaled
-work unit, so ``--resume <run-id>`` after a crash re-runs only the
-unfinished cells, ``--budget`` degrades gracefully into an explicit
-partial report, and ``--chaos`` sabotages the runtime on purpose; see
-docs/ARCHITECTURE.md § Resilient execution. Units run serially
-in-process. The same flags reach ``inject``, ``conform --fuzz``, and
-the experiments command.
+sensitivity sweep, one work unit per cell. Like every multi-unit
+command (the experiments command, ``inject`` and ``conform --fuzz``
+too), it runs its units serially in-process under the campaign
+supervisor: a named run (``--run-id``) is journaled, so ``--resume
+<run-id>`` after a crash re-runs only the unfinished units, ``--budget``
+degrades gracefully into an explicit partial report, and ``--chaos``
+sabotages the runtime on purpose; see docs/ARCHITECTURE.md § Resilient
+execution.
 
-``python -m repro.harness status <journal>`` monitors a supervised run
-from its journal, read-only and safe against the live campaign;
+``python -m repro.harness status <journal>`` monitors a named run from
+its journal, read-only and safe against the live campaign;
 ``--follow`` tails it to completion. See docs/SCHEMAS.md for the
 journal record layout it consumes.
 
@@ -70,11 +72,7 @@ from repro.harness.runner import (
     ExperimentContext,
     engine_factories,
 )
-from repro.harness.supervise import (
-    add_resilience_flags,
-    build_supervisor,
-    supervision_requested,
-)
+from repro.harness.supervise import add_resilience_flags, build_supervisor
 from repro.obs import ObsConfig
 from repro.workloads.benchmarks import benchmark_names
 
@@ -235,84 +233,56 @@ def inject_main(argv) -> int:
     for engine in args.engines or ():
         _check_known(parser, "engine variant", engine, ENGINE_VARIANTS)
 
-    if args.campaign in CRASH_CAMPAIGNS:
-        if args.engines:
-            parser.error(
-                "--engines does not apply to crash campaigns: they "
-                "always torture the recoverable engine"
+    crash = args.campaign in CRASH_CAMPAIGNS
+    if crash and args.engines:
+        parser.error(
+            "--engines does not apply to crash campaigns: they "
+            "always torture the recoverable engine"
+        )
+
+    from repro.faults.report import render_campaign, render_crash_report
+    from repro.harness.inject import run_inject, run_inject_crash
+    from repro.resilience import render_outcome
+
+    try:
+        supervisor = build_supervisor(args)
+        if crash:
+            outcome = run_inject_crash(
+                args.benchmark,
+                args.campaign,
+                length=args.length,
+                seed=args.seed,
+                cache_dir=args.cache_dir,
+                supervisor=supervisor,
             )
-        return _inject_crash(args)
-
-    from repro.faults.report import render_campaign
-    from repro.harness.inject import run_inject
-    from repro.resilience import render_outcome
-
-    try:
-        supervisor = (
-            build_supervisor(args) if supervision_requested(args) else None
-        )
-        outcome = run_inject(
-            args.benchmark,
-            args.campaign,
-            length=args.length,
-            seed=args.seed,
-            engines=args.engines,
-            cache_dir=args.cache_dir,
-            supervisor=supervisor,
-        )
+        else:
+            outcome = run_inject(
+                args.benchmark,
+                args.campaign,
+                length=args.length,
+                seed=args.seed,
+                engines=(
+                    list(dict.fromkeys(args.engines)) if args.engines else None
+                ),
+                cache_dir=args.cache_dir,
+                supervisor=supervisor,
+            )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(render_campaign(outcome.report))
-    supervision = outcome.report.supervision
-    if supervision is not None:
-        print(render_outcome(supervision), file=sys.stderr)
-    if not outcome.ok:
+    report = outcome.report
+    render = render_crash_report if crash else render_campaign
+    print(render(report))
+    print(render_outcome(report.supervision), file=sys.stderr)
+    # A missed fault or a silent corruption fails outright; an
+    # incomplete crash sweep under a partial (budget-cancelled) run
+    # exits 3 so a resumed run can finish the coverage.
+    failed = report.silent_corruptions if crash else not report.ok
+    if failed:
         return EXIT_FAILURE
-    if supervision is not None and supervision.partial:
+    if report.supervision.partial:
         return EXIT_PARTIAL
-    return EXIT_OK
-
-
-def _inject_crash(args) -> int:
-    """Run a crash-point torture campaign for ``inject``.
-
-    Silent corruption is an unconditional failure; an incomplete sweep
-    under a budget-cancelled (partial) supervision exits 3 so resumed
-    runs can finish the coverage.
-    """
-    from repro.faults.report import render_crash_report
-    from repro.harness.inject import run_inject_crash
-    from repro.resilience import render_outcome
-
-    supervisor_factory = None
-    if supervision_requested(args):
-        def supervisor_factory(campaign):
-            return build_supervisor(args, campaign)
-
-    try:
-        outcome = run_inject_crash(
-            args.benchmark,
-            args.campaign,
-            length=args.length,
-            seed=args.seed,
-            cache_dir=args.cache_dir,
-            supervisor_factory=supervisor_factory,
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    print(render_crash_report(outcome.report))
-    supervision = outcome.report.supervision
-    if supervision is not None:
-        print(render_outcome(supervision), file=sys.stderr)
-    if outcome.report.silent_corruptions:
-        return EXIT_FAILURE
-    if supervision is not None and supervision.partial:
-        return EXIT_PARTIAL
-    if not outcome.ok:
-        return EXIT_FAILURE
-    return EXIT_OK
+    return EXIT_OK if report.ok else EXIT_FAILURE
 
 
 def conform_main(argv) -> int:
@@ -371,11 +341,6 @@ def conform_main(argv) -> int:
     from repro.harness.conform import run_conform
     from repro.resilience import render_outcome
 
-    supervisor_factory = None
-    if args.fuzz > 0 and supervision_requested(args):
-        def supervisor_factory(campaign):
-            return build_supervisor(args, campaign)
-
     run_corpus_stage = args.corpus or args.update or args.fuzz == 0
     try:
         outcome = run_conform(
@@ -389,7 +354,7 @@ def conform_main(argv) -> int:
                 if args.functional_events is not None
                 else DEFAULT_FUNCTIONAL_EVENTS
             ),
-            supervisor_factory=supervisor_factory,
+            supervisor=build_supervisor(args),
             fuzz_chunk=args.fuzz_chunk,
         )
     except ReproError as exc:
@@ -399,8 +364,7 @@ def conform_main(argv) -> int:
         print(render_corpus(outcome.corpus))
     if outcome.fuzz is not None:
         print(render_fuzz(outcome.fuzz))
-    if outcome.supervision is not None:
-        print(render_outcome(outcome.supervision), file=sys.stderr)
+        print(render_outcome(outcome.fuzz.supervision), file=sys.stderr)
     if not outcome.ok:
         return EXIT_FAILURE
     if outcome.partial:
@@ -409,7 +373,7 @@ def conform_main(argv) -> int:
 
 
 def sweep_main(argv) -> int:
-    """Parse and run the ``sweep`` subcommand (always supervised)."""
+    """Parse and run the ``sweep`` subcommand."""
     from repro.harness.sweeps import SWEEP_NAMES
 
     parser = argparse.ArgumentParser(
@@ -451,6 +415,7 @@ def sweep_main(argv) -> int:
     from repro.resilience import render_outcome
 
     try:
+        supervisor = build_supervisor(args)
         campaign = sweep_campaign(
             args.sweep,
             args.benchmark,
@@ -458,7 +423,6 @@ def sweep_main(argv) -> int:
             seed=args.seed,
             cache_dir=args.cache_dir,
         )
-        supervisor = build_supervisor(args, campaign)
         outcome = supervisor.run(campaign)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -566,23 +530,23 @@ def main(argv=None) -> int:
         help="restrict to a subset of the benchmark roster",
     )
     _add_cache_dir_flag(parser)
-    parser.add_argument(
-        "--supervise", action="store_true",
-        help="run the experiments under the campaign supervisor: one "
-             "journaled, retryable work unit per experiment (implied by "
-             "any other resilience flag)",
-    )
     add_resilience_flags(parser)
     add_logging_flags(parser)
     args = parser.parse_args(argv)
     setup_logging(args)
 
-    selected = args.experiments or sorted(EXPERIMENTS)
+    selected = list(dict.fromkeys(args.experiments or sorted(EXPERIMENTS)))
     unknown = [e for e in selected if e not in EXPERIMENTS]
     if unknown:
         parser.error(f"unknown experiments: {unknown}")
     for benchmark in args.benchmarks or ():
         _check_known(parser, "benchmark", benchmark, benchmark_names())
+
+    from repro.harness.experiments import (
+        experiments_campaign,
+        result_from_payload,
+    )
+    from repro.resilience import render_outcome
 
     ctx = ExperimentContext(
         trace_length=args.length,
@@ -590,40 +554,15 @@ def main(argv=None) -> int:
         benchmarks=args.benchmarks or benchmark_names(),
         cache_dir=args.cache_dir,
     )
-    if supervision_requested(args):
-        return _supervised_experiments(args, ctx, selected)
     try:
-        for key in selected:
-            print(render_experiment(EXPERIMENTS[key](ctx)))
-    except (ReproError, KeyError) as exc:
-        # Unknown engine keys and malformed traces surface here; a clear
-        # message beats a traceback for a CLI user.
-        message = exc.args[0] if exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_OK
-
-
-def _supervised_experiments(args, ctx, selected) -> int:
-    """The opt-in resilient path of the default experiments command.
-
-    Unlike the plain loop above, a deterministic experiment failure
-    here does not abort the run: the unit is marked failed, the rest of
-    the suite still completes, and the exit status is 3 (partial).
-    """
-    from repro.harness.experiments import (
-        experiments_campaign,
-        result_from_payload,
-    )
-    from repro.resilience import render_outcome
-
-    try:
+        supervisor = build_supervisor(args)
         campaign = experiments_campaign(ctx, selected)
-        supervisor = build_supervisor(args, campaign)
         outcome = supervisor.run(campaign)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # An experiment that raised is a MISSING unit (exit 3); the others
+    # still print.
     results = outcome.results
     for unit in campaign.units:
         payload = results.get(unit.unit_id)

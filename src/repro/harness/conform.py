@@ -1,7 +1,7 @@
 """Glue for the ``conform`` subcommand.
 
-Thin composition over :mod:`repro.conformance`: run the golden corpus
-and/or a seeded fuzz campaign, bundle the outcomes, and expose one
+Thin composition over :mod:`repro.conformance`: run a seeded fuzz
+campaign and/or the golden corpus, bundle the outcomes, and expose one
 ``ok`` flag the CLI turns into an exit status.
 """
 
@@ -9,15 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.conformance.corpus import CorpusOutcome, run_corpus
-from repro.conformance.fuzzer import (
-    FuzzReport,
-    fuzz,
-    fuzz_campaign,
-    fuzz_report_from_outcome,
-)
+from repro.conformance.fuzzer import FuzzReport, fuzz
 from repro.conformance.matrix import DEFAULT_FUNCTIONAL_EVENTS
 
 
@@ -27,10 +22,6 @@ class ConformOutcome:
 
     corpus: Optional[CorpusOutcome] = None
     fuzz: Optional[FuzzReport] = None
-    #: Supervised fuzz outcome (``None`` unless a supervisor ran it).
-    #: Partial means some iteration ranges never reported; ``ok`` then
-    #: speaks only for the iterations that did run.
-    supervision: Optional[object] = None
 
     @property
     def ok(self) -> bool:
@@ -42,7 +33,11 @@ class ConformOutcome:
 
     @property
     def partial(self) -> bool:
-        return self.supervision is not None and self.supervision.partial
+        """Whether some fuzz iteration ranges never reported.
+
+        ``ok`` then speaks only for the iterations that did run.
+        """
+        return self.fuzz is not None and self.fuzz.supervision.partial
 
 
 def run_conform(
@@ -52,42 +47,28 @@ def run_conform(
     update: bool = False,
     corpus_dir: Optional[Path] = None,
     functional_events: Optional[int] = DEFAULT_FUNCTIONAL_EVENTS,
-    supervisor_factory: Optional[Callable] = None,
+    supervisor=None,
     fuzz_chunk: int = 8,
 ) -> ConformOutcome:
     """Run the requested conformance stages and bundle their outcomes.
 
-    ``supervisor_factory`` (campaign -> Supervisor) opts the fuzz stage
-    into supervised execution: iterations run as chunked work units
-    with retry, journaling, and budget degradation; the factory shape
-    lets the caller open a run journal against the concrete campaign.
-    The supervisor is built before the corpus stage runs, so a journal
-    it refuses stops the command before any work is done.
+    The fuzz stage runs first, as chunked work units under *supervisor*
+    (default: a plain :class:`~repro.resilience.Supervisor`), so a
+    journal it refuses, including one recorded for other work, stops
+    the command before the corpus stage spends its time.
     """
     outcome = ConformOutcome()
-    supervisor = None
-    if fuzz_iterations > 0 and supervisor_factory is not None:
-        campaign = fuzz_campaign(
+    if fuzz_iterations > 0:
+        outcome.fuzz = fuzz(
             fuzz_iterations, seed,
-            chunk_size=fuzz_chunk,
             functional_events=functional_events,
+            chunk_size=fuzz_chunk,
+            supervisor=supervisor,
         )
-        supervisor = supervisor_factory(campaign)
     if corpus or update:
         outcome.corpus = run_corpus(
             corpus_dir=corpus_dir,
             update=update,
             functional_events=functional_events,
         )
-    if fuzz_iterations > 0:
-        if supervisor is None:
-            outcome.fuzz = fuzz(
-                fuzz_iterations, seed, functional_events=functional_events
-            )
-        else:
-            supervised = supervisor.run(campaign)
-            outcome.supervision = supervised
-            outcome.fuzz = fuzz_report_from_outcome(
-                supervised, fuzz_iterations, seed
-            )
     return outcome

@@ -106,8 +106,8 @@ def run_inject(
     """Run one campaign against a benchmark-derived victim workload.
 
     ``engines`` overrides the campaign's engine roster (e.g. the CI
-    smoke runs two engines instead of three). ``supervisor`` opts into
-    resilient per-engine execution (retry, budgets, chaos); see
+    smoke runs two engines instead of three). ``supervisor`` runs the
+    per-engine units (retry, budgets, chaos, journal); see
     :func:`repro.faults.campaign.run_campaign`. Raises
     :class:`~repro.common.errors.FaultInjectionError` for unknown
     campaign names or unviable plans.
@@ -128,12 +128,7 @@ def run_inject(
         trace = ctx.trace(benchmark)
         ops = _victim_ops(trace, spec.size_bytes, spec.warmup_ops)
 
-    # The supervisor kwarg is only forwarded when set: tests (and other
-    # callers) may substitute run_campaign with a (spec, ops) callable.
-    if supervisor is None:
-        report = run_campaign(spec, ops=ops)
-    else:
-        report = run_campaign(spec, ops=ops, supervisor=supervisor)
+    report = run_campaign(spec, ops=ops, supervisor=supervisor)
     victim = len(ops) if ops is not None else spec.warmup_ops
     return InjectResult(
         benchmark=benchmark,
@@ -151,7 +146,7 @@ def run_inject_crash(
     seed: int = 2023,
     config: GpuConfig = VOLTA,
     cache_dir: Optional[str] = None,
-    supervisor_factory=None,
+    supervisor=None,
 ) -> InjectCrashResult:
     """Run one crash-point torture sweep on a benchmark-shaped workload.
 
@@ -159,9 +154,9 @@ def run_inject_crash(
     hot-sector locality, folded into the campaign's tiny footprint);
     :func:`~repro.faults.crashpoints.crash_ops_from_accesses` appends a
     deterministic tail so every persist-barrier op class fires even for
-    read-heavy traces. ``supervisor_factory`` enables journaled,
-    resumable supervision — it receives the concrete campaign and
-    returns the supervisor.
+    read-heavy traces. ``supervisor`` runs the per-op units (retry,
+    budgets, chaos, journal); see
+    :func:`repro.faults.crashpoints.run_crash_campaign`.
     """
     spec = crash_campaign_spec(campaign)
     ctx = ExperimentContext(
@@ -175,9 +170,7 @@ def run_inject_crash(
     victim = ops_from_trace(trace, spec.size_bytes, limit=spec.num_ops)
     accesses = [(op.address, op.write) for op in victim]
     ops = crash_ops_from_accesses(spec, accesses)
-    report = run_crash_campaign(
-        spec, ops=ops, supervisor_factory=supervisor_factory
-    )
+    report = run_crash_campaign(spec, ops=ops, supervisor=supervisor)
     return InjectCrashResult(
         benchmark=benchmark,
         campaign=campaign,

@@ -1,7 +1,8 @@
 """Shared CLI plumbing for supervised (resilient) runs.
 
-Every subcommand that can run under the campaign supervisor uses the
-same flag vocabulary:
+Every multi-unit subcommand (the experiments command, ``sweep``,
+``inject`` and ``conform --fuzz``) runs its units under the campaign
+supervisor and uses the same flag vocabulary:
 
 * ``--retries`` / ``--backoff`` — the per-unit retry policy;
 * ``--budget`` / ``--unit-timeout`` / ``--max-rss-mb`` — resource
@@ -10,31 +11,25 @@ same flag vocabulary:
 * ``--chaos`` / ``--chaos-seed`` — the seeded chaos monkey;
 * ``--run-dir`` / ``--run-id`` / ``--resume`` — the journal: where run
   directories live, which run this is, and whether to continue an
-  existing one instead of starting fresh (journaled results are reused
-  only under ``--resume``; a fresh run whose journal already exists is
-  refused).
+  existing one instead of starting fresh. Only a named run (``--run-id``
+  or ``--resume``) journals; journaled results are reused only under
+  ``--resume``, and a fresh run whose journal already exists is refused.
 
-:func:`build_supervisor` turns parsed args (plus the concrete campaign,
-when journaling applies) into a ready :class:`Supervisor`, which runs
-the units serially in-process.
+:func:`build_supervisor` turns parsed args into a ready
+:class:`Supervisor`, which opens the journal against the campaign it
+runs and executes the units serially in-process.
 """
 
 from __future__ import annotations
 
 import argparse
-from typing import Optional
-
-from repro.common.errors import JournalError
 
 from repro.resilience import (
-    Campaign,
     ChaosConfig,
     ChaosMonkey,
     ResourceBudget,
     RetryPolicy,
-    RunJournal,
     Supervisor,
-    journal_path,
 )
 
 #: Default root for run journals (mirrors the ``.cache`` convention).
@@ -102,9 +97,9 @@ def add_resilience_flags(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--run-id", default=None, metavar="ID",
-        help="name this run's journal directory (default: the "
-             "campaign fingerprint prefix); an id whose journal exists "
-             "is refused unless passed to --resume",
+        help="name this run and journal it under --run-dir (without "
+             "--run-id or --resume nothing is journaled); an id whose "
+             "journal exists is refused unless passed to --resume",
     )
     group.add_argument(
         "--resume", default=None, metavar="RUN_ID",
@@ -113,74 +108,31 @@ def add_resilience_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def supervision_requested(args: argparse.Namespace) -> bool:
-    """Whether any flag asked for the supervised execution path."""
-    return bool(
-        getattr(args, "supervise", False)
-        or args.resume
-        or args.run_id
-        or args.chaos
-        or args.budget is not None
-        or args.unit_timeout is not None
-        or args.max_rss_mb is not None
-    )
-
-
-def build_supervisor(
-    args: argparse.Namespace,
-    campaign: Optional[Campaign] = None,
-) -> Supervisor:
+def build_supervisor(args: argparse.Namespace) -> Supervisor:
     """Construct the supervisor the parsed *args* describe.
 
-    With a *campaign* (and journaling flags present and enabled), the
-    run journal is opened against it — creating a fresh journal, or
-    validating and continuing an existing one under ``--resume``.
-    Journaled results are reused only under ``--resume``: a run without
-    it whose journal already exists is refused before the journal is
-    opened or repaired, since the run id (by default the campaign
-    fingerprint) does not cover the code that produced the results.
-    Raises :class:`~repro.common.errors.JournalError` for that and for
-    resume mismatches, which callers surface as a usage error.
+    A named run (``--run-id`` or ``--resume`` with a non-empty
+    ``--run-dir``) journals. The :class:`Supervisor` refuses an existing
+    journal without ``--resume``, or a ``--resume`` with none, by
+    raising :class:`~repro.common.errors.JournalError`; every command
+    builds its supervisor before any work, and surfaces that as a usage
+    error.
     """
-    policy = RetryPolicy(
-        max_attempts=max(1, args.retries), base_delay_s=args.backoff
-    )
-    budget = ResourceBudget(
-        wall_clock_s=args.budget,
-        unit_timeout_s=args.unit_timeout,
-        max_rss_mb=args.max_rss_mb,
-    )
-    chaos = (
-        ChaosMonkey(ChaosConfig(seed=args.chaos_seed)) if args.chaos else None
-    )
-    journal = None
-    if campaign is not None and args.run_dir:
-        resume = args.resume
-        run_id = resume or args.run_id or campaign.default_run_id
-        if resume is None and journal_path(args.run_dir, run_id).exists():
-            raise JournalError(
-                f"run {run_id!r} already has a journal under "
-                f"{args.run_dir}; pass --resume {run_id} to reuse its "
-                "results, or --run-id with a new id to start afresh"
-            )
-        # Record the budget in the run header so the live `status`
-        # monitor can report consumption without access to the args.
-        budget_meta = {
-            key: value
-            for key, value in (
-                ("wall_clock_s", budget.wall_clock_s),
-                ("unit_timeout_s", budget.unit_timeout_s),
-                ("max_rss_mb", budget.max_rss_mb),
-            )
-            if value is not None
-        }
-        journal = RunJournal.open(
-            args.run_dir,
-            run_id,
-            campaign,
-            require_existing=resume is not None,
-            meta={"budget": budget_meta} if budget_meta else None,
-        )
+    run_id = args.resume or args.run_id
     return Supervisor(
-        policy=policy, budget=budget, chaos=chaos, journal=journal
+        policy=RetryPolicy(
+            max_attempts=max(1, args.retries), base_delay_s=args.backoff
+        ),
+        budget=ResourceBudget(
+            wall_clock_s=args.budget,
+            unit_timeout_s=args.unit_timeout,
+            max_rss_mb=args.max_rss_mb,
+        ),
+        chaos=(
+            ChaosMonkey(ChaosConfig(seed=args.chaos_seed))
+            if args.chaos else None
+        ),
+        run_dir=args.run_dir if run_id else None,
+        run_id=run_id,
+        resume=args.resume is not None,
     )

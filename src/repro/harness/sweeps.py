@@ -1,23 +1,27 @@
 """Sensitivity and robustness sweeps beyond the paper's figures.
 
 The paper reports single-configuration numbers; a reproduction should
-also show they are *stable*. This module sweeps the axes most likely to
-move the headline result:
+also show they are *stable*. The ``sweep`` subcommand varies the axes
+most likely to move the headline result, one cell per axis value:
 
-* :func:`sweep_seeds` — trace-generation randomness: the Plutus-vs-PSSM
-  speedup should vary little across seeds (it is a property of the
-  workload class, not of one drawn trace);
-* :func:`sweep_trace_length` — window-size convergence: the speedup
-  should stabilize as the simulated window grows;
-* :func:`sweep_metadata_cache` — the 2 kB per-partition metadata caches
-  of Table II: how sensitive each design is to that SRAM budget
-  (Plutus's fine-grained metadata makes better use of small caches);
-* :func:`sweep_memory_intensity` — the performance-model blend: gains
-  scale with how memory-bound the kernel is, vanishing at I = 0.
+* ``seeds`` (:func:`seed_cell`) — trace-generation randomness: the
+  Plutus-vs-PSSM speedup should vary little across seeds (it is a
+  property of the workload class, not of one drawn trace);
+* ``trace-length`` (:func:`length_cell`) — window-size convergence: the
+  speedup should stabilize as the simulated window grows;
+* ``metadata-cache`` (:func:`cache_cell`) — the 2 kB per-partition
+  metadata caches of Table II: how sensitive each design is to that
+  SRAM budget (Plutus's fine-grained metadata makes better use of small
+  caches);
+* ``memory-intensity`` (:func:`intensity_cell`) — the performance-model
+  blend: gains scale with how memory-bound the kernel is, vanishing at
+  I = 0;
+* ``partitions`` (:func:`partition_cell`) — scalability across
+  memory-partition counts.
 
-Each sweep returns plain row dictionaries renderable with
-:func:`repro.harness.report.format_table`. Every sweep also decomposes
-into supervised work units (:func:`sweep_campaign`): one unit per cell,
+Each cell returns one plain row dictionary renderable with
+:func:`repro.harness.report.format_table`. A sweep is a supervised
+campaign (:func:`sweep_campaign`): one work unit per cell,
 content-addressed by its parameters, so a killed sweep resumes from its
 journal re-running only unfinished cells.
 """
@@ -25,7 +29,7 @@ journal re-running only unfinished cells.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.common.errors import ReproError
 from repro.gpu.config import GpuConfig, VOLTA
@@ -55,11 +59,9 @@ def _speedup_for_trace(trace, config: GpuConfig = VOLTA,
 
 
 def seed_cell(
-    benchmark: str,
-    seed: int,
-    trace_length: int = 8000,
+    benchmark: str, seed: int, trace_length: int
 ) -> Dict[str, object]:
-    """One row of :func:`sweep_seeds`."""
+    """Plutus-vs-PSSM speedup at one trace-generation seed."""
     trace = build_trace(benchmark, length=trace_length, seed=seed)
     pssm, plutus, speedup = _speedup_for_trace(trace)
     return {
@@ -70,54 +72,17 @@ def seed_cell(
     }
 
 
-def sweep_seeds(
-    benchmark: str,
-    seeds: Sequence[int] = (1, 2, 3, 4, 5),
-    trace_length: int = 8000,
-) -> List[Dict[str, object]]:
-    """Plutus-vs-PSSM speedup across trace-generation seeds."""
-    return [seed_cell(benchmark, seed, trace_length) for seed in seeds]
-
-
-def sweep_trace_length(
-    benchmark: str,
-    lengths: Sequence[int] = (2000, 4000, 8000, 16000),
-    seed: int = 2023,
-) -> List[Dict[str, object]]:
-    """Window-size convergence of the headline speedup."""
-    return [length_cell(benchmark, length, seed) for length in lengths]
-
-
-def length_cell(
-    benchmark: str,
-    length: int,
-    seed: int = 2023,
-) -> Dict[str, object]:
-    """One row of :func:`sweep_trace_length`."""
+def length_cell(benchmark: str, length: int, seed: int) -> Dict[str, object]:
+    """The headline speedup at one window length."""
     trace = build_trace(benchmark, length=length, seed=seed)
     _pssm, _plutus, speedup = _speedup_for_trace(trace)
     return {"length": length, "speedup": speedup}
 
 
-def sweep_metadata_cache(
-    benchmark: str,
-    sizes: Sequence[int] = (1024, 2048, 4096, 8192),
-    trace_length: int = 8000,
-    seed: int = 2023,
-) -> List[Dict[str, object]]:
-    """Sensitivity to the per-partition metadata cache budget."""
-    return [
-        cache_cell(benchmark, size, trace_length, seed) for size in sizes
-    ]
-
-
 def cache_cell(
-    benchmark: str,
-    size: int,
-    trace_length: int = 8000,
-    seed: int = 2023,
+    benchmark: str, size: int, trace_length: int, seed: int
 ) -> Dict[str, object]:
-    """One row of :func:`sweep_metadata_cache`."""
+    """Both designs at one per-partition metadata cache budget."""
     trace = build_trace(benchmark, length=trace_length, seed=seed)
     cache_config = MetadataCacheConfig(size_bytes=size)
     pssm, plutus, speedup = _speedup_for_trace(
@@ -131,29 +96,16 @@ def cache_cell(
     }
 
 
-def sweep_memory_intensity(
-    ctx: ExperimentContext,
-    benchmark: str,
-    intensities: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
-) -> List[Dict[str, object]]:
-    """How the roofline blend maps traffic into performance.
-
-    Re-uses the already-simulated traffic of *benchmark* and re-blends
-    it at different memory intensities, isolating the performance-model
-    assumption from the traffic measurement.
-    """
-    return [
-        intensity_cell(ctx, benchmark, intensity) for intensity in intensities
-    ]
-
-
 def intensity_cell(
     ctx: ExperimentContext, benchmark: str, intensity: float
 ) -> Dict[str, object]:
-    """One row of :func:`sweep_memory_intensity`.
+    """How the roofline blend maps traffic into performance.
 
-    The context's own caches make the three underlying simulations a
-    one-time cost shared across cells.
+    Re-uses the already-simulated traffic of *benchmark* and re-blends
+    it at one memory intensity, isolating the performance-model
+    assumption from the traffic measurement. The context's own caches
+    make the three underlying simulations a one-time cost shared
+    across cells.
     """
     base = ctx.run(benchmark, "nosec")
     pssm = ctx.run(benchmark, "pssm")
@@ -172,30 +124,14 @@ def intensity_cell(
     }
 
 
-def sweep_partitions(
-    benchmark: str,
-    partition_counts: Sequence[int] = (8, 16, 32),
-    trace_length: int = 6000,
-    seed: int = 2023,
-) -> List[Dict[str, object]]:
-    """Scalability across memory-partition counts.
+def partition_cell(
+    benchmark: str, count: int, trace_length: int, seed: int
+) -> Dict[str, object]:
+    """The headline speedup at one memory-partition count.
 
     Smaller GPUs concentrate the same metadata into fewer engines with
     the same per-partition SRAM; the relative Plutus win should persist.
     """
-    return [
-        partition_cell(benchmark, count, trace_length, seed)
-        for count in partition_counts
-    ]
-
-
-def partition_cell(
-    benchmark: str,
-    count: int,
-    trace_length: int = 6000,
-    seed: int = 2023,
-) -> Dict[str, object]:
-    """One row of :func:`sweep_partitions`."""
     trace = build_trace(benchmark, length=trace_length, seed=seed)
     config = replace(
         VOLTA,
@@ -209,7 +145,7 @@ def partition_cell(
 # -- supervised decomposition -------------------------------------------------
 
 #: Default trace length per sweep (partitions historically sweeps a
-#: shorter window) and default axis values, mirroring the functions above.
+#: shorter window) and the axis values each sweep visits.
 _SWEEP_DEFAULTS: Dict[str, Dict[str, object]] = {
     "seeds": {"length": 8000, "axis": (1, 2, 3, 4, 5)},
     "trace-length": {"length": 8000, "axis": (2000, 4000, 8000, 16000)},
@@ -227,7 +163,6 @@ def sweep_campaign(
     benchmark: str,
     trace_length: Optional[int] = None,
     seed: int = 2023,
-    ctx: Optional[ExperimentContext] = None,
     cache_dir: Optional[str] = None,
 ) -> Campaign:
     """Decompose one sweep into a supervised, resumable campaign.
@@ -276,7 +211,7 @@ def sweep_campaign(
             for sz in axis
         ]
     elif sweep == "memory-intensity":
-        shared = ctx if ctx is not None else ExperimentContext(
+        shared = ExperimentContext(
             trace_length=length,
             seed=seed,
             benchmarks=[benchmark],

@@ -175,11 +175,6 @@ class NvmRegion:
         """What a post-crash reader would see at *address*."""
         return self.persistent.read(address, length)
 
-    @property
-    def pending_writes(self) -> Tuple[Tuple[int, bytes], ...]:
-        """Writes buffered since the last barrier (for the harness)."""
-        return tuple(self._pending)
-
     def persist_barrier(self, site: str) -> None:
         """Drain every pending write to the persistent image.
 

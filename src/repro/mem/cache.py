@@ -118,10 +118,6 @@ class AccessResult:
     def miss_sector_count(self) -> int:
         return popcount(self.miss_mask)
 
-    @property
-    def hit_sector_count(self) -> int:
-        return popcount(self.hit_mask)
-
 
 class _Line:
     __slots__ = ("valid_mask", "dirty_mask")

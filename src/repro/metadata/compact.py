@@ -64,11 +64,6 @@ class CompactCounterConfig:
         """The reserved all-ones code meaning 'consult the originals'."""
         return (1 << self.width_bits) - 1
 
-    @property
-    def block_bytes(self) -> int:
-        """Nominal storage of one compact block (fits in a 32 B sector)."""
-        return 32
-
     def compaction_vs(self, original_sectors_per_block: int) -> float:
         """Density gain over originals covering the same data."""
         return self.counters_per_block / original_sectors_per_block

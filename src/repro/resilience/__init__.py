@@ -11,7 +11,6 @@ all of the above works.
 
 from repro.resilience.budget import (
     REASON_RSS,
-    REASON_TRACEMALLOC,
     REASON_WALL_CLOCK,
     BudgetGuard,
     ResourceBudget,
@@ -58,7 +57,6 @@ __all__ = [
     "FailureClass",
     "JOURNAL_SCHEMA",
     "REASON_RSS",
-    "REASON_TRACEMALLOC",
     "REASON_WALL_CLOCK",
     "RETRYABLE",
     "ResourceBudget",

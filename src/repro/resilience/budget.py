@@ -7,9 +7,7 @@ Three independent guards bound a supervised campaign:
 * **per-unit timeout** — a SIGALRM-based preemption of one unit's
   runner (Unix main thread only; elsewhere the bound is advisory and
   documented as such);
-* **memory** — peak RSS via :func:`resource.getrusage`, plus an
-  optional :mod:`tracemalloc` ceiling on Python-heap allocations for
-  platforms (or tests) where RSS is too coarse.
+* **memory** — peak RSS via :func:`resource.getrusage`.
 
 Exhaustion is *graceful degradation*, not a crash: the supervisor
 cancels remaining units, the report marks the missing cells, and the
@@ -23,7 +21,6 @@ import signal
 import sys
 import threading
 import time
-import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
@@ -34,7 +31,6 @@ from repro.common.errors import ResilienceError, UnitTimeoutError
 #: so they must not contain run-specific numbers or timings).
 REASON_WALL_CLOCK = "wall-clock budget exhausted"
 REASON_RSS = "rss budget exhausted"
-REASON_TRACEMALLOC = "tracemalloc budget exhausted"
 
 
 def _ru_maxrss_mb(peak: int) -> float:
@@ -92,15 +88,9 @@ class ResourceBudget:
     wall_clock_s: Optional[float] = None
     unit_timeout_s: Optional[float] = None
     max_rss_mb: Optional[float] = None
-    #: Opt-in Python-heap ceiling; starts/stops tracemalloc around the
-    #: campaign unless tracing was already active.
-    max_tracemalloc_mb: Optional[float] = None
 
     def __post_init__(self) -> None:
-        for name in (
-            "wall_clock_s", "unit_timeout_s", "max_rss_mb",
-            "max_tracemalloc_mb",
-        ):
+        for name in ("wall_clock_s", "unit_timeout_s", "max_rss_mb"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ResilienceError(f"{name} must be positive, got {value}")
@@ -111,7 +101,6 @@ class ResourceBudget:
             self.wall_clock_s is None
             and self.unit_timeout_s is None
             and self.max_rss_mb is None
-            and self.max_tracemalloc_mb is None
         )
 
 
@@ -140,23 +129,10 @@ class BudgetGuard:
         self.clock = clock
         self.rss_probe = rss_probe
         self._start: Optional[float] = None
-        self._owns_tracemalloc = False
 
     def start(self) -> None:
-        """Arm the guard: record the deadline epoch, start tracemalloc."""
+        """Arm the guard: record the deadline epoch."""
         self._start = self.clock()
-        if (
-            self.budget.max_tracemalloc_mb is not None
-            and not tracemalloc.is_tracing()
-        ):
-            tracemalloc.start()
-            self._owns_tracemalloc = True
-
-    def stop(self) -> None:
-        """Release anything :meth:`start` acquired."""
-        if self._owns_tracemalloc:
-            tracemalloc.stop()
-            self._owns_tracemalloc = False
 
     def elapsed(self) -> float:
         if self._start is None:
@@ -176,10 +152,6 @@ class BudgetGuard:
             rss = self.rss_probe()
             if rss is not None and rss >= budget.max_rss_mb:
                 return REASON_RSS
-        if budget.max_tracemalloc_mb is not None and tracemalloc.is_tracing():
-            _current, peak = tracemalloc.get_traced_memory()
-            if peak / (1024.0 * 1024.0) >= budget.max_tracemalloc_mb:
-                return REASON_TRACEMALLOC
         return None
 
     @property

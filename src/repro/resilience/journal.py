@@ -1,6 +1,6 @@
 """Append-only JSONL run journals.
 
-One supervised run owns one directory — ``<run_dir>/<run_id>/`` — with
+One named run owns one directory — ``<run_dir>/<run_id>/`` — with
 a single ``journal.jsonl`` inside. Records, one JSON object per line:
 
 * ``{"type": "run", ...}`` — written once at creation: schema version,
@@ -69,14 +69,13 @@ class RunJournal:
         run_dir: "str | os.PathLike[str]",
         run_id: str,
         campaign: Campaign,
-        require_existing: bool = False,
         meta: Optional[Dict[str, object]] = None,
     ) -> "RunJournal":
         """Create the journal, or resume it if one already exists.
 
-        ``require_existing=True`` (the ``--resume`` path) refuses to
-        start fresh: pointing resume at an unknown run id is a user
-        error, not an invitation to redo all the work silently.
+        Whether a run may start fresh or resume is the
+        :class:`~repro.resilience.supervisor.Supervisor`'s decision;
+        this only refuses a journal recorded for other work.
 
         ``meta`` keys (e.g. the run's resource budget, for the live
         ``status`` monitor) are folded into the run header on creation;
@@ -97,11 +96,6 @@ class RunJournal:
                     "the parameters differ"
                 )
             return journal
-        if require_existing:
-            raise JournalError(
-                f"no journal for run {run_id!r} under {Path(run_dir)!s}; "
-                "nothing to resume"
-            )
         path.parent.mkdir(parents=True, exist_ok=True)
         header: Dict[str, object] = {
             "type": "run",

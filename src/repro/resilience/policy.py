@@ -22,7 +22,7 @@ the supervisor's own timing decisions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import FrozenSet
 
@@ -78,7 +78,6 @@ class RetryPolicy:
     #: per-(unit, attempt) stream.
     jitter: float = 0.25
     seed: int = 2023
-    retryable: FrozenSet[FailureClass] = field(default=RETRYABLE)
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -92,7 +91,7 @@ class RetryPolicy:
 
     def should_retry(self, failure: FailureClass, attempt: int) -> bool:
         """Whether attempt *attempt* (1-based) warrants another try."""
-        return failure in self.retryable and attempt < self.max_attempts
+        return failure in RETRYABLE and attempt < self.max_attempts
 
     def backoff_delay(self, unit_id: str, attempt: int) -> float:
         """Seconds to sleep after failed attempt *attempt* (1-based)."""

@@ -1,8 +1,10 @@
 """The campaign supervisor: retries, journaling, budgets, degradation.
 
-:class:`Supervisor.run` executes a :class:`~repro.resilience.units.Campaign`
-unit by unit under one retry policy, resource budget, optional chaos
-monkey, and optional run journal:
+Every multi-unit command (experiments, sweeps, fault and crash
+campaigns, fuzzing) runs its units through :meth:`Supervisor.run`,
+which executes a :class:`~repro.resilience.units.Campaign` unit by unit
+under one retry policy, resource budget, optional chaos monkey, and
+optional run journal:
 
 * a unit already marked ``ok`` in the journal is **skipped** and its
   journaled result reused (that is what makes ``--resume`` after
@@ -16,6 +18,13 @@ monkey, and optional run journal:
 * every finished unit (ok or failed) is journaled with an fsync before
   the supervisor moves on.
 
+The supervisor holds the journal's location (run dir, run id, resume),
+not an open journal: :meth:`Supervisor.run` opens it against the
+campaign it runs, so the fingerprint check covers exactly that work.
+Without a run id nothing is journaled. Journaled results are reused
+only on resume, so the constructor refuses a fresh run whose journal
+exists, and a resume with none, before any work starts.
+
 The journal's unit and end records (attempts, failure class, per-unit
 telemetry) are the record of *how* a run survived, not just that it
 did; ``status`` renders them.
@@ -23,14 +32,15 @@ did; ``status`` renders them.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.common.errors import EXIT_OK, EXIT_PARTIAL
+from repro.common.errors import EXIT_OK, EXIT_PARTIAL, JournalError
 from repro.resilience.budget import BudgetGuard, ResourceBudget, current_rss_mb
 from repro.resilience.chaos import ChaosMonkey
-from repro.resilience.journal import RunJournal
+from repro.resilience.journal import RunJournal, journal_path
 from repro.resilience.policy import FailureClass, RetryPolicy, classify_failure
 from repro.resilience.telemetry import UnitTelemetry, rollup
 from repro.resilience.units import Campaign, WorkUnit
@@ -112,16 +122,38 @@ class Supervisor:
         policy: Optional[RetryPolicy] = None,
         budget: Optional[ResourceBudget] = None,
         chaos: Optional[ChaosMonkey] = None,
-        journal: Optional[RunJournal] = None,
+        run_dir: "str | os.PathLike[str] | None" = None,
+        run_id: Optional[str] = None,
+        resume: bool = False,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
         cpu_clock: Callable[[], float] = time.process_time,
         rss_probe: Callable[[], Optional[float]] = current_rss_mb,
     ) -> None:
+        """Raises :class:`~repro.common.errors.JournalError` when the run
+        is named (``run_dir`` and ``run_id``) and its journal exists
+        without ``resume``, or ``resume`` is set and it does not.
+        """
         self.policy = policy if policy is not None else RetryPolicy()
         self.budget = budget if budget is not None else ResourceBudget()
         self.chaos = chaos
-        self.journal = journal
+        if run_dir and run_id:
+            exists = journal_path(run_dir, run_id).exists()
+            if exists and not resume:
+                raise JournalError(
+                    f"run {run_id!r} already has a journal under "
+                    f"{run_dir}; pass --resume {run_id} to reuse its "
+                    "results, or --run-id with a new id to start afresh"
+                )
+            if resume and not exists:
+                raise JournalError(
+                    f"no journal for run {run_id!r} under {run_dir}; "
+                    "nothing to resume"
+                )
+        #: Journal location: ``<run_dir>/<run_id>/``. Both must be set
+        #: for the run to journal.
+        self.run_dir = run_dir
+        self.run_id = run_id
         self.sleep = sleep
         self.clock = clock
         #: Telemetry clocks/probes, injectable for deterministic tests.
@@ -129,53 +161,55 @@ class Supervisor:
         self.rss_probe = rss_probe
 
     def run(self, campaign: Campaign) -> CampaignOutcome:
-        """Execute *campaign* to a :class:`CampaignOutcome`."""
+        """Execute *campaign* to a :class:`CampaignOutcome`.
+
+        Raises :class:`~repro.common.errors.JournalError` before any
+        unit runs when the journal was recorded for other work.
+        """
+        journal = self._open_journal(campaign)
         guard = BudgetGuard(self.budget, clock=self.clock)
         guard.start()
         outcome = CampaignOutcome(
             campaign=campaign.name,
             fingerprint=campaign.fingerprint,
-            run_id=self.journal.run_id if self.journal else None,
+            run_id=journal.run_id if journal else None,
         )
-        completed = self.journal.completed() if self.journal else {}
-        try:
-            for unit in campaign.units:
-                prior = completed.get(unit.unit_id)
-                if prior is not None:
-                    outcome.outcomes.append(
-                        UnitOutcome(
-                            unit_id=unit.unit_id,
-                            kind=unit.kind,
-                            label=unit.label,
-                            status=STATUS_SKIPPED,
-                            attempts=0,
-                            result=prior.get("result"),
-                        )
+        completed = journal.completed() if journal else {}
+        for unit in campaign.units:
+            prior = completed.get(unit.unit_id)
+            if prior is not None:
+                outcome.outcomes.append(
+                    UnitOutcome(
+                        unit_id=unit.unit_id,
+                        kind=unit.kind,
+                        label=unit.label,
+                        status=STATUS_SKIPPED,
+                        attempts=0,
+                        result=prior.get("result"),
                     )
-                    continue
-                if outcome.degraded is None:
-                    outcome.degraded = guard.exceeded()
-                if outcome.degraded is not None:
-                    outcome.outcomes.append(
-                        UnitOutcome(
-                            unit_id=unit.unit_id,
-                            kind=unit.kind,
-                            label=unit.label,
-                            status=STATUS_CANCELLED,
-                            error=outcome.degraded,
-                        )
+                )
+                continue
+            if outcome.degraded is None:
+                outcome.degraded = guard.exceeded()
+            if outcome.degraded is not None:
+                outcome.outcomes.append(
+                    UnitOutcome(
+                        unit_id=unit.unit_id,
+                        kind=unit.kind,
+                        label=unit.label,
+                        status=STATUS_CANCELLED,
+                        error=outcome.degraded,
                     )
-                    continue
-                unit_outcome = self._run_unit(unit, guard)
-                outcome.outcomes.append(unit_outcome)
-                if unit_outcome.failure_class == FailureClass.BUDGET.value:
-                    outcome.degraded = unit_outcome.error or "budget exhausted"
-        finally:
-            guard.stop()
+                )
+                continue
+            unit_outcome = self._run_unit(unit, guard, journal)
+            outcome.outcomes.append(unit_outcome)
+            if unit_outcome.failure_class == FailureClass.BUDGET.value:
+                outcome.degraded = unit_outcome.error or "budget exhausted"
         outcome.wall_s = guard.elapsed()
         outcome.telemetry = rollup(u.telemetry for u in outcome.outcomes)
-        if self.journal is not None:
-            self.journal.record_end(
+        if journal is not None:
+            journal.record_end(
                 "partial" if outcome.partial else "complete",
                 reason=outcome.degraded,
                 telemetry=outcome.telemetry,
@@ -184,7 +218,34 @@ class Supervisor:
 
     # -- internals -----------------------------------------------------------
 
-    def _run_unit(self, unit: WorkUnit, guard: BudgetGuard) -> UnitOutcome:
+    def _open_journal(self, campaign: Campaign) -> Optional[RunJournal]:
+        """The run's journal, or ``None`` when the run is not named."""
+        if not (self.run_dir and self.run_id):
+            return None
+        # Record the budget in the run header so the live `status`
+        # monitor can report consumption without access to the args.
+        budget = {
+            key: value
+            for key, value in (
+                ("wall_clock_s", self.budget.wall_clock_s),
+                ("unit_timeout_s", self.budget.unit_timeout_s),
+                ("max_rss_mb", self.budget.max_rss_mb),
+            )
+            if value is not None
+        }
+        return RunJournal.open(
+            self.run_dir,
+            self.run_id,
+            campaign,
+            meta={"budget": budget} if budget else None,
+        )
+
+    def _run_unit(
+        self,
+        unit: WorkUnit,
+        guard: BudgetGuard,
+        journal: Optional[RunJournal],
+    ) -> UnitOutcome:
         policy = self.policy
         start = self.clock()
         cpu_start = self.cpu_clock()
@@ -223,8 +284,8 @@ class Supervisor:
             else:
                 elapsed = self.clock() - start
                 telemetry = measure(elapsed, attempt)
-                if self.journal is not None:
-                    self.journal.record_unit(
+                if journal is not None:
+                    journal.record_unit(
                         unit, STATUS_OK, attempt, elapsed, result=payload,
                         telemetry=telemetry,
                     )
@@ -241,10 +302,10 @@ class Supervisor:
         elapsed = self.clock() - start
         telemetry = measure(elapsed, attempt)
         failure_value = failure.value if failure is not None else None
-        if self.journal is not None and failure is not FailureClass.BUDGET:
+        if journal is not None and failure is not FailureClass.BUDGET:
             # Budget failures stay out of the journal: the unit never
             # ran to a verdict, so a resume should retry it.
-            self.journal.record_unit(
+            journal.record_unit(
                 unit,
                 STATUS_FAILED,
                 attempt,

@@ -112,8 +112,3 @@ class Campaign:
                 )
             seen[unit.unit_id] = unit.label
         self.fingerprint = campaign_fingerprint(self.name, self.units)
-
-    @property
-    def default_run_id(self) -> str:
-        """The content-addressed run id used when none is given."""
-        return self.fingerprint[:12]

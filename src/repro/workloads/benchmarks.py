@@ -87,11 +87,6 @@ class BenchmarkProfile:
         if not self.read_patterns or not self.write_patterns:
             raise ConfigurationError("profiles need read and write patterns")
 
-    @property
-    def read_region_lines(self) -> int:
-        """Total footprint of the read-side arrays (regions are disjoint)."""
-        return sum(p.region_lines for p in self.read_patterns)
-
 
 def _p(kind: str, region_lines: int, weight: float = 1.0,
        overlap: Optional[int] = None, **params) -> PatternSpec:

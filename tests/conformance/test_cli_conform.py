@@ -60,6 +60,32 @@ class TestConformCli:
         assert captured.out == ""
         assert "--resume f1" in captured.err
 
+    def test_mismatched_fuzz_journal_runs_no_corpus_stage(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A journal recorded for other fuzz parameters is found only
+        # when the supervisor opens it; the fuzz stage runs first, so
+        # that still stops the command before the corpus stage.
+        import repro.harness.conform as conform_mod
+
+        calls = []
+        monkeypatch.setattr(
+            conform_mod, "run_corpus", lambda **kwargs: calls.append(kwargs)
+        )
+        common = ["--functional-events", "16",
+                  "--run-dir", str(tmp_path / "runs")]
+        assert main(["conform", "--fuzz", "1", "--run-id", "f1",
+                     *common]) == 0
+        capsys.readouterr()
+
+        rc = main(["conform", "--corpus", "--fuzz", "2", "--resume", "f1",
+                   *common])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert calls == []
+        assert captured.out == ""
+        assert "cannot resume" in captured.err
+
     def test_missing_corpus_dir_exits_nonzero(self, tmp_path, capsys):
         rc = main(["conform", "--corpus",
                    "--corpus-dir", str(tmp_path / "nowhere"),

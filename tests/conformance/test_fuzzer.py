@@ -90,6 +90,7 @@ class TestShrink:
 class TestFuzzCampaign:
     def test_small_campaign_passes(self):
         report = fuzz(2, seed=2023, functional_events=24)
+        assert report.supervision.ok
         assert report.ok
         assert report.iterations == 2
         assert sum(report.pattern_counts.values()) == 2

@@ -93,6 +93,7 @@ class TestSpecs:
 
 class TestDetectionMatrix:
     def test_quick_campaign_passes(self, quick_report):
+        assert quick_report.supervision.ok
         assert quick_report.ok
         assert not quick_report.missed
         assert not quick_report.disallowed_benign
@@ -144,6 +145,7 @@ class TestValueStress:
     def test_unquantified_outcomes_still_clean(self, stress_report):
         assert not stress_report.missed
         assert not stress_report.disallowed_false_accepts
+        assert stress_report.supervision.ok
         assert stress_report.ok
 
     def test_default_geometry_rate_is_below_mac_bound(self):

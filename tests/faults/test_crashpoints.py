@@ -7,6 +7,8 @@ mode × op-class matrix runs in seconds; the built-in ``crash`` and
 marker respectively.
 """
 
+import itertools
+
 import pytest
 
 from repro.faults.campaign import Outcome
@@ -44,6 +46,10 @@ ACCESSES = [(0, True), (32, False), (64, True), (96, True), (0, False)]
 
 def tiny_ops():
     return crash_ops_from_accesses(TINY, ACCESSES)
+
+
+def payloads(report):
+    return [_record_payload(r) for r in report.records]
 
 
 class TestRegistry:
@@ -84,6 +90,7 @@ class TestSweep:
         assert set(RECOVERY_SITES) <= set(report.sites_covered)
         assert set(OP_CLASSES) <= set(report.op_classes_covered)
         assert report.complete
+        assert report.supervision.ok
         assert report.ok
         outcomes = {r.outcome for r in report.records}
         assert outcomes <= {Outcome.RECOVERED, Outcome.TORN}
@@ -91,53 +98,90 @@ class TestSweep:
     def test_sweep_is_deterministic(self):
         first = run_crash_campaign(TINY, ops=tiny_ops())
         second = run_crash_campaign(TINY, ops=tiny_ops())
-        assert (
-            [_record_payload(r) for r in first.records]
-            == [_record_payload(r) for r in second.records]
-        )
+        assert payloads(first) == payloads(second)
 
     def test_supervised_run_and_resume_are_byte_identical(self, tmp_path):
-        from repro.resilience import RunJournal, Supervisor
+        # A journaled run cut short by its budget resumes with the
+        # shared cursor starting mid-sweep; the records still equal an
+        # uninterrupted run's.
+        from repro.resilience import ResourceBudget, Supervisor
 
         ops = tiny_ops()
-        direct = run_crash_campaign(TINY, ops=ops)
+        uninterrupted = run_crash_campaign(TINY, ops=ops)
+        units = len(uninterrupted.supervision.outcomes)
 
-        def factory(campaign):
-            journal = RunJournal.open(tmp_path, "torture", campaign)
-            return Supervisor(journal=journal)
+        ticks = itertools.count()
+        cut = run_crash_campaign(TINY, ops=ops, supervisor=Supervisor(
+            # Every clock read ticks one second; a full run reads the
+            # clock about three times per unit.
+            budget=ResourceBudget(wall_clock_s=float(3 * units // 2)),
+            clock=lambda: float(next(ticks)),
+            run_dir=tmp_path,
+            run_id="torture",
+        ))
+        assert cut.supervision.partial
+        done = cut.supervision.count("ok")
+        assert 2 < done < units
 
-        supervised = run_crash_campaign(
-            TINY, ops=ops, supervisor_factory=factory
-        )
-        assert supervised.supervision is not None
-        assert not supervised.supervision.partial
+        resumed = run_crash_campaign(TINY, ops=ops, supervisor=Supervisor(
+            run_dir=tmp_path, run_id="torture", resume=True,
+        ))
+        assert not resumed.supervision.partial
+        assert resumed.supervision.count("skipped") == done
+        assert payloads(resumed) == payloads(uninterrupted)
 
-        def resume_factory(campaign):
-            journal = RunJournal.open(
-                tmp_path, "torture", campaign, require_existing=True
-            )
-            return Supervisor(journal=journal)
+    def test_cursor_is_rebuilt_after_advancing_raises(self, monkeypatch):
+        # An exception while the shared cursor advances can leave its
+        # engine part-way through an op; the retried unit must start
+        # from a fresh engine, not advance the damaged one further.
+        from repro.faults import crashpoints
+        from repro.resilience import RetryPolicy, Supervisor
 
-        resumed = run_crash_campaign(
-            TINY, ops=ops, supervisor_factory=resume_factory
-        )
-        expected = sorted(
-            map(_record_payload, direct.records),
-            key=lambda p: (p["op_index"], p["barrier_seq"], p["mode"],
-                           p["recovery_kill"] or ""),
-        )
-        for report in (supervised, resumed):
-            got = sorted(
-                map(_record_payload, report.records),
-                key=lambda p: (p["op_index"], p["barrier_seq"], p["mode"],
-                               p["recovery_kill"] or ""),
-            )
-            assert got == expected
+        ops = tiny_ops()
+        uninterrupted = run_crash_campaign(TINY, ops=ops)
 
+        state = {"sweeping": False, "in_trial": False, "raised": False}
+        real_apply = crashpoints._apply_op
+        real_trial = crashpoints.run_crash_trial
+        real_build = crashpoints.build_crash_trials
+
+        def build_crash_trials(spec, events):
+            # The barrier and reference passes are over: from here on,
+            # only the cursor and the trials apply ops.
+            state["sweeping"] = True
+            return real_build(spec, events)
+
+        def run_crash_trial(*args):
+            state["in_trial"] = True
+            try:
+                return real_trial(*args)
+            finally:
+                state["in_trial"] = False
+
+        def flaky_apply(engine, op):
+            real_apply(engine, op)
+            cursor_step = state["sweeping"] and not state["in_trial"]
+            if cursor_step and op[0] == "write" and not state["raised"]:
+                # The write has landed, but the step never completes.
+                state["raised"] = True
+                raise OSError("injected fault while the cursor advances")
+
+        monkeypatch.setattr(crashpoints, "build_crash_trials",
+                            build_crash_trials)
+        monkeypatch.setattr(crashpoints, "run_crash_trial", run_crash_trial)
+        monkeypatch.setattr(crashpoints, "_apply_op", flaky_apply)
+        report = run_crash_campaign(TINY, ops=ops, supervisor=Supervisor(
+            policy=RetryPolicy(base_delay_s=0.0), sleep=lambda _t: None,
+        ))
+        assert state["raised"]
+        attempts = [o.attempts for o in report.supervision.outcomes]
+        assert sorted(attempts) == [1] * (len(attempts) - 1) + [2]
+        assert payloads(report) == payloads(uninterrupted)
 
 @pytest.mark.slow
 def test_full_builtin_sweep_has_no_silent_corruption():
     report = run_crash_campaign(crash_campaign_spec("crash-full"))
     assert report.silent_corruptions == []
     assert report.complete
+    assert report.supervision.ok
     assert report.ok

@@ -1,7 +1,10 @@
 """Tests for the harness CLI (python -m repro.harness)."""
 
+import json
+
 import pytest
 
+from repro.faults.campaign import campaign_spec
 from repro.harness.__main__ import main
 
 
@@ -44,8 +47,8 @@ class TestCli:
         assert "Traceback" not in err
 
     def test_unknown_engine_exits_cleanly(self, capsys):
-        """Engine errors inside experiments surface as messages, not
-        tracebacks."""
+        """An experiment that raises is a missing unit with a message,
+        not a traceback, and the run is partial."""
         from repro.harness.experiments import EXPERIMENTS
         from repro.harness.runner import ExperimentContext
 
@@ -57,11 +60,25 @@ class TestCli:
             rc = main(["badkey-test", "--length", "300"])
         finally:
             del EXPERIMENTS["badkey-test"]
-        assert rc == 2
+        assert rc == 3
         err = capsys.readouterr().err
-        assert "error:" in err
+        assert "MISSING badkey-test: failed" in err
         assert "not-an-engine" in err
         assert "Traceback" not in err
+
+    def test_repeated_experiment_runs_once(self, capsys):
+        rc = main(["eq1", "eq1", "--length", "300", "--benchmarks", "bfs",
+                   "--cache-dir", ""])
+        assert rc == 0
+        assert capsys.readouterr().out.count("== eq1:") == 1
+
+    def test_supervise_flag_is_gone(self, capsys):
+        # Experiments always run under the supervisor, so no flag
+        # selects it.
+        assert _exit_code(["eq1", "--supervise"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --supervise" in captured.err
 
 
 def _exit_code(argv):
@@ -177,8 +194,8 @@ class TestInjectCli:
 
         real_run = campaign_mod.run_campaign
 
-        def sabotaged(spec, ops=None):
-            report = real_run(spec, ops)
+        def sabotaged(spec, ops=None, supervisor=None):
+            report = real_run(spec, ops, supervisor)
             report.records.append(
                 TrialRecord(
                     engine="plutus",
@@ -201,3 +218,59 @@ class TestInjectCli:
         out = capsys.readouterr().out
         assert "verdict: FAIL" in out
         assert "MISS:" in out
+
+    def test_engine_that_raises_is_a_missing_unit(self, capsys, monkeypatch):
+        """An engine unit that raises leaves the run partial (exit 3),
+        named on stderr without a traceback; the other engines still
+        report."""
+        from repro.common.errors import FaultInjectionError
+        from repro.faults import campaign as campaign_mod
+
+        real_engine = campaign_mod._run_engine
+
+        def broken(engine_name, *args):
+            if engine_name == "pssm":
+                raise FaultInjectionError("pssm engine broke")
+            return real_engine(engine_name, *args)
+
+        monkeypatch.setattr(campaign_mod, "_run_engine", broken)
+        rc = main(["inject", "bfs", "--campaign", "quick",
+                   "--length", "600", "--cache-dir", ""])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert "verdict: PASS" in captured.out
+        assert "functional" in captured.out
+        assert (
+            "MISSING quick:pssm: failed (deterministic: "
+            "FaultInjectionError: pssm engine broke)"
+        ) in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_fault_campaign_journals_and_resumes(self, capsys, tmp_path):
+        run_dir = tmp_path / "R"
+        argv = ["inject", "bfs", "--campaign", "quick", "--length", "1000",
+                "--cache-dir", "", "--run-dir", str(run_dir)]
+        assert main(argv + ["--run-id", "f1"]) == 0
+        fresh = capsys.readouterr().out
+        journal = run_dir / "f1" / "journal.jsonl"
+        records = map(json.loads, journal.read_text().splitlines())
+        units = [r for r in records if r["type"] == "unit"]
+        engines = campaign_spec("quick").engines
+        assert sorted(r["label"] for r in units) == sorted(
+            f"quick:{engine}" for engine in engines
+        )
+
+        assert main(argv + ["--resume", "f1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == fresh
+        assert f"{len(engines)} resumed" in captured.err
+
+        assert main(argv + ["--resume", "ghost"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "nothing to resume" in captured.err
+
+        assert main(argv + ["--run-id", "f1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--resume f1" in captured.err

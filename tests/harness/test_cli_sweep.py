@@ -77,8 +77,8 @@ class TestSweepCli:
         assert captured.out == fresh_out  # byte-identical resumed report
         assert "5 resumed" in captured.err
 
-    @pytest.mark.parametrize("run_id", [["--run-id", "r1"], []],
-                             ids=["named", "default-id"])
+    @pytest.mark.parametrize("run_id", [["--run-id", "r1"]],
+                             ids=["named"])
     def test_rerun_without_resume_refuses_existing_journal(
         self, capsys, tmp_path, run_id
     ):
@@ -102,6 +102,12 @@ class TestSweepCli:
         assert f"--resume {run_path.name}" in captured.err
         assert "--run-id" in captured.err
         assert journal.read_bytes() == before
+
+    def test_unnamed_run_journals_nothing(self, capsys, tmp_path):
+        # Only a named run (--run-id or --resume) writes a journal.
+        run_dir = tmp_path / "runs"
+        run_sweep(capsys, "--run-dir", str(run_dir))
+        assert not run_dir.exists()
 
     def test_resume_unknown_run_id_is_usage_error(self, capsys, tmp_path):
         rc = main([

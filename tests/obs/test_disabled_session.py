@@ -48,6 +48,7 @@ def test_default_session_collects_nothing(tmp_path):
         sleep=lambda _t: None,
     )
     report = run_campaign(spec, supervisor=supervisor)
+    assert report.supervision.ok
     assert report.ok
     assert len(report.supervision.outcomes) == 2
 

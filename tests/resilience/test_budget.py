@@ -1,14 +1,12 @@
-"""Resource budgets: the wall-clock, RSS, heap, and unit-timeout guards."""
+"""Resource budgets: the wall-clock, RSS, and unit-timeout guards."""
 
 import time
-import tracemalloc
 
 import pytest
 
 from repro.common.errors import ResilienceError, UnitTimeoutError
 from repro.resilience import (
     REASON_RSS,
-    REASON_TRACEMALLOC,
     REASON_WALL_CLOCK,
     BudgetGuard,
     ResourceBudget,
@@ -39,7 +37,6 @@ class TestResourceBudget:
             {"wall_clock_s": 0.0},
             {"unit_timeout_s": -1.0},
             {"max_rss_mb": 0.0},
-            {"max_tracemalloc_mb": -2.0},
         ],
     )
     def test_nonpositive_bounds_rejected(self, kwargs):
@@ -96,19 +93,6 @@ class TestMemoryGuards:
         )
         guard.start()
         assert guard.exceeded() is None
-
-    def test_tracemalloc_guard_owns_tracing(self):
-        was_tracing = tracemalloc.is_tracing()
-        guard = BudgetGuard(ResourceBudget(max_tracemalloc_mb=0.001))
-        guard.start()
-        try:
-            assert tracemalloc.is_tracing()
-            ballast = bytearray(1 << 20)
-            assert guard.exceeded() == REASON_TRACEMALLOC
-            del ballast
-        finally:
-            guard.stop()
-        assert tracemalloc.is_tracing() == was_tracing
 
     def test_wall_clock_checked_before_memory(self):
         clock = FakeClock()

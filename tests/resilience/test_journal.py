@@ -5,7 +5,13 @@ import json
 import pytest
 
 from repro.common.errors import JournalError
-from repro.resilience import Campaign, RunJournal, WorkUnit, journal_path
+from repro.resilience import (
+    Campaign,
+    RunJournal,
+    Supervisor,
+    WorkUnit,
+    journal_path,
+)
 
 
 def make_campaign(name="c", values=(1, 2, 3)):
@@ -48,10 +54,11 @@ class TestLifecycle:
             RunJournal.open(tmp_path, "run1", make_campaign(values=(1, 2, 3)))
 
     def test_resume_refuses_unknown_run_id(self, tmp_path):
+        # The supervisor decides between starting fresh and resuming,
+        # before any work: a resume with no journal is refused.
         with pytest.raises(JournalError, match="nothing to resume"):
-            RunJournal.open(
-                tmp_path, "ghost", make_campaign(), require_existing=True
-            )
+            Supervisor(run_dir=tmp_path, run_id="ghost", resume=True)
+        assert not journal_path(tmp_path, "ghost").exists()
 
     def test_schema_mismatch_rejected(self, tmp_path):
         campaign = make_campaign()

@@ -7,6 +7,7 @@ import pytest
 from repro.common.errors import (
     EXIT_OK,
     EXIT_PARTIAL,
+    JournalError,
     ReproError,
 )
 from repro.resilience import (
@@ -23,6 +24,7 @@ from repro.resilience import (
     RunJournal,
     Supervisor,
     WorkUnit,
+    journal_path,
     missing_cell_lines,
     render_outcome,
 )
@@ -43,6 +45,11 @@ def make_supervisor(**kwargs):
     kwargs.setdefault("sleep", lambda _t: None)
     kwargs.setdefault("policy", RetryPolicy(base_delay_s=0.0, jitter=0.0))
     return Supervisor(**kwargs)
+
+
+def read_journal(run_dir, run_id):
+    """A reader over the journal a supervisor wrote under *run_dir*."""
+    return RunJournal(journal_path(run_dir, run_id), run_id)
 
 
 def campaign_of(runners, name="test"):
@@ -163,14 +170,15 @@ class TestBudgetDegradation:
             raise OSError("transient")
 
         campaign = campaign_of([failing])
-        journal = RunJournal.open(tmp_path, "run1", campaign)
         supervisor = make_supervisor(
             policy=RetryPolicy(max_attempts=3, base_delay_s=0.0),
             budget=ResourceBudget(wall_clock_s=10.0),
             clock=clock,
-            journal=journal,
+            run_dir=tmp_path,
+            run_id="run1",
         )
         outcome = supervisor.run(campaign)
+        journal = read_journal(tmp_path, "run1")
         unit = outcome.outcomes[0]
         assert unit.status == STATUS_FAILED
         assert unit.attempts == 1  # no budget left for attempt 2
@@ -200,19 +208,19 @@ class TestJournalResume:
     def test_resume_skips_completed_units_byte_identically(self, tmp_path):
         runners = [lambda: {"zeta": 1, "alpha": 2}, lambda: {"v": 2}]
         campaign = campaign_of(runners)
-        journal = RunJournal.open(tmp_path, "run1", campaign)
-        first = make_supervisor(journal=journal).run(campaign)
+        first = make_supervisor(run_dir=tmp_path, run_id="run1").run(campaign)
+        journal = read_journal(tmp_path, "run1")
         records_after_first = journal.unit_record_count()
 
         campaign2 = campaign_of(runners)
-        journal2 = RunJournal.open(tmp_path, "run1", campaign2,
-                                   require_existing=True)
-        second = make_supervisor(journal=journal2).run(campaign2)
+        second = make_supervisor(
+            run_dir=tmp_path, run_id="run1", resume=True
+        ).run(campaign2)
 
         assert [o.status for o in second.outcomes] == [STATUS_SKIPPED] * 2
         assert second.ok and second.exit_code == EXIT_OK
         # No unit re-executed: the journal grew no new unit records.
-        assert journal2.unit_record_count() == records_after_first == 2
+        assert journal.unit_record_count() == records_after_first == 2
         # Byte-identical payloads, key order included.
         assert json.dumps(second.results) == json.dumps(first.results)
 
@@ -227,27 +235,58 @@ class TestJournalResume:
 
         runners = [lambda: {"v": 1}, flaky_once]
         campaign = campaign_of(runners)
-        journal = RunJournal.open(tmp_path, "run1", campaign)
         first = make_supervisor(
-            journal=journal, policy=RetryPolicy(max_attempts=1)
+            run_dir=tmp_path, run_id="run1",
+            policy=RetryPolicy(max_attempts=1),
         ).run(campaign)
         assert first.partial
 
         campaign2 = campaign_of(runners)
-        journal2 = RunJournal.open(tmp_path, "run1", campaign2)
-        second = make_supervisor(journal=journal2).run(campaign2)
+        second = make_supervisor(
+            run_dir=tmp_path, run_id="run1", resume=True
+        ).run(campaign2)
         assert [o.status for o in second.outcomes] == [
             STATUS_SKIPPED, STATUS_OK,
         ]
         assert second.ok
         assert second.results[campaign2.units[1].unit_id] == {"v": 7}
 
+    def test_header_records_the_budget(self, tmp_path):
+        # The live `status` monitor reads the budget from the header.
+        make_supervisor(
+            run_dir=tmp_path, run_id="b",
+            budget=ResourceBudget(wall_clock_s=120.0, max_rss_mb=512.0),
+        ).run(campaign_of([lambda: {"v": 1}]))
+        assert read_journal(tmp_path, "b").header()["budget"] == {
+            "wall_clock_s": 120.0, "max_rss_mb": 512.0,
+        }
+
+    def test_unnamed_run_journals_nothing(self, tmp_path):
+        outcome = make_supervisor(run_dir=tmp_path).run(
+            campaign_of([lambda: {"v": 1}])
+        )
+        assert outcome.ok and outcome.run_id is None
+        assert list(tmp_path.iterdir()) == []
+
     def test_outcome_carries_run_id(self, tmp_path):
         campaign = campaign_of([lambda: {"v": 1}])
-        journal = RunJournal.open(tmp_path, "rid", campaign)
-        outcome = make_supervisor(journal=journal).run(campaign)
+        outcome = make_supervisor(run_dir=tmp_path, run_id="rid").run(campaign)
         assert outcome.run_id == "rid"
-        assert journal.records()[-1]["status"] == "complete"
+        assert read_journal(tmp_path, "rid").records()[-1]["status"] == (
+            "complete"
+        )
+
+    def test_fresh_run_refuses_existing_journal(self, tmp_path):
+        # Journaled results are reused only on resume: naming a run
+        # that already has a journal is refused at construction, and
+        # the journal is left as it was.
+        make_supervisor(run_dir=tmp_path, run_id="run1").run(
+            campaign_of([lambda: {"v": 1}])
+        )
+        before = journal_path(tmp_path, "run1").read_bytes()
+        with pytest.raises(JournalError, match="already has a journal"):
+            make_supervisor(run_dir=tmp_path, run_id="run1")
+        assert journal_path(tmp_path, "run1").read_bytes() == before
 
 
 class TestChaos:
@@ -305,7 +344,6 @@ class TestChaos:
         # attempts per unit the supervisor must still finish clean.
         runners = [lambda i=i: {"v": i} for i in range(40)]
         campaign = campaign_of(runners, name="stress")
-        journal = RunJournal.open(tmp_path, "stress", campaign)
         monkey = ChaosMonkey(
             ChaosConfig(seed=3, kill_prob=0.3, delay_prob=0.3, oom_prob=0.1,
                         max_delay_s=0.001),
@@ -314,13 +352,14 @@ class TestChaos:
         supervisor = make_supervisor(
             chaos=monkey,
             policy=RetryPolicy(max_attempts=10, base_delay_s=0.0),
-            journal=journal,
+            run_dir=tmp_path,
+            run_id="stress",
         )
         outcome = supervisor.run(campaign)
         assert outcome.ok
         assert outcome.count(STATUS_OK) == 40
         assert monkey.strikes > 0
-        assert journal.unit_record_count() == 40
+        assert read_journal(tmp_path, "stress").unit_record_count() == 40
 
 
 class TestRendering:

@@ -174,13 +174,12 @@ class TestSupervisorMeasurement:
         )
 
     def test_journal_records_carry_telemetry(self, tmp_path):
-        from repro.resilience import RunJournal
+        from repro.resilience import RunJournal, journal_path
 
         campaign = make_campaign([lambda: {"v": 1}])
-        journal = RunJournal.open(tmp_path, "run1", campaign)
-        supervisor = self.make_supervisor(journal=journal)
+        supervisor = self.make_supervisor(run_dir=tmp_path, run_id="run1")
         supervisor.run(campaign)
-        records = journal.records()
+        records = RunJournal(journal_path(tmp_path, "run1"), "run1").records()
         unit_record = next(r for r in records if r["type"] == "unit")
         assert "telemetry" in unit_record
         assert unit_record["telemetry"]["rss_mb"] == 64.0
@@ -188,13 +187,11 @@ class TestSupervisorMeasurement:
         assert end_record["telemetry"]["units"] == 1
 
     def test_skipped_units_carry_no_telemetry(self, tmp_path):
-        from repro.resilience import RunJournal
-
         campaign = make_campaign([lambda: {"v": 1}])
-        journal = RunJournal.open(tmp_path, "run1", campaign)
-        self.make_supervisor(journal=journal).run(campaign)
-        resumed_journal = RunJournal.open(tmp_path, "run1", campaign)
-        outcome = self.make_supervisor(journal=resumed_journal).run(campaign)
+        self.make_supervisor(run_dir=tmp_path, run_id="run1").run(campaign)
+        outcome = self.make_supervisor(
+            run_dir=tmp_path, run_id="run1", resume=True
+        ).run(campaign)
         (unit,) = outcome.outcomes
         assert unit.status == "skipped"
         assert unit.telemetry is None

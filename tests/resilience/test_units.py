@@ -96,8 +96,3 @@ class TestCampaign:
         units = [unit(1), unit(2)]
         campaign = Campaign(name="c", units=units)
         assert campaign.fingerprint == campaign_fingerprint("c", units)
-
-    def test_default_run_id_is_fingerprint_prefix(self):
-        campaign = Campaign(name="c", units=[unit(1)])
-        assert campaign.default_run_id == campaign.fingerprint[:12]
-        assert len(campaign.default_run_id) == 12
