@@ -49,6 +49,19 @@ class AlignmentError(ReproError, ValueError):
     """An address or size violated a required alignment."""
 
 
+class UnknownEngineError(ReproError, KeyError):
+    """A run named an engine key that no factory provides.
+
+    Also a ``KeyError``, as :class:`AlignmentError` is also a
+    ``ValueError``. As a :class:`ReproError` the supervisor classifies
+    it deterministic, so it is never retried.
+    """
+
+    def __str__(self) -> str:
+        # KeyError would render the message through repr().
+        return Exception.__str__(self)
+
+
 class CryptoError(ReproError):
     """Base class for cryptographic failures."""
 

@@ -41,6 +41,7 @@ import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Tuple, Type
 
+from repro.common.errors import UnknownEngineError
 from repro.gpu.config import VOLTA, GpuConfig
 from repro.gpu.simulator import (
     EngineFactory,
@@ -367,7 +368,7 @@ class ExperimentContext:
         if cache_key not in self._results:
             factory = self.factories.get(engine_key)
             if factory is None:
-                raise KeyError(
+                raise UnknownEngineError(
                     f"unknown engine {engine_key!r}; known: "
                     f"{sorted(self.factories)}"
                 )

@@ -244,33 +244,47 @@ class CompactCounterState:
             return 1
         return 0
 
-    def bulk_writes_safe(self, sectors, counts) -> bool:
-        """True when ``counts[i]`` writes of ``sectors[i]`` trigger no
-        saturation bookkeeping — the precondition for :meth:`bulk_writes`.
+    def bulk_writes(self, sectors, counts) -> None:
+        """Apply ``counts[i]`` writes of each distinct ``sectors[i]``.
 
-        A sector is bulk-safe when it is already routed to the originals
-        (forced or saturated — further writes only bump the ground-truth
-        count) or when the added writes stay strictly below the
-        saturation code. Disabled blocks are inherently safe: writes
-        there mutate nothing but the count.
+        The result equals :meth:`plan_write_code` called that many times
+        per sector in any interleaving, provided nothing forces a sector
+        to the originals in between (no minor overflow). Saturation
+        crossings are counted, not replayed: a sector crosses once, and
+        its crossing counts toward its block unless it is forced or the
+        block is disabled. Which crossings of a block count depends on
+        order, but how many does not: an adaptive block counts crossings
+        until it reaches ``disable_threshold`` and then disables.
         """
+        cfg = self.config
         writes = self._writes
         get = writes.get
-        sat = self.config.saturation_value
+        sat = cfg.saturation_value
         forced = self._forced_original
+        adaptive = cfg.adaptive
+        disabled = self._disabled_blocks
+        per_block = cfg.counters_per_block
+        crossings: Dict[int, int] = {}
         for s, c in zip(sectors, counts):
             w = get(s, 0)
-            if s not in forced and w < sat and w + c >= sat:
-                return False
-        return True
-
-    def bulk_writes(self, sectors, counts) -> None:
-        """Apply per-sector write totals checked by
-        :meth:`bulk_writes_safe` (no saturation crossing, so order-free)."""
-        writes = self._writes
-        get = writes.get
-        for s, c in zip(sectors, counts):
-            writes[s] = get(s, 0) + c
+            writes[s] = w + c
+            if w < sat <= w + c and s not in forced:
+                block = s // per_block
+                if not (adaptive and block in disabled):
+                    crossings[block] = crossings.get(block, 0) + 1
+        saturated = self._saturated_in_block
+        for block, n in crossings.items():
+            before = saturated.get(block, 0)
+            if adaptive:
+                # plan_write_code disables at the first crossing that
+                # brings the block's count to the threshold.
+                room = max(cfg.disable_threshold - before, 1)
+                if n >= room:
+                    n = room
+                    disabled.add(block)
+                    self.disable_events += 1
+            saturated[block] = before + n
+            self.propagation_events += n
 
     def state_summary(self):
         """Canonical full-state value for differential comparison."""

@@ -152,7 +152,9 @@ class PartitionEngine:
         long-running execution while measured traffic stays clean. The
         result is that of ``passes`` pass-major rounds over the sector
         list; implementations may collapse the rounds only where that is
-        provably order-free (no overflow, no saturation crossing).
+        provably order-free, which is when no minor counter can
+        overflow. Compact saturation crossings are counted, not
+        replayed: how many count does not depend on order.
         """
         raise NotImplementedError
 

@@ -428,31 +428,19 @@ class PlutusEngine(MetadataEngine):
     def _fill_macs(self, sectors: np.ndarray, keys_list) -> None:
         """Value/MAC side of a fill run.
 
-        Value checks go per event, in order: every probe reshapes the
-        cache the next event sees. MAC fetches for the events the value
-        cache could not cover defer to one batched MAC phase.
+        The value cache checks the run's sectors in order
+        (:meth:`ValueCache.fill_run`): every probe reshapes the cache the
+        next sector sees. MAC fetches for the sectors it could not cover
+        defer to one batched MAC phase.
         """
         if self.value_cache is None:
             self._batch_mac_reads(sectors)
             return
-        verify = self.value_cache.verify_keys
-        observe = self.value_cache.observe_keys
-        mac_rows = np.zeros(int(sectors.size), dtype=bool)
-        verified = failures = 0
-        for i, keys in enumerate(keys_list):
-            if keys is None:
-                mac_rows[i] = True
-                continue
-            if verify(keys):
-                verified += 1
-            else:
-                failures += 1
-                mac_rows[i] = True
-            observe(keys)
+        mac_rows, verified, failures = self.value_cache.fill_run(keys_list)
         self.stats.value_verified_fills += verified
         self.stats.mac_fetches_avoided += verified
         self.stats.value_check_failures += failures
-        if mac_rows.any():
+        if mac_rows:
             self._batch_mac_reads(sectors[mac_rows])
 
     def _writeback_counters(self, sectors: np.ndarray) -> None:
@@ -471,21 +459,9 @@ class PlutusEngine(MetadataEngine):
         if self.value_cache is None:
             self._batch_mac_writes(sectors)
             return
-        observe = self.value_cache.observe_keys
-        write_verifiable = self.value_cache.write_verifiable_keys
-        mac_rows = np.zeros(int(sectors.size), dtype=bool)
-        avoided = 0
-        for i, keys in enumerate(keys_list):
-            if keys is None:
-                mac_rows[i] = True
-                continue
-            observe(keys)
-            if write_verifiable(keys):
-                avoided += 1
-            else:
-                mac_rows[i] = True
+        mac_rows, avoided = self.value_cache.writeback_run(keys_list)
         self.stats.mac_writes_avoided += avoided
-        if mac_rows.any():
+        if mac_rows:
             self._batch_mac_writes(sectors[mac_rows])
 
     def on_fill_batch(self, sector_indices, values) -> None:
@@ -507,10 +483,11 @@ class PlutusEngine(MetadataEngine):
     def warm_counters_batch(self, sector_indices, passes: int = 1) -> None:
         """Vectorized two-layer warmup.
 
-        Bulk application needs *both* layers order-free: no minor
-        overflow (whose force_original would redirect later compact
-        plans) and no compact saturation crossing. Otherwise the exact
-        pass-major interleaving replays.
+        Both layers apply per-sector totals in bulk unless a minor can
+        overflow: its ``force_original`` redirects the later compact
+        plans of its whole group, so only then does the exact pass-major
+        interleaving replay. Compact saturation crossings are counted in
+        bulk (:meth:`CompactCounterState.bulk_writes`).
         """
         if self.compact is None:
             super().warm_counters_batch(sector_indices, passes)
@@ -523,9 +500,7 @@ class PlutusEngine(MetadataEngine):
         uniq, counts = np.unique(sectors, return_counts=True)
         uniq_l = uniq.tolist()
         totals = (counts * int(passes)).tolist()
-        if self.counters.bulk_increment_safe(
-            uniq_l, totals
-        ) and self.compact.bulk_writes_safe(uniq_l, totals):
+        if self.counters.bulk_increment_safe(uniq_l, totals):
             self.counters.bulk_increment(uniq_l, totals)
             self.compact.bulk_writes(uniq_l, totals)
             return

@@ -108,9 +108,9 @@ class ValueCache:
         self._transient: "OrderedDict[int, int]" = OrderedDict()
         #: Pinned region: masked value -> frequency (never evicted).
         self._pinned: Dict[int, int] = {}
-        # The config's derived limits, read on every key probe. The
-        # per-value probe/observe keep reading the config: they are the
-        # reference the key methods are tested against.
+        # The config's derived limits, read once per run. The per-value
+        # probe/observe keep reading the config: they are the reference
+        # the run methods are tested against.
         self._pinned_capacity = config.pinned_capacity
         self._transient_capacity = config.transient_capacity
         self._freq_cap = (1 << config.freq_bits) - 1
@@ -162,126 +162,203 @@ class ValueCache:
         self._transient[key] = 1
 
     def observe_many(self, values: Iterable[int]) -> None:
-        """Record every value of a sector (insertion order preserved)."""
-        self.observe_keys(self.mask_keys(values))
+        """Record every value of a sector, in order (see :meth:`observe`)."""
+        for value in values:
+            self.observe(value)
 
     def verify_sector(self, values: Sequence[int]) -> bool:
-        """Value-verify a 32-byte sector (see :meth:`verify_keys`)."""
-        return self.verify_keys(self.mask_keys(values))
-
-    def write_verifiable(self, values: Sequence[int]) -> bool:
-        """Will this written sector pass value verification at next read?
-
-        See :meth:`write_verifiable_keys`.
-        """
-        return self.write_verifiable_keys(self.mask_keys(values))
-
-    def pinned_values(self) -> List[int]:
-        """Masked values currently pinned (diagnostics/tests)."""
-        return list(self._pinned)
-
-    # -- the key-based implementation ----------------------------------------
-    #
-    # Engines derive the masked probe keys for a whole run with one
-    # numpy pass (see :meth:`mask_keys`) and drive the cache through
-    # these methods; the value-based ones above mask and delegate.
-
-    def mask_keys(self, values: Iterable[int]) -> List[int]:
-        """Masked probe keys for raw 32-bit values (order preserved)."""
-        return [self._key(v) for v in values]
-
-    def verify_keys(self, keys: Sequence[int]) -> bool:
-        """Value-verify a 32-byte sector (two 128-bit units) by its keys.
+        """Value-verify a 32-byte sector (two 128-bit units).
 
         A unit passes when at least ``hits_required`` of its values hit;
         every unit must pass independently — a tampered ciphertext block
         randomizes exactly one 16-byte unit, so a single passing unit
         says nothing about its neighbour (paper: "both halves need to
-        satisfy this"). Each probe refreshes LRU position and bumps the
-        hit entry's frequency counter, as :meth:`probe` does.
+        satisfy this"). Every value of a unit is probed, and the first
+        unit that falls short ends the sector unprobed.
         """
-        per_unit = self.config.values_per_unit
-        if len(keys) % per_unit != 0:
+        cfg = self.config
+        per_unit = cfg.values_per_unit
+        if len(values) % per_unit != 0:
             raise ValueError("sector values must fill whole units")
-        stats = self.stats
-        pinned = self._pinned
-        transient = self._transient
-        freq_cap = self._freq_cap
-        pin_at = self.config.pin_threshold
-        pin_cap = self._pinned_capacity
-        need = self.config.hits_required
-        probes = hits = pinned_hits = promotions = unit_start = 0
-        unit_end = per_unit
-        passed = True
-        stats.sectors_checked += 1
-        for probes, key in enumerate(keys, 1):
-            if key in pinned:
-                hits += 1
-                pinned_hits += 1
-            else:
-                freq = transient.get(key)
-                if freq is not None:
-                    hits += 1
-                    freq = freq + 1 if freq < freq_cap else freq_cap
-                    transient[key] = freq
-                    transient.move_to_end(key)
-                    if freq >= pin_at and len(pinned) < pin_cap:
-                        pinned[key] = transient.pop(key)
-                        promotions += 1
-            if probes == unit_end:
-                if hits - unit_start < need:
-                    passed = False
-                    break  # the remaining units are not probed
-                unit_start = hits
-                unit_end += per_unit
-        stats.probes += probes
-        stats.hits += hits
-        stats.pinned_hits += pinned_hits
-        stats.promotions += promotions
-        if passed:
-            stats.sectors_verified += 1
-        else:
-            stats.sectors_failed += 1
-        return passed
+        self.stats.sectors_checked += 1
+        for start in range(0, len(values), per_unit):
+            hits = 0
+            for value in values[start:start + per_unit]:
+                hits += self.probe(value)[0]
+            if hits < cfg.hits_required:
+                self.stats.sectors_failed += 1
+                return False
+        self.stats.sectors_verified += 1
+        return True
 
-    def observe_keys(self, keys: Iterable[int]) -> None:
-        """Record every key of a sector (see :meth:`observe`)."""
-        pinned = self._pinned
-        transient = self._transient
-        cap = self._transient_capacity
-        for key in keys:
-            if key in pinned:
-                continue
-            if key in transient:
-                transient.move_to_end(key)
-                continue
-            if len(transient) >= cap:
-                transient.popitem(last=False)
-            transient[key] = 1
-
-    def write_verifiable_keys(self, keys: Sequence[int]) -> bool:
-        """Will the sector with these keys value-verify at its next read?
+    def write_verifiable(self, values: Sequence[int]) -> bool:
+        """Will this written sector pass value verification at next read?
 
         Guaranteed only when every unit passes using *pinned* hits —
         pinned entries cannot be evicted, so they will still be resident
         when the sector returns from memory (paper Fig. 11, right).
-        Probes here do not touch stats or LRU state: this is the write
+        Lookups here do not touch stats or LRU state: this is the write
         path's side-band check.
         """
         cfg = self.config
         per_unit = cfg.values_per_unit
-        if len(keys) % per_unit != 0:
+        if len(values) % per_unit != 0:
             raise ValueError("sector values must fill whole units")
         pinned = self._pinned
+        return all(
+            sum(self._key(v) in pinned for v in values[start:start + per_unit])
+            >= cfg.hits_required
+            for start in range(0, len(values), per_unit)
+        )
+
+    def pinned_values(self) -> List[int]:
+        """Masked values currently pinned (diagnostics/tests)."""
+        return list(self._pinned)
+
+    # -- whole runs of sectors, by key ----------------------------------------
+    #
+    # Engines derive the masked probe keys for a whole run with one
+    # numpy pass (see :meth:`mask_keys`) and hand the run to one of
+    # these methods. Each walks its sectors in order with the same
+    # state changes as the per-value methods above.
+
+    def mask_keys(self, values: Iterable[int]) -> List[int]:
+        """Masked probe keys for raw 32-bit values (order preserved)."""
+        return [self._key(v) for v in values]
+
+    def _check_units(self, keys_list) -> None:
+        per_unit = self.config.values_per_unit
+        for keys in keys_list:
+            if keys is not None and len(keys) % per_unit:
+                raise ValueError("sector values must fill whole units")
+
+    def fill_run(self, keys_list) -> Tuple[List[int], int, int]:
+        """Value-check a run of fills: verify, then observe, each sector.
+
+        ``keys_list`` holds each event's masked keys, or ``None`` for an
+        event without an image. A sector verifies as
+        :meth:`verify_sector`, and every key is then observed as
+        :meth:`observe_many`. Returns ``(mac_rows, verified, failed)``:
+        the indices of the events whose MAC must be fetched (no image,
+        or a failed check), and the verified and failed sector counts.
+        """
+        self._check_units(keys_list)
+        cfg = self.config
+        per_unit = cfg.values_per_unit
         need = cfg.hits_required
-        for start in range(0, len(keys), per_unit):
-            hits = 0
-            for key in keys[start:start + per_unit]:
+        pin_at = cfg.pin_threshold
+        pin_cap = self._pinned_capacity
+        freq_cap = self._freq_cap
+        cap = self._transient_capacity
+        pinned = self._pinned
+        transient = self._transient
+        lookup = transient.get
+        move = transient.move_to_end
+        unpin = transient.pop
+        evict = transient.popitem
+        mac_rows: List[int] = []
+        append = mac_rows.append
+        probes = hits = pinned_hits = promotions = verified = failed = 0
+        for i, keys in enumerate(keys_list):
+            if keys is None:
+                append(i)
+                continue
+            unit_start = hits
+            unit_end = per_unit
+            probed = len(keys)
+            for n, key in enumerate(keys, 1):
                 if key in pinned:
                     hits += 1
-            if hits < need:
-                return False
-        return True
+                    pinned_hits += 1
+                else:
+                    freq = lookup(key)
+                    if freq is not None:
+                        hits += 1
+                        if freq < freq_cap:
+                            freq += 1
+                        transient[key] = freq
+                        move(key)
+                        if freq >= pin_at and len(pinned) < pin_cap:
+                            pinned[key] = unpin(key)
+                            promotions += 1
+                if n == unit_end:
+                    if hits - unit_start < need:
+                        probed = n  # the remaining units are not probed
+                        failed += 1
+                        append(i)
+                        break
+                    unit_start = hits
+                    unit_end += per_unit
+            else:
+                verified += 1
+            probes += probed
+            for key in keys:
+                if key in pinned:
+                    continue
+                if key in transient:
+                    move(key)
+                    continue
+                if len(transient) >= cap:
+                    evict(False)
+                transient[key] = 1
+        stats = self.stats
+        stats.probes += probes
+        stats.hits += hits
+        stats.pinned_hits += pinned_hits
+        stats.promotions += promotions
+        stats.sectors_checked += verified + failed
+        stats.sectors_verified += verified
+        stats.sectors_failed += failed
+        return mac_rows, verified, failed
+
+    def writeback_run(self, keys_list) -> Tuple[List[int], int]:
+        """Train on a run of writebacks: observe, then check, each sector.
+
+        Every key is observed as :meth:`observe_many`, and the sector is
+        then checked as :meth:`write_verifiable`. Returns ``(mac_rows,
+        avoided)``: the indices of the events whose MAC must be written
+        (no image, or not verifiable from pinned values), and the number
+        of MAC writes avoided.
+        """
+        self._check_units(keys_list)
+        cfg = self.config
+        per_unit = cfg.values_per_unit
+        need = cfg.hits_required
+        cap = self._transient_capacity
+        pinned = self._pinned
+        transient = self._transient
+        move = transient.move_to_end
+        evict = transient.popitem
+        mac_rows: List[int] = []
+        append = mac_rows.append
+        avoided = 0
+        for i, keys in enumerate(keys_list):
+            if keys is None:
+                append(i)
+                continue
+            for key in keys:
+                if key in pinned:
+                    continue
+                if key in transient:
+                    move(key)
+                    continue
+                if len(transient) >= cap:
+                    evict(False)
+                transient[key] = 1
+            unit_pinned = 0
+            unit_end = per_unit
+            for n, key in enumerate(keys, 1):
+                if key in pinned:
+                    unit_pinned += 1
+                if n == unit_end:
+                    if unit_pinned < need:
+                        append(i)
+                        break
+                    unit_pinned = 0
+                    unit_end += per_unit
+            else:
+                avoided += 1
+        return mac_rows, avoided
 
     def state_summary(self):
         """Canonical full-state value for differential comparison.

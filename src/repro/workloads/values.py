@@ -152,10 +152,13 @@ class ValueReuseStudy:
         """Process one sector access exactly as the paper's study does:
         reads are checked for reuse before insertion; all accesses insert."""
         values = split_values(image, 4)
-        self.observe_keys(values, [v & _MASK_4_LSBS for v in values], is_read)
+        self.observe_sector_keys(
+            values, [v & _MASK_4_LSBS for v in values], is_read
+        )
 
-    def observe_keys(self, exact: Sequence[int], masked: Sequence[int],
-                     is_read: bool = True) -> None:
+    def observe_sector_keys(self, exact: Sequence[int],
+                            masked: Sequence[int],
+                            is_read: bool = True) -> None:
         """:meth:`observe_sector` by the sector's eight 32-bit values and
         their masked keys."""
         if is_read:
@@ -204,5 +207,5 @@ def study_trace_values(trace, cache_entries: int = 512) -> Dict[str, float]:
         keys = np.frombuffer(b"".join(images), dtype="<u4").reshape(-1, 8)
         masked = (keys & np.uint32(_MASK_4_LSBS)).tolist()
         for exact, masked_keys, is_read in zip(keys.tolist(), masked, reads):
-            study.observe_keys(exact, masked_keys, is_read)
+            study.observe_sector_keys(exact, masked_keys, is_read)
     return study.report()

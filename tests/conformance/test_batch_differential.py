@@ -201,15 +201,36 @@ class TestRejectedRuns:
 
 
 def _doctor_value_training(monkeypatch):
-    """Make the value cache's training switchable; returns the switch."""
-    honest = ValueCache.observe_keys
+    """Make the value cache's training switchable; returns the switch.
+
+    While the doctor is on, the run methods check every sector as the
+    honest ones do but observe none of its values.
+    """
+    honest_fill = ValueCache.fill_run
+    honest_writeback = ValueCache.writeback_run
     doctored = {"on": True}
 
-    def observe_keys(self, keys):
+    def fill_run(self, keys_list):
         if not doctored["on"]:
-            honest(self, keys)
+            return honest_fill(self, keys_list)
+        mac_rows, verified = [], 0
+        for i, keys in enumerate(keys_list):
+            if keys is not None and self.verify_sector(keys):
+                verified += 1
+            else:
+                mac_rows.append(i)
+        failed = sum(keys_list[i] is not None for i in mac_rows)
+        return mac_rows, verified, failed
 
-    monkeypatch.setattr(ValueCache, "observe_keys", observe_keys)
+    def writeback_run(self, keys_list):
+        if not doctored["on"]:
+            return honest_writeback(self, keys_list)
+        mac_rows = [i for i, keys in enumerate(keys_list)
+                    if keys is None or not self.write_verifiable(keys)]
+        return mac_rows, len(keys_list) - len(mac_rows)
+
+    monkeypatch.setattr(ValueCache, "fill_run", fill_run)
+    monkeypatch.setattr(ValueCache, "writeback_run", writeback_run)
     return doctored
 
 

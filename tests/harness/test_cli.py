@@ -62,8 +62,9 @@ class TestCli:
             del EXPERIMENTS["badkey-test"]
         assert rc == 3
         err = capsys.readouterr().err
-        assert "MISSING badkey-test: failed" in err
+        assert "MISSING badkey-test: failed (deterministic:" in err
         assert "not-an-engine" in err
+        assert "retries:" not in err
         assert "Traceback" not in err
 
     def test_repeated_experiment_runs_once(self, capsys):

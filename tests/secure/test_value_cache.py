@@ -139,7 +139,19 @@ class TestUnitVerification:
 
     def test_unit_size_enforced(self):
         with pytest.raises(ValueError):
-            ValueCache().verify_keys([1, 2, 3])
+            ValueCache().fill_run([[1, 2, 3]])
+        with pytest.raises(ValueError):
+            ValueCache().writeback_run([[1, 2, 3]])
+
+    def test_ragged_run_changes_nothing(self):
+        """A run is checked whole before its first sector is probed."""
+        cache = ValueCache()
+        cache.observe_many([0x10, 0x20, 0x30, 0x40])
+        before = cache.state_summary()
+        for run in (cache.fill_run, cache.writeback_run):
+            with pytest.raises(ValueError):
+                run([[0x10, 0x20, 0x30, 0x40] * 2, None, [1, 2, 3]])
+            assert cache.state_summary() == before
 
 
 class TestSectorVerification:
@@ -193,8 +205,8 @@ class TestWriteVerifiability:
 
 
 def reference_verify(cache, keys):
-    """verify_keys through the per-value probe: every value of a unit is
-    probed, and the first unit short of ``hits_required`` ends the
+    """A fill's check through the per-value probe: every value of a unit
+    is probed, and the first unit short of ``hits_required`` ends the
     sector."""
     per_unit = cache.config.values_per_unit
     cache.stats.sectors_checked += 1
@@ -208,7 +220,7 @@ def reference_verify(cache, keys):
 
 
 def reference_write_verifiable(cache, keys):
-    """write_verifiable_keys from the pinned set: every unit needs
+    """A writeback's check from the pinned set: every unit needs
     ``hits_required`` pinned values."""
     pinned = set(cache.pinned_values())
     per_unit = cache.config.values_per_unit
@@ -219,10 +231,44 @@ def reference_write_verifiable(cache, keys):
     )
 
 
+def reference_run(cache, is_read, keys_list):
+    """One run through the per-value probe/observe: reads verify then
+    observe, writes observe then check pinned verifiability. Returns
+    what the run methods return."""
+    mac_rows = []
+    passed = failed = 0
+    for i, keys in enumerate(keys_list):
+        if keys is None:
+            mac_rows.append(i)
+            continue
+        if is_read:
+            ok = reference_verify(cache, keys)
+            for key in keys:
+                cache.observe(key)
+        else:
+            for key in keys:
+                cache.observe(key)
+            ok = reference_write_verifiable(cache, keys)
+        if ok:
+            passed += 1
+        else:
+            failed += 1
+            mac_rows.append(i)
+    if is_read:
+        return mac_rows, passed, failed
+    return mac_rows, passed
+
+
 #: Masked keys (low four bits clear), so the per-value methods probe
 #: exactly these keys. Eight of them keep every key hot enough to
 #: saturate its frequency counter.
 ORACLE_KEYS = [0x1230 + 0x100 * i for i in range(8)]
+
+_SECTOR = st.one_of(
+    st.none(),
+    st.lists(st.integers(min_value=0, max_value=len(ORACLE_KEYS) - 1),
+             min_size=8, max_size=8),
+)
 
 
 @settings(max_examples=150, deadline=None)
@@ -231,37 +277,27 @@ ORACLE_KEYS = [0x1230 + 0x100 * i for i in range(8)]
     pinned_fraction=st.sampled_from((0.0, 0.25, 0.5)),
     pin_threshold=st.integers(min_value=1, max_value=15),
     distinct=st.integers(min_value=1, max_value=len(ORACLE_KEYS)),
-    sectors=st.lists(
-        st.tuples(st.booleans(), st.lists(
-            st.integers(min_value=0, max_value=len(ORACLE_KEYS) - 1),
-            min_size=8, max_size=8,
-        )),
-        min_size=1, max_size=80,
+    runs=st.lists(
+        st.tuples(st.booleans(), st.lists(_SECTOR, min_size=1, max_size=12)),
+        min_size=1, max_size=24,
     ),
 )
 def test_key_methods_match_per_value_reference(
-    entries, pinned_fraction, pin_threshold, distinct, sectors
+    entries, pinned_fraction, pin_threshold, distinct, runs
 ):
-    """Reads verify then observe; writes observe then check pinned
-    verifiability. After every sector the key methods leave the cache
-    exactly where the per-value probe/observe do."""
+    """``fill_run`` and ``writeback_run`` return what the per-value
+    probe/observe decide sector by sector, and after every run leave the
+    cache exactly where they do."""
     config = ValueCacheConfig(entries=entries, pinned_fraction=pinned_fraction,
                               pin_threshold=pin_threshold)
     fast = ValueCache(config)
     ref = ValueCache(config)
-    for step, (is_read, picks) in enumerate(sectors):
-        keys = [ORACLE_KEYS[pick % distinct] for pick in picks]
-        if is_read:
-            got = fast.verify_keys(keys)
-            want = reference_verify(ref, keys)
-            fast.observe_keys(keys)
-            for key in keys:
-                ref.observe(key)
-        else:
-            fast.observe_keys(keys)
-            for key in keys:
-                ref.observe(key)
-            got = fast.write_verifiable_keys(keys)
-            want = reference_write_verifiable(ref, keys)
-        assert got == want, step
+    for step, (is_read, sectors) in enumerate(runs):
+        keys_list = [
+            None if picks is None
+            else [ORACLE_KEYS[pick % distinct] for pick in picks]
+            for picks in sectors
+        ]
+        run = fast.fill_run if is_read else fast.writeback_run
+        assert run(keys_list) == reference_run(ref, is_read, keys_list), step
         assert fast.state_summary() == ref.state_summary(), step
