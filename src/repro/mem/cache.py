@@ -119,6 +119,17 @@ class AccessResult:
         return popcount(self.miss_mask)
 
 
+#: Line indices the shift-ladder set fold covers (its first step
+#: folds 64 bits).
+_LADDER_LIMIT = 1 << 64
+#: Set count 2^b, b a power of two -> its fold's shift ladder, shared by
+#: every cache of that count (a tuple per cache raises peak RSS).
+_LADDERS = {
+    1 << bits: tuple(s for s in (32, 16, 8, 4, 2, 1) if s >= bits)
+    for bits in (1, 2, 4, 8, 16, 32)
+}
+
+
 class _Line:
     __slots__ = ("valid_mask", "dirty_mask")
 
@@ -174,6 +185,13 @@ class SectoredCache:
             [bin(m).count("1") for m in range(1 << config.sectors_per_line)]
             if config.sectors_per_line <= 16 else None
         )
+        # A set count 2^b with b a power of two (2, 4, 16, 256 sets)
+        # folds by a fixed shift ladder, x ^= x >> 32 down to x >> b: the
+        # XOR of the index's base-2^b digits that the loop in
+        # :meth:`_set_index` computes, for line indices below 2^64.
+        self._fold_shifts: Optional[Tuple[int, ...]] = _LADDERS.get(
+            self._num_sets
+        )
 
     def _set_index(self, line_addr: int) -> int:
         """XOR-folded set index.
@@ -187,6 +205,11 @@ class SectoredCache:
         """
         line = line_addr // self._line_bytes
         sets = self._num_sets
+        shifts = self._fold_shifts
+        if shifts is not None and line < _LADDER_LIMIT:
+            for shift in shifts:
+                line ^= line >> shift
+            return line & (sets - 1)
         if sets == 1:
             return 0  # fully-associative: the fold below cannot shrink line
         folded = 0

@@ -33,6 +33,11 @@ class Stream(Enum):
     #: engine (docs/ARCHITECTURE.md § Crash consistency & recovery).
     METADATA_LOG_WRITE = "metadata_log_write"
 
+    # Members are singletons that compare by identity, so identity
+    # hashing is consistent with equality, and it skips the Python-level
+    # ``Enum.__hash__`` on every Stream-keyed dict access.
+    __hash__ = object.__hash__
+
 
 #: Streams that carry security metadata rather than program data.
 METADATA_STREAMS = frozenset(s for s in Stream if not s.value.startswith("data"))

@@ -30,7 +30,9 @@ from repro.workloads.patterns import generate
 from repro.workloads.trace import Trace, TraceAccess
 from repro.workloads.values import ValueModel, ValueModelConfig
 
-_POPCOUNT4 = [bin(m).count("1") for m in range(16)]
+#: Sector mask -> how many sectors it selects, and which, in slot order.
+_POPCOUNT4 = np.array([bin(m).count("1") for m in range(16)], dtype=np.uint8)
+_SLOTS4 = [tuple(s for s in range(4) if m >> s & 1) for m in range(16)]
 
 
 @dataclass(frozen=True)
@@ -489,6 +491,19 @@ def _generate_mix(
     return lines[order], masks[order]
 
 
+def _merge_draws(is_write: np.ndarray, n_writes: int,
+                 write_draws: np.ndarray, read_draws: np.ndarray) -> np.ndarray:
+    """Every write position takes the next write draw and every read
+    position the next read draw (the write mix draws one even when the
+    trace has no write)."""
+    merged = np.empty(
+        len(is_write), dtype=np.result_type(write_draws, read_draws)
+    )
+    merged[is_write] = write_draws[:n_writes]
+    merged[~is_write] = read_draws
+    return merged
+
+
 def build_trace(
     name: str,
     length: Optional[int] = None,
@@ -529,47 +544,25 @@ def build_trace(
 
     # Pre-draw all sector images in one vectorized batch. Sectors of one
     # coalesced access share the reuse decision (value locality is
-    # line-clustered in real data), so build the group sizes in the
-    # exact order the images are consumed below.
-    group_sizes: List[int] = []
-    ri, wi = 0, 0
-    for i in range(n):
-        if is_write[i] and wi < len(write_lines):
-            group_sizes.append(_POPCOUNT4[int(write_masks[wi])])
-            wi += 1
-        else:
-            group_sizes.append(_POPCOUNT4[int(read_masks[ri % max(n_reads, 1)])])
-            ri += 1
-    total_sectors = sum(group_sizes)
-    images = (
-        value_model.sector_images(total_sectors, group_sizes=group_sizes)
-        if value_model
-        else None
-    )
-    image_cursor = 0
+    # line-clustered in real data), so each access is one group, in
+    # trace order, as the images are consumed below.
+    masks = _merge_draws(is_write, n_writes, write_masks, read_masks)
+    images = None
+    if value_model is not None:
+        group_sizes = _POPCOUNT4[masks]
+        images = iter(value_model.sector_images(
+            int(group_sizes.sum()), group_sizes=group_sizes
+        ))
+    lines = _merge_draws(is_write, n_writes, write_lines, read_lines)
 
     accesses: List[TraceAccess] = []
-    read_i = 0
-    write_i = 0
-    for i in range(n):
-        if is_write[i] and write_i < len(write_lines):
-            line = int(write_lines[write_i])
-            mask = int(write_masks[write_i])
-            write_i += 1
-            w = True
-        else:
-            line = int(read_lines[read_i % max(n_reads, 1)])
-            mask = int(read_masks[read_i % max(n_reads, 1)])
-            read_i += 1
-            w = False
-        values = None
-        if images is not None:
-            values = []
-            for slot in range(4):
-                if (mask >> slot) & 1:
-                    values.append((slot, images[image_cursor]))
-                    image_cursor += 1
-        accesses.append(TraceAccess(line * 128, mask, w, values))
+    for line, mask, write in zip(memoryview(lines), memoryview(masks),
+                                 memoryview(is_write)):
+        # zip stops at the last slot without drawing one image too many.
+        values = (
+            tuple(zip(_SLOTS4[mask], images)) if images is not None else None
+        )
+        accesses.append(TraceAccess(line * 128, mask, write, values))
 
     return Trace(
         name=name,

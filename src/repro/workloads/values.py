@@ -33,6 +33,12 @@ _UBIQUITOUS_VALUES = np.array(
 _MASK_4_LSBS = 0xFFFFFFF0
 #: Sectors per numpy decode; a whole trace's keys at once cost megabytes.
 _CHUNK_SECTORS = 64
+#: A read sector's hit bits (one per value, the first value highest)
+#: -> whether each 16-byte half has at least 3 of its 4 values hit.
+_HALVES_REUSED = [
+    bin(bits >> 4).count("1") >= 3 and bin(bits & 15).count("1") >= 3
+    for bits in range(256)
+]
 
 
 @dataclass(frozen=True)
@@ -90,18 +96,26 @@ class ValueModel:
         """
         if count <= 0:
             return []
-        if group_sizes is not None and sum(group_sizes) != count:
-            raise ConfigurationError("group sizes must sum to sector count")
+        if group_sizes is not None:
+            group_sizes = np.asarray(group_sizes)
+            if group_sizes.sum() != count:
+                raise ConfigurationError(
+                    "group sizes must sum to sector count"
+                )
         cfg = self.config
         n_values = count * self.VALUES_PER_SECTOR
 
-        pool_idx = self._rng.zipf_bounded(cfg.zipf_a, cfg.pool_size, n_values)
-        pooled = self._pool[pool_idx].copy()
+        # Each n_values-long temporary is dropped once used, so fewer of
+        # them are alive at once. Fancy indexing already copies the pool.
+        pooled = self._pool[
+            self._rng.zipf_bounded(cfg.zipf_a, cfg.pool_size, n_values)
+        ]
         perturb = self._rng.random(n_values) < cfg.near_perturb
         deltas = self._rng.integers(0, 16, size=n_values).astype(np.uint32)
         pooled[perturb] = (pooled[perturb] & np.uint32(0xFFFFFFF0)) | (
             deltas[perturb] & np.uint32(0xF)
         )
+        del perturb, deltas
 
         fresh = self._rng.integers(0, 1 << 32, size=n_values).astype(np.uint32)
 
@@ -109,13 +123,12 @@ class ValueModel:
             sector_reused = self._rng.random(count) < cfg.sector_reuse
         else:
             group_reused = self._rng.random(len(group_sizes)) < cfg.sector_reuse
-            sector_reused = np.repeat(group_reused, list(group_sizes))
-        sector_is_reused = np.repeat(sector_reused, self.VALUES_PER_SECTOR)
-        value_is_reused = self._rng.random(n_values) < cfg.value_reuse
-        take_pool = sector_is_reused | value_is_reused
-        values = np.where(take_pool, pooled, fresh).astype("<u4")
-
-        flat = values.tobytes()
+            sector_reused = np.repeat(group_reused, group_sizes)
+        take_pool = np.repeat(sector_reused, self.VALUES_PER_SECTOR)
+        take_pool |= self._rng.random(n_values) < cfg.value_reuse
+        flat = np.where(take_pool, pooled, fresh).astype(
+            "<u4", copy=False
+        ).tobytes()
         return [flat[i * 32 : (i + 1) * 32] for i in range(count)]
 
 
@@ -135,6 +148,17 @@ class ValueReuseStudy:
     membership before the sector, in plain LRU over the observe stream:
     one ordered set of exact keys (``full`` and ``halves``) and one of
     masked keys, checked against ``ValueCache`` in the tests.
+
+    Each resident key maps to a stamp: the number of the sector that
+    inserted it, counting every sector, read or written. One lookup per
+    key then decides both the hit and the update. A key present with an
+    earlier sector's stamp was resident before this sector and hits; a
+    key absent, or present with this sector's own stamp (inserted by an
+    earlier value of the same sector), misses. A present key moves to
+    the MRU end and keeps its stamp; an absent one is inserted with this
+    sector's. Nothing is evicted inside a sector: each set is trimmed to
+    capacity once per sector, which leaves what evicting per insert
+    would.
     """
 
     SCENARIOS = ("full", "halves", "masked")
@@ -143,8 +167,10 @@ class ValueReuseStudy:
         if cache_entries <= 0:
             raise ConfigurationError("value-reuse study needs cache entries")
         self._capacity = cache_entries
-        self._exact: "OrderedDict[int, None]" = OrderedDict()
-        self._masked: "OrderedDict[int, None]" = OrderedDict()
+        self._exact: "OrderedDict[int, int]" = OrderedDict()
+        self._masked: "OrderedDict[int, int]" = OrderedDict()
+        #: Sectors observed so far, reads and writes: the next stamp - 1.
+        self._stamp = 0
         self.sectors_seen = 0
         self.reused: Dict[str, int] = {s: 0 for s in self.SCENARIOS}
 
@@ -152,39 +178,65 @@ class ValueReuseStudy:
         """Process one sector access exactly as the paper's study does:
         reads are checked for reuse before insertion; all accesses insert."""
         values = split_values(image, 4)
-        self.observe_sector_keys(
-            values, [v & _MASK_4_LSBS for v in values], is_read
+        self.observe_chunk(
+            [values], [[v & _MASK_4_LSBS for v in values]], [is_read]
         )
 
-    def observe_sector_keys(self, exact: Sequence[int],
-                            masked: Sequence[int],
-                            is_read: bool = True) -> None:
-        """:meth:`observe_sector` by the sector's eight 32-bit values and
-        their masked keys."""
-        if is_read:
-            self.sectors_seen += 1
-            r = self._exact
-            a, b, c, d, e, f, g, h = exact
-            low = (a in r) + (b in r) + (c in r) + (d in r)
-            high = (e in r) + (f in r) + (g in r) + (h in r)
-            if low == high == 4:
-                self.reused["full"] += 1
-            if low >= 3 and high >= 3:
-                self.reused["halves"] += 1
-            r = self._masked
-            a, b, c, d, e, f, g, h = masked
-            if ((a in r) + (b in r) + (c in r) + (d in r) >= 3
-                    and (e in r) + (f in r) + (g in r) + (h in r) >= 3):
-                self.reused["masked"] += 1
-        for lru, keys in ((self._exact, exact), (self._masked, masked)):
-            for key in keys:
-                if key in lru:
-                    lru.move_to_end(key)
+    def observe_chunk(self, exact_rows: Sequence[Sequence[int]],
+                      masked_rows: Sequence[Sequence[int]],
+                      reads: Sequence[bool]) -> None:
+        """:meth:`observe_sector` for consecutive sectors, given by their
+        eight 32-bit values, the values' masked keys and whether each
+        sector is a read."""
+        exact, masked = self._exact, self._masked
+        exact_get, exact_move = exact.get, exact.move_to_end
+        masked_get, masked_move = masked.get, masked.move_to_end
+        exact_pop, masked_pop = exact.popitem, masked.popitem
+        capacity = self._capacity
+        halves_reused = _HALVES_REUSED
+        stamp = self._stamp
+        seen = full = halves = near = 0  # near: the ``masked`` scenario
+        for exact_keys, masked_keys, is_read in zip(exact_rows, masked_rows,
+                                                    reads):
+            stamp += 1
+            hits = 0
+            for key in exact_keys:
+                inserted = exact_get(key)
+                hits <<= 1
+                if inserted is None:
+                    exact[key] = stamp
                 else:
-                    lru[key] = None
-            # Trimming once per sector leaves what evicting per insert would.
-            while len(lru) > self._capacity:
-                lru.popitem(last=False)
+                    exact_move(key)
+                    if inserted != stamp:
+                        hits += 1
+            masked_hits = 0
+            for key in masked_keys:
+                inserted = masked_get(key)
+                masked_hits <<= 1
+                if inserted is None:
+                    masked[key] = stamp
+                else:
+                    masked_move(key)
+                    if inserted != stamp:
+                        masked_hits += 1
+            if is_read:
+                seen += 1
+                if hits == 255:  # all eight values hit
+                    full += 1
+                if halves_reused[hits]:
+                    halves += 1
+                if halves_reused[masked_hits]:
+                    near += 1
+            while len(exact) > capacity:
+                exact_pop(last=False)
+            while len(masked) > capacity:
+                masked_pop(last=False)
+        self._stamp = stamp
+        self.sectors_seen += seen
+        reused = self.reused
+        reused["full"] += full
+        reused["halves"] += halves
+        reused["masked"] += near
 
     def reuse_fraction(self, scenario: str) -> float:
         if scenario not in self.reused:
@@ -206,6 +258,5 @@ def study_trace_values(trace, cache_entries: int = 512) -> Dict[str, float]:
         images, reads = zip(*chunk)
         keys = np.frombuffer(b"".join(images), dtype="<u4").reshape(-1, 8)
         masked = (keys & np.uint32(_MASK_4_LSBS)).tolist()
-        for exact, masked_keys, is_read in zip(keys.tolist(), masked, reads):
-            study.observe_sector_keys(exact, masked_keys, is_read)
+        study.observe_chunk(keys.tolist(), masked, reads)
     return study.report()

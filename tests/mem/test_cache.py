@@ -1,6 +1,8 @@
 """Tests for the sectored set-associative cache."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.mem.cache import CacheConfig, SectoredCache
@@ -159,3 +161,35 @@ class TestSetHashing:
     def test_same_line_same_set(self):
         cache = make_cache()
         assert cache._set_index(0x1280) == cache._set_index(0x1280)
+
+
+def digit_fold(line_addr, sets, line_bytes=128):
+    """The set index as a loop over the line index's base-``sets``
+    digits: the reference for the shift-ladder fold."""
+    line = line_addr // line_bytes
+    if sets == 1:
+        return 0
+    folded = 0
+    while line:
+        folded ^= line % sets
+        line //= sets
+    return folded % sets
+
+
+#: Set counts with and without a shift ladder: 2^b for b a power of
+#: two, 8 (b = 3) and Volta's 96-set L2 banks.
+_SET_COUNTS = (1, 2, 4, 8, 16, 96, 256)
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_addr=st.integers(min_value=0, max_value=2**72))
+@example(line_addr=(2**64 - 1) * 128)
+@example(line_addr=2**64 * 128)
+@example(line_addr=2**70)
+def test_set_index_matches_digit_fold(line_addr):
+    """Line indices below 2^64 take the ladder on 2, 4, 16 and 256
+    sets; larger ones, and the other counts, take the digit loop."""
+    for sets in _SET_COUNTS:
+        cache = make_cache(size=sets * 4 * 128, ways=4)
+        assert cache.config.num_sets == sets
+        assert cache._set_index(line_addr) == digit_fold(line_addr, sets)

@@ -1,5 +1,7 @@
 """Tests for DRAM traffic accounting."""
 
+import pickle
+
 import pytest
 
 from repro.mem.traffic import (
@@ -21,6 +23,19 @@ class TestCounter:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             TrafficCounter().record(Stream.MAC_READ, -1)
+
+    def test_unpickled_stream_indexes_counter_and_report(self):
+        """Streams hash by identity; unpickling returns the member
+        itself, so a restored one still finds its entries."""
+        restored = pickle.loads(pickle.dumps(Stream.MAC_READ))
+        counter = TrafficCounter()
+        counter.record(restored, 32)
+        counter.record(Stream.MAC_READ, 64)
+        assert counter.bytes_for(restored) == 96
+        report = pickle.loads(pickle.dumps(counter.report()))
+        assert report.bytes_by_stream[restored] == 96
+        assert report.transactions_for(restored) == 2
+        assert report.mac_bytes == 96
 
     def test_merge(self):
         a, b = TrafficCounter(), TrafficCounter()

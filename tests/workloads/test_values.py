@@ -120,6 +120,35 @@ class TestReuseStudy:
         assert study.sectors_seen == 1
         assert study.reuse_fraction("halves") == 1.0
 
+    def test_first_seen_sector_of_equal_values_scores_no_hit(self):
+        """The first copy of a fresh value inserts it with the sector's
+        own stamp, so the seven repeats after it miss."""
+        study = ValueReuseStudy()
+        study.observe_sector(struct.pack("<8I", *[0x1234] * 8))
+        assert study.sectors_seen == 1
+        assert study.reused == {"full": 0, "halves": 0, "masked": 0}
+
+    def test_same_sector_read_again_scores_full(self):
+        """A second read finds every value with an earlier sector's
+        stamp."""
+        study = ValueReuseStudy()
+        image = struct.pack("<8I", *[0x1234] * 8)
+        study.observe_sector(image)
+        study.observe_sector(image)
+        assert study.sectors_seen == 2
+        assert study.reused == {"full": 1, "halves": 1, "masked": 1}
+
+    def test_repeated_fresh_value_does_not_make_a_half(self):
+        """Second half seen before, first half one fresh value four
+        times: the first half has no hit, so neither ``halves`` nor
+        ``full`` counts the sector."""
+        study = ValueReuseStudy()
+        seen = [0x100, 0x200, 0x300, 0x400]
+        study.observe_sector(struct.pack("<8I", *seen, *seen), is_read=False)
+        study.observe_sector(struct.pack("<8I", *[0x5000] * 4, *seen))
+        assert study.sectors_seen == 1
+        assert study.reused == {"full": 0, "halves": 0, "masked": 0}
+
     def test_unknown_scenario_rejected(self):
         with pytest.raises(KeyError):
             ValueReuseStudy().reuse_fraction("quarters")
