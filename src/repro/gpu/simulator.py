@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -144,7 +144,22 @@ def simulate_l2(trace: Trace, config: GpuConfig) -> MemoryEventLog:
     return log
 
 
+#: Sector slots (0..3) selected by each 4-bit mask, in ascending order.
+_MASK_SLOTS = tuple(
+    tuple(slot for slot in range(4) if (mask >> slot) & 1)
+    for mask in range(16)
+)
+
+
 def _simulate_l2(trace: Trace, config: GpuConfig) -> MemoryEventLog:
+    """The L2 pass in bulk.
+
+    Each access is one ``access_run_raw`` call on its partition's bank.
+    Events gather in plain columns, each with its sector's byte address,
+    and join the log's store in one ``extend_decoded`` call once the
+    banks are drained, with one
+    :meth:`AddressMap.local_sector_indices` call for the whole column.
+    """
     amap = config.address_map
     l2_banks = [
         SectoredCache(
@@ -159,44 +174,48 @@ def _simulate_l2(trace: Trace, config: GpuConfig) -> MemoryEventLog:
         )
         for p in range(config.num_partitions)
     ]
-    #: Values of currently dirty L2 sectors: (partition, line, slot) -> bytes.
-    dirty_values: Dict[Tuple[int, int, int], Optional[bytes]] = {}
-    log = MemoryEventLog(
-        trace_name=trace.name,
-        memory_intensity=trace.memory_intensity,
-        instructions=trace.instructions,
-        counter_warmup_passes=trace.counter_warmup_passes,
-    )
+    #: Images of currently dirty L2 sectors, by sector byte address.
+    dirty_values: Dict[int, Optional[bytes]] = {}
+    # The event columns: kind code, partition, sector byte address and
+    # image (None when the event carries none).
+    kinds = bytearray()
+    partitions: List[int] = []
+    addrs: List[int] = []
+    images: List[Optional[bytes]] = []
 
     def emit_writebacks(partition: int, line_addr: int, dirty_mask: int) -> None:
-        for slot in range(4):
-            if not (dirty_mask >> slot) & 1:
-                continue
-            values = dirty_values.pop((partition, line_addr, slot), None)
-            sector = amap.local_sector_index(line_addr + slot * 32)
-            log.append_writeback(partition, sector, values)
+        for slot in _MASK_SLOTS[dirty_mask & 15]:
+            addr = line_addr + slot * 32
+            kinds.append(WRITEBACK_CODE)
+            partitions.append(partition)
+            addrs.append(addr)
+            images.append(dirty_values.pop(addr, None))
 
+    partition_of = amap.partition_of
+    access_runs = [bank.access_run_raw for bank in l2_banks]
     for access in trace:
-        partition = amap.partition_of(access.line_addr)
-        bank = l2_banks[partition]
-        if access.write:
-            # Full-sector coalesced writes allocate without fetching.
-            result = bank.access(access.line_addr, access.sector_mask, write=True)
-            for ev in result.evictions:
-                emit_writebacks(partition, ev.line_addr, ev.dirty_mask)
-            for slot in access.sectors():
-                dirty_values[(partition, access.line_addr, slot)] = (
-                    access.value_for(slot)
-                )
+        line_addr = access.line_addr
+        partition = partition_of(line_addr)
+        mask = access.sector_mask
+        write = access.write
+        # Full-sector coalesced writes allocate without fetching.
+        miss_mask, _count, evictions = access_runs[partition](
+            line_addr, mask, write, 1
+        )
+        for ev in evictions:
+            emit_writebacks(partition, ev.line_addr, ev.dirty_mask)
+        value_for = access.value_for
+        if write:
+            # Every written sector takes this access's image, or None:
+            # a sector written without one drops its earlier image.
+            for slot in _MASK_SLOTS[mask]:
+                dirty_values[line_addr + slot * 32] = value_for(slot)
         else:
-            result = bank.access(access.line_addr, access.sector_mask, write=False)
-            for ev in result.evictions:
-                emit_writebacks(partition, ev.line_addr, ev.dirty_mask)
-            for slot in access.sectors():
-                if not (result.miss_mask >> slot) & 1:
-                    continue
-                sector = amap.local_sector_index(access.line_addr + slot * 32)
-                log.append_fill(partition, sector, access.value_for(slot))
+            for slot in _MASK_SLOTS[mask & miss_mask]:
+                kinds.append(FILL_CODE)
+                partitions.append(partition)
+                addrs.append(line_addr + slot * 32)
+                images.append(value_for(slot))
 
     # Kernel end: drain dirty data.
     for partition, bank in enumerate(l2_banks):
@@ -207,6 +226,23 @@ def _simulate_l2(trace: Trace, config: GpuConfig) -> MemoryEventLog:
         raise SimulationError(
             f"{len(dirty_values)} dirty sector values were never drained"
         )
+
+    log = MemoryEventLog(
+        trace_name=trace.name,
+        memory_intensity=trace.memory_intensity,
+        instructions=trace.instructions,
+        counter_warmup_passes=trace.counter_warmup_passes,
+    )
+    log.events.extend_decoded(
+        kinds,
+        np.array(partitions, dtype=np.int32),
+        amap.local_sector_indices(np.array(addrs, dtype=np.int64)),
+        np.array([-1 if v is None else len(v) for v in images],
+                 dtype=np.int64),
+        b"".join([v for v in images if v is not None]),
+    )
+    log.fill_sectors = kinds.count(FILL_CODE)
+    log.writeback_sectors = len(kinds) - log.fill_sectors
 
     for bank in l2_banks:
         log.l2_stats.accesses += bank.stats.accesses

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.common.bitops import is_power_of_two, log2_exact
 from repro.common.errors import ConfigurationError
 
@@ -120,6 +122,21 @@ class AddressMap:
         return (
             self.local_line_index(address) * self.sectors_per_line
             + self.sector_in_line(address)
+        )
+
+    def local_sector_indices(self, addresses: np.ndarray) -> np.ndarray:
+        """:meth:`local_sector_index` of every address in an int64 array.
+
+        Raises :meth:`check`'s ValueError for the first address outside
+        the protected range.
+        """
+        outside = (addresses < 0) | (addresses >= self.memory_bytes)
+        if outside.any():
+            self.check(int(addresses[outside.argmax()]))
+        return (
+            addresses // self.line_bytes // self.num_partitions
+            * self.sectors_per_line
+            + addresses % self.line_bytes // self.sector_bytes
         )
 
     def iter_line_sector_addresses(self, address: int):

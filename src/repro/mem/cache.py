@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.bitops import popcount
@@ -130,12 +131,29 @@ _LADDERS = {
 }
 
 
-class _Line:
-    __slots__ = ("valid_mask", "dirty_mask")
+@lru_cache
+def _popcount_table(sectors: int) -> Optional[Tuple[int, ...]]:
+    """Popcount of every mask over *sectors* sector bits, shared by every
+    cache of that line width (each partition builds the same caches);
+    None for lines of more than 16 sectors."""
+    if sectors > 16:
+        return None
+    return tuple(bin(m).count("1") for m in range(1 << sectors))
 
-    def __init__(self) -> None:
+
+class _Line:
+    """A resident line's sector state and the LRU order of its set.
+
+    The set's ``OrderedDict`` holds only line addresses, so no reference
+    cycle forms and a dropped cache frees by reference counting.
+    """
+
+    __slots__ = ("valid_mask", "dirty_mask", "lru")
+
+    def __init__(self, lru: "OrderedDict[int, None]") -> None:
         self.valid_mask = 0
         self.dirty_mask = 0
+        self.lru = lru
 
 
 class SectoredCache:
@@ -145,21 +163,41 @@ class SectoredCache:
     physical addresses, partition-local metadata addresses, or abstract
     node indices — the cache only requires that equal lines have equal
     ``line_addr``.
+
+    Resident lines live in one map, line address -> :class:`_Line`, and
+    each line names its set's LRU order: a hit is one ``get`` plus one
+    ``move_to_end``, and only a miss folds the address into a set index.
     """
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
         self.stats = CacheStats()
-        # One OrderedDict per set: line_addr -> _Line, LRU order = insertion
-        # order with move_to_end on touch.
-        self._sets: List["OrderedDict[int, _Line]"] = [
-            OrderedDict() for _ in range(config.num_sets)
+        # Hot-path geometry, read once. Popcounts of sector masks come
+        # from a shared table when lines are narrow enough (the 128 B /
+        # 32 B metadata lines have only 4 sectors).
+        self._line_bytes = config.line_bytes
+        self._num_sets = config.num_sets
+        self._ways = config.ways
+        self._full_mask = config.full_mask
+        self._sectored = config.sectored
+        self._pc_table = _popcount_table(config.sectors_per_line)
+        # A set count 2^b with b a power of two (2, 4, 16, 256 sets)
+        # folds by a fixed shift ladder; see :meth:`_set_index`.
+        self._fold_shifts: Optional[Tuple[int, ...]] = _LADDERS.get(
+            self._num_sets
+        )
+        #: Resident lines: line_addr -> _Line.
+        self._lines: Dict[int, _Line] = {}
+        # One OrderedDict of line addresses per set, in LRU order
+        # (insertion order with move_to_end on touch).
+        self._sets: List["OrderedDict[int, None]"] = [
+            OrderedDict() for _ in range(self._num_sets)
         ]
         # Observability binds at construction: instances created under an
         # active session publish hit/miss/eviction counters aggregated by
         # cache *family* — the name up to the partition index, so
         # "ctr[0]".."ctr[31]" all feed "cache.ctr.*". Disabled sessions
-        # leave the slots None and access() pays one check.
+        # leave the slots None and an access pays one check.
         obs = _obs_active()
         if obs.enabled:
             family = config.name.split("[", 1)[0]
@@ -173,25 +211,6 @@ class SectoredCache:
             self._m_hits = None
             self._m_misses = None
             self._m_evictions = None
-        # Hot-path precomputation for :meth:`access_run_raw`: the
-        # config's derived geometry is read once, and popcounts of
-        # sector masks come from a table when lines are narrow enough
-        # (the 128 B / 32 B metadata lines have only 4 sectors).
-        self._line_bytes = config.line_bytes
-        self._num_sets = config.num_sets
-        self._full_mask = config.full_mask
-        self._sectored = config.sectored
-        self._pc_table: Optional[List[int]] = (
-            [bin(m).count("1") for m in range(1 << config.sectors_per_line)]
-            if config.sectors_per_line <= 16 else None
-        )
-        # A set count 2^b with b a power of two (2, 4, 16, 256 sets)
-        # folds by a fixed shift ladder, x ^= x >> 32 down to x >> b: the
-        # XOR of the index's base-2^b digits that the loop in
-        # :meth:`_set_index` computes, for line indices below 2^64.
-        self._fold_shifts: Optional[Tuple[int, ...]] = _LADDERS.get(
-            self._num_sets
-        )
 
     def _set_index(self, line_addr: int) -> int:
         """XOR-folded set index.
@@ -202,6 +221,12 @@ class SectoredCache:
         land in one set and the walk would thrash itself. Folding the
         upper line-index bits into the index (as real cache hash
         functions do) decorrelates those strides.
+
+        A set count 2^b with b a power of two (2, 4, 16, 256 sets) folds
+        by a fixed shift ladder, x ^= x >> 32 down to x >> b: the XOR of
+        the index's base-2^b digits that the loop below computes, for
+        line indices below 2^64. Only a miss needs the set, so only a
+        miss calls this.
         """
         line = line_addr // self._line_bytes
         sets = self._num_sets
@@ -220,23 +245,18 @@ class SectoredCache:
         # power of two (e.g. Volta's 96-set L2 banks); reduce once more.
         return folded % sets
 
-    def _normalize_mask(self, sector_mask: int) -> int:
-        mask = sector_mask & self._full_mask
-        if mask == 0:
-            raise ValueError("sector mask selects no sectors")
-        if not self._sectored:
-            # Non-sectored caches always operate on the whole line.
-            return self._full_mask
-        return mask
-
     def probe(self, line_addr: int, sector_mask: int) -> Tuple[int, int]:
         """Hit/miss masks without updating state or statistics."""
-        mask = self._normalize_mask(sector_mask)
-        line = self._sets[self._set_index(line_addr)].get(line_addr)
+        mask = sector_mask & self._full_mask
+        if not mask:
+            raise ValueError("sector mask selects no sectors")
+        if not self._sectored:
+            mask = self._full_mask
+        line = self._lines.get(line_addr)
         if line is None:
             return 0, mask
         hit = mask & line.valid_mask
-        return hit, mask & ~line.valid_mask
+        return hit, mask ^ hit
 
     def access(
         self, line_addr: int, sector_mask: int, write: bool = False
@@ -248,43 +268,13 @@ class SectoredCache:
         touched sectors are marked dirty. Victim lines surface in the
         result so the caller can issue writebacks for dirty sectors.
         """
-        mask = self._normalize_mask(sector_mask)
-        self.stats.accesses += 1
-        set_ = self._sets[self._set_index(line_addr)]
-        evictions: List[Eviction] = []
-
-        line = set_.get(line_addr)
-        if line is None:
-            if len(set_) >= self.config.ways:
-                victim_addr, victim = set_.popitem(last=False)
-                self.stats.line_evictions += 1
-                if self._m_evictions is not None:
-                    self._m_evictions.inc()
-                if victim.dirty_mask:
-                    self.stats.dirty_evictions += 1
-                    evictions.append(Eviction(victim_addr, victim.dirty_mask))
-            line = _Line()
-            set_[line_addr] = line
-        else:
-            set_.move_to_end(line_addr)
-
-        hit_mask = mask & line.valid_mask
-        miss_mask = mask & ~line.valid_mask
-        hits = popcount(hit_mask)
-        misses = popcount(miss_mask)
-        self.stats.sector_hits += hits
-        self.stats.sector_misses += misses
-        if self._m_hits is not None:
-            if hits:
-                self._m_hits.inc(hits)
-            if misses:
-                self._m_misses.inc(misses)
-
-        line.valid_mask |= mask
-        if write:
-            line.dirty_mask |= mask
-
-        return AccessResult(hit_mask=hit_mask, miss_mask=miss_mask, evictions=evictions)
+        miss_mask, _misses, evictions = self.access_run_raw(
+            line_addr, sector_mask, write, 1
+        )
+        mask = (sector_mask & self._full_mask if self._sectored
+                else self._full_mask)
+        return AccessResult(hit_mask=mask ^ miss_mask, miss_mask=miss_mask,
+                            evictions=list(evictions))
 
     def access_run_raw(
         self, line_addr: int, sector_mask: int, write: bool, count: int
@@ -297,49 +287,53 @@ class SectoredCache:
         write), so each repeat is a full hit that moves the line to the
         MRU slot it already occupies and evicts nothing. The batch
         replay layer collapses a same-location run of metadata lookups
-        into one call, and the BMT walk calls it with ``count=1``.
+        into one call, the BMT walk and the L2 pass call it with
+        ``count=1``, and :meth:`access` wraps it.
 
-        At that rate the :class:`AccessResult` allocation and its
-        popcount properties dominate, so the result is a plain
+        At that rate an :class:`AccessResult` allocation and its
+        popcount properties would dominate, so the result is a plain
         ``(miss_mask, miss_sector_count, evictions)`` tuple of the first
         access, with an empty-tuple placeholder when nothing dirty left
         the cache.
         """
-        mask = self._normalize_mask(sector_mask)
+        full = self._full_mask
+        mask = sector_mask & full
+        if not mask:
+            raise ValueError("sector mask selects no sectors")
+        if not self._sectored:
+            # Non-sectored caches always operate on the whole line.
+            mask = full
         stats = self.stats
         stats.accesses += count
-        set_ = self._sets[self._set_index(line_addr)]
         evictions = ()
-
-        line = set_.get(line_addr)
+        lines = self._lines
+        line = lines.get(line_addr)
         if line is None:
-            if len(set_) >= self.config.ways:
-                victim_addr, victim = set_.popitem(last=False)
+            set_ = self._sets[self._set_index(line_addr)]
+            if len(set_) >= self._ways:
+                victim_addr = set_.popitem(last=False)[0]
+                victim = lines.pop(victim_addr)
                 stats.line_evictions += 1
                 if self._m_evictions is not None:
                     self._m_evictions.inc()
                 if victim.dirty_mask:
                     stats.dirty_evictions += 1
                     evictions = (Eviction(victim_addr, victim.dirty_mask),)
-            line = _Line()
-            set_[line_addr] = line
+            line = lines[line_addr] = _Line(set_)
+            set_[line_addr] = None
         else:
-            set_.move_to_end(line_addr)
+            line.lru.move_to_end(line_addr)
 
         valid = line.valid_mask
-        hit_mask = mask & valid
         miss_mask = mask & ~valid
+        # Only the first of the *count* accesses can miss.
         pc = self._pc_table
         if pc is not None:
-            hits = pc[hit_mask]
-            if count > 1:
-                hits += (count - 1) * pc[mask]
             misses = pc[miss_mask]
+            hits = pc[mask] * count - misses
         else:
-            hits = popcount(hit_mask)
-            if count > 1:
-                hits += (count - 1) * popcount(mask)
             misses = popcount(miss_mask)
+            hits = popcount(mask) * count - misses
         stats.sector_hits += hits
         stats.sector_misses += misses
         if self._m_hits is not None:
@@ -348,7 +342,7 @@ class SectoredCache:
             if misses:
                 self._m_misses.inc(misses)
 
-        line.valid_mask |= mask
+        line.valid_mask = valid | mask
         if write:
             line.dirty_mask |= mask
         return miss_mask, misses, evictions
@@ -362,42 +356,46 @@ class SectoredCache:
 
     def mark_dirty(self, line_addr: int, sector_mask: int) -> None:
         """Set dirty bits on already-resident sectors."""
-        line = self._sets[self._set_index(line_addr)].get(line_addr)
+        line = self._lines.get(line_addr)
         if line is not None:
             line.dirty_mask |= sector_mask & line.valid_mask
 
     def contains(self, line_addr: int, sector_mask: int = -1) -> bool:
         """True if all selected sectors of the line are resident."""
-        hit, miss = self.probe(line_addr, sector_mask & self.config.full_mask or self.config.full_mask)
+        hit, miss = self.probe(line_addr, sector_mask & self._full_mask or self._full_mask)
         return miss == 0 and hit != 0
 
     def invalidate(self, line_addr: int) -> Optional[Eviction]:
         """Drop a line, returning its dirty sectors if any."""
-        set_ = self._sets[self._set_index(line_addr)]
-        line = set_.pop(line_addr, None)
+        line = self._lines.pop(line_addr, None)
         if line is None:
             return None
+        del line.lru[line_addr]
         if line.dirty_mask:
             return Eviction(line_addr, line.dirty_mask)
         return None
 
     def flush(self) -> List[Eviction]:
-        """Empty the cache, returning every dirty line for writeback."""
+        """Empty the cache, returning every dirty line for writeback.
+
+        Dirty lines come set by set, each set in LRU order.
+        """
+        lines = self._lines
+        if not lines:
+            return []
         dirty: List[Eviction] = []
         for set_ in self._sets:
-            for addr, line in set_.items():
-                if line.dirty_mask:
-                    dirty.append(Eviction(addr, line.dirty_mask))
+            for addr in set_:
+                dirty_mask = lines[addr].dirty_mask
+                if dirty_mask:
+                    dirty.append(Eviction(addr, dirty_mask))
             set_.clear()
+        lines.clear()
         return dirty
 
     def resident_lines(self) -> Dict[int, int]:
         """Map of resident line address -> valid sector mask (for tests)."""
-        out: Dict[int, int] = {}
-        for set_ in self._sets:
-            for addr, line in set_.items():
-                out[addr] = line.valid_mask
-        return out
+        return {addr: line.valid_mask for addr, line in self._lines.items()}
 
     def state_summary(self):
         """Canonical full-state value for differential comparison.
@@ -407,9 +405,10 @@ class SectoredCache:
         dirty masks, and the aggregate statistics. Two caches with equal
         summaries are behaviorally indistinguishable from here on.
         """
+        lines = self._lines
         sets = [
-            [(addr, line.valid_mask, line.dirty_mask)
-             for addr, line in set_.items()]
+            [(addr, lines[addr].valid_mask, lines[addr].dirty_mask)
+             for addr in set_]
             for set_ in self._sets
         ]
         st = self.stats

@@ -95,6 +95,16 @@ class BmtGeometry:
             offset += size * self.node_bytes
         return tuple(bases)
 
+    @cached_property
+    def off_chip_levels(self) -> Tuple[Tuple[int, int], ...]:
+        """(byte offset of the first node, leaves per node) of each
+        level 1..root-1: the table the cached walks address nodes by.
+        Memoized here, it is shared by every walk over this geometry."""
+        return tuple(
+            (self._level_bases[level - 1], self.arity**level)
+            for level in range(1, self.root_level)
+        )
+
     @property
     def storage_bytes(self) -> int:
         """Off-chip storage of the tree (the root is counted too; it is
@@ -208,27 +218,36 @@ class BmtTraversal:
         self._prof = (
             obs.profiler if obs.config.span_detail_active else None
         )
-        # Node addressing for the walks: (level base byte, leaves per
-        # node) of each off-chip level 1..root-1, and the sector mask of
-        # one node at the start of its line.
-        self._levels = tuple(
-            (geometry.level_base_bytes(level), geometry.arity**level)
-            for level in range(1, geometry.root_level)
-        )
-        self._node_sectors = max(1, geometry.node_bytes // cache.config.sector_bytes)
+        # Node addressing for the walks: the level table of the
+        # geometry, and the sector mask of one node at the start of its
+        # line (see :meth:`_node_line`).
+        self._levels = geometry.off_chip_levels
+        self._num_leaves = geometry.num_leaves
+        self._node_bytes = geometry.node_bytes
+        self._line_bytes = line
+        self._sector_bytes = cache.config.sector_bytes
+        self._node_sectors = max(1, geometry.node_bytes // self._sector_bytes)
         self._node_mask = (1 << self._node_sectors) - 1
 
     # -- address helpers -------------------------------------------------
 
-    def _node_line(self, leaf_index: int, level: int) -> Tuple[int, int]:
-        """Cache line and sector mask of a leaf's ancestor at *level*."""
-        if not 0 <= leaf_index < self.geometry.num_leaves:
+    def _check_leaf(self, leaf_index: int) -> None:
+        if not 0 <= leaf_index < self._num_leaves:
             raise ValueError(f"leaf {leaf_index} out of range")
+
+    def _node_line(self, leaf_index: int, level: int) -> Tuple[int, int]:
+        """Cache line and sector mask of a leaf's ancestor at *level*.
+
+        A node at byte ``addr`` lives in line ``addr - addr % line_bytes``
+        under the mask ``node_mask << (addr % line_bytes // sector_bytes)``.
+        The caller range-checks the leaf; :meth:`_verify_leaf` inlines
+        this in its per-level loop.
+        """
         base, per_node = self._levels[level - 1]
-        addr = base + leaf_index // per_node * self.geometry.node_bytes
-        offset = addr % self.cache.config.line_bytes
+        addr = base + leaf_index // per_node * self._node_bytes
+        offset = addr % self._line_bytes
         return addr - offset, self._node_mask << (
-            offset // self.cache.config.sector_bytes
+            offset // self._sector_bytes
         )
 
     # -- eviction propagation --------------------------------------------
@@ -238,7 +257,7 @@ class BmtTraversal:
         for ev in evictions:
             self.traffic.record(
                 self.write_stream,
-                ev.dirty_sector_count * self.cache.config.sector_bytes,
+                ev.dirty_sector_count * self._sector_bytes,
                 transactions=ev.dirty_sector_count,
             )
             if not self.lazy_update:
@@ -267,6 +286,7 @@ class BmtTraversal:
 
     def _touch_node(self, leaf_index: int, level: int, dirty: bool) -> None:
         """Bring one ancestor node into the cache, optionally dirtying it."""
+        self._check_leaf(leaf_index)
         line, mask = self._node_line(leaf_index, level)
         miss_mask, misses, evictions = self.cache.access_run_raw(
             line, mask, dirty, 1
@@ -274,7 +294,7 @@ class BmtTraversal:
         if miss_mask:
             self.traffic.record(
                 self.read_stream,
-                misses * self.cache.config.sector_bytes,
+                misses * self._sector_bytes,
                 transactions=misses,
             )
         if evictions:
@@ -297,11 +317,23 @@ class BmtTraversal:
             return fetched
 
     def _verify_leaf(self, leaf_index: int) -> int:
-        fetched = 0
+        levels = self._levels
+        if levels:
+            # A tree with no off-chip level walks nothing, so it accepts
+            # any leaf.
+            self._check_leaf(leaf_index)
         access = self.cache.access_run_raw
-        for level in range(1, self.geometry.root_level):
-            line, mask = self._node_line(leaf_index, level)
-            miss_mask, misses, evictions = access(line, mask, False, 1)
+        node_bytes = self._node_bytes
+        line_bytes = self._line_bytes
+        sector_bytes = self._sector_bytes
+        node_mask = self._node_mask
+        fetched = 0
+        for base, per_node in levels:
+            addr = base + leaf_index // per_node * node_bytes
+            offset = addr % line_bytes
+            miss_mask, misses, evictions = access(
+                addr - offset, node_mask << (offset // sector_bytes), False, 1
+            )
             if not miss_mask:
                 # Full hit: node already verified earlier; chain is
                 # trusted. A resident line evicts nothing.
@@ -309,7 +341,7 @@ class BmtTraversal:
             fetched += 1
             self.traffic.record(
                 self.read_stream,
-                misses * self.cache.config.sector_bytes,
+                misses * sector_bytes,
                 transactions=misses,
             )
             if evictions:
@@ -347,7 +379,7 @@ class BmtTraversal:
             # Eager: the node is written through to memory immediately.
             self.traffic.record(
                 self.write_stream,
-                sectors * self.cache.config.sector_bytes,
+                sectors * self._sector_bytes,
                 transactions=sectors,
             )
 
@@ -377,6 +409,7 @@ class BmtTraversal:
         prev_line = -1
         prev_mask = 0
         for leaf_index in leaf_indices:
+            self._check_leaf(leaf_index)
             line, mask = self._node_line(leaf_index, 1)
             if line == prev_line and mask == prev_mask:
                 _hit, miss = self.cache.probe(line, mask)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -155,25 +156,12 @@ class MetadataLayout:
     # -- BMT ------------------------------------------------------------------
 
     def bmt_geometry(self) -> BmtGeometry:
-        """Integrity-tree shape implied by the granularity design."""
-        if self.design is GranularityDesign.BLOCK_128:
-            leaves = -(-self.counter_sectors * self.sector_bytes // self.line_bytes)
-            return BmtGeometry(
-                num_leaves=max(1, leaves),
-                arity=self.tree_arity_128,
-                node_bytes=self.line_bytes,
-            )
-        if self.design is GranularityDesign.LEAF_32_TREE_128:
-            return BmtGeometry(
-                num_leaves=self.counter_sectors,
-                arity=self.tree_arity_128,
-                node_bytes=self.line_bytes,
-            )
-        return BmtGeometry(
-            num_leaves=self.counter_sectors,
-            arity=self.tree_arity_128 // (self.line_bytes // self.sector_bytes),
-            node_bytes=self.sector_bytes,
-        )
+        """Integrity-tree shape implied by the granularity design.
+
+        Memoized per layout value: the partitions of one design point
+        share one geometry, and with it the level tables it memoizes.
+        """
+        return _bmt_geometry(self)
 
     def bmt_leaf_index(self, data_sector: int) -> int:
         """Tree leaf protecting this sector's counter."""
@@ -219,6 +207,29 @@ class MetadataLayout:
                 f"data sector {bad} outside partition of "
                 f"{self.data_sectors} sectors"
             )
+
+
+@lru_cache(maxsize=256)
+def _bmt_geometry(layout: MetadataLayout) -> BmtGeometry:
+    if layout.design is GranularityDesign.BLOCK_128:
+        leaves = -(-layout.counter_sectors * layout.sector_bytes
+                   // layout.line_bytes)
+        return BmtGeometry(
+            num_leaves=max(1, leaves),
+            arity=layout.tree_arity_128,
+            node_bytes=layout.line_bytes,
+        )
+    if layout.design is GranularityDesign.LEAF_32_TREE_128:
+        return BmtGeometry(
+            num_leaves=layout.counter_sectors,
+            arity=layout.tree_arity_128,
+            node_bytes=layout.line_bytes,
+        )
+    return BmtGeometry(
+        num_leaves=layout.counter_sectors,
+        arity=layout.tree_arity_128 // (layout.line_bytes // layout.sector_bytes),
+        node_bytes=layout.sector_bytes,
+    )
 
 
 def compact_layout(

@@ -118,10 +118,7 @@ class CommonCountersEngine(MetadataEngine):
         """Dirty evictions: demote the regions, then the full PSSM path."""
         sectors = self._checked(sector_indices)
         self.stats.writebacks += int(sectors.size)
-        if sectors.size:
-            self._written_regions.update(
-                np.unique(sectors // self.region_sectors).tolist()
-            )
+        self._written_regions.update((sectors // self.region_sectors).tolist())
         self._batch_counter_writes(sectors)
         self._batch_mac_writes(sectors)
 
@@ -131,9 +128,7 @@ class CommonCountersEngine(MetadataEngine):
             return
         sectors = self._checked(sector_indices)
         super().warm_counters_batch(sectors, passes)
-        self._written_regions.update(
-            np.unique(sectors // self.region_sectors).tolist()
-        )
+        self._written_regions.update((sectors // self.region_sectors).tolist())
 
     def _state_summary(self) -> List:
         summary = super()._state_summary()

@@ -32,7 +32,12 @@ from repro.metadata.compact import (
 )
 from repro.metadata.layout import GranularityDesign, MetadataLayout
 from repro.metadata.bmt import BmtTraversal
-from repro.secure.engine import MetadataCacheConfig, MetadataEngine
+from repro.secure.engine import (
+    VALUE_MAC_STATS,
+    MetadataCacheConfig,
+    MetadataEngine,
+    PartitionEngine,
+)
 from repro.secure.value_cache import ValueCache, ValueCacheConfig
 
 
@@ -547,11 +552,14 @@ class PlutusEngine(MetadataEngine):
             original_only_accesses=self.stats.original_only_accesses,
             compact_disable_events=self.stats.compact_disable_events,
         )
+        self._snapshot_value_cache(snap)
+        return snap
+
+    def _snapshot_value_cache(self, snap: Dict[str, int]) -> None:
         if self.value_cache is not None:
             snap["value_probes"] = self.value_cache.stats.probes
             snap["value_hits"] = self.value_cache.stats.hits
             snap["value_pinned_hits"] = self.value_cache.stats.pinned_hits
-        return snap
 
 
 class PlutusCounterSide(PlutusEngine):
@@ -587,19 +595,27 @@ class PlutusValueMacSide(PlutusEngine):
 
     MAC locations depend only on the tag size, and the value cache only
     on the images, so this side reads nothing of the counter side's
-    configuration. Warmup advances counter state alone and does nothing
-    here. The counterpart of :class:`PlutusCounterSide`.
+    configuration. It builds only what it touches: the layout (for MAC
+    locations and range checks), the MAC cache and the value cache; no
+    counter store, counter cache or tree. Warmup advances counter state
+    alone and does nothing here. The counterpart of
+    :class:`PlutusCounterSide`.
     """
 
     def __init__(self, partition_id: int, data_sectors: int,
                  traffic: TrafficCounter, mac_tag_bytes: int,
                  cache_config: MetadataCacheConfig,
                  value_cache_config: Optional[ValueCacheConfig]) -> None:
-        super().__init__(partition_id, data_sectors, traffic,
-                         mac_tag_bytes=mac_tag_bytes,
-                         cache_config=cache_config,
-                         value_cache_config=value_cache_config,
-                         compact_config=None)
+        # Skips MetadataEngine's constructor, which builds the counter
+        # side's structures.
+        PartitionEngine.__init__(self, partition_id, data_sectors, traffic)
+        self.layout = MetadataLayout(
+            data_sectors=data_sectors, mac_tag_bytes=mac_tag_bytes
+        )
+        self.mac_cache = cache_config.build(f"mac[{partition_id}]")
+        self.value_cache = (
+            ValueCache(value_cache_config) if value_cache_config else None
+        )
 
     def on_fill_batch(self, sector_indices, values) -> None:
         sectors = self._checked(sector_indices)
@@ -613,3 +629,22 @@ class PlutusValueMacSide(PlutusEngine):
 
     def warm_counters_batch(self, sector_indices, passes: int = 1) -> None:
         """Warmup moves counter state only, none of this side's."""
+
+    def finalize(self) -> None:
+        """Drain the dirty MAC lines."""
+        self._drain_mac_evictions(self.mac_cache.flush())
+
+    def _state_summary(self) -> List:
+        summary = PartitionEngine._state_summary(self)
+        summary.append(self.mac_cache.state_summary())
+        if self.value_cache is not None:
+            summary.append(self.value_cache.state_summary())
+        return summary
+
+    def obs_snapshot(self) -> Dict[str, int]:
+        """The value/MAC side's ``EngineStats`` fields and value-cache
+        counters."""
+        snap = {name: getattr(self.stats, name)
+                for name in sorted(VALUE_MAC_STATS)}
+        self._snapshot_value_cache(snap)
+        return snap

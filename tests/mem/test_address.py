@@ -1,5 +1,6 @@
 """Tests for the address map and partition interleaving."""
 
+import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -93,3 +94,24 @@ class TestLocalAddressing:
         amap = DEFAULT_ADDRESS_MAP
         top = amap.memory_bytes - 32
         assert amap.local_sector_index(top) < amap.partition_bytes // 32
+
+    @pytest.mark.parametrize("amap", [
+        DEFAULT_ADDRESS_MAP,
+        AddressMap(memory_bytes=1 << 20, num_partitions=8, line_bytes=256),
+    ])
+    def test_local_sector_indices_match_scalar(self, amap):
+        addrs = [0, 32, 96, 32 * 128, 12345 * 32, amap.memory_bytes - 32,
+                 amap.memory_bytes - 1, amap.line_bytes * 7 + 64]
+        got = amap.local_sector_indices(np.array(addrs, dtype=np.int64))
+        assert got.tolist() == [amap.local_sector_index(a) for a in addrs]
+        assert amap.local_sector_indices(
+            np.array([], dtype=np.int64)).tolist() == []
+
+    def test_local_sector_indices_reject_first_address_outside(self):
+        amap = DEFAULT_ADDRESS_MAP
+        top = amap.memory_bytes
+        with pytest.raises(ValueError, match=f"{top + 32:#x}"):
+            amap.local_sector_indices(
+                np.array([0, top + 32, -32, top], dtype=np.int64))
+        with pytest.raises(ValueError, match="-0x20"):
+            amap.local_sector_indices(np.array([64, -32], dtype=np.int64))

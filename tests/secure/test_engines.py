@@ -7,9 +7,14 @@ from repro.mem.traffic import Stream, TrafficCounter
 from repro.metadata.compact import DESIGN_3BIT_ADAPTIVE
 from repro.metadata.layout import GranularityDesign
 from repro.secure.common_counters import CommonCountersEngine
-from repro.secure.engine import MetadataCacheConfig, NoSecurityEngine
-from repro.secure.plutus import PlutusEngine
+from repro.secure.engine import (
+    VALUE_MAC_STATS,
+    MetadataCacheConfig,
+    NoSecurityEngine,
+)
+from repro.secure.plutus import PlutusEngine, PlutusValueMacSide
 from repro.secure.pssm import PssmEngine
+from repro.secure.value_cache import ValueCacheConfig
 
 SECTORS = 1 << 20  # small partition for tests
 
@@ -103,6 +108,66 @@ class TestCommonCounters:
         engine, _ = make(CommonCountersEngine, init_written_fraction=0.0)
         engine.warm_counters_batch([5])
         assert not engine.counter_is_common(5)
+
+    def test_replay_leaves_numpy_ma_unloaded(self):
+        """On numpy 2.x, ``np.unique`` without a ``return_*`` flag asks
+        ``np.ma.is_masked`` and so imports ``numpy.ma`` (about 0.9 MB of
+        peak RSS). Warmup and writebacks demote regions without it."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        probe = (
+            "import sys, numpy\n"
+            "bare = 'numpy.ma' in sys.modules\n"
+            "from repro.gpu.config import VOLTA\n"
+            "from repro.gpu.simulator import replay_events, simulate_l2\n"
+            "from repro.harness.runner import engine_factories\n"
+            "from repro.workloads.benchmarks import build_trace\n"
+            "log = simulate_l2(build_trace('lbm', length=400), VOLTA)\n"
+            "result = replay_events(\n"
+            "    log, engine_factories()['common-counters'], VOLTA)\n"
+            "assert result.engine_stats.writebacks > 0\n"
+            "print(bare, 'numpy.ma' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout.split()
+        if out[0] == "True":
+            pytest.skip("a bare `import numpy` loads numpy.ma here")
+        assert out == ["False", "False"]
+
+
+class TestPlutusValueMacSide:
+    def test_builds_and_reports_only_its_own_structures(self):
+        """The side-only replay of the value cache and the MACs carries
+        no counter store, counter cache or tree, and its snapshot,
+        state and drain cover only what it built."""
+        side, traffic = make(
+            PlutusValueMacSide, mac_tag_bytes=8,
+            cache_config=MetadataCacheConfig(),
+            value_cache_config=ValueCacheConfig(),
+        )
+        for name in ("counters", "counter_cache", "bmt_cache", "bmt",
+                     "compact"):
+            assert not hasattr(side, name), name
+        side.on_writeback_batch([0, 4], [ZEROS, None])
+        side.on_fill_batch([64], [ZEROS])
+        side.finalize()
+        report = traffic.report()
+        assert report.bytes_by_stream[Stream.MAC_WRITE] > 0
+        assert report.metadata_bytes == report.mac_bytes
+        assert set(side.obs_snapshot()) == set(VALUE_MAC_STATS) | {
+            "value_probes", "value_hits", "value_pinned_hits",
+        }
+        # Stats, the MAC cache and the value cache.
+        assert len(side._state_summary()) == 3
 
 
 class TestPlutusValuePath:
