@@ -15,7 +15,12 @@ self-checks run on it as well as its result digests.
 The end-to-end metrics and their bounds are the ``end_to_end`` list of
 the head's ``BENCHMARK.json``. For each one the script prints the base
 and head medians, their difference, the bound and the number of pairs
-the head won, and it exits 1 when:
+the head won, then each side's quartiles (first, median, third, by
+``statistics.quantiles``), the base's interquartile range, and whether
+the gain rule holds: the head better in at least 9 of the 10 pairs,
+and its median better than the base's by more than the base's
+interquartile range. The gain rule is what a claimed improvement must
+meet; it is reported, not gated. The script exits 1 when:
 
 * the head's median is worse than the base's by more than the bound;
 * any call exits non-zero or prints no result;
@@ -37,6 +42,8 @@ from typing import List, Tuple
 HEAD = Path(__file__).resolve().parent.parent
 PAIRS = 10
 SEED = 2023
+#: Pairs the head must win for the gain rule to hold.
+GAIN_PAIRS = 9
 
 
 class CallFailed(RuntimeError):
@@ -92,13 +99,21 @@ def verdict(warmup: dict, base: List[dict], head: List[dict],
         sign = 1 if bound["better"] == "lower" else -1
         base_values = [r["metrics"][name]["value"] for r in base]
         head_values = [r["metrics"][name]["value"] for r in head]
+        base_q = statistics.quantiles(base_values, n=4)
+        head_q = statistics.quantiles(head_values, n=4)
         delta = statistics.median(head_values) - statistics.median(base_values)
         won = sum(sign * (h - b) < 0 for b, h in zip(base_values, head_values))
+        iqr = base_q[2] - base_q[0]
+        gain = won >= GAIN_PAIRS and -sign * delta > iqr
         report.append(
             f"{name}: base {statistics.median(base_values):.3f} {unit}, head "
             f"{statistics.median(head_values):.3f} {unit}, head - base "
             f"{delta:+.3f} {unit} (bound {limit}); head better in "
-            f"{won}/{len(head_values)} pairs"
+            f"{won}/{len(head_values)} pairs; quartiles base "
+            f"{'/'.join(f'{q:.3f}' for q in base_q)}, head "
+            f"{'/'.join(f'{q:.3f}' for q in head_q)} {unit}, base IQR "
+            f"{iqr:.3f} {unit}; gain rule ({GAIN_PAIRS}+ pairs, gap > base "
+            f"IQR) {'holds' if gain else 'does not hold'}"
         )
         if sign * delta > limit:
             failures.append(

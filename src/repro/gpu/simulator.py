@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Callable, Dict, List, Mapping, Optional
 
 import numpy as np
@@ -42,7 +43,7 @@ from repro.mem.cache import CacheConfig, SectoredCache
 from repro.mem.traffic import Stream, TrafficCounter, TrafficReport
 from repro.obs.session import active as _obs_active
 from repro.secure.engine import EngineStats, PartitionEngine
-from repro.workloads.trace import Trace
+from repro.workloads.trace import MASK_SLOTS, Trace
 
 __all__ = [
     "EventKind", "MemoryEvent", "MemoryEventLog", "L2Stats",
@@ -144,21 +145,32 @@ def simulate_l2(trace: Trace, config: GpuConfig) -> MemoryEventLog:
     return log
 
 
-#: Sector slots (0..3) selected by each 4-bit mask, in ascending order.
-_MASK_SLOTS = tuple(
-    tuple(slot for slot in range(4) if (mask >> slot) & 1)
+#: ``[mask][subset]``: the byte offset of each slot of ``mask & subset``
+#: within its line, with the slot's rank among ``mask``'s slots (its row
+#: within the access's rows of the trace's image matrix).
+_SLOT_ROWS = tuple(
+    tuple(
+        tuple(
+            (slot * 32, bin(mask & ((1 << slot) - 1)).count("1"))
+            for slot in MASK_SLOTS[mask & subset]
+        )
+        for subset in range(16)
+    )
     for mask in range(16)
 )
 
 
 def _simulate_l2(trace: Trace, config: GpuConfig) -> MemoryEventLog:
-    """The L2 pass in bulk.
+    """The L2 pass in bulk, over the trace's columns.
 
-    Each access is one ``access_run_raw`` call on its partition's bank.
+    Partitions come from one :meth:`AddressMap.partitions_of` call, and
+    each access is one ``access_run_raw`` call on its partition's bank.
+    Dirty sectors and events carry their sector's image-matrix row.
     Events gather in plain columns, each with its sector's byte address,
     and join the log's store in one ``extend_decoded`` call once the
-    banks are drained, with one
-    :meth:`AddressMap.local_sector_indices` call for the whole column.
+    banks are drained, with one :meth:`AddressMap.local_sector_indices`
+    call for the whole column and one gather from the matrix for the
+    payload.
     """
     amap = config.address_map
     l2_banks = [
@@ -174,57 +186,57 @@ def _simulate_l2(trace: Trace, config: GpuConfig) -> MemoryEventLog:
         )
         for p in range(config.num_partitions)
     ]
-    #: Images of currently dirty L2 sectors, by sector byte address.
-    dirty_values: Dict[int, Optional[bytes]] = {}
+    #: Image row of each currently dirty L2 sector, by sector byte address.
+    dirty_rows: Dict[int, int] = {}
     # The event columns: kind code, partition, sector byte address and
-    # image (None when the event carries none).
+    # the sector's image-matrix row.
     kinds = bytearray()
     partitions: List[int] = []
     addrs: List[int] = []
-    images: List[Optional[bytes]] = []
+    rows: List[int] = []
 
     def emit_writebacks(partition: int, line_addr: int, dirty_mask: int) -> None:
-        for slot in _MASK_SLOTS[dirty_mask & 15]:
+        for slot in MASK_SLOTS[dirty_mask & 15]:
             addr = line_addr + slot * 32
             kinds.append(WRITEBACK_CODE)
             partitions.append(partition)
             addrs.append(addr)
-            images.append(dirty_values.pop(addr, None))
+            rows.append(dirty_rows.pop(addr))
 
-    partition_of = amap.partition_of
     access_runs = [bank.access_run_raw for bank in l2_banks]
-    for access in trace:
-        line_addr = access.line_addr
-        partition = partition_of(line_addr)
-        mask = access.sector_mask
-        write = access.write
+    slot_rows = _SLOT_ROWS
+    for line_addr, mask, write, partition, first in zip(
+        trace.line_addrs.tolist(), trace.sector_masks.tolist(),
+        trace.writes.tolist(),
+        amap.partitions_of(trace.line_addrs).tolist(),
+        trace.first_rows.tolist(),
+    ):
         # Full-sector coalesced writes allocate without fetching.
         miss_mask, _count, evictions = access_runs[partition](
             line_addr, mask, write, 1
         )
         for ev in evictions:
             emit_writebacks(partition, ev.line_addr, ev.dirty_mask)
-        value_for = access.value_for
         if write:
-            # Every written sector takes this access's image, or None:
-            # a sector written without one drops its earlier image.
-            for slot in _MASK_SLOTS[mask]:
-                dirty_values[line_addr + slot * 32] = value_for(slot)
+            # Every written sector takes this access's row; a row with
+            # no image drops the sector's earlier image.
+            for offset, rank in slot_rows[mask][mask]:
+                dirty_rows[line_addr + offset] = first + rank
         else:
-            for slot in _MASK_SLOTS[mask & miss_mask]:
+            for offset, rank in slot_rows[mask][miss_mask & 15]:
                 kinds.append(FILL_CODE)
                 partitions.append(partition)
-                addrs.append(line_addr + slot * 32)
-                images.append(value_for(slot))
+                addrs.append(line_addr + offset)
+                rows.append(first + rank)
 
     # Kernel end: drain dirty data.
     for partition, bank in enumerate(l2_banks):
         for ev in bank.flush():
             emit_writebacks(partition, ev.line_addr, ev.dirty_mask)
 
-    if dirty_values:
+    if dirty_rows:
         raise SimulationError(
-            f"{len(dirty_values)} dirty sector values were never drained"
+            f"{len(dirty_rows)} dirty sector values were never drained"
         )
 
     log = MemoryEventLog(
@@ -233,13 +245,20 @@ def _simulate_l2(trace: Trace, config: GpuConfig) -> MemoryEventLog:
         instructions=trace.instructions,
         counter_warmup_passes=trace.counter_warmup_passes,
     )
+    event_rows = np.array(rows, dtype=np.int64)
+    if trace.images is None:
+        imaged = np.zeros(len(event_rows), dtype=bool)
+        payload = b""
+    else:
+        imaged = trace.present[event_rows]
+        payload = trace.images[event_rows[imaged]].astype(
+            "<u4", copy=False).tobytes()
     log.events.extend_decoded(
         kinds,
         np.array(partitions, dtype=np.int32),
         amap.local_sector_indices(np.array(addrs, dtype=np.int64)),
-        np.array([-1 if v is None else len(v) for v in images],
-                 dtype=np.int64),
-        b"".join([v for v in images if v is not None]),
+        np.where(imaged, 32, -1),
+        payload,
     )
     log.fill_sectors = kinds.count(FILL_CODE)
     log.writeback_sectors = len(kinds) - log.fill_sectors
@@ -251,12 +270,16 @@ def _simulate_l2(trace: Trace, config: GpuConfig) -> MemoryEventLog:
     return log
 
 
+#: ``EngineStats`` field names, read once, in constructor order.
+_STATS_FIELDS = tuple(f.name for f in fields(EngineStats))
+_stats_values = attrgetter(*_STATS_FIELDS)
+
+
 def _merge_stats(per_partition: List[EngineStats]) -> EngineStats:
-    merged = EngineStats()
-    for stats in per_partition:
-        for f in fields(EngineStats):
-            setattr(merged, f.name, getattr(merged, f.name) + getattr(stats, f.name))
-    return merged
+    """Field-by-field sums of the engines' stats."""
+    return EngineStats(*[
+        sum(column) for column in zip(*map(_stats_values, per_partition))
+    ])
 
 
 def _run_bounds(
@@ -443,10 +466,8 @@ def replay_events(
             registry.gauge("replay.events_per_sec").set(
                 cols.n_events / elapsed
             )
-        for f in fields(EngineStats):
-            registry.gauge(f"engine.{f.name}").set(
-                getattr(merged_stats, f.name)
-            )
+        for name in _STATS_FIELDS:
+            registry.gauge(f"engine.{name}").set(getattr(merged_stats, name))
 
     return SimulationResult(
         engine_name=engine_name,

@@ -89,22 +89,31 @@ class AddressMap:
         return address & ~(self.sector_bytes - 1)
 
     def partition_of(self, address: int) -> int:
-        """Memory partition that owns the line containing *address*.
+        """Memory partition that owns the line containing *address*
+        (:meth:`partitions_of` of one address)."""
+        self.check(address)
+        return int(self.partitions_of(np.array([address], dtype=np.int64))[0])
+
+    def partitions_of(self, addresses: np.ndarray) -> np.ndarray:
+        """Memory partition of every address in an int64 array.
 
         With hashing enabled the partition is an XOR fold of the line
-        index bits, which decorrelates partition choice from low-order
-        strides (the pseudo-random interleave of real GPUs). Without
-        hashing, simple modulo interleaving is used.
+        index's digits (``log2(num_partitions)`` bits each), which
+        decorrelates partition choice from low-order strides (the
+        pseudo-random interleave of real GPUs). Without hashing, simple
+        modulo interleaving is used. Raises :meth:`check`'s ValueError
+        for the first address outside the protected range.
         """
-        line = self.line_index(address)
-        if not self.interleave_hash:
-            return line % self.num_partitions
+        outside = (addresses < 0) | (addresses >= self.memory_bytes)
+        if outside.any():
+            self.check(int(addresses[outside.argmax()]))
+        lines = addresses // self.line_bytes
+        digit = self.num_partitions - 1
+        folded = lines & digit
         bits = log2_exact(self.num_partitions)
-        folded = 0
-        remaining = line
-        while remaining:
-            folded ^= remaining & (self.num_partitions - 1)
-            remaining >>= bits
+        if self.interleave_hash and bits:
+            for shift in range(bits, log2_exact(self.num_lines), bits):
+                folded ^= (lines >> shift) & digit
         return folded
 
     def local_line_index(self, address: int) -> int:

@@ -27,12 +27,8 @@ import numpy as np
 from repro.common.errors import ConfigurationError
 from repro.common.rng import RngStream
 from repro.workloads.patterns import generate
-from repro.workloads.trace import Trace, TraceAccess
+from repro.workloads.trace import SECTOR_COUNTS, Trace
 from repro.workloads.values import ValueModel, ValueModelConfig
-
-#: Sector mask -> how many sectors it selects, and which, in slot order.
-_POPCOUNT4 = np.array([bin(m).count("1") for m in range(16)], dtype=np.uint8)
-_SLOTS4 = [tuple(s for s in range(4) if m >> s & 1) for m in range(16)]
 
 
 @dataclass(frozen=True)
@@ -538,35 +534,25 @@ def build_trace(
         bases=write_bases, regions=write_regions,
     )
 
-    value_model = (
-        ValueModel(profile.values, rng.child("values")) if with_values else None
-    )
-
-    # Pre-draw all sector images in one vectorized batch. Sectors of one
-    # coalesced access share the reuse decision (value locality is
-    # line-clustered in real data), so each access is one group, in
-    # trace order, as the images are consumed below.
     masks = _merge_draws(is_write, n_writes, write_masks, read_masks)
     images = None
-    if value_model is not None:
-        group_sizes = _POPCOUNT4[masks]
-        images = iter(value_model.sector_images(
+    if with_values:
+        # All sector images in one vectorized batch, one row per selected
+        # sector in trace order. Sectors of one coalesced access share
+        # the reuse decision (value locality is line-clustered in real
+        # data), so each access is one group.
+        group_sizes = SECTOR_COUNTS[masks]
+        images = ValueModel(profile.values, rng.child("values")).sector_images(
             int(group_sizes.sum()), group_sizes=group_sizes
-        ))
+        )
     lines = _merge_draws(is_write, n_writes, write_lines, read_lines)
 
-    accesses: List[TraceAccess] = []
-    for line, mask, write in zip(memoryview(lines), memoryview(masks),
-                                 memoryview(is_write)):
-        # zip stops at the last slot without drawing one image too many.
-        values = (
-            tuple(zip(_SLOTS4[mask], images)) if images is not None else None
-        )
-        accesses.append(TraceAccess(line * 128, mask, write, values))
-
-    return Trace(
-        name=name,
-        accesses=accesses,
+    return Trace.from_columns(
+        name,
+        lines.astype(np.int64, copy=False) * 128,
+        masks.astype(np.uint8, copy=False),
+        is_write,
+        images,
         memory_intensity=profile.memory_intensity,
         instructions=20 * n,
         counter_warmup_passes=profile.counter_warmup_passes,

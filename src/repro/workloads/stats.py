@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.workloads.trace import Trace
+from repro.workloads.trace import SECTOR_COUNTS, Trace
 
 
 @dataclass(frozen=True)
@@ -42,25 +42,19 @@ class TraceStats:
 
 
 def characterize(trace: Trace) -> TraceStats:
-    """Single-pass characterization of a trace."""
-    read_sectors = 0
-    write_sectors = 0
-    lines = set()
-    for access in trace:
-        lines.add(access.line_addr)
-        if access.write:
-            write_sectors += access.sector_count
-        else:
-            read_sectors += access.sector_count
+    """Characterization of a trace, over its columns."""
+    counts = SECTOR_COUNTS[trace.sector_masks]
+    write_sectors = int(counts[trace.writes].sum())
+    touched_lines = trace.touched_lines
     return TraceStats(
         name=trace.name,
         accesses=len(trace),
         read_accesses=trace.read_accesses,
         write_accesses=trace.write_accesses,
-        read_sectors=read_sectors,
+        read_sectors=int(counts.sum()) - write_sectors,
         write_sectors=write_sectors,
-        touched_lines=len(lines),
-        footprint_bytes=len(lines) * 128,
+        touched_lines=touched_lines,
+        footprint_bytes=touched_lines * 128,
         memory_intensity=trace.memory_intensity,
     )
 

@@ -37,7 +37,6 @@ from typing import (
     Optional,
     TextIO,
     Tuple,
-    Union,
 )
 
 from os import PathLike
@@ -46,7 +45,12 @@ import numpy as np
 
 from repro.common.atomicio import atomic_write_text
 from repro.common.errors import TraceError, TraceFormatError
-from repro.workloads.trace import Trace, TraceAccess
+from repro.workloads.trace import (
+    MASK_SLOTS,
+    SECTOR_COUNTS,
+    Trace,
+    check_access,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (gpu -> workloads)
     from repro.gpu.simulator import MemoryEventLog
@@ -59,6 +63,8 @@ _EVENTS_HEADER_PREFIX = "#repro-events-columnar"
 _CHUNK_PREFIX = "#chunk"
 #: Events per serialized event-log chunk.
 COLUMNAR_CHUNK_EVENTS = 4096
+#: The zero image of a sector imported as ``-``.
+_NO_IMAGE = bytes(32)
 #: Dumps end with ``#repro-end records=N``; loaders verify the count
 #: when the footer is present, so a truncated file cannot silently pass
 #: as a shorter-but-valid trace. Hand-written files may omit it.
@@ -66,25 +72,39 @@ _FOOTER_PREFIX = "#repro-end"
 
 
 def dump_trace(trace: Trace, fp: TextIO) -> None:
-    """Serialize *trace* to a text stream."""
+    """Serialize *trace* to a text stream.
+
+    An access writes one image token per selected sector (``-`` for a
+    sector without one) when any of its sectors carries an image, and
+    none otherwise.
+    """
     fp.write(
         f"{_HEADER_PREFIX} name={trace.name} "
         f"intensity={trace.memory_intensity} "
         f"instructions={trace.instructions} "
         f"warmup={trace.counter_warmup_passes}\n"
     )
-    for access in trace:
-        parts = [
-            "W" if access.write else "R",
-            f"0x{access.line_addr:08x}",
-            f"0b{access.sector_mask:04b}",
-        ]
-        if access.values is not None:
-            for slot in sorted(access.sectors()):
-                image = access.value_for(slot)
-                parts.append(image.hex() if image is not None else "-")
-        fp.write(" ".join(parts) + "\n")
-    fp.write(f"{_FOOTER_PREFIX} records={len(trace.accesses)}\n")
+    if trace.images is None:
+        tokens: List[str] = []
+        imaged = [False] * len(trace)
+    else:
+        hexed = trace.images.astype("<u4", copy=False).tobytes().hex()
+        tokens = [f" {hexed[64 * row:64 * row + 64]}" if present else " -"
+                  for row, present in enumerate(trace.present.tolist())]
+        # Whether any of an access's rows is present: a difference of
+        # running counts over its rows.
+        seen = np.concatenate(([0], np.cumsum(trace.present)))
+        ends = trace.first_rows + SECTOR_COUNTS[trace.sector_masks]
+        imaged = (seen[ends] > seen[trace.first_rows]).tolist()
+    for write, line_addr, mask, first, has_image in zip(
+        trace.writes.tolist(), trace.line_addrs.tolist(),
+        trace.sector_masks.tolist(), trace.first_rows.tolist(), imaged,
+    ):
+        line = f"{'RW'[write]} 0x{line_addr:08x} 0b{mask:04b}"
+        if has_image:
+            line += "".join(tokens[first:first + len(MASK_SLOTS[mask])])
+        fp.write(line + "\n")
+    fp.write(f"{_FOOTER_PREFIX} records={len(trace)}\n")
 
 
 def dumps_trace(trace: Trace) -> str:
@@ -121,7 +141,11 @@ def _parse_footer(line_no: int, line: str) -> int:
     return records
 
 
-def _parse_access(line_no: int, tokens: List[str]) -> TraceAccess:
+def _parse_access(
+    line_no: int, tokens: List[str]
+) -> Tuple[int, int, bool, List[Optional[bytes]]]:
+    """One record line as ``(line address, mask, write, images)``, where
+    ``images`` holds one image or None per selected sector."""
     if len(tokens) < 3:
         raise TraceFormatError("expected 'R/W addr mask ...'", line=line_no)
     direction, addr_token, mask_token = tokens[:3]
@@ -133,19 +157,19 @@ def _parse_access(line_no: int, tokens: List[str]) -> TraceAccess:
     except ValueError as exc:
         raise TraceFormatError(str(exc), line=line_no) from None
 
-    values: Union[List[Tuple[int, bytes]], None] = None
+    images: List[Optional[bytes]] = []
     image_tokens = tokens[3:]
     if image_tokens:
-        slots = [s for s in range(4) if (mask >> s) & 1]
+        slots = MASK_SLOTS[mask & 15]
         if len(image_tokens) != len(slots):
             raise TraceFormatError(
                 f"{len(slots)} sectors set but {len(image_tokens)} images "
                 "given (truncated record?)",
                 line=line_no,
             )
-        values = []
         for slot, token in zip(slots, image_tokens):
             if token == "-":
+                images.append(None)
                 continue
             try:
                 image = bytes.fromhex(token)
@@ -159,17 +183,17 @@ def _parse_access(line_no: int, tokens: List[str]) -> TraceAccess:
                     "(truncated record?)",
                     line=line_no,
                 )
-            values.append((slot, image))
-        if not values:
-            values = None
+            images.append(image)
     try:
-        return TraceAccess(line_addr, mask, direction == "W", values)
+        check_access(line_addr, mask)
     except TraceError as exc:
         raise TraceFormatError(str(exc), line=line_no) from None
+    return (line_addr, mask, direction == "W",
+            images or [None] * len(MASK_SLOTS[mask]))
 
 
 def load_trace(fp: TextIO, name: str = "imported") -> Trace:
-    """Parse a trace from a text stream.
+    """Parse a trace from a text stream, into columns.
 
     The ``#repro-trace`` header line is mandatory and must precede every
     record; malformed or truncated input raises
@@ -179,7 +203,11 @@ def load_trace(fp: TextIO, name: str = "imported") -> Trace:
     a file truncated between records is rejected rather than loaded
     short.
     """
-    accesses: List[TraceAccess] = []
+    line_addrs: List[int] = []
+    masks: List[int] = []
+    writes: List[bool] = []
+    #: One image or None per selected sector, access by access.
+    row_images: List[Optional[bytes]] = []
     intensity = 0.8
     instructions = 0
     warmup = 3
@@ -213,23 +241,37 @@ def load_trace(fp: TextIO, name: str = "imported") -> Trace:
                 "(missing or misplaced header line)",
                 line=line_no,
             )
-        accesses.append(_parse_access(line_no, line.split()))
+        line_addr, mask, write, images = _parse_access(line_no, line.split())
+        line_addrs.append(line_addr)
+        masks.append(mask)
+        writes.append(write)
+        row_images.extend(images)
     if not saw_header:
         raise TraceFormatError(
             f"trace file is missing its '{_HEADER_PREFIX}' header line"
         )
-    if expected_records is not None and expected_records != len(accesses):
+    if expected_records is not None and expected_records != len(masks):
         raise TraceFormatError(
             f"footer declares {expected_records} records but file "
-            f"contains {len(accesses)} (truncated file?)"
+            f"contains {len(masks)} (truncated file?)"
         )
-    if not accesses:
+    if not masks:
         raise TraceFormatError("trace file contains no accesses")
-    return Trace(
-        name=name,
-        accesses=accesses,
+    images_matrix = present = None
+    if any(image is not None for image in row_images):
+        present = np.array([image is not None for image in row_images])
+        images_matrix = np.frombuffer(
+            b"".join(image or _NO_IMAGE for image in row_images), dtype="<u4"
+        ).reshape(-1, 8)
+    return Trace.from_columns(
+        name,
+        np.array(line_addrs, dtype=np.int64),
+        np.array(masks, dtype=np.uint8),
+        np.array(writes, dtype=bool),
+        images_matrix,
+        present,
         memory_intensity=intensity,
-        instructions=instructions or 20 * len(accesses),
+        instructions=instructions or 20 * len(masks),
         counter_warmup_passes=warmup,
     )
 
@@ -609,7 +651,7 @@ def loads_traffic_reports(text: str) -> "Dict[str, TrafficReport]":
 
 
 def merge_traces(traces: Iterable[Trace], name: str = "merged") -> Trace:
-    """Concatenate traces (multi-kernel executions).
+    """Concatenate traces (multi-kernel executions), column by column.
 
     Memory intensity is access-weighted; warmup takes the maximum (the
     deepest history wins, conservatively).
@@ -617,19 +659,33 @@ def merge_traces(traces: Iterable[Trace], name: str = "merged") -> Trace:
     traces = list(traces)
     if not traces:
         raise TraceError("nothing to merge")
-    accesses: List[TraceAccess] = []
     weighted_intensity = 0.0
     instructions = 0
     warmup = 0
     for trace in traces:
-        accesses.extend(trace.accesses)
         weighted_intensity += trace.memory_intensity * len(trace)
         instructions += trace.instructions
         warmup = max(warmup, trace.counter_warmup_passes)
-    return Trace(
-        name=name,
-        accesses=accesses,
-        memory_intensity=weighted_intensity / len(accesses),
+    images = present = None
+    if any(trace.images is not None for trace in traces):
+        images = np.concatenate([
+            trace.images if trace.images is not None
+            else np.zeros((trace.sector_count, 8), dtype="<u4")
+            for trace in traces
+        ])
+        present = np.concatenate([
+            trace.present if trace.images is not None
+            else np.zeros(trace.sector_count, dtype=bool)
+            for trace in traces
+        ])
+    return Trace.from_columns(
+        name,
+        np.concatenate([trace.line_addrs for trace in traces]),
+        np.concatenate([trace.sector_masks for trace in traces]),
+        np.concatenate([trace.writes for trace in traces]),
+        images,
+        present,
+        memory_intensity=weighted_intensity / sum(map(len, traces)),
         instructions=instructions,
         counter_warmup_passes=warmup,
     )

@@ -4,7 +4,9 @@ GPU kernels exhibit strong *value locality*: zero-initialized buffers,
 repeated graph weights, saturated activations, near-identical floats.
 :class:`ValueModel` synthesizes 32-byte sector images with controllable
 locality so that workload profiles can be calibrated against the
-paper's measured reuse levels (Fig. 9). :class:`ValueReuseStudy`
+paper's measured reuse levels (Fig. 9), as one ``(sectors, 8)``
+little-endian uint32 matrix: the image matrix a
+:class:`~repro.workloads.trace.Trace` holds. :class:`ValueReuseStudy`
 re-implements the paper's three measurement scenarios over any trace,
 which is both the Fig. 9 reproduction and the calibration instrument.
 """
@@ -13,14 +15,14 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import islice
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.common.bitops import split_values
 from repro.common.errors import ConfigurationError
 from repro.common.rng import RngStream
+from repro.workloads.trace import SECTOR_COUNTS, Trace
 
 #: Values over-represented in real GPU memory regardless of workload.
 _UBIQUITOUS_VALUES = np.array(
@@ -84,8 +86,9 @@ class ValueModel:
 
     def sector_images(
         self, count: int, group_sizes: "Optional[Sequence[int]]" = None
-    ) -> List[bytes]:
-        """Generate *count* 32-byte images in one vectorized batch.
+    ) -> np.ndarray:
+        """Generate *count* 32-byte images in one vectorized batch, as a
+        ``(count, 8)`` little-endian uint32 matrix, one image per row.
 
         ``group_sizes`` optionally partitions the images into coalesced
         accesses whose sectors share one reuse decision. Real value
@@ -95,7 +98,7 @@ class ValueModel:
         Without grouping, each sector draws independently.
         """
         if count <= 0:
-            return []
+            return np.empty((0, self.VALUES_PER_SECTOR), dtype="<u4")
         if group_sizes is not None:
             group_sizes = np.asarray(group_sizes)
             if group_sizes.sum() != count:
@@ -126,10 +129,9 @@ class ValueModel:
             sector_reused = np.repeat(group_reused, group_sizes)
         take_pool = np.repeat(sector_reused, self.VALUES_PER_SECTOR)
         take_pool |= self._rng.random(n_values) < cfg.value_reuse
-        flat = np.where(take_pool, pooled, fresh).astype(
+        return np.where(take_pool, pooled, fresh).astype(
             "<u4", copy=False
-        ).tobytes()
-        return [flat[i * 32 : (i + 1) * 32] for i in range(count)]
+        ).reshape(count, self.VALUES_PER_SECTOR)
 
 
 class ValueReuseStudy:
@@ -249,14 +251,24 @@ class ValueReuseStudy:
         return {s: self.reuse_fraction(s) for s in self.SCENARIOS}
 
 
-def study_trace_values(trace, cache_entries: int = 512) -> Dict[str, float]:
-    """Run the three-scenario reuse study over a trace's sector images."""
+def study_trace_values(trace: Trace,
+                       cache_entries: int = 512) -> Dict[str, float]:
+    """Run the three-scenario reuse study over a trace's sector images.
+
+    Reads the trace's image matrix chunk by chunk, in trace order,
+    skipping the rows that carry no image.
+    """
     study = ValueReuseStudy(cache_entries=cache_entries)
-    sectors = ((image, not access.write) for access in trace
-               if access.values is not None for _slot, image in access.values)
-    while chunk := list(islice(sectors, _CHUNK_SECTORS)):
-        images, reads = zip(*chunk)
-        keys = np.frombuffer(b"".join(images), dtype="<u4").reshape(-1, 8)
-        masked = (keys & np.uint32(_MASK_4_LSBS)).tolist()
-        study.observe_chunk(keys.tolist(), masked, reads)
+    if trace.images is not None:
+        reads = np.repeat(~trace.writes, SECTOR_COUNTS[trace.sector_masks])
+        images = trace.images
+        if not trace.present.all():  # a mask copies the whole matrix
+            images = images[trace.present]
+            reads = reads[trace.present]
+        for start in range(0, len(images), _CHUNK_SECTORS):
+            keys = images[start:start + _CHUNK_SECTORS]
+            study.observe_chunk(
+                keys.tolist(), (keys & np.uint32(_MASK_4_LSBS)).tolist(),
+                reads[start:start + _CHUNK_SECTORS].tolist(),
+            )
     return study.report()

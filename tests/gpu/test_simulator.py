@@ -1,16 +1,19 @@
 """Tests for the trace-driven simulator (L2 pass + engine replay)."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.gpu.config import VOLTA
 from repro.gpu.simulator import (
     EventKind,
+    _merge_stats,
     replay_events,
     simulate,
     simulate_l2,
 )
 from repro.mem.traffic import Stream
-from repro.secure.engine import NoSecurityEngine
+from repro.secure.engine import EngineStats, NoSecurityEngine
 from repro.secure.pssm import PssmEngine
 from repro.workloads.trace import Trace, TraceAccess
 
@@ -138,3 +141,23 @@ class TestOneShot:
         result = simulate(bfs_trace, lambda p, s, t: NoSecurityEngine(p, s, t), VOLTA)
         assert result.trace_name == "bfs"
         assert result.total_bytes > 0
+
+
+class TestMergeStats:
+    def test_merged_stats_are_per_field_sums(self):
+        """Every field differs between engines and none is zero, so a
+        field dropped, doubled or taken from the wrong engine shows."""
+        names = [f.name for f in fields(EngineStats)]
+        engines = [
+            EngineStats(**{name: (e + 1) * 1000 + i + 1
+                           for i, name in enumerate(names)})
+            for e in range(3)
+        ]
+        merged = _merge_stats(engines)
+        for i, name in enumerate(names):
+            assert getattr(merged, name) == sum(
+                (e + 1) * 1000 + i + 1 for e in range(3)
+            ), name
+
+    def test_no_engines_merge_to_zero(self):
+        assert _merge_stats([]) == EngineStats()

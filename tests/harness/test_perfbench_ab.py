@@ -99,6 +99,66 @@ class TestVerdict:
         assert gate.verdict(traced(), base, head, BOUNDS)[1] == []
 
 
+def spread(first, step, name=METRICS[0]):
+    """Ten results whose *name* values run ``first, first + step, ...``."""
+    return [result(**{name: first + i * step}) for i in range(gate.PAIRS)]
+
+
+class TestGainRule:
+    """Quartiles, the base IQR and the gain rule in the report."""
+
+    def line(self, base, head):
+        report, failures = gate.verdict(traced(), base, head, BOUNDS)
+        assert failures == []
+        return report[0]
+
+    def test_quartiles_and_base_iqr_are_reported(self):
+        # Ten values 1.0..1.9: exclusive quartiles 1.175, 1.45, 1.725.
+        line = self.line(spread(1.0, 0.1), spread(0.5, 0.04))
+        assert "quartiles base 1.175/1.450/1.725, head " in line
+        assert "head 0.570/0.680/0.790 s" in line
+        assert "base IQR 0.550 s" in line
+
+    def test_holds_when_every_pair_wins_by_more_than_the_iqr(self):
+        line = self.line(spread(1.0, 0.01), spread(0.5, 0.01))
+        assert "head better in 10/10 pairs" in line
+        assert line.endswith("gain rule (9+ pairs, gap > base IQR) holds")
+
+    def test_nine_pairs_suffice(self):
+        head = spread(0.5, 0.01)
+        head[6] = result(**{METRICS[0]: 5.0})
+        line = self.line(spread(1.0, 0.01), head)
+        assert "head better in 9/10 pairs" in line
+        assert line.endswith(" holds")
+
+    def test_eight_pairs_do_not(self):
+        head = spread(0.5, 0.01)
+        head[2] = head[6] = result(**{METRICS[0]: 5.0})
+        line = self.line(spread(1.0, 0.01), head)
+        assert "head better in 8/10 pairs" in line
+        assert line.endswith(" does not hold")
+
+    def test_a_gap_inside_the_base_iqr_does_not_hold(self):
+        # Every pair wins by 0.1, but the base IQR is 0.55.
+        line = self.line(spread(1.0, 0.1), spread(0.9, 0.1))
+        assert "head better in 10/10 pairs" in line
+        assert line.endswith(" does not hold")
+
+    def test_higher_is_better_metrics_gain_upwards(self):
+        bound = {"name": METRICS[0], "unit": "x", "better": "higher",
+                 "bound": 1.0}
+        report, _ = gate.verdict(traced(), spread(1.0, 0.01),
+                                 spread(2.0, 0.01), [bound])
+        assert report[0].endswith(" holds")
+
+    def test_the_rule_does_not_change_the_exit_code(self):
+        """A head within its bounds passes whether or not it gains."""
+        base, head = pairs()
+        report, failures = gate.verdict(traced(), base, head, BOUNDS)
+        assert failures == []
+        assert all(line.endswith(" does not hold") for line in report)
+
+
 def test_gated_metrics_are_what_run_py_reports(monkeypatch):
     """A metric renamed on either side would otherwise go ungated."""
     perfbench = REPO_ROOT / "perfbench"

@@ -115,3 +115,90 @@ class TestLocalAddressing:
                 np.array([0, top + 32, -32, top], dtype=np.int64))
         with pytest.raises(ValueError, match="-0x20"):
             amap.local_sector_indices(np.array([64, -32], dtype=np.int64))
+
+
+def digit_fold(amap, address):
+    """The partition of *address* by the per-address digit loop: the
+    line index's ``log2(num_partitions)``-bit digits XORed together,
+    or the index modulo the partition count without hashing."""
+    line = address // amap.line_bytes
+    if not amap.interleave_hash:
+        return line % amap.num_partitions
+    bits = amap.num_partitions.bit_length() - 1
+    folded = 0
+    while line:
+        folded ^= line & (amap.num_partitions - 1)
+        line >>= bits
+    return folded
+
+
+MAPS = [
+    DEFAULT_ADDRESS_MAP,
+    AddressMap(interleave_hash=False),
+    AddressMap(memory_bytes=1 << 26, num_partitions=8, line_bytes=256),
+]
+MAP_IDS = ["default", "unhashed", "8-partitions"]
+
+
+class TestVectorFold:
+    """``partitions_of``, the one copy of the fold ``partition_of`` and
+    the L2 pass both use."""
+
+    def addresses(self, amap):
+        """Every digit of the line index in play: low lines, the top of
+        the range, one address per bit of the line index, and random
+        addresses over the whole range."""
+        rng = np.random.default_rng(26)
+        bits = amap.num_lines.bit_length() - 1
+        return np.concatenate([
+            np.arange(0, 64 * amap.line_bytes, 32, dtype=np.int64),
+            amap.memory_bytes - 1 - np.arange(0, 4096, 32, dtype=np.int64),
+            np.array([amap.line_bytes << bit for bit in range(bits)],
+                     dtype=np.int64),
+            rng.integers(0, amap.memory_bytes, size=4000, dtype=np.int64),
+        ])
+
+    @pytest.mark.parametrize("amap", MAPS, ids=MAP_IDS)
+    def test_matches_the_digit_loop(self, amap):
+        addrs = self.addresses(amap)
+        assert amap.partitions_of(addrs).tolist() == [
+            digit_fold(amap, a) for a in addrs.tolist()
+        ]
+
+    @pytest.mark.parametrize("amap", MAPS, ids=MAP_IDS)
+    def test_matches_partition_of_address_by_address(self, amap):
+        addrs = self.addresses(amap)[::7]
+        assert amap.partitions_of(addrs).tolist() == [
+            amap.partition_of(a) for a in addrs.tolist()
+        ]
+
+    @pytest.mark.parametrize("amap", MAPS, ids=MAP_IDS)
+    def test_empty_input(self, amap):
+        assert amap.partitions_of(np.array([], dtype=np.int64)).tolist() == []
+
+    def test_reject_first_address_outside_above(self):
+        amap = DEFAULT_ADDRESS_MAP
+        top = amap.memory_bytes
+        with pytest.raises(ValueError, match=f"{top + 32:#x}"):
+            amap.partitions_of(
+                np.array([0, top + 32, -32, top], dtype=np.int64))
+
+    def test_reject_first_address_outside_below(self):
+        amap = DEFAULT_ADDRESS_MAP
+        with pytest.raises(ValueError, match="-0x20"):
+            amap.partitions_of(
+                np.array([64, -32, amap.memory_bytes], dtype=np.int64))
+
+    def test_one_partition_owns_every_line(self):
+        """A one-partition map folds zero-bit digits: every line maps to
+        partition 0 (the per-address digit loop never ended here)."""
+        amap = AddressMap(memory_bytes=1 << 20, num_partitions=1)
+        addrs = np.arange(0, 1 << 20, 4096, dtype=np.int64)
+        assert amap.partitions_of(addrs).tolist() == [0] * len(addrs)
+        assert amap.partition_of(128) == 0
+
+    def test_scalar_rejects_outside_as_before(self):
+        with pytest.raises(ValueError):
+            DEFAULT_ADDRESS_MAP.partition_of(DEFAULT_ADDRESS_MAP.memory_bytes)
+        with pytest.raises(ValueError):
+            DEFAULT_ADDRESS_MAP.partition_of(1 << 70)

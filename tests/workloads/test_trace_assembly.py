@@ -2,12 +2,15 @@
 
 The reference below is that loop, kept here as the oracle: it walks the
 trace one position at a time, takes the next write or read draw, builds
-the group sizes in a first pass and the accesses in a second. It is
-driven by the same ``_interleave_writes``, ``_layout_regions``,
-``_generate_mix`` and ``ValueModel`` draws as ``build_trace``, so the
-comparison is a differential within one numpy, not a pinned digest:
-``Generator`` streams may differ between numpy versions, the assembly
-must not.
+the group sizes in a first pass and the access records in a second,
+cutting each sector's 32-byte image from the ``ValueModel`` matrix by
+row. It is driven by the same ``_interleave_writes``,
+``_layout_regions``, ``_generate_mix`` and ``ValueModel`` draws as
+``build_trace``, so the comparison is a differential within one numpy,
+not a pinned digest: ``Generator`` streams may differ between numpy
+versions, the assembly must not. The built trace is read back through
+its records, so the comparison also covers the record view over the
+columns.
 """
 
 import pytest
@@ -21,7 +24,7 @@ from repro.workloads.benchmarks import (
     build_trace,
     get_profile,
 )
-from repro.workloads.trace import Trace, TraceAccess
+from repro.workloads.trace import TraceAccess
 from repro.workloads.values import ValueModel
 
 _POPCOUNT4 = [bin(m).count("1") for m in range(16)]
@@ -30,7 +33,8 @@ SEEDS = (2023, 7)
 
 
 def reference_trace(name, length, seed, with_values):
-    """The per-access assembly loop, over ``build_trace``'s draws."""
+    """The per-access assembly loop, over ``build_trace``'s draws: the
+    access records and the profile facts, as :func:`fields` lists them."""
     profile = get_profile(name)
     n = length
     rng = RngStream(seed, f"trace:{name}")
@@ -64,6 +68,7 @@ def reference_trace(name, length, seed, with_values):
             group_sizes.append(_POPCOUNT4[int(read_masks[ri % max(n_reads, 1)])])
             ri += 1
     total_sectors = sum(group_sizes)
+    # One row of eight little-endian uint32 values per sector image.
     images = (
         value_model.sector_images(total_sectors, group_sizes=group_sizes)
         if value_model
@@ -90,16 +95,16 @@ def reference_trace(name, length, seed, with_values):
             values = []
             for slot in range(4):
                 if (mask >> slot) & 1:
-                    values.append((slot, images[image_cursor]))
+                    values.append((slot, images[image_cursor].tobytes()))
                     image_cursor += 1
         accesses.append(TraceAccess(line * 128, mask, w, values))
 
-    return Trace(
-        name=name,
-        accesses=accesses,
-        memory_intensity=profile.memory_intensity,
-        instructions=20 * n,
-        counter_warmup_passes=profile.counter_warmup_passes,
+    return (
+        [(a.line_addr, a.sector_mask, a.write, a.values) for a in accesses],
+        name,
+        20 * n,
+        profile.counter_warmup_passes,
+        profile.memory_intensity,
     )
 
 
@@ -125,6 +130,6 @@ def test_bulk_assembly_matches_per_access_loop(name):
                 built = build_trace(name, length=length, seed=seed,
                                     with_values=with_values)
                 expected = reference_trace(name, length, seed, with_values)
-                assert fields(built) == fields(expected), (
+                assert fields(built) == expected, (
                     name, length, seed, with_values
                 )

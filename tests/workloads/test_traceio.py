@@ -5,7 +5,7 @@ import io
 import pytest
 
 from repro.common.errors import TraceError, TraceFormatError
-from repro.workloads.benchmarks import build_trace
+from repro.workloads.benchmarks import BENCHMARKS, build_trace
 from repro.workloads.trace import Trace, TraceAccess
 from repro.workloads.traceio import (
     dump_trace,
@@ -50,18 +50,18 @@ HEADER = "#repro-trace name=t\n"
 
 class TestParsing:
     def test_minimal_line(self):
-        trace = loads_trace(HEADER + "R 0x0 0b0001\n")
-        assert trace.accesses[0].line_addr == 0
-        assert not trace.accesses[0].write
+        (access,) = loads_trace(HEADER + "R 0x0 0b0001\n")
+        assert access.line_addr == 0
+        assert not access.write
 
     def test_hex_image_parsed(self):
         image = bytes(range(32)).hex()
-        trace = loads_trace(HEADER + f"W 0x80 0b0010 {image}\n")
-        assert trace.accesses[0].value_for(1) == bytes(range(32))
+        (access,) = loads_trace(HEADER + f"W 0x80 0b0010 {image}\n")
+        assert access.value_for(1) == bytes(range(32))
 
     def test_dash_skips_image(self):
-        trace = loads_trace(HEADER + "R 0x0 0b0011 - -\n")
-        assert trace.accesses[0].values is None
+        (access,) = loads_trace(HEADER + "R 0x0 0b0011 - -\n")
+        assert access.values is None
 
     def test_comments_and_blanks_ignored(self):
         trace = loads_trace(HEADER + "# hello\n\nR 0x0 0b0001\n")
@@ -149,6 +149,13 @@ class TestErrors:
             loads_trace(HEADER + "R 0x7 0b0001\n")
         assert info.value.line == 2
 
+    def test_address_beyond_the_int64_column_names_line(self):
+        with pytest.raises(TraceFormatError) as info:
+            loads_trace(HEADER + "R 0x0 0b0001\nW 0x1" + "0" * 17
+                        + " 0b0001\n")
+        assert info.value.line == 3
+        assert "exceeds 63 bits" in str(info.value)
+
 
 class TestMerge:
     def test_merge_concatenates(self):
@@ -164,6 +171,90 @@ class TestMerge:
     def test_merge_nothing_rejected(self):
         with pytest.raises(TraceError):
             merge_traces([])
+
+    @staticmethod
+    def records(trace):
+        return [(a.line_addr, a.sector_mask, a.write, a.values)
+                for a in trace]
+
+    def test_merge_of_built_traces_concatenates_their_records(self):
+        a = build_trace("bfs", length=300, seed=5)
+        b = build_trace("lbm", length=200, seed=6)
+        merged = merge_traces([a, b], name="ab")
+        assert self.records(merged) == self.records(a) + self.records(b)
+        assert merged.name == "ab"
+        assert merged.instructions == a.instructions + b.instructions
+        assert merged.counter_warmup_passes == max(
+            a.counter_warmup_passes, b.counter_warmup_passes)
+        assert merged.memory_intensity == pytest.approx(
+            (300 * a.memory_intensity + 200 * b.memory_intensity) / 500)
+
+    def test_merge_with_a_trace_without_values(self):
+        """The trace without values contributes rows without images."""
+        a = build_trace("lbm", length=50, seed=5, with_values=False)
+        b = build_trace("bfs", length=60, seed=6)
+        merged = merge_traces([a, b, a])
+        assert self.records(merged) == (
+            self.records(a) + self.records(b) + self.records(a))
+        assert merged.images is not None
+        assert not merged.present[:a.sector_count].any()
+        assert merged.present[a.sector_count:][:b.sector_count].all()
+
+    def test_merge_without_values_has_no_matrix(self):
+        a = build_trace("lbm", length=50, seed=5, with_values=False)
+        merged = merge_traces([a, a])
+        assert merged.images is None and merged.present is None
+        assert self.records(merged) == self.records(a) * 2
+
+
+def reference_dump(trace):
+    """The per-access dumper over records that the column dumper
+    replaced."""
+    lines = [
+        f"#repro-trace name={trace.name} "
+        f"intensity={trace.memory_intensity} "
+        f"instructions={trace.instructions} "
+        f"warmup={trace.counter_warmup_passes}"
+    ]
+    for access in trace:
+        parts = [
+            "W" if access.write else "R",
+            f"0x{access.line_addr:08x}",
+            f"0b{access.sector_mask:04b}",
+        ]
+        if access.values is not None:
+            for slot in sorted(access.sectors()):
+                image = access.value_for(slot)
+                parts.append(image.hex() if image is not None else "-")
+        lines.append(" ".join(parts))
+    lines.append(f"#repro-end records={len(trace)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", list(BENCHMARKS))
+def test_column_dump_matches_per_access_dumper(name):
+    """All 20 profiles, at three lengths and two seeds, with and without
+    values: the dumped text (and so every disk-cache key) is unchanged."""
+    for length in (1, 7, 2000):
+        for seed in (2023, 7):
+            for with_values in (True, False):
+                trace = build_trace(name, length=length, seed=seed,
+                                    with_values=with_values)
+                assert dumps_trace(trace) == reference_dump(trace), (
+                    name, length, seed, with_values)
+
+
+def test_partly_imaged_dump_matches_per_access_dumper():
+    image = bytes(range(32))
+    trace = Trace("partial", [
+        TraceAccess(0, 0b0110, True, [(2, image)]),
+        TraceAccess(128, 0b0001, False),
+        TraceAccess(256, 0b1111, False, [(0, image), (3, image)]),
+    ])
+    text = dumps_trace(trace)
+    assert text == reference_dump(trace)
+    assert f"W 0x00000000 0b0110 - {image.hex()}\n" in text
+    assert "R 0x00000080 0b0001\n" in text
 
 
 class TestEventLogRoundtrip:

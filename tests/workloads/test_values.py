@@ -2,6 +2,7 @@
 
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.rng import RngStream
 from repro.secure.value_cache import ValueCache, ValueCacheConfig
 from repro.workloads.benchmarks import build_trace
-from repro.workloads.trace import TraceAccess
+from repro.workloads.trace import Trace, TraceAccess
 from repro.workloads.values import (
     ValueModel,
     ValueModelConfig,
@@ -24,27 +25,36 @@ def make_model(**kwargs):
     return ValueModel(ValueModelConfig(**kwargs), RngStream(11))
 
 
+def sector_bytes(matrix):
+    """The 32-byte images of an image matrix, one per row."""
+    return [row.tobytes() for row in matrix]
+
+
 class TestValueModel:
     def test_image_shape(self):
         images = make_model().sector_images(10)
-        assert len(images) == 10
-        assert all(len(image) == 32 for image in images)
+        assert images.shape == (10, 8)
+        assert images.dtype == np.dtype("<u4")
+        assert all(len(image) == 32 for image in sector_bytes(images))
+
+    def test_no_images(self):
+        assert make_model().sector_images(0).shape == (0, 8)
 
     def test_determinism(self):
         a = ValueModel(ValueModelConfig(), RngStream(3)).sector_images(20)
         b = ValueModel(ValueModelConfig(), RngStream(3)).sector_images(20)
-        assert a == b
+        assert sector_bytes(a) == sector_bytes(b)
 
     def test_zero_reuse_gives_mostly_unique_values(self):
         model = make_model(sector_reuse=0.0, value_reuse=0.0)
-        images = model.sector_images(100)
+        images = sector_bytes(model.sector_images(100))
         values = {v for img in images for v in
                   [img[i:i+4] for i in range(0, 32, 4)]}
         assert len(values) > 700  # out of 800 draws
 
     def test_high_reuse_concentrates_values(self):
         model = make_model(sector_reuse=1.0, pool_size=32)
-        images = model.sector_images(100)
+        images = sector_bytes(model.sector_images(100))
         values = {v for img in images for v in
                   [img[i:i+4] for i in range(0, 32, 4)]}
         # Pool of 32 values, perturbed in the low nibble only.
@@ -59,7 +69,7 @@ class TestValueModel:
         accesses are either pooled or unique."""
         model = make_model(sector_reuse=0.5, value_reuse=0.0,
                            near_perturb=0.0, pool_size=16)
-        images = model.sector_images(400, group_sizes=[4] * 100)
+        images = sector_bytes(model.sector_images(400, group_sizes=[4] * 100))
         pool = set()
         # Learn the pool from a big sample of pooled sectors.
         for img in images:
@@ -91,7 +101,7 @@ class TestReuseStudy:
         """Paper Fig. 9: masked >= halves >= full, always."""
         model = make_model(sector_reuse=0.5, near_perturb=0.5)
         study = ValueReuseStudy()
-        for image in model.sector_images(2000):
+        for image in sector_bytes(model.sector_images(2000)):
             study.observe_sector(image)
         report = study.report()
         assert report["masked"] >= report["halves"] >= report["full"]
@@ -99,7 +109,7 @@ class TestReuseStudy:
     def test_zero_locality_shows_no_reuse(self):
         model = make_model(sector_reuse=0.0, value_reuse=0.0)
         study = ValueReuseStudy()
-        for image in model.sector_images(500):
+        for image in sector_bytes(model.sector_images(500)):
             study.observe_sector(image)
         assert study.reuse_fraction("masked") < 0.05
 
@@ -107,7 +117,7 @@ class TestReuseStudy:
         model = make_model(sector_reuse=1.0, value_reuse=1.0,
                            near_perturb=0.0, pool_size=32)
         study = ValueReuseStudy()
-        for image in model.sector_images(500):
+        for image in sector_bytes(model.sector_images(500)):
             study.observe_sector(image)
         assert study.reuse_fraction("halves") > 0.8
 
@@ -228,5 +238,27 @@ _accesses = st.builds(
 def test_small_study_cache_matches_three_cache_reference(trace, entries):
     """Capacities that evict within a sector, where LRU membership over
     the observe stream must still equal probe-then-observe caches."""
-    assert (study_trace_values(trace, cache_entries=entries)
+    assert (study_trace_values(Trace("drawn", trace), cache_entries=entries)
+            == three_cache_study(trace, cache_entries=entries))
+
+
+_partly_imaged = st.builds(
+    lambda write, images, keep: TraceAccess(
+        0, (1 << len(images)) - 1, write,
+        [(slot, image) for slot, image in enumerate(images)
+         if keep[slot % len(keep)]],
+    ),
+    st.booleans(),
+    st.lists(_images, min_size=1, max_size=4),
+    st.lists(st.booleans(), min_size=1, max_size=4),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(trace=st.lists(st.one_of(_accesses, _partly_imaged), max_size=40),
+       entries=st.integers(min_value=1, max_value=16))
+def test_study_skips_sectors_without_an_image(trace, entries):
+    """Sectors imported without an image (``-``) are neither scored nor
+    observed, as the reference, which reads only the records' images."""
+    assert (study_trace_values(Trace("drawn", trace), cache_entries=entries)
             == three_cache_study(trace, cache_entries=entries))
