@@ -53,8 +53,8 @@ class UnknownEngineError(ReproError, KeyError):
     """A run named an engine key that no factory provides.
 
     Also a ``KeyError``, as :class:`AlignmentError` is also a
-    ``ValueError``. As a :class:`ReproError` the supervisor classifies
-    it deterministic, so it is never retried.
+    ``ValueError``. As a :class:`ReproError` the supervisor journals
+    it as a ``deterministic`` failure.
     """
 
     def __str__(self) -> str:
@@ -193,26 +193,11 @@ class JournalError(ResilienceError):
     """
 
 
-class BudgetExceededError(ResilienceError):
-    """A resource budget (wall clock, RSS) was exhausted.
-
-    The supervisor reacts with graceful degradation — remaining units
-    are cancelled and the run is reported as partial — rather than
-    letting the overrun crash the process.
-    """
-
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        #: Stable, human-readable budget that tripped.
-        self.reason = reason
-
-
 class UnitTimeoutError(ResilienceError):
     """One supervised work unit exceeded its per-unit wall-clock bound.
 
-    Classified as *retryable* by the supervisor (unlike other
-    :class:`ReproError` subclasses, which are deterministic): a timeout
-    is usually load, not logic.
+    The supervisor journals it as a ``timeout`` failure, apart from the
+    ``deterministic`` class of other :class:`ReproError` subclasses.
     """
 
     def __init__(self, message: str, timeout_s: "float | None" = None) -> None:

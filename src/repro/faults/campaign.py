@@ -615,14 +615,14 @@ def run_campaign(
 ) -> CampaignReport:
     """Mount *spec* (optionally over caller-supplied victim ops).
 
-    Each engine runs as one work unit under *supervisor*: transient
-    failures are retried, budgets degrade gracefully (missing engines
-    are reported, not silently absent), a named run is journaled and
-    resumable, and the outcome rides along as ``report.supervision``
-    (*supervisor* defaults to a plain
-    :class:`~repro.resilience.Supervisor`, which journals nothing). An
-    engine whose unit raised is missing from ``records``, so
-    ``report.ok`` holds only together with ``report.supervision.ok``.
+    Each engine runs once as one work unit under *supervisor*: budgets
+    degrade gracefully (missing engines are reported, not silently
+    absent), a named run is journaled and resumable, and the outcome
+    rides along as ``report.supervision`` (*supervisor* defaults to a
+    plain :class:`~repro.resilience.Supervisor`, which journals
+    nothing). An engine whose unit raised is missing from ``records``,
+    so ``report.ok`` holds only together with
+    ``report.supervision.ok``.
     """
     from repro.resilience import Supervisor
 

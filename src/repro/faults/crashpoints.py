@@ -787,10 +787,10 @@ def run_crash_campaign(
 ) -> CrashReport:
     """Mount the full systematic sweep for *spec*.
 
-    The sweep runs as per-op work units under *supervisor*: each is
-    retried on transient failure, journaled durably when the supervisor
-    names a run, and skipped on resume, so a supervisor that died
-    mid-torture continues byte-identically. The outcome rides along as
+    The sweep runs as per-op work units under *supervisor*: each runs
+    once, is journaled durably when the supervisor names a run, and is
+    skipped on resume once ``ok``, so a supervisor that died mid-torture
+    continues byte-identically. The outcome rides along as
     ``report.supervision`` (*supervisor* defaults to a plain
     :class:`~repro.resilience.Supervisor`, which journals nothing). An
     op whose unit raised is missing from ``records``, so ``report.ok``

@@ -26,10 +26,9 @@ sensitivity sweep, one work unit per cell. Like every multi-unit
 command (the experiments command, ``inject`` and ``conform --fuzz``
 too), it runs its units serially in-process under the campaign
 supervisor: a named run (``--run-id``) is journaled, so ``--resume
-<run-id>`` after a crash re-runs only the unfinished units, ``--budget``
-degrades gracefully into an explicit partial report, and ``--chaos``
-sabotages the runtime on purpose; see docs/ARCHITECTURE.md § Resilient
-execution.
+<run-id>`` after a crash or a failed unit re-runs only the unfinished
+units, and ``--budget`` degrades gracefully into an explicit partial
+report; see docs/ARCHITECTURE.md § Resilient execution.
 
 ``python -m repro.harness status <journal>`` monitors a named run from
 its journal, read-only and safe against the live campaign;
@@ -380,7 +379,7 @@ def sweep_main(argv) -> int:
         prog="python -m repro.harness sweep",
         description="Run one sensitivity sweep as a supervised, "
                     "journaled campaign: resumable after a crash, "
-                    "budget-bounded, chaos-testable.",
+                    "budget-bounded.",
     )
     parser.add_argument(
         "sweep",

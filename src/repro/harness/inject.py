@@ -107,7 +107,7 @@ def run_inject(
 
     ``engines`` overrides the campaign's engine roster (e.g. the CI
     smoke runs two engines instead of three). ``supervisor`` runs the
-    per-engine units (retry, budgets, chaos, journal); see
+    per-engine units (budgets, journal); see
     :func:`repro.faults.campaign.run_campaign`. Raises
     :class:`~repro.common.errors.FaultInjectionError` for unknown
     campaign names or unviable plans.
@@ -154,8 +154,8 @@ def run_inject_crash(
     hot-sector locality, folded into the campaign's tiny footprint);
     :func:`~repro.faults.crashpoints.crash_ops_from_accesses` appends a
     deterministic tail so every persist-barrier op class fires even for
-    read-heavy traces. ``supervisor`` runs the per-op units (retry,
-    budgets, chaos, journal); see
+    read-heavy traces. ``supervisor`` runs the per-op units (budgets,
+    journal); see
     :func:`repro.faults.crashpoints.run_crash_campaign`.
     """
     spec = crash_campaign_spec(campaign)

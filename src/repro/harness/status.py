@@ -79,7 +79,7 @@ class StatusSnapshot:
     #: Units with no ``ok`` record yet (failed units count: a resume
     #: will re-run them).
     pending: int = 0
-    #: Journal unit records (a retried-and-rerecorded unit counts twice).
+    #: Journal unit records (a unit rerun on resume counts twice).
     unit_records: int = 0
     started_ts: Optional[float] = None
     last_ts: Optional[float] = None

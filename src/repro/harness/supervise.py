@@ -4,11 +4,9 @@ Every multi-unit subcommand (the experiments command, ``sweep``,
 ``inject`` and ``conform --fuzz``) runs its units under the campaign
 supervisor and uses the same flag vocabulary:
 
-* ``--retries`` / ``--backoff`` — the per-unit retry policy;
 * ``--budget`` / ``--unit-timeout`` / ``--max-rss-mb`` — resource
   budgets; exhaustion cancels remaining units and exits with the
   partial code (3);
-* ``--chaos`` / ``--chaos-seed`` — the seeded chaos monkey;
 * ``--run-dir`` / ``--run-id`` / ``--resume`` — the journal: where run
   directories live, which run this is, and whether to continue an
   existing one instead of starting fresh. Only a named run (``--run-id``
@@ -17,20 +15,16 @@ supervisor and uses the same flag vocabulary:
 
 :func:`build_supervisor` turns parsed args into a ready
 :class:`Supervisor`, which opens the journal against the campaign it
-runs and executes the units serially in-process.
+runs and executes the units serially in-process, each once: a unit
+that fails is journaled as failed, and only ``--resume`` runs it
+again.
 """
 
 from __future__ import annotations
 
 import argparse
 
-from repro.resilience import (
-    ChaosConfig,
-    ChaosMonkey,
-    ResourceBudget,
-    RetryPolicy,
-    Supervisor,
-)
+from repro.resilience import ResourceBudget, Supervisor
 
 #: Default root for run journals (mirrors the ``.cache`` convention).
 DEFAULT_RUN_DIR = ".runs"
@@ -52,17 +46,6 @@ def add_resilience_flags(parser: argparse.ArgumentParser) -> None:
     """Install the shared supervisor flags on *parser*."""
     group = parser.add_argument_group("resilience")
     group.add_argument(
-        "--retries", type=int, default=3, metavar="N",
-        help="attempts per work unit before it counts as failed "
-             "(default 3; transient crashes and timeouts are retried, "
-             "deterministic errors never are)",
-    )
-    group.add_argument(
-        "--backoff", type=_positive_float, default=0.05, metavar="SECONDS",
-        help="base delay of the exponential retry backoff (default 0.05; "
-             "jitter is seeded, so schedules reproduce)",
-    )
-    group.add_argument(
         "--budget", type=_positive_float, default=None, metavar="SECONDS",
         help="campaign wall-clock budget; on exhaustion remaining units "
              "are cancelled, missing cells are marked, and the exit "
@@ -72,23 +55,13 @@ def add_resilience_flags(parser: argparse.ArgumentParser) -> None:
         "--unit-timeout", type=_positive_float, default=None,
         metavar="SECONDS",
         help="wall-clock bound per work unit (SIGALRM preemption on the "
-             "Unix main thread; advisory elsewhere); timeouts are "
-             "retried like crashes",
+             "Unix main thread; advisory elsewhere); a unit that times "
+             "out is journaled as failed",
     )
     group.add_argument(
         "--max-rss-mb", type=_positive_float, default=None, metavar="MB",
         help="peak RSS ceiling for the whole process; crossing it "
              "degrades the campaign like an exhausted --budget",
-    )
-    group.add_argument(
-        "--chaos", action="store_true",
-        help="sabotage the campaign runtime itself: seeded random kills, "
-             "delays, and simulated OOMs around unit attempts",
-    )
-    group.add_argument(
-        "--chaos-seed", type=int, default=7, metavar="N",
-        help="chaos strike seed (default 7); strikes are a pure function "
-             "of (seed, unit, attempt)",
     )
     group.add_argument(
         "--run-dir", default=DEFAULT_RUN_DIR, metavar="PATH",
@@ -104,7 +77,8 @@ def add_resilience_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--resume", default=None, metavar="RUN_ID",
         help="continue an existing run: completed units are loaded "
-             "from its journal and not re-executed",
+             "from its journal and not re-executed; failed and "
+             "cancelled units run again",
     )
 
 
@@ -120,17 +94,10 @@ def build_supervisor(args: argparse.Namespace) -> Supervisor:
     """
     run_id = args.resume or args.run_id
     return Supervisor(
-        policy=RetryPolicy(
-            max_attempts=max(1, args.retries), base_delay_s=args.backoff
-        ),
         budget=ResourceBudget(
             wall_clock_s=args.budget,
             unit_timeout_s=args.unit_timeout,
             max_rss_mb=args.max_rss_mb,
-        ),
-        chaos=(
-            ChaosMonkey(ChaosConfig(seed=args.chaos_seed))
-            if args.chaos else None
         ),
         run_dir=args.run_dir if run_id else None,
         run_id=run_id,

@@ -1,12 +1,11 @@
-"""Resilient campaign execution: journaled resume, retries, budgets, chaos.
+"""Resilient campaign execution: journaled resume and resource budgets.
 
 The subsystem decomposes any multi-unit run — parameter sweeps, paper
 experiments, fault campaigns, conformance fuzzing — into
 content-addressed :class:`WorkUnit` s and executes them serially under
-a :class:`Supervisor` that retries transient failures, journals every
-outcome durably, honors resource budgets by degrading gracefully, and
-can sabotage itself on demand (:mod:`repro.resilience.chaos`) to prove
-all of the above works.
+a :class:`Supervisor` that runs each unit once, journals every outcome
+durably (a failed unit reruns only under ``--resume``), and honors
+resource budgets by degrading gracefully.
 """
 
 from repro.resilience.budget import (
@@ -16,14 +15,7 @@ from repro.resilience.budget import (
     ResourceBudget,
     current_rss_mb,
 )
-from repro.resilience.chaos import ChaosConfig, ChaosKill, ChaosMonkey
 from repro.resilience.journal import JOURNAL_SCHEMA, RunJournal, journal_path
-from repro.resilience.policy import (
-    RETRYABLE,
-    FailureClass,
-    RetryPolicy,
-    classify_failure,
-)
 from repro.resilience.report import missing_cell_lines, render_outcome
 from repro.resilience.telemetry import (
     UnitTelemetry,
@@ -51,16 +43,10 @@ __all__ = [
     "BudgetGuard",
     "Campaign",
     "CampaignOutcome",
-    "ChaosConfig",
-    "ChaosKill",
-    "ChaosMonkey",
-    "FailureClass",
     "JOURNAL_SCHEMA",
     "REASON_RSS",
     "REASON_WALL_CLOCK",
-    "RETRYABLE",
     "ResourceBudget",
-    "RetryPolicy",
     "RunJournal",
     "STATUS_CANCELLED",
     "STATUS_FAILED",
@@ -74,7 +60,6 @@ __all__ = [
     "rollup",
     "campaign_fingerprint",
     "canonical_params",
-    "classify_failure",
     "current_rss_mb",
     "journal_path",
     "json_roundtrip",

@@ -2,8 +2,8 @@
 
 Three independent guards bound a supervised campaign:
 
-* **wall clock** — a campaign-wide deadline, checked between units and
-  between retry attempts;
+* **wall clock** — a campaign-wide deadline, checked before every
+  unit;
 * **per-unit timeout** — a SIGALRM-based preemption of one unit's
   runner (Unix main thread only; elsewhere the bound is advisory and
   documented as such);

@@ -5,10 +5,10 @@ a single ``journal.jsonl`` inside. Records, one JSON object per line:
 
 * ``{"type": "run", ...}`` — written once at creation: schema version,
   run id, campaign name and fingerprint, unit count;
-* ``{"type": "unit", ...}`` — one per *finished* unit attempt series:
-  unit id, kind, label, status (``ok`` / ``failed``), attempts,
-  failure class and error (for failures), elapsed seconds, and — for
-  ``ok`` — the JSON result payload itself;
+* ``{"type": "unit", ...}`` — one per *finished* unit run: unit id,
+  kind, label, status (``ok`` / ``failed``), failure class and error
+  (for failures), elapsed seconds, and — for ``ok`` — the JSON result
+  payload itself;
 * ``{"type": "end", ...}`` — the run's final status (``complete`` /
   ``partial``) and degradation reason, appended every time the
   supervisor finishes (a resumed run appends its own).
@@ -214,7 +214,6 @@ class RunJournal:
         self,
         unit: WorkUnit,
         status: str,
-        attempts: int,
         elapsed_s: float,
         failure_class: Optional[str] = None,
         error: Optional[str] = None,
@@ -227,7 +226,6 @@ class RunJournal:
             "kind": unit.kind,
             "label": unit.label,
             "status": status,
-            "attempts": attempts,
             "elapsed_s": round(elapsed_s, 6),
         }
         if failure_class is not None:

@@ -3,7 +3,7 @@
 Two renderers:
 
 * :func:`render_outcome` — the supervisor's own summary (status, unit
-  counts, retries, failures, degradation reason). Deliberately free of
+  counts, failures, degradation reason). Deliberately free of
   timings and run ids in its body lines so the text is stable across
   a fresh run and a kill/resume of the same campaign.
 * :func:`missing_cell_lines` — the explicit "this cell is absent and
@@ -49,9 +49,6 @@ def render_outcome(outcome: CampaignOutcome) -> str:
             f"{outcome.count(STATUS_CANCELLED)} cancelled"
         ),
     ]
-    retries = sum(max(0, u.attempts - 1) for u in outcome.outcomes)
-    if retries:
-        lines.append(f"retries: {retries}")
     if outcome.degraded is not None:
         lines.append(f"degraded: {outcome.degraded}")
     lines.extend(missing_cell_lines(outcome))

@@ -1,20 +1,21 @@
-"""The campaign supervisor: retries, journaling, budgets, degradation.
+"""The campaign supervisor: one run per unit, journaling, budgets.
 
 Every multi-unit command (experiments, sweeps, fault and crash
 campaigns, fuzzing) runs its units through :meth:`Supervisor.run`,
 which executes a :class:`~repro.resilience.units.Campaign` unit by unit
-under one retry policy, resource budget, optional chaos monkey, and
-optional run journal:
+under one resource budget and an optional run journal:
 
 * a unit already marked ``ok`` in the journal is **skipped** and its
   journaled result reused (that is what makes ``--resume`` after
   ``kill -9`` cheap and byte-identical);
-* a failing attempt is classified (crash / timeout / deterministic /
-  budget) and retried with seeded exponential backoff while the policy
-  allows;
-* budgets are checked before every unit and between retry attempts;
-  exhaustion cancels all remaining units — they are *not* journaled,
-  so a later resume still runs them — and the outcome is **partial**;
+* every other unit runs exactly once. Its result is a pure function of
+  its inputs, so running it again would repeat a failure, not rescue
+  it: a failing unit is journaled ``failed`` with its class (timeout /
+  deterministic / crash) and message, and ``--resume`` is the only way
+  to run it again;
+* budgets are checked before every unit; exhaustion cancels all
+  remaining units — they are *not* journaled, so a later resume still
+  runs them — and the outcome is **partial**;
 * every finished unit (ok or failed) is journaled with an fsync before
   the supervisor moves on.
 
@@ -25,9 +26,9 @@ Without a run id nothing is journaled. Journaled results are reused
 only on resume, so the constructor refuses a fresh run whose journal
 exists, and a resume with none, before any work starts.
 
-The journal's unit and end records (attempts, failure class, per-unit
-telemetry) are the record of *how* a run survived, not just that it
-did; ``status`` renders them.
+The journal's unit and end records (failure class, per-unit telemetry)
+are the record of *how* a run went, not just that it finished;
+``status`` renders them.
 """
 
 from __future__ import annotations
@@ -37,11 +38,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.common.errors import EXIT_OK, EXIT_PARTIAL, JournalError
+from repro.common.errors import (
+    EXIT_OK,
+    EXIT_PARTIAL,
+    JournalError,
+    ReproError,
+    UnitTimeoutError,
+)
 from repro.resilience.budget import BudgetGuard, ResourceBudget, current_rss_mb
-from repro.resilience.chaos import ChaosMonkey
 from repro.resilience.journal import RunJournal, journal_path
-from repro.resilience.policy import FailureClass, RetryPolicy, classify_failure
 from repro.resilience.telemetry import UnitTelemetry, rollup
 from repro.resilience.units import Campaign, WorkUnit
 
@@ -52,6 +57,20 @@ STATUS_FAILED = "failed"
 STATUS_CANCELLED = "cancelled"
 
 
+def _failure_class(exc: BaseException) -> str:
+    """The journaled class of the exception a unit raised.
+
+    ``timeout`` when the per-unit bound tripped, ``deterministic`` for
+    any other :class:`~repro.common.errors.ReproError` (the library
+    rejected the work), and ``crash`` for anything else.
+    """
+    if isinstance(exc, UnitTimeoutError):
+        return "timeout"
+    if isinstance(exc, ReproError):
+        return "deterministic"
+    return "crash"
+
+
 @dataclass
 class UnitOutcome:
     """What the supervisor concluded about one work unit."""
@@ -60,13 +79,12 @@ class UnitOutcome:
     kind: str
     label: str
     status: str
-    attempts: int = 0
     failure_class: Optional[str] = None
     error: Optional[str] = None
     elapsed_s: float = 0.0
     #: JSON-normalized result payload (``ok``/``skipped`` only).
     result: Optional[object] = None
-    #: Resource measurements for the attempt series (journal form);
+    #: Resource measurements for the unit's run (journal form);
     #: ``None`` for skipped/cancelled units, which never executed here.
     telemetry: Optional[Dict[str, object]] = None
 
@@ -119,13 +137,10 @@ class Supervisor:
 
     def __init__(
         self,
-        policy: Optional[RetryPolicy] = None,
         budget: Optional[ResourceBudget] = None,
-        chaos: Optional[ChaosMonkey] = None,
         run_dir: "str | os.PathLike[str] | None" = None,
         run_id: Optional[str] = None,
         resume: bool = False,
-        sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
         cpu_clock: Callable[[], float] = time.process_time,
         rss_probe: Callable[[], Optional[float]] = current_rss_mb,
@@ -134,9 +149,7 @@ class Supervisor:
         is named (``run_dir`` and ``run_id``) and its journal exists
         without ``resume``, or ``resume`` is set and it does not.
         """
-        self.policy = policy if policy is not None else RetryPolicy()
         self.budget = budget if budget is not None else ResourceBudget()
-        self.chaos = chaos
         if run_dir and run_id:
             exists = journal_path(run_dir, run_id).exists()
             if exists and not resume:
@@ -154,7 +167,6 @@ class Supervisor:
         #: for the run to journal.
         self.run_dir = run_dir
         self.run_id = run_id
-        self.sleep = sleep
         self.clock = clock
         #: Telemetry clocks/probes, injectable for deterministic tests.
         self.cpu_clock = cpu_clock
@@ -184,7 +196,6 @@ class Supervisor:
                         kind=unit.kind,
                         label=unit.label,
                         status=STATUS_SKIPPED,
-                        attempts=0,
                         result=prior.get("result"),
                     )
                 )
@@ -202,10 +213,7 @@ class Supervisor:
                     )
                 )
                 continue
-            unit_outcome = self._run_unit(unit, guard, journal)
-            outcome.outcomes.append(unit_outcome)
-            if unit_outcome.failure_class == FailureClass.BUDGET.value:
-                outcome.degraded = unit_outcome.error or "budget exhausted"
+            outcome.outcomes.append(self._run_unit(unit, guard, journal))
         outcome.wall_s = guard.elapsed()
         outcome.telemetry = rollup(u.telemetry for u in outcome.outcomes)
         if journal is not None:
@@ -246,82 +254,45 @@ class Supervisor:
         guard: BudgetGuard,
         journal: Optional[RunJournal],
     ) -> UnitOutcome:
-        policy = self.policy
         start = self.clock()
         cpu_start = self.cpu_clock()
-        failure: Optional[FailureClass] = None
+        status = STATUS_OK
+        payload: Optional[object] = None
+        failure_class: Optional[str] = None
         error: Optional[str] = None
-        attempt = 0
-
-        def measure(elapsed: float, attempts: int) -> Dict[str, object]:
-            return UnitTelemetry(
-                wall_s=elapsed,
-                cpu_s=max(0.0, self.cpu_clock() - cpu_start),
-                rss_mb=self.rss_probe(),
-                retries=max(0, attempts - 1),
-            ).as_dict()
-        for attempt in range(1, policy.max_attempts + 1):
-            try:
-                if self.chaos is not None:
-                    self.chaos.strike(unit.unit_id, attempt)
-                with guard.unit_timeout():
-                    payload = unit.execute()
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except BaseException as exc:
-                failure = classify_failure(exc)
-                error = f"{type(exc).__name__}: {exc}"
-                if not policy.should_retry(failure, attempt):
-                    break
-                reason = guard.exceeded()
-                if reason is not None:
-                    # No budget left for another attempt: surface the
-                    # exhaustion, not the transient failure.
-                    failure = FailureClass.BUDGET
-                    error = reason
-                    break
-                self.sleep(policy.backoff_delay(unit.unit_id, attempt))
-            else:
-                elapsed = self.clock() - start
-                telemetry = measure(elapsed, attempt)
-                if journal is not None:
-                    journal.record_unit(
-                        unit, STATUS_OK, attempt, elapsed, result=payload,
-                        telemetry=telemetry,
-                    )
-                return UnitOutcome(
-                    unit_id=unit.unit_id,
-                    kind=unit.kind,
-                    label=unit.label,
-                    status=STATUS_OK,
-                    attempts=attempt,
-                    elapsed_s=elapsed,
-                    result=payload,
-                    telemetry=telemetry,
-                )
+        try:
+            with guard.unit_timeout():
+                payload = unit.execute()
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except BaseException as exc:
+            status = STATUS_FAILED
+            failure_class = _failure_class(exc)
+            error = f"{type(exc).__name__}: {exc}"
         elapsed = self.clock() - start
-        telemetry = measure(elapsed, attempt)
-        failure_value = failure.value if failure is not None else None
-        if journal is not None and failure is not FailureClass.BUDGET:
-            # Budget failures stay out of the journal: the unit never
-            # ran to a verdict, so a resume should retry it.
+        telemetry = UnitTelemetry(
+            wall_s=elapsed,
+            cpu_s=max(0.0, self.cpu_clock() - cpu_start),
+            rss_mb=self.rss_probe(),
+        ).as_dict()
+        if journal is not None:
             journal.record_unit(
                 unit,
-                STATUS_FAILED,
-                attempt,
+                status,
                 elapsed,
-                failure_class=failure_value,
+                failure_class=failure_class,
                 error=error,
+                result=payload,
                 telemetry=telemetry,
             )
         return UnitOutcome(
             unit_id=unit.unit_id,
             kind=unit.kind,
             label=unit.label,
-            status=STATUS_FAILED,
-            attempts=attempt,
-            failure_class=failure_value,
+            status=status,
+            failure_class=failure_class,
             error=error,
             elapsed_s=elapsed,
+            result=payload,
             telemetry=telemetry,
         )

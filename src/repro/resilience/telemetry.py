@@ -1,23 +1,23 @@
 """Per-unit resource telemetry for supervised campaigns.
 
-The supervisor measures every unit attempt series — wall seconds, CPU
-seconds, the process's peak RSS at completion, and how many retries it
-took — and journals the measurements alongside the unit record (under
-``"telemetry"``). This module owns the shapes:
+The supervisor measures every unit's run — wall seconds, CPU seconds
+and the process's peak RSS at completion — and journals the
+measurements alongside the unit record (under ``"telemetry"``). This
+module owns the shapes:
 
 * :class:`UnitTelemetry` — one unit's measurements, serializable to the
   journal's JSON form;
 * :func:`rollup` — campaign-level aggregation (total wall/CPU, peak
-  RSS, total retries) from any iterable of telemetry dicts;
+  RSS) from any iterable of telemetry dicts;
 * :func:`render_campaign_telemetry` — the human-readable roll-up block
   the ``sweep`` CLI prints to **stderr** (stdout reports must stay
   byte-identical across fresh and resumed runs, and telemetry never
   is).
 
-Telemetry is *observational*: it never feeds back into retry decisions
-or results, and a journal without telemetry fields (older schema
-revisions, hand-written fixtures) rolls up as zeros rather than
-failing.
+Telemetry is *observational*: it never feeds back into results, and a
+journal without telemetry fields (older schema revisions, hand-written
+fixtures) rolls up as zeros rather than failing. Unknown fields, such
+as the ``retries`` counts that older journals carry, are ignored.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Dict, Iterable, Optional
 
 @dataclass(frozen=True)
 class UnitTelemetry:
-    """Resource measurements for one unit's attempt series."""
+    """Resource measurements for one unit's run."""
 
     wall_s: float
     cpu_s: float
@@ -36,13 +36,11 @@ class UnitTelemetry:
     #: MiB; ``None`` where the platform cannot report it. Units run
     #: in-process, so this is a high-water mark, not an attribution.
     rss_mb: Optional[float]
-    retries: int
 
     def as_dict(self) -> Dict[str, object]:
         payload: Dict[str, object] = {
             "wall_s": round(self.wall_s, 6),
             "cpu_s": round(self.cpu_s, 6),
-            "retries": self.retries,
         }
         if self.rss_mb is not None:
             payload["rss_mb"] = round(self.rss_mb, 3)
@@ -55,7 +53,6 @@ class UnitTelemetry:
             wall_s=float(payload.get("wall_s", 0.0)),  # type: ignore[arg-type]
             cpu_s=float(payload.get("cpu_s", 0.0)),  # type: ignore[arg-type]
             rss_mb=float(rss) if rss is not None else None,  # type: ignore[arg-type]
-            retries=int(payload.get("retries", 0)),  # type: ignore[arg-type]
         )
 
 
@@ -71,7 +68,6 @@ def rollup(
     units = 0
     wall = 0.0
     cpu = 0.0
-    retries = 0
     peak_rss: Optional[float] = None
     for payload in telemetries:
         if not payload:
@@ -80,7 +76,6 @@ def rollup(
         units += 1
         wall += tele.wall_s
         cpu += tele.cpu_s
-        retries += tele.retries
         if tele.rss_mb is not None:
             peak_rss = (
                 tele.rss_mb if peak_rss is None else max(peak_rss, tele.rss_mb)
@@ -89,7 +84,6 @@ def rollup(
         "units": units,
         "wall_s": round(wall, 6),
         "cpu_s": round(cpu, 6),
-        "retries": retries,
     }
     if peak_rss is not None:
         summary["peak_rss_mb"] = round(peak_rss, 3)
@@ -110,10 +104,7 @@ def render_campaign_telemetry(summary: Dict[str, object]) -> str:
     if units:
         wall = float(summary.get("wall_s", 0.0))  # type: ignore[arg-type]
         cpu = float(summary.get("cpu_s", 0.0))  # type: ignore[arg-type]
-        lines.append(
-            f"  wall {_fmt_seconds(wall)}, cpu {_fmt_seconds(cpu)}, "
-            f"retries {summary.get('retries', 0)}"
-        )
+        lines.append(f"  wall {_fmt_seconds(wall)}, cpu {_fmt_seconds(cpu)}")
         rss = summary.get("peak_rss_mb")
         if rss is not None:
             lines.append(f"  peak rss {float(rss):.1f} MiB")  # type: ignore[arg-type]

@@ -130,20 +130,26 @@ class TestSweep:
         assert resumed.supervision.count("skipped") == done
         assert payloads(resumed) == payloads(uninterrupted)
 
-    def test_cursor_is_rebuilt_after_advancing_raises(self, monkeypatch):
+    def test_cursor_is_rebuilt_after_advancing_raises(
+        self, monkeypatch, tmp_path
+    ):
         # An exception while the shared cursor advances can leave its
-        # engine part-way through an op; the retried unit must start
-        # from a fresh engine, not advance the damaged one further.
+        # engine part-way through an op. The unit that raised fails
+        # once; the next op's unit must start from a fresh engine, not
+        # advance the damaged one further.
         from repro.faults import crashpoints
-        from repro.resilience import RetryPolicy, Supervisor
+        from repro.resilience import Supervisor
 
         ops = tiny_ops()
         uninterrupted = run_crash_campaign(TINY, ops=ops)
+        expected = uninterrupted.supervision.results
 
-        state = {"sweeping": False, "in_trial": False, "raised": False}
+        state = {"sweeping": False, "in_trial": False, "advancing_to": None,
+                 "raised_in": None}
         real_apply = crashpoints._apply_op
         real_trial = crashpoints.run_crash_trial
         real_build = crashpoints.build_crash_trials
+        real_advance = crashpoints._Cursor.advance
 
         def build_crash_trials(spec, events):
             # The barrier and reference passes are over: from here on,
@@ -158,25 +164,50 @@ class TestSweep:
             finally:
                 state["in_trial"] = False
 
+        def advance(cursor, op_index):
+            state["advancing_to"] = op_index
+            return real_advance(cursor, op_index)
+
         def flaky_apply(engine, op):
             real_apply(engine, op)
             cursor_step = state["sweeping"] and not state["in_trial"]
-            if cursor_step and op[0] == "write" and not state["raised"]:
+            if cursor_step and op[0] == "write" and state["raised_in"] is None:
                 # The write has landed, but the step never completes.
-                state["raised"] = True
+                state["raised_in"] = state["advancing_to"]
                 raise OSError("injected fault while the cursor advances")
 
         monkeypatch.setattr(crashpoints, "build_crash_trials",
                             build_crash_trials)
         monkeypatch.setattr(crashpoints, "run_crash_trial", run_crash_trial)
+        monkeypatch.setattr(crashpoints._Cursor, "advance", advance)
         monkeypatch.setattr(crashpoints, "_apply_op", flaky_apply)
         report = run_crash_campaign(TINY, ops=ops, supervisor=Supervisor(
-            policy=RetryPolicy(base_delay_s=0.0), sleep=lambda _t: None,
+            run_dir=tmp_path, run_id="cursor",
         ))
-        assert state["raised"]
-        attempts = [o.attempts for o in report.supervision.outcomes]
-        assert sorted(attempts) == [1] * (len(attempts) - 1) + [2]
-        assert payloads(report) == payloads(uninterrupted)
+        monkeypatch.undo()
+
+        raised_in = state["raised_in"]
+        outcomes = report.supervision.outcomes
+        failed = [o for o in outcomes if o.status == "failed"]
+        assert [o.label for o in failed] == [f"tiny:op{raised_in}"]
+        assert failed[0].failure_class == "crash"
+        assert "injected fault" in failed[0].error
+        # Every other op, the later ones included, matches the
+        # uninterrupted run: the damaged engine was dropped.
+        others = [o for o in outcomes if o.status != "failed"]
+        assert {o.status for o in others} == {"ok"}
+        assert [o.result for o in others] == [
+            expected[o.unit_id] for o in others
+        ]
+        assert max(int(o.label.split(":op")[1]) for o in others) > raised_in
+
+        # With the fault gone, a resume reruns only that op.
+        resumed = run_crash_campaign(TINY, ops=ops, supervisor=Supervisor(
+            run_dir=tmp_path, run_id="cursor", resume=True,
+        ))
+        assert resumed.supervision.count("ok") == 1
+        assert resumed.supervision.count("skipped") == len(outcomes) - 1
+        assert payloads(resumed) == payloads(uninterrupted)
 
 @pytest.mark.slow
 def test_full_builtin_sweep_has_no_silent_corruption():

@@ -64,8 +64,57 @@ class TestCli:
         err = capsys.readouterr().err
         assert "MISSING badkey-test: failed (deterministic:" in err
         assert "not-an-engine" in err
-        assert "retries:" not in err
         assert "Traceback" not in err
+
+    def test_failed_experiment_runs_once_and_resumes(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """A unit that raises is journaled failed after one run; only
+        --resume runs it again, and the merged report equals an
+        uninterrupted run's."""
+        from dataclasses import replace
+
+        from repro.harness.experiments import EXPERIMENTS, run_fig10
+
+        calls = {"flaky-test": 0, "eq1": 0}
+        real_eq1 = EXPERIMENTS["eq1"]
+
+        def eq1(ctx):
+            calls["eq1"] += 1
+            return real_eq1(ctx)
+
+        def flaky(ctx):
+            calls["flaky-test"] += 1
+            if calls["flaky-test"] == 1:
+                raise RuntimeError("first call fails")
+            return replace(run_fig10(ctx), experiment_id="flaky-test")
+
+        monkeypatch.setitem(EXPERIMENTS, "eq1", eq1)
+        monkeypatch.setitem(EXPERIMENTS, "flaky-test", flaky)
+        argv = ["eq1", "flaky-test", "--length", "300", "--benchmarks",
+                "bfs", "--cache-dir", "", "--run-dir", str(tmp_path)]
+
+        assert main(argv + ["--run-id", "r"]) == 3
+        err = capsys.readouterr().err
+        assert calls == {"flaky-test": 1, "eq1": 1}
+        assert "MISSING flaky-test: failed (crash: RuntimeError: first " \
+            "call fails)" in err
+        journal = (tmp_path / "r" / "journal.jsonl").read_text()
+        records = [json.loads(line) for line in journal.splitlines()]
+        assert [
+            (r["status"], r["failure_class"])
+            for r in records if r.get("label") == "flaky-test"
+        ] == [("failed", "crash")]
+
+        assert main(argv + ["--resume", "r"]) == 0
+        resumed = capsys.readouterr()
+        assert calls == {"flaky-test": 2, "eq1": 1}
+        assert "2 total, 1 ok, 1 resumed, 0 failed" in resumed.err
+        assert "== eq1:" in resumed.out and "== flaky-test:" in resumed.out
+
+        assert main(argv) == 0  # unnamed: journals nothing
+        assert resumed.out == capsys.readouterr().out
+        assert calls == {"flaky-test": 3, "eq1": 2}
 
     def test_repeated_experiment_runs_once(self, capsys):
         rc = main(["eq1", "eq1", "--length", "300", "--benchmarks", "bfs",
@@ -104,11 +153,16 @@ class TestWorkersFlag:
         # Units run serially in-process: the executor flags are gone
         # from every command, so a script passing one gets a usage
         # error before any work starts.
+        # Units run once, so the retry and chaos flags are gone too.
         for flag in (
             ["--workers", "2"],
             ["--lease-ttl", "1"],
             ["--speculate"],
             ["--chaos-workers"],
+            ["--retries", "2"],
+            ["--backoff", "0.1"],
+            ["--chaos"],
+            ["--chaos-seed", "7"],
         ):
             assert _exit_code(argv + flag) == 2, flag
             captured = capsys.readouterr()

@@ -1,4 +1,4 @@
-"""The supervised ``sweep`` subcommand: reports, budgets, chaos, resume."""
+"""The supervised ``sweep`` subcommand: reports, budgets, resume."""
 
 import pytest
 
@@ -51,13 +51,6 @@ class TestSweepCli:
         assert "PARTIAL" in captured.err
         assert "wall-clock budget exhausted" in captured.err
         assert "MISSING memory-intensity[" in captured.out
-
-    def test_chaos_mode_survives_with_retries(self, capsys):
-        captured = run_sweep(
-            capsys, "--chaos", "--chaos-seed", "7",
-            "--retries", "8", "--backoff", "0.001",
-        )
-        assert "COMPLETE" in captured.err
 
     def test_journal_resume_reuses_cells(self, capsys, tmp_path):
         run_dir = str(tmp_path / "runs")

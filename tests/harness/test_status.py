@@ -66,9 +66,9 @@ class TestSnapshot:
     def test_live_run_counts_and_throughput(self, tmp_path):
         campaign, journal, clock = start_run(tmp_path)
         clock.advance(10.0)
-        journal.record_unit(campaign.units[0], "ok", 1, 10.0, result={})
+        journal.record_unit(campaign.units[0], "ok", 10.0, result={})
         clock.advance(10.0)
-        journal.record_unit(campaign.units[1], "ok", 1, 10.0, result={})
+        journal.record_unit(campaign.units[1], "ok", 10.0, result={})
         snapshot = read_snapshot(journal.path, now=lambda: 1020.0)
         assert snapshot.units_total == 4
         assert snapshot.ok == 2
@@ -82,7 +82,7 @@ class TestSnapshot:
         campaign, journal, clock = start_run(tmp_path, n=2)
         clock.advance(1.0)
         journal.record_unit(
-            campaign.units[0], "failed", 3, 1.0,
+            campaign.units[0], "failed", 1.0,
             failure_class="crash", error="boom",
         )
         snapshot = read_snapshot(journal.path, now=lambda: 1001.0)
@@ -92,11 +92,11 @@ class TestSnapshot:
     def test_resumed_ok_is_sticky_over_earlier_failure(self, tmp_path):
         campaign, journal, clock = start_run(tmp_path, n=1)
         journal.record_unit(
-            campaign.units[0], "failed", 3, 1.0,
+            campaign.units[0], "failed", 1.0,
             failure_class="crash", error="boom",
         )
         clock.advance(1.0)
-        journal.record_unit(campaign.units[0], "ok", 1, 1.0, result={})
+        journal.record_unit(campaign.units[0], "ok", 1.0, result={})
         snapshot = read_snapshot(journal.path, now=clock)
         assert snapshot.ok == 1
         assert snapshot.failed == 0
@@ -105,7 +105,7 @@ class TestSnapshot:
     def test_ended_run_uses_journal_time_not_wall_clock(self, tmp_path):
         campaign, journal, clock = start_run(tmp_path, n=1)
         clock.advance(5.0)
-        journal.record_unit(campaign.units[0], "ok", 1, 5.0, result={})
+        journal.record_unit(campaign.units[0], "ok", 5.0, result={})
         journal.record_end("complete")
         # `now` far in the future must not inflate elapsed.
         snapshot = read_snapshot(journal.path, now=lambda: 99999.0)
@@ -113,17 +113,50 @@ class TestSnapshot:
         assert snapshot.elapsed_s == pytest.approx(5.0)
         assert snapshot.exit_code == EXIT_OK
 
-    def test_partial_end_maps_to_partial_exit(self, tmp_path):
+    def test_partial_end_maps_to_partial_exit(self, tmp_path, capsys):
         _, journal, _ = start_run(tmp_path, n=2)
         journal.record_end(
             "partial", reason="wall-clock budget exhausted",
-            telemetry={"units": 1, "wall_s": 1.0, "cpu_s": 0.5, "retries": 0},
+            telemetry={"units": 1, "wall_s": 1.0, "cpu_s": 0.5},
         )
         snapshot = read_snapshot(journal.path, now=journal.time_source)
         assert snapshot.end_status == "partial"
         assert snapshot.end_reason == "wall-clock budget exhausted"
         assert snapshot.exit_code == EXIT_PARTIAL
         assert snapshot.telemetry["units"] == 1
+
+        # A journal written while units could retry: unit records carry
+        # `attempts`, their telemetry and the end roll-up `retries`.
+        campaign, legacy, _ = start_run(tmp_path / "legacy", n=2)
+        for unit, status, attempts in (
+            (campaign.units[0], "ok", 2),
+            (campaign.units[1], "failed", 3),
+        ):
+            record = {
+                "type": "unit", "unit_id": unit.unit_id, "kind": unit.kind,
+                "label": unit.label, "status": status, "attempts": attempts,
+                "elapsed_s": 1.0,
+                "telemetry": {
+                    "wall_s": 1.0, "cpu_s": 0.5, "retries": attempts - 1,
+                },
+            }
+            if status == "ok":
+                record["result"] = {"value": 0}
+            else:
+                record.update(failure_class="crash", error="OSError: down")
+            legacy._append(record)
+        legacy._append({
+            "type": "end", "status": "partial",
+            "telemetry": {
+                "units": 2, "wall_s": 2.0, "cpu_s": 1.0, "retries": 3,
+            },
+        })
+        rc = status_main([str(legacy.path)], now=legacy.time_source)
+        assert rc == EXIT_PARTIAL
+        out = capsys.readouterr().out
+        assert "2 total  1 ok  1 failed  1 pending" in out
+        assert "state:    partial" in out
+        assert "telemetry: 2 measured unit(s)\n  wall 2.00s, cpu 1.00s" in out
 
     def test_budget_meta_surfaces(self, tmp_path):
         _, journal, _ = start_run(
@@ -136,7 +169,7 @@ class TestSnapshot:
 
     def test_torn_trailing_line_tolerated(self, tmp_path):
         campaign, journal, _ = start_run(tmp_path, n=2)
-        journal.record_unit(campaign.units[0], "ok", 1, 1.0, result={})
+        journal.record_unit(campaign.units[0], "ok", 1.0, result={})
         with journal.path.open("a", encoding="utf-8") as fp:
             fp.write('{"type":"unit","unit_id":"abc","sta')
         snapshot = read_snapshot(journal.path, now=journal.time_source)
@@ -144,7 +177,7 @@ class TestSnapshot:
 
     def test_status_never_writes_the_journal(self, tmp_path):
         campaign, journal, _ = start_run(tmp_path, n=2)
-        journal.record_unit(campaign.units[0], "ok", 1, 1.0, result={})
+        journal.record_unit(campaign.units[0], "ok", 1.0, result={})
         # Leave a torn tail: the repair path would truncate it.
         with journal.path.open("a", encoding="utf-8") as fp:
             fp.write('{"type":"unit","unit_id":"abc","sta')
@@ -180,7 +213,7 @@ class TestCli:
     def test_json_snapshot(self, tmp_path, capsys):
         campaign, journal, clock = start_run(tmp_path, n=2)
         clock.advance(2.0)
-        journal.record_unit(campaign.units[0], "ok", 1, 2.0, result={})
+        journal.record_unit(campaign.units[0], "ok", 2.0, result={})
         journal.record_end("complete")
         rc = status_main([str(journal.path), "--json"], now=clock)
         assert rc == EXIT_OK
@@ -192,7 +225,7 @@ class TestCli:
     def test_text_render(self, tmp_path, capsys):
         campaign, journal, clock = start_run(tmp_path, n=2)
         clock.advance(1.0)
-        journal.record_unit(campaign.units[0], "ok", 1, 1.0, result={})
+        journal.record_unit(campaign.units[0], "ok", 1.0, result={})
         rc = status_main([str(journal.path)], now=clock)
         assert rc == EXIT_OK
         out = capsys.readouterr().out
@@ -208,10 +241,10 @@ class TestFollow:
         steps = iter(
             [
                 lambda: journal.record_unit(
-                    campaign.units[0], "ok", 1, 1.0, result={}
+                    campaign.units[0], "ok", 1.0, result={}
                 ),
                 lambda: journal.record_unit(
-                    campaign.units[1], "ok", 1, 1.0, result={}
+                    campaign.units[1], "ok", 1.0, result={}
                 ),
                 lambda: journal.record_end("complete"),
             ]

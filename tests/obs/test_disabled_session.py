@@ -10,7 +10,7 @@ and the supervisor.
 from repro.faults import CampaignSpec, FaultKind, run_campaign
 from repro.harness.runner import ExperimentContext
 from repro.obs import DISABLED_SESSION, active
-from repro.resilience import RetryPolicy, Supervisor
+from repro.resilience import Supervisor
 
 
 def assert_empty(session):
@@ -43,11 +43,7 @@ def test_default_session_collects_nothing(tmp_path):
         name="tiny", kinds=(FaultKind.BITFLIP,),
         engines=("functional", "pssm"), trials_per_kind=1,
     )
-    supervisor = Supervisor(
-        policy=RetryPolicy(base_delay_s=0.0, jitter=0.0),
-        sleep=lambda _t: None,
-    )
-    report = run_campaign(spec, supervisor=supervisor)
+    report = run_campaign(spec, supervisor=Supervisor())
     assert report.supervision.ok
     assert report.ok
     assert len(report.supervision.outcomes) == 2

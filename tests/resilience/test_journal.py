@@ -76,7 +76,7 @@ class TestRecords:
         campaign = make_campaign()
         journal = RunJournal.open(tmp_path, "run1", campaign)
         journal.record_unit(
-            campaign.units[0], "ok", attempts=1, elapsed_s=0.5,
+            campaign.units[0], "ok", elapsed_s=0.5,
             result={"zeta": 1, "alpha": 2},
         )
         done = journal.completed()
@@ -89,7 +89,7 @@ class TestRecords:
         campaign = make_campaign()
         journal = RunJournal.open(tmp_path, "run1", campaign)
         journal.record_unit(
-            campaign.units[0], "failed", attempts=3, elapsed_s=0.5,
+            campaign.units[0], "failed", elapsed_s=0.5,
             failure_class="crash", error="boom", result={"ignored": True},
         )
         records = journal.records()
@@ -99,8 +99,8 @@ class TestRecords:
     def test_unit_record_count(self, tmp_path):
         campaign = make_campaign()
         journal = RunJournal.open(tmp_path, "run1", campaign)
-        journal.record_unit(campaign.units[0], "ok", 1, 0.1, result={})
-        journal.record_unit(campaign.units[1], "failed", 2, 0.1,
+        journal.record_unit(campaign.units[0], "ok", 0.1, result={})
+        journal.record_unit(campaign.units[1], "failed", 0.1,
                             failure_class="crash", error="x")
         assert journal.unit_record_count() == 2
         assert journal.unit_record_count(campaign.units[0].unit_id) == 1
@@ -124,7 +124,7 @@ class TestCorruption:
     def test_torn_trailing_line_tolerated(self, tmp_path):
         campaign = make_campaign()
         journal = RunJournal.open(tmp_path, "run1", campaign)
-        journal.record_unit(campaign.units[0], "ok", 1, 0.1, result={"v": 1})
+        journal.record_unit(campaign.units[0], "ok", 0.1, result={"v": 1})
         path = journal_path(tmp_path, "run1")
         with path.open("a", encoding="utf-8") as fp:
             fp.write('{"type":"unit","unit_id":"abc","sta')  # kill -9 here
@@ -136,12 +136,12 @@ class TestCorruption:
         # the torn fragment and corrupt the journal mid-file.
         campaign = make_campaign()
         journal = RunJournal.open(tmp_path, "run1", campaign)
-        journal.record_unit(campaign.units[0], "ok", 1, 0.1, result={"v": 1})
+        journal.record_unit(campaign.units[0], "ok", 0.1, result={"v": 1})
         path = journal_path(tmp_path, "run1")
         with path.open("a", encoding="utf-8") as fp:
             fp.write('{"type":"unit","unit_id":"abc","sta')
         resumed = RunJournal.open(tmp_path, "run1", campaign)
-        resumed.record_unit(campaign.units[1], "ok", 1, 0.1, result={"v": 2})
+        resumed.record_unit(campaign.units[1], "ok", 0.1, result={"v": 2})
         done = resumed.completed()
         assert set(done) == {
             campaign.units[0].unit_id,
@@ -152,7 +152,7 @@ class TestCorruption:
     def test_mid_file_corruption_raises(self, tmp_path):
         campaign = make_campaign()
         journal = RunJournal.open(tmp_path, "run1", campaign)
-        journal.record_unit(campaign.units[0], "ok", 1, 0.1, result={"v": 1})
+        journal.record_unit(campaign.units[0], "ok", 0.1, result={"v": 1})
         path = journal_path(tmp_path, "run1")
         lines = path.read_text().splitlines()
         lines[0] = lines[0][:20]  # mangle the header, keep later lines

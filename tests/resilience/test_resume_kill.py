@@ -20,7 +20,6 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 SWEEP_ARGS = [
     "sweep", "partitions", "bfs",
     "--length", "500",
-    "--retries", "1",
 ]
 
 

@@ -1,4 +1,4 @@
-"""The campaign supervisor: retries, resume, degradation, chaos."""
+"""The campaign supervisor: one run per unit, resume, degradation."""
 
 import json
 
@@ -9,6 +9,9 @@ from repro.common.errors import (
     EXIT_PARTIAL,
     JournalError,
     ReproError,
+    TraceError,
+    UnitTimeoutError,
+    UnknownEngineError,
 )
 from repro.resilience import (
     REASON_WALL_CLOCK,
@@ -17,10 +20,7 @@ from repro.resilience import (
     STATUS_OK,
     STATUS_SKIPPED,
     Campaign,
-    ChaosConfig,
-    ChaosMonkey,
     ResourceBudget,
-    RetryPolicy,
     RunJournal,
     Supervisor,
     WorkUnit,
@@ -28,6 +28,7 @@ from repro.resilience import (
     missing_cell_lines,
     render_outcome,
 )
+from repro.resilience.supervisor import _failure_class
 
 
 class FakeClock:
@@ -41,15 +42,33 @@ class FakeClock:
         self.now += dt
 
 
-def make_supervisor(**kwargs):
-    kwargs.setdefault("sleep", lambda _t: None)
-    kwargs.setdefault("policy", RetryPolicy(base_delay_s=0.0, jitter=0.0))
-    return Supervisor(**kwargs)
-
-
 def read_journal(run_dir, run_id):
     """A reader over the journal a supervisor wrote under *run_dir*."""
     return RunJournal(journal_path(run_dir, run_id), run_id)
+
+
+def copy_with_retry_counts(source, target):
+    """Copy a journal into the shape written while units could retry.
+
+    Unit records then carried ``attempts`` and their telemetry
+    ``retries``; the end record's roll-up summed ``retries``.
+    """
+    lines = []
+    for line in source.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        if record["type"] == "unit":
+            shaped = {}
+            for key, value in record.items():
+                shaped[key] = value
+                if key == "status":
+                    shaped["attempts"] = 2
+            record = shaped
+            record["telemetry"]["retries"] = 1
+        elif record["type"] == "end":
+            record["telemetry"]["retries"] = 2
+        lines.append(json.dumps(record, separators=(",", ":")) + "\n")
+    target.parent.mkdir(parents=True)
+    target.write_text("".join(lines), encoding="utf-8")
 
 
 def campaign_of(runners, name="test"):
@@ -70,11 +89,10 @@ def campaign_of(runners, name="test"):
 class TestHappyPath:
     def test_all_units_succeed(self):
         campaign = campaign_of([lambda: {"v": 1}, lambda: {"v": 2}])
-        outcome = make_supervisor().run(campaign)
+        outcome = Supervisor().run(campaign)
         assert outcome.ok and not outcome.partial
         assert outcome.exit_code == EXIT_OK
         assert outcome.count(STATUS_OK) == 2
-        assert [o.attempts for o in outcome.outcomes] == [1, 1]
         assert outcome.results == {
             campaign.units[0].unit_id: {"v": 1},
             campaign.units[1].unit_id: {"v": 2},
@@ -82,46 +100,39 @@ class TestHappyPath:
 
     def test_results_are_json_normalized(self):
         campaign = campaign_of([lambda: {"axis": (1, 2)}])
-        outcome = make_supervisor().run(campaign)
+        outcome = Supervisor().run(campaign)
         assert outcome.outcomes[0].result == {"axis": [1, 2]}
 
 
-class TestRetries:
-    def test_flaky_unit_retried_to_success(self):
+@pytest.mark.parametrize("exc, expected", [
+    (UnitTimeoutError("slow", timeout_s=1.0), "timeout"),
+    # Library errors replay identically from the same inputs.
+    (ReproError("x"), "deterministic"),
+    (TraceError("x"), "deterministic"),
+    (UnknownEngineError("no engine 'x'"), "deterministic"),
+    (ValueError("x"), "crash"),
+    (MemoryError(), "crash"),
+    (OSError("x"), "crash"),
+], ids=lambda v: v if isinstance(v, str) else type(v).__name__)
+def test_failure_class(exc, expected):
+    assert _failure_class(exc) == expected
+
+
+class TestFailures:
+    def test_failing_unit_runs_once_and_is_failed(self):
         calls = []
 
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise OSError("transient")
-            return {"v": 42}
-
-        slept = []
-        supervisor = make_supervisor(
-            policy=RetryPolicy(max_attempts=3, base_delay_s=0.01, jitter=0.0),
-            sleep=slept.append,
-        )
-        outcome = supervisor.run(campaign_of([flaky]))
-        assert outcome.ok
-        unit = outcome.outcomes[0]
-        assert unit.status == STATUS_OK
-        assert unit.attempts == 3
-        assert unit.result == {"v": 42}
-        # Exponential, zero-jitter schedule: 0.01 then 0.02.
-        assert slept == pytest.approx([0.01, 0.02])
-
-    def test_attempts_exhausted_is_failed(self):
         def always():
+            calls.append(1)
             raise OSError("still down")
 
-        supervisor = make_supervisor(policy=RetryPolicy(max_attempts=2,
-                                                        base_delay_s=0.0))
-        outcome = supervisor.run(campaign_of([always, lambda: {"v": 1}]))
+        outcome = Supervisor().run(campaign_of([always, lambda: {"v": 1}]))
         failed, ok = outcome.outcomes
+        assert len(calls) == 1
         assert failed.status == STATUS_FAILED
-        assert failed.attempts == 2
         assert failed.failure_class == "crash"
-        assert "still down" in failed.error
+        assert failed.error == "OSError: still down"
+        assert failed.result is None
         # Later units still run: a unit failure is not degradation.
         assert ok.status == STATUS_OK
         assert outcome.partial and outcome.degraded is None
@@ -134,8 +145,7 @@ class TestRetries:
             calls.append(1)
             raise ReproError("bad parameters")
 
-        supervisor = make_supervisor(policy=RetryPolicy(max_attempts=5))
-        outcome = supervisor.run(campaign_of([broken]))
+        outcome = Supervisor().run(campaign_of([broken]))
         assert len(calls) == 1
         unit = outcome.outcomes[0]
         assert unit.status == STATUS_FAILED
@@ -150,7 +160,7 @@ class TestBudgetDegradation:
             clock.advance(6.0)
             return {"v": 1}
 
-        supervisor = make_supervisor(
+        supervisor = Supervisor(
             budget=ResourceBudget(wall_clock_s=10.0), clock=clock
         )
         campaign = campaign_of([slow, slow, lambda: {"v": 3}])
@@ -162,31 +172,36 @@ class TestBudgetDegradation:
         assert outcome.exit_code == EXIT_PARTIAL
         assert outcome.wall_s == pytest.approx(12.0)
 
-    def test_exhaustion_between_retries_surfaces_budget(self, tmp_path):
+    def test_failure_past_budget_keeps_its_class(self, tmp_path):
+        # A unit that fails once the wall-clock budget is spent is
+        # journaled with its own class, and the campaign degrades
+        # before the next unit. Neither counts as completed, so a
+        # resume runs both.
         clock = FakeClock()
+        calls = []
 
         def failing():
+            calls.append(1)
             clock.advance(11.0)
             raise OSError("transient")
 
-        campaign = campaign_of([failing])
-        supervisor = make_supervisor(
-            policy=RetryPolicy(max_attempts=3, base_delay_s=0.0),
+        campaign = campaign_of([failing, lambda: {"v": 2}])
+        outcome = Supervisor(
             budget=ResourceBudget(wall_clock_s=10.0),
             clock=clock,
             run_dir=tmp_path,
             run_id="run1",
-        )
-        outcome = supervisor.run(campaign)
+        ).run(campaign)
+        failed, cancelled = outcome.outcomes
+        assert len(calls) == 1
+        assert failed.status == STATUS_FAILED
+        assert failed.failure_class == "crash"
+        assert failed.error == "OSError: transient"
+        assert cancelled.status == STATUS_CANCELLED
+        assert outcome.degraded == REASON_WALL_CLOCK
         journal = read_journal(tmp_path, "run1")
-        unit = outcome.outcomes[0]
-        assert unit.status == STATUS_FAILED
-        assert unit.attempts == 1  # no budget left for attempt 2
-        assert unit.failure_class == "budget"
-        assert unit.error == REASON_WALL_CLOCK
-        # Budget failures stay out of the journal so a resume retries
-        # the unit instead of trusting a verdict it never reached.
-        assert journal.unit_record_count() == 0
+        assert journal.unit_record_count() == 1
+        assert journal.completed() == {}
 
     def test_missing_cells_are_stable_text(self):
         clock = FakeClock()
@@ -195,7 +210,7 @@ class TestBudgetDegradation:
             clock.advance(11.0)
             return {"v": 1}
 
-        supervisor = make_supervisor(
+        supervisor = Supervisor(
             budget=ResourceBudget(wall_clock_s=10.0), clock=clock
         )
         outcome = supervisor.run(campaign_of([slow, lambda: {"v": 2}]))
@@ -208,12 +223,12 @@ class TestJournalResume:
     def test_resume_skips_completed_units_byte_identically(self, tmp_path):
         runners = [lambda: {"zeta": 1, "alpha": 2}, lambda: {"v": 2}]
         campaign = campaign_of(runners)
-        first = make_supervisor(run_dir=tmp_path, run_id="run1").run(campaign)
+        first = Supervisor(run_dir=tmp_path, run_id="run1").run(campaign)
         journal = read_journal(tmp_path, "run1")
         records_after_first = journal.unit_record_count()
 
         campaign2 = campaign_of(runners)
-        second = make_supervisor(
+        second = Supervisor(
             run_dir=tmp_path, run_id="run1", resume=True
         ).run(campaign2)
 
@@ -223,6 +238,17 @@ class TestJournalResume:
         assert journal.unit_record_count() == records_after_first == 2
         # Byte-identical payloads, key order included.
         assert json.dumps(second.results) == json.dumps(first.results)
+
+        # A journal written while units could retry resumes the same way.
+        legacy_dir = tmp_path / "legacy"
+        copy_with_retry_counts(journal.path, journal_path(legacy_dir, "run1"))
+        third = Supervisor(
+            run_dir=legacy_dir, run_id="run1", resume=True
+        ).run(campaign_of(runners))
+        assert [o.status for o in third.outcomes] == [STATUS_SKIPPED] * 2
+        assert third.ok and third.exit_code == EXIT_OK
+        assert read_journal(legacy_dir, "run1").unit_record_count() == 2
+        assert json.dumps(third.results) == json.dumps(first.results)
 
     def test_failed_units_are_retried_on_resume(self, tmp_path):
         attempts = []
@@ -235,14 +261,12 @@ class TestJournalResume:
 
         runners = [lambda: {"v": 1}, flaky_once]
         campaign = campaign_of(runners)
-        first = make_supervisor(
-            run_dir=tmp_path, run_id="run1",
-            policy=RetryPolicy(max_attempts=1),
-        ).run(campaign)
+        first = Supervisor(run_dir=tmp_path, run_id="run1").run(campaign)
         assert first.partial
+        assert len(attempts) == 1
 
         campaign2 = campaign_of(runners)
-        second = make_supervisor(
+        second = Supervisor(
             run_dir=tmp_path, run_id="run1", resume=True
         ).run(campaign2)
         assert [o.status for o in second.outcomes] == [
@@ -253,7 +277,7 @@ class TestJournalResume:
 
     def test_header_records_the_budget(self, tmp_path):
         # The live `status` monitor reads the budget from the header.
-        make_supervisor(
+        Supervisor(
             run_dir=tmp_path, run_id="b",
             budget=ResourceBudget(wall_clock_s=120.0, max_rss_mb=512.0),
         ).run(campaign_of([lambda: {"v": 1}]))
@@ -262,7 +286,7 @@ class TestJournalResume:
         }
 
     def test_unnamed_run_journals_nothing(self, tmp_path):
-        outcome = make_supervisor(run_dir=tmp_path).run(
+        outcome = Supervisor(run_dir=tmp_path).run(
             campaign_of([lambda: {"v": 1}])
         )
         assert outcome.ok and outcome.run_id is None
@@ -270,7 +294,7 @@ class TestJournalResume:
 
     def test_outcome_carries_run_id(self, tmp_path):
         campaign = campaign_of([lambda: {"v": 1}])
-        outcome = make_supervisor(run_dir=tmp_path, run_id="rid").run(campaign)
+        outcome = Supervisor(run_dir=tmp_path, run_id="rid").run(campaign)
         assert outcome.run_id == "rid"
         assert read_journal(tmp_path, "rid").records()[-1]["status"] == (
             "complete"
@@ -280,103 +304,28 @@ class TestJournalResume:
         # Journaled results are reused only on resume: naming a run
         # that already has a journal is refused at construction, and
         # the journal is left as it was.
-        make_supervisor(run_dir=tmp_path, run_id="run1").run(
+        Supervisor(run_dir=tmp_path, run_id="run1").run(
             campaign_of([lambda: {"v": 1}])
         )
         before = journal_path(tmp_path, "run1").read_bytes()
         with pytest.raises(JournalError, match="already has a journal"):
-            make_supervisor(run_dir=tmp_path, run_id="run1")
+            Supervisor(run_dir=tmp_path, run_id="run1")
         assert journal_path(tmp_path, "run1").read_bytes() == before
 
 
-class TestChaos:
-    def test_kill_every_attempt_fails_the_unit(self):
-        monkey = ChaosMonkey(ChaosConfig(kill_prob=1.0), sleep=lambda _t: None)
-        supervisor = make_supervisor(
-            chaos=monkey, policy=RetryPolicy(max_attempts=3, base_delay_s=0.0)
-        )
-        outcome = supervisor.run(campaign_of([lambda: {"v": 1}]))
-        unit = outcome.outcomes[0]
-        assert unit.status == STATUS_FAILED
-        assert unit.failure_class == "crash"
-        assert monkey.kills == 3
-
-    def test_killed_attempt_can_succeed_on_retry(self):
-        # Find a seed whose first strike kills and second passes for
-        # this unit id — deterministic, so the search is stable too.
-        campaign = campaign_of([lambda: {"v": 1}])
-        unit_id = campaign.units[0].unit_id
-        chosen = None
-        for seed in range(200):
-            probe = ChaosMonkey(
-                ChaosConfig(seed=seed, kill_prob=0.5, delay_prob=0.0,
-                            oom_prob=0.0),
-                sleep=lambda _t: None,
-            )
-            first = second = None
-            try:
-                probe.strike(unit_id, 1)
-                first = "pass"
-            except Exception:
-                first = "kill"
-            try:
-                probe.strike(unit_id, 2)
-                second = "pass"
-            except Exception:
-                second = "kill"
-            if first == "kill" and second == "pass":
-                chosen = seed
-                break
-        assert chosen is not None
-        monkey = ChaosMonkey(
-            ChaosConfig(seed=chosen, kill_prob=0.5, delay_prob=0.0,
-                        oom_prob=0.0),
-            sleep=lambda _t: None,
-        )
-        outcome = make_supervisor(chaos=monkey).run(campaign)
-        unit = outcome.outcomes[0]
-        assert unit.status == STATUS_OK
-        assert unit.attempts == 2
-
-    @pytest.mark.slow
-    def test_chaos_stress_campaign_survives(self, tmp_path):
-        # A wide campaign under heavy, seeded sabotage: with enough
-        # attempts per unit the supervisor must still finish clean.
-        runners = [lambda i=i: {"v": i} for i in range(40)]
-        campaign = campaign_of(runners, name="stress")
-        monkey = ChaosMonkey(
-            ChaosConfig(seed=3, kill_prob=0.3, delay_prob=0.3, oom_prob=0.1,
-                        max_delay_s=0.001),
-            sleep=lambda _t: None,
-        )
-        supervisor = make_supervisor(
-            chaos=monkey,
-            policy=RetryPolicy(max_attempts=10, base_delay_s=0.0),
-            run_dir=tmp_path,
-            run_id="stress",
-        )
-        outcome = supervisor.run(campaign)
-        assert outcome.ok
-        assert outcome.count(STATUS_OK) == 40
-        assert monkey.strikes > 0
-        assert read_journal(tmp_path, "stress").unit_record_count() == 40
-
-
 class TestRendering:
-    def test_render_outcome_counts_and_retries(self):
-        calls = []
+    def test_render_outcome_counts(self):
+        def broken():
+            raise OSError("down")
 
-        def flaky():
-            calls.append(1)
-            if len(calls) < 2:
-                raise OSError("transient")
-            return {"v": 1}
-
-        outcome = make_supervisor().run(campaign_of([flaky, lambda: {"v": 2}]))
-        text = render_outcome(outcome)
-        assert "== campaign test: COMPLETE ==" in text
-        assert "2 total, 2 ok, 0 resumed, 0 failed, 0 cancelled" in text
-        assert "retries: 1" in text
+        outcome = Supervisor().run(
+            campaign_of([lambda: {"v": 1}, broken, lambda: {"v": 2}])
+        )
+        assert render_outcome(outcome).splitlines() == [
+            "== campaign test: PARTIAL ==",
+            "units: 3 total, 2 ok, 0 resumed, 1 failed, 0 cancelled",
+            "MISSING cell[1]: failed (crash: OSError: down)",
+        ]
 
     def test_render_outcome_partial_names_reason(self):
         clock = FakeClock()
@@ -385,7 +334,7 @@ class TestRendering:
             clock.advance(99.0)
             return {"v": 1}
 
-        supervisor = make_supervisor(
+        supervisor = Supervisor(
             budget=ResourceBudget(wall_clock_s=10.0), clock=clock
         )
         outcome = supervisor.run(campaign_of([slow, lambda: {"v": 2}]))

@@ -14,18 +14,15 @@ from repro.resilience import (
 
 class TestUnitTelemetry:
     def test_as_dict_rounds_and_omits_missing_rss(self):
-        tele = UnitTelemetry(
-            wall_s=1.23456789, cpu_s=0.987654321, rss_mb=None, retries=2
-        )
+        tele = UnitTelemetry(wall_s=1.23456789, cpu_s=0.987654321, rss_mb=None)
         payload = tele.as_dict()
         assert payload == {
             "wall_s": 1.234568,
             "cpu_s": 0.987654,
-            "retries": 2,
         }
 
     def test_rss_included_when_measured(self):
-        payload = UnitTelemetry(1.0, 0.5, rss_mb=42.3456, retries=0).as_dict()
+        payload = UnitTelemetry(1.0, 0.5, rss_mb=42.3456).as_dict()
         assert payload["rss_mb"] == 42.346
 
     def test_from_dict_tolerates_missing_fields(self):
@@ -33,23 +30,24 @@ class TestUnitTelemetry:
         assert tele.wall_s == 0.0
         assert tele.cpu_s == 0.0
         assert tele.rss_mb is None
-        assert tele.retries == 0
 
 
 class TestRollup:
     def test_sums_and_peaks(self):
         summary = rollup(
             [
-                {"wall_s": 1.0, "cpu_s": 0.5, "retries": 1, "rss_mb": 100.0},
-                {"wall_s": 2.0, "cpu_s": 1.5, "retries": 0, "rss_mb": 250.0},
+                {"wall_s": 1.0, "cpu_s": 0.5, "rss_mb": 100.0},
+                {"wall_s": 2.0, "cpu_s": 1.5, "rss_mb": 250.0},
+                # Journals written while units could retry count them.
                 {"wall_s": 0.5, "cpu_s": 0.25, "retries": 2},
             ]
         )
-        assert summary["units"] == 3
-        assert summary["wall_s"] == pytest.approx(3.5)
-        assert summary["cpu_s"] == pytest.approx(2.25)
-        assert summary["retries"] == 3
-        assert summary["peak_rss_mb"] == 250.0
+        assert summary == {
+            "units": 3,
+            "wall_s": pytest.approx(3.5),
+            "cpu_s": pytest.approx(2.25),
+            "peak_rss_mb": 250.0,
+        }
 
     def test_none_entries_are_unmeasured(self):
         summary = rollup([None, {"wall_s": 1.0}, None])
@@ -57,9 +55,7 @@ class TestRollup:
 
     def test_empty_rollup_reports_zero_without_rss(self):
         summary = rollup([])
-        assert summary == {
-            "units": 0, "wall_s": 0.0, "cpu_s": 0.0, "retries": 0
-        }
+        assert summary == {"units": 0, "wall_s": 0.0, "cpu_s": 0.0}
 
 
 class TestRender:
@@ -74,15 +70,14 @@ class TestRender:
                 "units": 3,
                 "wall_s": 75.25,
                 "cpu_s": 4.5,
-                "retries": 2,
                 "peak_rss_mb": 120.06,
             }
         )
-        assert "3 measured unit(s)" in text
-        assert "wall 1m15.2s" in text
-        assert "cpu 4.50s" in text
-        assert "retries 2" in text
-        assert "peak rss 120.1 MiB" in text
+        assert text.splitlines() == [
+            "telemetry: 3 measured unit(s)",
+            "  wall 1m15.2s, cpu 4.50s",
+            "  peak rss 120.1 MiB",
+        ]
 
 
 def make_campaign(runners):
@@ -117,7 +112,6 @@ class TestSupervisorMeasurement:
     def make_supervisor(self, **kwargs):
         clocks = FakeClocks()
         return Supervisor(
-            sleep=lambda _s: None,
             clock=clocks.read_wall,
             cpu_clock=clocks.read_cpu,
             rss_probe=lambda: 64.0,
@@ -128,26 +122,7 @@ class TestSupervisorMeasurement:
         supervisor = self.make_supervisor()
         outcome = supervisor.run(make_campaign([lambda: {"v": 1}]))
         (unit,) = outcome.outcomes
-        assert unit.telemetry is not None
-        assert unit.telemetry["wall_s"] > 0
-        assert unit.telemetry["cpu_s"] > 0
-        assert unit.telemetry["rss_mb"] == 64.0
-        assert unit.telemetry["retries"] == 0
-
-    def test_retries_counted(self):
-        attempts = []
-
-        def flaky():
-            attempts.append(1)
-            if len(attempts) < 3:
-                raise OSError("transient")
-            return {"v": 1}
-
-        supervisor = self.make_supervisor()
-        outcome = supervisor.run(make_campaign([flaky]))
-        (unit,) = outcome.outcomes
-        assert unit.status == "ok"
-        assert unit.telemetry["retries"] == 2
+        assert unit.telemetry == {"wall_s": 1.0, "cpu_s": 0.25, "rss_mb": 64.0}
 
     def test_failed_unit_still_measured(self):
         from repro.common.errors import ReproError
@@ -159,8 +134,7 @@ class TestSupervisorMeasurement:
         outcome = supervisor.run(make_campaign([broken]))
         (unit,) = outcome.outcomes
         assert unit.status == "failed"
-        assert unit.telemetry is not None
-        assert unit.telemetry["retries"] == 0
+        assert unit.telemetry == {"wall_s": 1.0, "cpu_s": 0.25, "rss_mb": 64.0}
 
     def test_campaign_rollup_on_outcome(self):
         supervisor = self.make_supervisor()
