@@ -196,29 +196,31 @@ class ColumnValues(Sequence):
         for offset, length in zip(offsets, lengths):
             yield None if offset < 0 else payload[offset:offset + length]
 
-    def u32_matrix(self):
-        """Rows as little-endian uint32 words, or ``None``.
+    @property
+    def fixed32(self) -> bool:
+        """Every present value is 32 bytes (see ``EventColumns.fixed32``)."""
+        return self._cols.fixed32
 
-        Returns ``(words, present)`` where ``words`` is an ``(n, 8)``
-        uint32 matrix (absent rows are zero-filled and flagged False in
-        ``present``) — the input the batched value-cache probe masks in
-        one vectorized pass. ``None`` when the payload holds any
-        non-32-byte value; callers then decode the rows one by one and
-        reject a run holding a malformed image.
+    def masked_u32_rows(self, mask: int) -> List[Optional[List[int]]]:
+        """Each row's eight little-endian uint32 words ANDed with *mask*,
+        or None for a row without a value.
+
+        The input the value cache's run methods take, from one gather
+        of the payload rows when every row has a value. Requires
+        :attr:`fixed32`.
         """
         cols = self._cols
         if not cols.fixed32:
-            return None
+            raise ValueError("payload holds non-32-byte values")
         offsets = cols.value_offset[self._rows]
+        words = np.frombuffer(cols.payload, dtype="<u4").reshape(-1, 8)
+        if not offsets.size or offsets.min() >= 0:
+            return (words[offsets // 32] & np.uint32(mask)).tolist()
         present = offsets >= 0
-        if not present.any():
-            return None
-        words_all = np.frombuffer(
-            cols.payload, dtype="<u4"
-        ).reshape(-1, 8)
-        words = np.zeros((len(self._rows), 8), dtype=np.uint32)
-        words[present] = words_all[offsets[present] // 32]
-        return words, present
+        rows = iter(
+            (words[offsets[present] // 32] & np.uint32(mask)).tolist()
+        )
+        return [next(rows) if has else None for has in present.tolist()]
 
 
 class ColumnStore:

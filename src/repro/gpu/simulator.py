@@ -173,18 +173,16 @@ def _simulate_l2(trace: Trace, config: GpuConfig) -> MemoryEventLog:
     payload.
     """
     amap = config.address_map
+    bank_config = CacheConfig(
+        name="l2",
+        size_bytes=config.l2.size_bytes,
+        line_bytes=config.l2.line_bytes,
+        ways=config.l2.ways,
+        sector_bytes=config.l2.sector_bytes,
+        sectored=config.l2.sectored,
+    )
     l2_banks = [
-        SectoredCache(
-            CacheConfig(
-                name=f"l2[{p}]",
-                size_bytes=config.l2.size_bytes,
-                line_bytes=config.l2.line_bytes,
-                ways=config.l2.ways,
-                sector_bytes=config.l2.sector_bytes,
-                sectored=config.l2.sectored,
-            )
-        )
-        for p in range(config.num_partitions)
+        SectoredCache(bank_config) for _ in range(config.num_partitions)
     ]
     #: Image row of each currently dirty L2 sector, by sector byte address.
     dirty_rows: Dict[int, int] = {}
@@ -379,6 +377,10 @@ def replay_events(
     else:
         order = by_partition
     bounds = _run_bounds(partition[order], kind[order], interval)
+    # Each run's partition and kind, read once per replay.
+    firsts = order[bounds[:-1]]
+    run_partitions = partition[firsts].tolist()
+    run_kinds = kind[firsts].tolist()
 
     snapshot = None
     total: Optional[TrafficCounter] = None
@@ -420,12 +422,12 @@ def replay_events(
 
     start = time.perf_counter() if obs.enabled else 0.0
     with obs.phase("replay_events", trace=log.trace_name):
-        for a, b in zip(bounds, bounds[1:]):
+        for a, b, part, run_kind in zip(bounds, bounds[1:], run_partitions,
+                                        run_kinds):
             rows = order[a:b]
-            part = int(partition[rows[0]])
             engine = engine_for(part)
             count = b - a
-            if kind[rows[0]] == FILL_CODE:
+            if run_kind == FILL_CODE:
                 traffic.record(
                     Stream.DATA_READ, 32 * count, transactions=count
                 )

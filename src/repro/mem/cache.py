@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.bitops import popcount
@@ -69,6 +69,23 @@ class CacheConfig:
     @property
     def full_mask(self) -> int:
         return (1 << self.sectors_per_line) - 1
+
+    @cached_property
+    def hot_geometry(self) -> Tuple:
+        """What a cache reads on every access: line bytes, set count,
+        ways, full sector mask, sectored flag, the popcount table and
+        the set fold's shift ladder (see :class:`SectoredCache`).
+
+        Derived once per config and shared by every cache built from it
+        (each partition's engine builds the same caches; cached_property
+        writes the instance ``__dict__``, which a frozen dataclass
+        permits).
+        """
+        return (
+            self.line_bytes, self.num_sets, self.ways, self.full_mask,
+            self.sectored, _popcount_table(self.sectors_per_line),
+            _LADDERS.get(self.num_sets),
+        )
 
 
 @dataclass
@@ -172,20 +189,14 @@ class SectoredCache:
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
         self.stats = CacheStats()
-        # Hot-path geometry, read once. Popcounts of sector masks come
-        # from a shared table when lines are narrow enough (the 128 B /
-        # 32 B metadata lines have only 4 sectors).
-        self._line_bytes = config.line_bytes
-        self._num_sets = config.num_sets
-        self._ways = config.ways
-        self._full_mask = config.full_mask
-        self._sectored = config.sectored
-        self._pc_table = _popcount_table(config.sectors_per_line)
-        # A set count 2^b with b a power of two (2, 4, 16, 256 sets)
+        # Hot-path geometry, derived once per config. Popcounts of
+        # sector masks come from a shared table when lines are narrow
+        # enough (the 128 B / 32 B metadata lines have only 4 sectors),
+        # and a set count 2^b with b a power of two (2, 4, 16, 256 sets)
         # folds by a fixed shift ladder; see :meth:`_set_index`.
-        self._fold_shifts: Optional[Tuple[int, ...]] = _LADDERS.get(
-            self._num_sets
-        )
+        (self._line_bytes, self._num_sets, self._ways, self._full_mask,
+         self._sectored, self._pc_table,
+         self._fold_shifts) = config.hot_geometry
         #: Resident lines: line_addr -> _Line.
         self._lines: Dict[int, _Line] = {}
         # One OrderedDict of line addresses per set, in LRU order
@@ -195,8 +206,8 @@ class SectoredCache:
         ]
         # Observability binds at construction: instances created under an
         # active session publish hit/miss/eviction counters aggregated by
-        # cache *family* — the name up to the partition index, so
-        # "ctr[0]".."ctr[31]" all feed "cache.ctr.*". Disabled sessions
+        # cache *family* — the name up to any partition index, so every
+        # partition's "ctr" cache feeds "cache.ctr.*". Disabled sessions
         # leave the slots None and an access pays one check.
         obs = _obs_active()
         if obs.enabled:

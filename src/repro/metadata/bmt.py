@@ -254,35 +254,43 @@ class BmtTraversal:
 
     def _writeback(self, evictions) -> None:
         """Lazy update: a dirty node leaving the cache updates its parent."""
+        record = self.traffic.record
+        stream = self.write_stream
+        sector_bytes = self._sector_bytes
+        node_bytes = self._node_bytes
+        # Sub-sector nodes are addressed by their sector.
+        whole_nodes = node_bytes >= sector_bytes
+        locate = self.geometry.locate
+        root_level = self.geometry.root_level
+        levels = self._levels
         for ev in evictions:
-            self.traffic.record(
-                self.write_stream,
-                ev.dirty_sector_count * self._sector_bytes,
-                transactions=ev.dirty_sector_count,
-            )
+            count = ev.dirty_sector_count
+            record(stream, count * sector_bytes, transactions=count)
             if not self.lazy_update:
                 continue  # eager mode already updated ancestors on write
             # Identify which node(s) the dirty sectors belong to and
             # propagate dirtiness to each parent still below the root.
-            cfg = self.cache.config
-            seen_offsets = set()
-            for s in range(cfg.sectors_per_line):
-                if not (ev.dirty_mask >> s) & 1:
+            # Node bases rise with the sector, so a repeat is always the
+            # previous base.
+            dirty = ev.dirty_mask
+            previous = -1
+            for s in range(self._line_bytes // sector_bytes):
+                if not dirty >> s & 1:
                     continue
-                byte_addr = ev.line_addr + s * cfg.sector_bytes
-                node_base = byte_addr - (byte_addr % self.geometry.node_bytes) \
-                    if self.geometry.node_bytes >= cfg.sector_bytes else byte_addr
-                if node_base in seen_offsets:
+                byte_addr = ev.line_addr + s * sector_bytes
+                node_base = (byte_addr - byte_addr % node_bytes
+                             if whole_nodes else byte_addr)
+                if node_base == previous:
                     continue
-                seen_offsets.add(node_base)
+                previous = node_base
                 try:
-                    level, node = self.geometry.locate(node_base)
+                    level, node = locate(node_base)
                 except ValueError:
                     continue
-                if level + 1 >= self.geometry.root_level:
+                if level + 1 >= root_level:
                     continue  # parent is the on-chip root: updated in place
-                parent_leaf = node * self._levels[level - 1][1]
-                self._touch_node(parent_leaf, level + 1, dirty=True)
+                self._touch_node(node * levels[level - 1][1], level + 1,
+                                 dirty=True)
 
     def _touch_node(self, leaf_index: int, level: int, dirty: bool) -> None:
         """Bring one ancestor node into the cache, optionally dirtying it."""

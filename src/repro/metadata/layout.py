@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -97,25 +97,16 @@ class MetadataLayout:
             mask = 1 << ((byte_addr % self.line_bytes) // self.sector_bytes)
         return line, mask
 
-    def counter_locations(
-        self, data_sectors: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`counter_location` over an int64 array.
+    def counter_unit_locator(self) -> Callable[[int], Tuple[int, int]]:
+        """Tree leaf -> (cache line address, sector mask) of its counters.
 
-        Like the other vectorized lookups, it trusts its input: callers
-        validate a run once with :meth:`check_sectors`.
+        A leaf is the counter hashing unit, so the locator gives the
+        :meth:`counter_location` of every data sector under the leaf
+        (:meth:`bmt_leaf_indices`). The batch phases cut runs on the
+        leaf and locate each run once; the locator trusts its input.
         """
-        idx = data_sectors // self.sectors_per_counter_sector
-        byte_addr = idx * self.sector_bytes
-        lines = byte_addr - (byte_addr % self.line_bytes)
-        if self.design is GranularityDesign.BLOCK_128:
-            full = (1 << (self.line_bytes // self.sector_bytes)) - 1
-            masks = np.full(lines.shape, full, dtype=np.int64)
-        else:
-            masks = np.left_shift(
-                1, (byte_addr % self.line_bytes) // self.sector_bytes
-            )
-        return lines, masks
+        return _unit_locator(self.counter_fetch_bytes, self.line_bytes,
+                             self.sector_bytes)
 
     # -- MACs ---------------------------------------------------------------
 
@@ -141,17 +132,17 @@ class MetadataLayout:
         mask = 1 << ((byte_addr % self.line_bytes) // self.sector_bytes)
         return line, mask
 
-    def mac_locations(
-        self, data_sectors: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`mac_location` (input checked by the caller)."""
-        idx = data_sectors // self.macs_per_sector
-        byte_addr = idx * self.sector_bytes
-        lines = byte_addr - (byte_addr % self.line_bytes)
-        masks = np.left_shift(
-            1, (byte_addr % self.line_bytes) // self.sector_bytes
-        )
-        return lines, masks
+    def mac_sector_indices(self, data_sectors: np.ndarray) -> np.ndarray:
+        """Each data sector's MAC sector: the unit index the MAC phases
+        cut runs on (input checked by the caller)."""
+        return data_sectors // self.macs_per_sector
+
+    def mac_unit_locator(self) -> Callable[[int], Tuple[int, int]]:
+        """MAC sector index -> (cache line address, sector mask): the
+        :meth:`mac_location` of every data sector the MAC sector covers
+        (:meth:`mac_sector_indices`). Trusts its input."""
+        return _unit_locator(self.sector_bytes, self.line_bytes,
+                             self.sector_bytes)
 
     # -- BMT ------------------------------------------------------------------
 
@@ -163,19 +154,28 @@ class MetadataLayout:
         """
         return _bmt_geometry(self)
 
+    @property
+    def counter_sectors_per_leaf(self) -> int:
+        """Counter sectors hashed together as one tree leaf."""
+        return self.counter_fetch_bytes // self.sector_bytes
+
+    @property
+    def sectors_per_leaf(self) -> int:
+        """Data sectors whose counters one tree leaf covers."""
+        return self.sectors_per_counter_sector * self.counter_sectors_per_leaf
+
     def bmt_leaf_index(self, data_sector: int) -> int:
         """Tree leaf protecting this sector's counter."""
-        counter_sector = self.counter_sector_index(data_sector)
-        if self.design is GranularityDesign.BLOCK_128:
-            return counter_sector // (self.line_bytes // self.sector_bytes)
-        return counter_sector
+        return self.leaf_of_counter_sector(self.counter_sector_index(data_sector))
+
+    def leaf_of_counter_sector(self, counter_sector: int) -> int:
+        """Tree leaf of a counter sector: its hashing unit's index."""
+        return counter_sector // self.counter_sectors_per_leaf
 
     def bmt_leaf_indices(self, data_sectors: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`bmt_leaf_index` (input checked by the caller)."""
-        counter_sector = data_sectors // self.sectors_per_counter_sector
-        if self.design is GranularityDesign.BLOCK_128:
-            return counter_sector // (self.line_bytes // self.sector_bytes)
-        return counter_sector
+        """Vectorized :meth:`bmt_leaf_index`: the unit index the counter
+        phases cut runs on (input checked by the caller)."""
+        return data_sectors // self.sectors_per_leaf
 
     # -- storage summaries ------------------------------------------------------
 
@@ -230,6 +230,27 @@ def _bmt_geometry(layout: MetadataLayout) -> BmtGeometry:
         arity=layout.tree_arity_128 // (layout.line_bytes // layout.sector_bytes),
         node_bytes=layout.sector_bytes,
     )
+
+
+@lru_cache(maxsize=None)
+def _unit_locator(unit_bytes: int, line_bytes: int, sector_bytes: int):
+    """Unit index -> (line address, sector mask) for metadata units of
+    *unit_bytes*, packed back to back into lines of *line_bytes*.
+
+    One closure per geometry, shared by every layout of that geometry.
+    """
+    per_line = line_bytes // unit_bytes
+    unit_sectors = unit_bytes // sector_bytes
+    masks = tuple(
+        ((1 << unit_sectors) - 1) << (slot * unit_sectors)
+        for slot in range(per_line)
+    )
+
+    def locate(unit: int) -> Tuple[int, int]:
+        line, slot = divmod(unit, per_line)
+        return line * line_bytes, masks[slot]
+
+    return locate
 
 
 def compact_layout(

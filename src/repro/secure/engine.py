@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import astuple, dataclass
-from typing import Dict, List
+from functools import lru_cache
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -90,17 +91,24 @@ class MetadataCacheConfig:
     sector_bytes: int = 32
     sectored: bool = True
 
-    def build(self, name: str) -> SectoredCache:
-        return SectoredCache(
-            CacheConfig(
-                name=name,
-                size_bytes=self.size_bytes,
-                line_bytes=self.line_bytes,
-                ways=self.ways,
-                sector_bytes=self.sector_bytes,
-                sectored=self.sectored,
-            )
-        )
+    def build(self, family: str) -> SectoredCache:
+        """A fresh cache of this sizing; *family* (``ctr``, ``mac``,
+        ``bmt``, ``cctr``, ``cbmt``) names its metrics."""
+        return SectoredCache(_cache_config(self, family))
+
+
+@lru_cache(maxsize=None)
+def _cache_config(sizing: MetadataCacheConfig, family: str) -> CacheConfig:
+    """The validated config of one cache family and sizing, shared by
+    every partition's cache (with the geometry it derives)."""
+    return CacheConfig(
+        name=family,
+        size_bytes=sizing.size_bytes,
+        line_bytes=sizing.line_bytes,
+        ways=sizing.ways,
+        sector_bytes=sizing.sector_bytes,
+        sectored=sizing.sectored,
+    )
 
 
 class PartitionEngine:
@@ -218,6 +226,11 @@ class NoSecurityEngine(PartitionEngine):
 class MetadataEngine(PartitionEngine):
     """Shared counter/MAC/BMT machinery for the secured designs."""
 
+    #: Counter fetches verify against the integrity tree and dirty
+    #: counter evictions update it. Fig. 20's designs assume the tree
+    #: away (``PlutusEngine(eliminate_tree=True)``) and clear it.
+    tree_enabled = True
+
     def __init__(
         self,
         partition_id: int,
@@ -237,9 +250,9 @@ class MetadataEngine(PartitionEngine):
             sectors_per_counter_sector=counter_config.sectors_per_group,
         )
         self.counters = SplitCounterStore(counter_config)
-        self.counter_cache = cache_config.build(f"ctr[{partition_id}]")
-        self.mac_cache = cache_config.build(f"mac[{partition_id}]")
-        self.bmt_cache = cache_config.build(f"bmt[{partition_id}]")
+        self.counter_cache = cache_config.build("ctr")
+        self.mac_cache = cache_config.build("mac")
+        self.bmt_cache = cache_config.build("bmt")
         self.bmt = BmtTraversal(
             self.layout.bmt_geometry(),
             self.bmt_cache,
@@ -252,50 +265,60 @@ class MetadataEngine(PartitionEngine):
     # -- eviction plumbing ---------------------------------------------------
 
     def _drain_counter_evictions(self, evictions) -> None:
+        """Drain the counter cache's evictions (see :meth:`_drain_counters`)."""
+        self._drain_counters(evictions, self.counter_cache, self.layout,
+                             self.bmt, Stream.COUNTER_WRITE)
+
+    def _drain_counters(self, evictions, cache: SectoredCache,
+                        layout: MetadataLayout, tree: BmtTraversal,
+                        stream: Stream) -> None:
         """Write back dirty counter sectors; lazily update their tree leaves.
 
         A dirty counter block leaving the chip is the moment the lazy
         scheme recomputes its parent hash, so each distinct evicted leaf
-        triggers a tree update.
+        triggers a tree update, in sector order, unless the tree is
+        assumed away. Every counter layer (the split counters, Plutus's
+        compact mirror) drains through here.
         """
-        sector_bytes = self.counter_cache.config.sector_bytes
+        sector_bytes = cache.config.sector_bytes
+        sectors_per_line = cache.config.sectors_per_line
+        record = self.traffic.record
+        leaf_of = layout.leaf_of_counter_sector
         for ev in evictions:
-            self.traffic.record(
-                Stream.COUNTER_WRITE,
-                ev.dirty_sector_count * sector_bytes,
-                transactions=ev.dirty_sector_count,
-            )
-            leaves = set()
-            for s in range(self.counter_cache.config.sectors_per_line):
-                if not (ev.dirty_mask >> s) & 1:
-                    continue
-                counter_sector = ev.line_addr // sector_bytes + s
-                leaves.add(self._leaf_of_counter_sector(counter_sector))
-            self.bmt.update_leaves(leaves)
-
-    def _leaf_of_counter_sector(self, counter_sector: int) -> int:
-        if self.layout.design is GranularityDesign.BLOCK_128:
-            per_line = self.layout.line_bytes // self.layout.sector_bytes
-            return counter_sector // per_line
-        return counter_sector
+            count = ev.dirty_sector_count
+            record(stream, count * sector_bytes, transactions=count)
+            if not self.tree_enabled:
+                continue
+            dirty = ev.dirty_mask
+            first = ev.line_addr // sector_bytes
+            leaves: List[int] = []
+            for s in range(sectors_per_line):
+                if dirty >> s & 1:
+                    leaf = leaf_of(first + s)
+                    if not leaves or leaves[-1] != leaf:
+                        leaves.append(leaf)
+            tree.update_leaves(leaves)
 
     def _drain_mac_evictions(self, evictions) -> None:
         sector_bytes = self.mac_cache.config.sector_bytes
+        record = self.traffic.record
         for ev in evictions:
-            self.traffic.record(
-                Stream.MAC_WRITE,
-                ev.dirty_sector_count * sector_bytes,
-                transactions=ev.dirty_sector_count,
-            )
+            count = ev.dirty_sector_count
+            record(Stream.MAC_WRITE, count * sector_bytes,
+                   transactions=count)
 
     def _checked(self, sector_indices) -> np.ndarray:
         """The run's sectors as int64, after checking every one is in range.
 
         Hooks call this before they change any state, so a rejected run
-        leaves the engine exactly as it was.
+        leaves the engine exactly as it was. One reduction decides: a
+        negative sector reads as a huge unsigned one.
         """
         sectors = np.asarray(sector_indices, dtype=np.int64)
-        self.layout.check_sectors(sectors)
+        if sectors.size and (
+            int(sectors.view(np.uint64).max()) >= self.layout.data_sectors
+        ):
+            self.layout.check_sectors(sectors)
         return sectors
 
     # -- counter overflow --------------------------------------------------------
@@ -329,11 +352,14 @@ class MetadataEngine(PartitionEngine):
     # Each one gives the result of handling the run's events one at a
     # time, in order:
     #
-    # * metadata locations for the whole run come from one vectorized
-    #   layout pass;
-    # * consecutive events hitting the same (line, mask) collapse into a
-    #   single ``access_run_raw`` call — the repeats are full hits by
-    #   construction, so only bulk hit accounting remains;
+    # * each event's metadata unit is one integer from one numpy
+    #   division: the BMT leaf for a counter (a leaf is the counter
+    #   hashing unit) or the MAC sector for a MAC;
+    # * consecutive events of the same unit touch the same (line, mask)
+    #   and collapse into a single ``access_run_raw`` call — the repeats
+    #   are full hits by construction, so only bulk hit accounting
+    #   remains; the layout's unit locator gives the line and mask once
+    #   per run;
     # * per-access miss traffic and fetch stats accumulate in locals and
     #   post once per run (traffic streams and EngineStats are
     #   commutative sums);
@@ -344,50 +370,44 @@ class MetadataEngine(PartitionEngine):
     # separate streams), which is what legalizes running all counter
     # work of a run before all MAC work.
 
+    def _tree_verifier(self, tree: BmtTraversal):
+        """The walk a counter fetch verifies with, or None without a tree."""
+        return tree.verify_leaf if self.tree_enabled else None
+
     @staticmethod
-    def _run_bounds(lines: np.ndarray, masks: np.ndarray) -> List[int]:
-        """Boundaries of equal-(line, mask) runs: [0, ..., n]."""
-        n = int(lines.size)
-        if n <= 1:
-            return [0, n]
-        change = np.flatnonzero(
-            (lines[1:] != lines[:-1]) | (masks[1:] != masks[:-1])
-        )
-        bounds = np.empty(change.size + 2, dtype=np.int64)
-        bounds[0] = 0
-        bounds[1:-1] = change + 1
-        bounds[-1] = n
-        return bounds.tolist()
+    def _cache_runs(units: np.ndarray, locate, cache: SectoredCache,
+                    write: bool, verify, drain) -> Tuple[int, int]:
+        """One ``access_run_raw`` per run of equal *units*, in event order.
 
-    def _verify_counter_tree(self, leaf_index: int) -> None:
-        """Tree walk for a counter fetch; designs may gate it (Fig. 20)."""
-        self.bmt.verify_leaf(leaf_index)
-
-    def _batch_counter_reads(self, sectors: np.ndarray) -> None:
-        """Counter-read phase of a batched fill run."""
-        if sectors.size == 0:
-            return
-        lines, masks = self.layout.counter_locations(sectors)
-        leaves = self.layout.bmt_leaf_indices(sectors)
-        bounds = self._run_bounds(lines, masks)
-        lines_l = lines.tolist()
-        masks_l = masks.tolist()
-        leaves_l = leaves.tolist()
-        access_run = self.counter_cache.access_run_raw
-        drain = self._drain_counter_evictions
-        fetches = 0
-        miss_sectors = 0
-        for j in range(len(bounds) - 1):
-            a = bounds[j]
+        *locate* maps a unit to its (line, mask); a run whose access
+        misses calls *verify* with its unit, unless *verify* is None,
+        and evictions go to *drain*. Returns ``(fetches, miss_sectors)``:
+        the runs that missed and the sectors they fetched.
+        """
+        access_run = cache.access_run_raw
+        units_l = units.tolist()
+        units_l.append(-1)  # closes the last run
+        fetches = miss_sectors = 0
+        a = 0
+        for b, unit in enumerate(units_l):
+            if unit == units_l[a]:
+                continue
+            run_unit = units_l[a]
+            line, mask = locate(run_unit)
             miss_mask, miss_count, evictions = access_run(
-                lines_l[a], masks_l[a], False, bounds[j + 1] - a
+                line, mask, write, b - a
             )
             if miss_mask:
                 fetches += 1
                 miss_sectors += miss_count
-                self._verify_counter_tree(leaves_l[a])
+                if verify is not None:
+                    verify(run_unit)
             if evictions:
                 drain(evictions)
+            a = b
+        return fetches, miss_sectors
+
+    def _post_counter_fetches(self, fetches: int, miss_sectors: int) -> None:
         if fetches:
             self.stats.counter_fetches += fetches
             self.traffic.record(
@@ -395,75 +415,76 @@ class MetadataEngine(PartitionEngine):
                 miss_sectors * self.layout.sector_bytes,
                 transactions=miss_sectors,
             )
+
+    def _batch_counter_reads(self, sectors: np.ndarray) -> None:
+        """Counter-read phase of a batched fill run."""
+        layout = self.layout
+        self._post_counter_fetches(*self._cache_runs(
+            layout.bmt_leaf_indices(sectors),
+            layout.counter_unit_locator(),
+            self.counter_cache,
+            False,
+            self._tree_verifier(self.bmt),
+            self._drain_counter_evictions,
+        ))
 
     def _batch_counter_writes(self, sectors: np.ndarray) -> None:
         """Counter-write phase of a batched writeback run.
 
         Increments stay in event order (a minor overflow's side effects
         land exactly between its neighbours' increments); only the cache
-        accesses of a same-location run are compressed, which is legal
+        accesses of a same-leaf run are compressed, which is legal
         because increments never read cache state.
         """
-        if sectors.size == 0:
-            return
-        lines, masks = self.layout.counter_locations(sectors)
-        leaves = self.layout.bmt_leaf_indices(sectors)
-        bounds = self._run_bounds(lines, masks)
-        sec_l = sectors.tolist()
-        lines_l = lines.tolist()
-        masks_l = masks.tolist()
-        leaves_l = leaves.tolist()
+        layout = self.layout
+        locate = layout.counter_unit_locator()
+        verify = self._tree_verifier(self.bmt)
         access_run = self.counter_cache.access_run_raw
         drain = self._drain_counter_evictions
         increment = self.counters.increment_fast
-        fetches = 0
-        miss_sectors = 0
-        for j in range(len(bounds) - 1):
-            a = bounds[j]
-            b = bounds[j + 1]
+        sec_l = sectors.tolist()
+        leaves_l = layout.bmt_leaf_indices(sectors).tolist()
+        leaves_l.append(-1)  # closes the last run
+        fetches = miss_sectors = 0
+        a = 0
+        for b, leaf in enumerate(leaves_l):
+            if leaf == leaves_l[a]:
+                continue
             for s in sec_l[a:b]:
                 affected = increment(s)
                 if affected is not None:
                     self._reencrypt_group(affected)
+            run_leaf = leaves_l[a]
+            line, mask = locate(run_leaf)
             miss_mask, miss_count, evictions = access_run(
-                lines_l[a], masks_l[a], True, b - a
+                line, mask, True, b - a
             )
             if miss_mask:
                 fetches += 1
                 miss_sectors += miss_count
-                self._verify_counter_tree(leaves_l[a])
+                if verify is not None:
+                    verify(run_leaf)
             if evictions:
                 drain(evictions)
-        if fetches:
-            self.stats.counter_fetches += fetches
-            self.traffic.record(
-                Stream.COUNTER_READ,
-                miss_sectors * self.layout.sector_bytes,
-                transactions=miss_sectors,
-            )
+            a = b
+        self._post_counter_fetches(fetches, miss_sectors)
+
+    def _mac_runs(self, sectors: np.ndarray,
+                  write: bool) -> Tuple[int, int]:
+        """MAC-cache accesses of a run (see :meth:`_cache_runs`)."""
+        layout = self.layout
+        return self._cache_runs(
+            layout.mac_sector_indices(sectors),
+            layout.mac_unit_locator(),
+            self.mac_cache,
+            write,
+            None,
+            self._drain_mac_evictions,
+        )
 
     def _batch_mac_reads(self, sectors: np.ndarray) -> None:
         """MAC-read phase of a batched fill run."""
-        if sectors.size == 0:
-            return
-        lines, masks = self.layout.mac_locations(sectors)
-        bounds = self._run_bounds(lines, masks)
-        lines_l = lines.tolist()
-        masks_l = masks.tolist()
-        access_run = self.mac_cache.access_run_raw
-        drain = self._drain_mac_evictions
-        fetches = 0
-        miss_sectors = 0
-        for j in range(len(bounds) - 1):
-            a = bounds[j]
-            miss_mask, miss_count, evictions = access_run(
-                lines_l[a], masks_l[a], False, bounds[j + 1] - a
-            )
-            if miss_mask:
-                fetches += 1
-                miss_sectors += miss_count
-            if evictions:
-                drain(evictions)
+        fetches, miss_sectors = self._mac_runs(sectors, False)
         if fetches:
             self.stats.mac_fetches += fetches
             self.traffic.record(
@@ -478,24 +499,7 @@ class MetadataEngine(PartitionEngine):
         A miss is a read-modify-write: the fetch is MAC_READ traffic but
         does not count as a demand MAC fetch.
         """
-        if sectors.size == 0:
-            return
-        lines, masks = self.layout.mac_locations(sectors)
-        bounds = self._run_bounds(lines, masks)
-        lines_l = lines.tolist()
-        masks_l = masks.tolist()
-        access_run = self.mac_cache.access_run_raw
-        drain = self._drain_mac_evictions
-        miss_sectors = 0
-        for j in range(len(bounds) - 1):
-            a = bounds[j]
-            miss_mask, miss_count, evictions = access_run(
-                lines_l[a], masks_l[a], True, bounds[j + 1] - a
-            )
-            if miss_mask:
-                miss_sectors += miss_count
-            if evictions:
-                drain(evictions)
+        _fetches, miss_sectors = self._mac_runs(sectors, True)
         if miss_sectors:
             self.traffic.record(
                 Stream.MAC_READ,

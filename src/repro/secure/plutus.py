@@ -24,6 +24,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.common.bitops import split_values
+from repro.common.errors import ConfigurationError
 from repro.mem.traffic import Stream, TrafficCounter
 from repro.metadata.compact import (
     DESIGN_3BIT_ADAPTIVE,
@@ -39,6 +40,11 @@ from repro.secure.engine import (
     PartitionEngine,
 )
 from repro.secure.value_cache import ValueCache, ValueCacheConfig
+
+
+#: 32-bit values in one 32-byte sector image: the row of keys each
+#: sector gives the value cache.
+SECTOR_VALUES = 8
 
 
 class PlutusEngine(MetadataEngine):
@@ -73,10 +79,7 @@ class PlutusEngine(MetadataEngine):
             counter_config=counter_config or SplitCounterConfig(),
         )
         self.tree_enabled = not eliminate_tree
-
-        self.value_cache = (
-            ValueCache(value_cache_config) if value_cache_config else None
-        )
+        self._build_value_cache(value_cache_config)
 
         self.compact: Optional[CompactCounterState] = None
         if compact_config is not None:
@@ -90,8 +93,8 @@ class PlutusEngine(MetadataEngine):
                 design=design,
                 sectors_per_counter_sector=compact_config.counters_per_block,
             )
-            self.compact_cache = cache_config.build(f"cctr[{partition_id}]")
-            self.compact_bmt_cache = cache_config.build(f"cbmt[{partition_id}]")
+            self.compact_cache = cache_config.build("cctr")
+            self.compact_bmt_cache = cache_config.build("cbmt")
             self.compact_bmt = BmtTraversal(
                 self.compact_layout.bmt_geometry(),
                 self.compact_bmt_cache,
@@ -101,55 +104,38 @@ class PlutusEngine(MetadataEngine):
                 lazy_update=lazy_update,
             )
 
-    # -- tree gating (Fig. 20) -------------------------------------------------
+    def _build_value_cache(
+        self, config: Optional[ValueCacheConfig]
+    ) -> None:
+        """The value cache, if any, and its span-detail profiler.
 
-    def _verify_tree(self, traversal: BmtTraversal, leaf: int) -> None:
-        if self.tree_enabled:
-            traversal.verify_leaf(leaf)
-
-    def _verify_counter_tree(self, leaf_index: int) -> None:
-        """Original-tree walk for the shared run helpers, gated."""
-        self._verify_tree(self.bmt, leaf_index)
-
-    def _drain_counter_evictions(self, evictions) -> None:
-        sector_bytes = self.counter_cache.config.sector_bytes
-        for ev in evictions:
-            self.traffic.record(
-                Stream.COUNTER_WRITE,
-                ev.dirty_sector_count * sector_bytes,
-                transactions=ev.dirty_sector_count,
+        A run method requires each sector's values to fit the transient
+        region (:meth:`ValueCache.fill_run`), so a cache that cannot
+        hold one sector is refused here, before any run.
+        """
+        self.value_cache = None
+        # Per-run value-cache spans only under span_detail profiling;
+        # None keeps a run at one attribute check.
+        self._value_prof = None
+        if config is None:
+            return
+        if config.transient_capacity < SECTOR_VALUES:
+            raise ConfigurationError(
+                f"value cache of {config.entries} entries keeps "
+                f"{config.transient_capacity} transient entries, fewer "
+                f"than the {SECTOR_VALUES} values of one sector"
             )
-            leaves = set()
-            for s in range(self.counter_cache.config.sectors_per_line):
-                if (ev.dirty_mask >> s) & 1:
-                    counter_sector = ev.line_addr // sector_bytes + s
-                    leaves.add(self._leaf_of_counter_sector(counter_sector))
-            if self.tree_enabled:
-                self.bmt.update_leaves(leaves)
+        self.value_cache = ValueCache(config)
+        if self.obs.config.span_detail_active:
+            self._value_prof = self.obs.profiler
 
     # -- compact-counter layer ---------------------------------------------------
 
-    def _compact_leaf_of_sector(self, counter_sector: int) -> int:
-        if self.compact_layout.design is GranularityDesign.BLOCK_128:
-            per_line = self.compact_layout.line_bytes // self.compact_layout.sector_bytes
-            return counter_sector // per_line
-        return counter_sector
-
     def _drain_compact_evictions(self, evictions) -> None:
-        sector_bytes = self.compact_cache.config.sector_bytes
-        for ev in evictions:
-            self.traffic.record(
-                Stream.COMPACT_COUNTER_WRITE,
-                ev.dirty_sector_count * sector_bytes,
-                transactions=ev.dirty_sector_count,
-            )
-            leaves = set()
-            for s in range(self.compact_cache.config.sectors_per_line):
-                if (ev.dirty_mask >> s) & 1:
-                    counter_sector = ev.line_addr // sector_bytes + s
-                    leaves.add(self._compact_leaf_of_sector(counter_sector))
-            if self.tree_enabled:
-                self.compact_bmt.update_leaves(leaves)
+        """Drain the compact cache's evictions into the mini BMT."""
+        self._drain_counters(evictions, self.compact_cache,
+                             self.compact_layout, self.compact_bmt,
+                             Stream.COMPACT_COUNTER_WRITE)
 
     def _sync_block_to_original(self, sector_index: int) -> None:
         """One-time copy of a disabled block's live counters to originals.
@@ -172,7 +158,8 @@ class PlutusEngine(MetadataEngine):
                     result.miss_sector_count * self.layout.sector_bytes,
                     transactions=result.miss_sector_count,
                 )
-                self._verify_tree(self.bmt, self.layout.bmt_leaf_index(data_sector))
+                if self.tree_enabled:
+                    self.bmt.verify_leaf(self.layout.bmt_leaf_index(data_sector))
             self._drain_counter_evictions(result.evictions)
 
     # -- request flows (paper Fig. 11) --------------------------------------------
@@ -190,36 +177,22 @@ class PlutusEngine(MetadataEngine):
     # while the cache accesses around them compress into same-location
     # runs.
 
-    def _batch_value_keys(self, values, n: int):
+    def _batch_value_keys(self, values):
         """Masked value-cache keys per event (None = no image).
 
-        The fixed-width fast path reads the whole run's payload matrix
-        as little-endian u32 words and masks all of them with one numpy
-        AND — byte-identical to per-value ``split_values`` + ``_key``
-        because both decode little-endian and the combined range+low
-        mask is a single constant. Raises ValueError when a present
-        image is not 32 bytes, before the hook changes any state.
+        On a column of fixed 32-byte images the keys come straight from
+        the payload rows (``ColumnValues.masked_u32_rows``: one gather
+        and one numpy AND, little-endian like ``split_values`` + ``_key``);
+        those lengths are valid by construction. Any other sequence is
+        decoded image by image, raising ValueError when a present image
+        is not 32 bytes, before the hook changes any state. Without a
+        value cache nothing is decoded and the result is None.
         """
         vc = self.value_cache
-        u32_matrix = getattr(values, "u32_matrix", None)
-        if u32_matrix is not None:
-            matrix = u32_matrix()
-            if matrix is not None:
-                # Fixed 32-byte payload column: lengths are valid by
-                # construction.
-                if vc is None:
-                    return [None] * n
-                cfg = vc.config
-                shift_mask = ((1 << cfg.value_bits) - 1) & ~(
-                    (1 << cfg.mask_bits) - 1
-                )
-                words, present = matrix
-                keys = (words & np.uint32(shift_mask)).tolist()
-                present_l = present.tolist()
-                return [
-                    keys[i] if present_l[i] else None for i in range(n)
-                ]
-        mask_keys = vc.mask_keys if vc is not None else None
+        if getattr(values, "fixed32", False):
+            if vc is None:
+                return None
+            return values.masked_u32_rows(vc.config.key_mask)
         out: List = []
         append = out.append
         for image in values:
@@ -229,36 +202,21 @@ class PlutusEngine(MetadataEngine):
                 raise ValueError(
                     f"sector image must be 32 bytes, got {len(image)}"
                 )
-            elif mask_keys is None:
-                append(None)  # valid image; keys unused without a cache
-            else:
-                append(mask_keys(split_values(image, 4)))
-        return out
+            elif vc is not None:
+                append(vc.mask_keys(split_values(image, 4)))
+        return out if vc is not None else None
 
     def _batch_compact_accesses(self, sectors: np.ndarray, write: bool) -> None:
         """Compact-layer phase of a batched run (fetch + verify on miss)."""
-        if sectors.size == 0:
-            return
         layout = self.compact_layout
-        lines, masks = layout.counter_locations(sectors)
-        leaves = layout.bmt_leaf_indices(sectors)
-        bounds = self._run_bounds(lines, masks)
-        lines_l = lines.tolist()
-        masks_l = masks.tolist()
-        leaves_l = leaves.tolist()
-        access_run = self.compact_cache.access_run_raw
-        drain = self._drain_compact_evictions
-        miss_sectors = 0
-        for j in range(len(bounds) - 1):
-            a = bounds[j]
-            miss_mask, miss_count, evictions = access_run(
-                lines_l[a], masks_l[a], write, bounds[j + 1] - a
-            )
-            if miss_mask:
-                miss_sectors += miss_count
-                self._verify_tree(self.compact_bmt, leaves_l[a])
-            if evictions:
-                drain(evictions)
+        _fetches, miss_sectors = self._cache_runs(
+            layout.bmt_leaf_indices(sectors),
+            layout.counter_unit_locator(),
+            self.compact_cache,
+            write,
+            self._tree_verifier(self.compact_bmt),
+            self._drain_compact_evictions,
+        )
         if miss_sectors:
             self.traffic.record(
                 Stream.COMPACT_COUNTER_READ,
@@ -273,23 +231,19 @@ class PlutusEngine(MetadataEngine):
         increments, overflow re-encryptions, and adaptive disables all
         replay strictly per event — their side effects feed the very
         next routing decision. Only the cache accesses compress: each
-        layer keeps one pending same-location run, flushed when the
-        location changes or when a disable's synchronization is about to
-        touch the original counter cache mid-run.
+        layer keeps one pending same-leaf run, flushed when the leaf
+        changes or when a disable's synchronization is about to touch
+        the original counter cache mid-run.
         """
-        if sectors.size == 0:
-            return
-        o_lines, o_masks = self.layout.counter_locations(sectors)
-        o_leaves = self.layout.bmt_leaf_indices(sectors)
-        c_lines, c_masks = self.compact_layout.counter_locations(sectors)
-        c_leaves = self.compact_layout.bmt_leaf_indices(sectors)
+        o_layout = self.layout
+        c_layout = self.compact_layout
         sec_l = sectors.tolist()
-        o_lines_l = o_lines.tolist()
-        o_masks_l = o_masks.tolist()
-        o_leaves_l = o_leaves.tolist()
-        c_lines_l = c_lines.tolist()
-        c_masks_l = c_masks.tolist()
-        c_leaves_l = c_leaves.tolist()
+        o_leaves_l = o_layout.bmt_leaf_indices(sectors).tolist()
+        c_leaves_l = c_layout.bmt_leaf_indices(sectors).tolist()
+        o_locate = o_layout.counter_unit_locator()
+        c_locate = c_layout.counter_unit_locator()
+        o_verify = self._tree_verifier(self.bmt)
+        c_verify = self._tree_verifier(self.compact_bmt)
 
         plan_write = self.compact.plan_write_code
         increment = self.counters.increment_fast
@@ -298,17 +252,19 @@ class PlutusEngine(MetadataEngine):
 
         compact_only = double = original_only = 0
         o_fetches = o_miss = c_miss = 0
-        cp = op = -1  # start index of each layer's pending run
+        cp = op = -1  # leaf of each layer's pending run (-1: none)
         cp_count = op_count = 0
 
         def flush_compact() -> None:
             nonlocal cp, cp_count, c_miss
+            line, mask = c_locate(cp)
             miss_mask, miss_count, evictions = c_access_run(
-                c_lines_l[cp], c_masks_l[cp], True, cp_count
+                line, mask, True, cp_count
             )
             if miss_mask:
                 c_miss += miss_count
-                self._verify_tree(self.compact_bmt, c_leaves_l[cp])
+                if c_verify is not None:
+                    c_verify(cp)
             if evictions:
                 self._drain_compact_evictions(evictions)
             cp = -1
@@ -316,32 +272,30 @@ class PlutusEngine(MetadataEngine):
 
         def flush_original() -> None:
             nonlocal op, op_count, o_fetches, o_miss
+            line, mask = o_locate(op)
             miss_mask, miss_count, evictions = o_access_run(
-                o_lines_l[op], o_masks_l[op], True, op_count
+                line, mask, True, op_count
             )
             if miss_mask:
                 o_fetches += 1
                 o_miss += miss_count
-                self._verify_tree(self.bmt, o_leaves_l[op])
+                if o_verify is not None:
+                    o_verify(op)
             if evictions:
                 self._drain_counter_evictions(evictions)
             op = -1
             op_count = 0
 
-        for i, s in enumerate(sec_l):
+        for s, c_leaf, o_leaf in zip(sec_l, c_leaves_l, o_leaves_l):
             code = plan_write(s)
             route = code & 7
             if route != 2:
-                if (
-                    cp >= 0
-                    and c_lines_l[cp] == c_lines_l[i]
-                    and c_masks_l[cp] == c_masks_l[i]
-                ):
+                if c_leaf == cp:
                     cp_count += 1
                 else:
                     if cp >= 0:
                         flush_compact()
-                    cp = i
+                    cp = c_leaf
                     cp_count = 1
                 if route == 0:
                     compact_only += 1
@@ -354,16 +308,12 @@ class PlutusEngine(MetadataEngine):
                 if affected is not None:
                     self._reencrypt_group(affected)
                     self.compact.force_original(affected)
-                if (
-                    op >= 0
-                    and o_lines_l[op] == o_lines_l[i]
-                    and o_masks_l[op] == o_masks_l[i]
-                ):
+                if o_leaf == op:
                     op_count += 1
                 else:
                     if op >= 0:
                         flush_original()
-                    op = i
+                    op = o_leaf
                     op_count = 1
             if code & 8:
                 self.stats.compact_disable_events += 1
@@ -391,14 +341,14 @@ class PlutusEngine(MetadataEngine):
         if c_miss:
             self.traffic.record(
                 Stream.COMPACT_COUNTER_READ,
-                c_miss * self.compact_layout.sector_bytes,
+                c_miss * c_layout.sector_bytes,
                 transactions=c_miss,
             )
         if o_fetches:
             self.stats.counter_fetches += o_fetches
             self.traffic.record(
                 Stream.COUNTER_READ,
-                o_miss * self.layout.sector_bytes,
+                o_miss * o_layout.sector_bytes,
                 transactions=o_miss,
             )
 
@@ -441,7 +391,15 @@ class PlutusEngine(MetadataEngine):
         if self.value_cache is None:
             self._batch_mac_reads(sectors)
             return
-        mac_rows, verified, failures = self.value_cache.fill_run(keys_list)
+        if self._value_prof is None:
+            mac_rows, verified, failures = self.value_cache.fill_run(
+                keys_list
+            )
+        else:
+            with self._value_prof.span("value_cache.fill"):
+                mac_rows, verified, failures = self.value_cache.fill_run(
+                    keys_list
+                )
         self.stats.value_verified_fills += verified
         self.stats.mac_fetches_avoided += verified
         self.stats.value_check_failures += failures
@@ -464,7 +422,11 @@ class PlutusEngine(MetadataEngine):
         if self.value_cache is None:
             self._batch_mac_writes(sectors)
             return
-        mac_rows, avoided = self.value_cache.writeback_run(keys_list)
+        if self._value_prof is None:
+            mac_rows, avoided = self.value_cache.writeback_run(keys_list)
+        else:
+            with self._value_prof.span("value_cache.writeback"):
+                mac_rows, avoided = self.value_cache.writeback_run(keys_list)
         self.stats.mac_writes_avoided += avoided
         if mac_rows:
             self._batch_mac_writes(sectors[mac_rows])
@@ -472,7 +434,7 @@ class PlutusEngine(MetadataEngine):
     def on_fill_batch(self, sector_indices, values) -> None:
         """Read misses: counter via mirror layer, then value-check or MAC."""
         sectors = self._checked(sector_indices)
-        keys_list = self._batch_value_keys(values, int(sectors.size))
+        keys_list = self._batch_value_keys(values)
         self.stats.fills += int(sectors.size)
         self._fill_counters(sectors)
         self._fill_macs(sectors, keys_list)
@@ -480,7 +442,7 @@ class PlutusEngine(MetadataEngine):
     def on_writeback_batch(self, sector_indices, values) -> None:
         """Dirty evictions: counter bump via mirror layer; MAC if needed."""
         sectors = self._checked(sector_indices)
-        keys_list = self._batch_value_keys(values, int(sectors.size))
+        keys_list = self._batch_value_keys(values)
         self.stats.writebacks += int(sectors.size)
         self._writeback_counters(sectors)
         self._writeback_macs(sectors, keys_list)
@@ -612,19 +574,17 @@ class PlutusValueMacSide(PlutusEngine):
         self.layout = MetadataLayout(
             data_sectors=data_sectors, mac_tag_bytes=mac_tag_bytes
         )
-        self.mac_cache = cache_config.build(f"mac[{partition_id}]")
-        self.value_cache = (
-            ValueCache(value_cache_config) if value_cache_config else None
-        )
+        self.mac_cache = cache_config.build("mac")
+        self._build_value_cache(value_cache_config)
 
     def on_fill_batch(self, sector_indices, values) -> None:
         sectors = self._checked(sector_indices)
-        keys_list = self._batch_value_keys(values, int(sectors.size))
+        keys_list = self._batch_value_keys(values)
         self._fill_macs(sectors, keys_list)
 
     def on_writeback_batch(self, sector_indices, values) -> None:
         sectors = self._checked(sector_indices)
-        keys_list = self._batch_value_keys(values, int(sectors.size))
+        keys_list = self._batch_value_keys(values)
         self._writeback_macs(sectors, keys_list)
 
     def warm_counters_batch(self, sector_indices, passes: int = 1) -> None:

@@ -62,6 +62,12 @@ class ValueCacheConfig:
         return self.entries - self.pinned_capacity
 
     @property
+    def key_mask(self) -> int:
+        """AND mask turning a raw value into its probe key: the value's
+        ``value_bits`` with the ``mask_bits`` LSBs cleared."""
+        return ((1 << self.value_bits) - 1) & ~((1 << self.mask_bits) - 1)
+
+    @property
     def effective_value_bits(self) -> int:
         """Bits that participate in matching (28 for the paper's config)."""
         return self.value_bits - self.mask_bits
@@ -227,10 +233,18 @@ class ValueCache:
         return [self._key(v) for v in values]
 
     def _check_units(self, keys_list) -> None:
+        """Reject a run before it changes any state: every row must fill
+        whole units and fit the transient region (see :meth:`fill_run`)."""
         per_unit = self.config.values_per_unit
-        for keys in keys_list:
-            if keys is not None and len(keys) % per_unit:
+        cap = self._transient_capacity
+        for length in {len(keys) for keys in keys_list if keys is not None}:
+            if length % per_unit:
                 raise ValueError("sector values must fill whole units")
+            if length > cap:
+                raise ValueError(
+                    f"a sector of {length} values does not fit the "
+                    f"transient region of {cap} entries"
+                )
 
     def fill_run(self, keys_list) -> Tuple[List[int], int, int]:
         """Value-check a run of fills: verify, then observe, each sector.
@@ -241,6 +255,16 @@ class ValueCache:
         :meth:`observe_many`. Returns ``(mac_rows, verified, failed)``:
         the indices of the events whose MAC must be fetched (no image,
         or a failed check), and the verified and failed sector counts.
+
+        One visit per key: the probed prefix of a sector is probed and
+        observed together. A key the prefix inserts probes as a miss
+        again if it repeats within the prefix, the transient region is
+        trimmed to capacity once when the prefix ends, and the unprobed
+        tail of a failed sector is then observed key by key. That equals
+        probing the whole prefix before observing anything as long as a
+        sector's keys fit the transient region (the trim then evicts
+        only keys the sector never touched), which :meth:`_check_units`
+        requires of every row.
         """
         self._check_units(keys_list)
         cfg = self.config
@@ -263,16 +287,23 @@ class ValueCache:
             if keys is None:
                 append(i)
                 continue
+            fresh = []  # keys this sector inserted
             unit_start = hits
             unit_end = per_unit
-            probed = len(keys)
+            passed = True
+            n = 0
             for n, key in enumerate(keys, 1):
                 if key in pinned:
                     hits += 1
                     pinned_hits += 1
                 else:
                     freq = lookup(key)
-                    if freq is not None:
+                    if freq is None:
+                        transient[key] = 1
+                        fresh.append(key)
+                    elif key in fresh:
+                        move(key)  # inserted earlier in this prefix
+                    else:
                         hits += 1
                         if freq < freq_cap:
                             freq += 1
@@ -283,16 +314,19 @@ class ValueCache:
                             promotions += 1
                 if n == unit_end:
                     if hits - unit_start < need:
-                        probed = n  # the remaining units are not probed
-                        failed += 1
-                        append(i)
+                        passed = False  # the remaining units go unprobed
                         break
                     unit_start = hits
                     unit_end += per_unit
-            else:
+            probes += n
+            while len(transient) > cap:
+                evict(False)
+            if passed:
                 verified += 1
-            probes += probed
-            for key in keys:
+                continue
+            failed += 1
+            append(i)
+            for key in keys[n:]:
                 if key in pinned:
                     continue
                 if key in transient:
@@ -315,10 +349,12 @@ class ValueCache:
         """Train on a run of writebacks: observe, then check, each sector.
 
         Every key is observed as :meth:`observe_many`, and the sector is
-        then checked as :meth:`write_verifiable`. Returns ``(mac_rows,
-        avoided)``: the indices of the events whose MAC must be written
-        (no image, or not verifiable from pinned values), and the number
-        of MAC writes avoided.
+        then checked as :meth:`write_verifiable`. Observing never
+        changes the pinned set, so each unit's pinned keys are counted
+        in the same visit. Returns ``(mac_rows, avoided)``: the indices
+        of the events whose MAC must be written (no image, or not
+        verifiable from pinned values), and the number of MAC writes
+        avoided.
         """
         self._check_units(keys_list)
         cfg = self.config
@@ -336,28 +372,27 @@ class ValueCache:
             if keys is None:
                 append(i)
                 continue
-            for key in keys:
-                if key in pinned:
-                    continue
-                if key in transient:
-                    move(key)
-                    continue
-                if len(transient) >= cap:
-                    evict(False)
-                transient[key] = 1
+            passed = True
             unit_pinned = 0
             unit_end = per_unit
             for n, key in enumerate(keys, 1):
                 if key in pinned:
                     unit_pinned += 1
+                elif key in transient:
+                    move(key)
+                else:
+                    if len(transient) >= cap:
+                        evict(False)
+                    transient[key] = 1
                 if n == unit_end:
                     if unit_pinned < need:
-                        append(i)
-                        break
+                        passed = False
                     unit_pinned = 0
                     unit_end += per_unit
-            else:
+            if passed:
                 avoided += 1
+            else:
+                append(i)
         return mac_rows, avoided
 
     def state_summary(self):

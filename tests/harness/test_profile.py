@@ -172,7 +172,10 @@ class TestProfileCli:
             traced = {json.loads(line)["name"] for line in handle}
         assert "mem.fill" in traced
         chrome = json.loads((tmp_path / "c.json").read_text())
-        assert "engine.fill" in {e["name"] for e in chrome["traceEvents"]}
+        spans = {e["name"] for e in chrome["traceEvents"]}
+        assert "engine.fill" in spans
+        # The value cache is its own layer under span detail.
+        assert "value_cache.fill" in spans
         metrics = json.loads((tmp_path / "m.json").read_text())["metrics"]
         positions = metrics["traffic.total.bytes"]["positions"]
         assert len(positions) >= 2

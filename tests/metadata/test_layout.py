@@ -1,5 +1,6 @@
 """Tests for partition-local metadata layouts (Fig. 14 designs)."""
 
+import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -153,3 +154,44 @@ class TestCompactLayout:
             mirror.bmt_geometry().storage_bytes
             < original.bmt_geometry().storage_bytes
         )
+
+
+class TestUnitIndexLocations:
+    """The batch phases cut runs on one integer per sector — the BMT
+    leaf for counters, the MAC sector for MACs — and locate each run
+    from it. That must be the scalar location of every sector in the
+    run."""
+
+    #: A partition size that is no multiple of any unit, so the last
+    #: leaf and MAC sector are partial.
+    DATA_SECTORS = 100_003
+
+    @pytest.mark.parametrize("design", list(GranularityDesign))
+    @pytest.mark.parametrize("mac_tag_bytes", [4, 8])
+    # 32: the split counters; 64 and 128: the compact blocks.
+    @pytest.mark.parametrize("sectors_per_counter_sector", [32, 64, 128])
+    def test_unit_index_matches_scalar_locations(
+        self, design, mac_tag_bytes, sectors_per_counter_sector
+    ):
+        layout = MetadataLayout(
+            data_sectors=self.DATA_SECTORS,
+            design=design,
+            mac_tag_bytes=mac_tag_bytes,
+            sectors_per_counter_sector=sectors_per_counter_sector,
+        )
+        rng = np.random.default_rng(7)
+        sectors = np.concatenate((
+            [0, self.DATA_SECTORS - 1],
+            rng.integers(0, self.DATA_SECTORS, size=400),
+        )).astype(np.int64)
+        leaves = layout.bmt_leaf_indices(sectors).tolist()
+        mac_sectors = layout.mac_sector_indices(sectors).tolist()
+        counter_unit = layout.counter_unit_locator()
+        mac_unit = layout.mac_unit_locator()
+        geometry = layout.bmt_geometry()
+        for sector, leaf, mac_sector in zip(sectors.tolist(), leaves,
+                                            mac_sectors):
+            assert leaf == layout.bmt_leaf_index(sector)
+            assert 0 <= leaf < geometry.num_leaves
+            assert counter_unit(leaf) == layout.counter_location(sector)
+            assert mac_unit(mac_sector) == layout.mac_location(sector)

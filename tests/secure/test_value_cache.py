@@ -260,18 +260,25 @@ def reference_run(cache, is_read, keys_list):
 
 
 #: Masked keys (low four bits clear), so the per-value methods probe
-#: exactly these keys. Eight of them keep every key hot enough to
-#: saturate its frequency counter.
-ORACLE_KEYS = [0x1230 + 0x100 * i for i in range(8)]
+#: exactly these keys. The pool is larger than any transient region the
+#: property draws (at most 64 entries), so a sector can insert into a
+#: full region and trim inside itself; a small ``distinct`` keeps a few
+#: keys hot enough to saturate their frequency counters.
+ORACLE_KEYS = [0x1230 + 0x100 * i for i in range(80)]
 
+_PICK = st.integers(min_value=0, max_value=len(ORACLE_KEYS) - 1)
+
+#: A sector of no, one or two units (or no image): one unit fits every
+#: transient region drawn below, two do not fit the smallest.
 _SECTOR = st.one_of(
     st.none(),
-    st.lists(st.integers(min_value=0, max_value=len(ORACLE_KEYS) - 1),
-             min_size=8, max_size=8),
+    st.just([]),
+    st.lists(_PICK, min_size=4, max_size=4),
+    st.lists(_PICK, min_size=8, max_size=8),
 )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     entries=st.integers(min_value=8, max_value=64),
     pinned_fraction=st.sampled_from((0.0, 0.25, 0.5)),
@@ -287,7 +294,8 @@ def test_key_methods_match_per_value_reference(
 ):
     """``fill_run`` and ``writeback_run`` return what the per-value
     probe/observe decide sector by sector, and after every run leave the
-    cache exactly where they do."""
+    cache exactly where they do. A run holding a sector longer than the
+    transient region is refused whole: ValueError, nothing changed."""
     config = ValueCacheConfig(entries=entries, pinned_fraction=pinned_fraction,
                               pin_threshold=pin_threshold)
     fast = ValueCache(config)
@@ -299,5 +307,53 @@ def test_key_methods_match_per_value_reference(
             for picks in sectors
         ]
         run = fast.fill_run if is_read else fast.writeback_run
+        if any(keys is not None and len(keys) > config.transient_capacity
+               for keys in keys_list):
+            before = fast.state_summary()
+            with pytest.raises(ValueError):
+                run(keys_list)
+            assert fast.state_summary() == before, step
+            continue
         assert run(keys_list) == reference_run(ref, is_read, keys_list), step
         assert fast.state_summary() == ref.state_summary(), step
+
+
+class TestTinyTransientRegion:
+    """A sector whose values outnumber the transient region: probing
+    the whole sector before observing it evicts keys the sector itself
+    touched, which one visit per key cannot reproduce, so the run
+    methods refuse the sector."""
+
+    A, B, C, D = (0x1000, 0x2000, 0x3000, 0x4000)
+    X, Y, Z, W = (0x5000, 0x6000, 0x7000, 0x8000)
+
+    def warmed(self):
+        # Transient region of 4 entries, warmed by the per-value methods.
+        cache = ValueCache(ValueCacheConfig(entries=8, pinned_fraction=0.5))
+        for _ in range(3):
+            keys = [self.A, self.B, self.C, self.D] * 2
+            reference_verify(cache, keys)
+            for key in keys:
+                cache.observe(key)
+        return cache
+
+    def test_reference_evicts_a_key_of_the_sector(self):
+        cache = self.warmed()
+        sector = [self.A, self.B, self.C, self.X,
+                  self.Y, self.Z, self.W, self.A]
+        assert not reference_verify(cache, sector)
+        for key in sector:
+            cache.observe(key)
+        # A was probed up to frequency 7, evicted by the sector's own
+        # inserts and re-inserted: frequency 1.
+        assert dict(cache.state_summary()[0])[self.A] == 1
+
+    def test_run_methods_refuse_the_sector(self):
+        cache = self.warmed()
+        before = cache.state_summary()
+        sector = [self.A, self.B, self.C, self.X,
+                  self.Y, self.Z, self.W, self.A]
+        for run in (cache.fill_run, cache.writeback_run):
+            with pytest.raises(ValueError):
+                run([sector])
+            assert cache.state_summary() == before
