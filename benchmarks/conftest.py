@@ -1,13 +1,10 @@
 """Shared context for the figure-reproduction benches.
 
-All benches share one :class:`ExperimentContext`, so each (trace,
-engine) simulation runs exactly once per session no matter how many
-figures consume it — and traces plus L2 event logs additionally persist
-in the content-hashed disk cache (``REPRO_CACHE_DIR``, default
-``.cache``), so *repeated* bench sessions skip trace generation and
-``simulate_l2`` entirely. Trace length balances fidelity against bench
-runtime; override with REPRO_BENCH_TRACE_LEN (the EXPERIMENTS.md numbers
-were recorded at 30000).
+All benches share one :class:`ExperimentContext`, so each trace, L2
+pass and (trace, engine) simulation runs exactly once per session no
+matter how many figures consume it. Trace length balances fidelity
+against bench runtime; override with REPRO_BENCH_TRACE_LEN (the
+EXPERIMENTS.md numbers were recorded at 30000).
 
 At session end every memoized simulation's *per-stream* traffic is
 written through the observability metrics writer (see

@@ -1,17 +1,13 @@
 """Crash-atomic text-file writes.
 
-Every on-disk artifact the harness produces — disk-cache entries, the
-golden corpus, metrics and trace exports, supervised-run reports —
-goes through :func:`atomic_write_text`: the content is written to a
-temporary file in the destination directory and published with
-``os.replace``, so a reader (or a process killed mid-write) observes
-either the old file or the complete new one, never a torn prefix.
-
-``fsync=True`` additionally flushes the file and its directory entry
-before the rename, which protects against power loss at the cost of a
-synchronous disk barrier. Artifacts that are self-validating (the
-checksummed disk cache) skip the fsync; artifacts that *are* the
-source of truth (run journals, reports, the corpus) keep it.
+Every on-disk artifact the harness produces — the golden corpus,
+metrics and trace exports, supervised-run reports — goes through
+:func:`atomic_write_text`: the content is written to a temporary file
+in the destination directory and published with ``os.replace``, so a
+reader (or a process killed mid-write) observes either the old file or
+the complete new one, never a torn prefix. The file and its directory
+entry are flushed before the rename, which protects against power loss
+at the cost of a synchronous disk barrier.
 """
 
 from __future__ import annotations
@@ -60,7 +56,6 @@ def atomic_write_text(
     path: PathLike,
     text: str,
     encoding: str = "utf-8",
-    fsync: bool = True,
 ) -> None:
     """Atomically replace *path* with *text* (temp file + ``os.replace``).
 
@@ -76,9 +71,8 @@ def atomic_write_text(
     try:
         with os.fdopen(fd, "w", encoding=encoding) as handle:
             handle.write(text)
-            if fsync:
-                handle.flush()
-                os.fsync(handle.fileno())
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, target)
     except BaseException:
         try:
@@ -86,5 +80,4 @@ def atomic_write_text(
         except OSError:
             pass
         raise
-    if fsync:
-        fsync_directory(directory)
+    fsync_directory(directory)

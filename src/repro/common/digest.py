@@ -1,10 +1,10 @@
 """The repo-wide content-addressing primitive.
 
-Disk-cache keys, resilience work-unit ids, and campaign fingerprints
-all hash through this one function, so "same inputs" means the same
-thing everywhere. It lives in :mod:`repro.common` because both the
-harness (disk cache) and the resilience layer depend on it — neither
-may import the other.
+Experiment-context fingerprints, resilience work-unit ids, and
+campaign fingerprints all hash through this one function, so "same
+inputs" means the same thing everywhere. It lives in
+:mod:`repro.common` because both the harness and the resilience layer
+depend on it — neither may import the other.
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@
 Runs the requested experiments (default: all; a repeated name runs
 once) and prints their reports when the campaign ends. Useful flags:
 ``--length`` to control trace size, ``--benchmarks`` to restrict the
-roster, ``--cache-dir`` to relocate or disable the on-disk
-trace/event-log cache, and the resilience flags shared with the other
-campaign commands (below).
+roster, and the resilience flags shared with the other campaign
+commands (below). Each benchmark's trace is built, and its L2 pass
+run, once per process and kept in memory; the run writes no file but a
+named run's journal.
 
 ``python -m repro.harness profile <benchmark>`` instead runs one fully
 instrumented simulation and renders the observability dashboard; see
@@ -34,10 +35,6 @@ report; see docs/ARCHITECTURE.md § Resilient execution.
 its journal, read-only and safe against the live campaign;
 ``--follow`` tails it to completion. See docs/SCHEMAS.md for the
 journal record layout it consumes.
-
-``python -m repro.harness cache stats|gc`` inspects the shared
-artifact store: entry/byte counts and lifetime hit/corruption
-counters, plus LRU eviction down to ``--max-bytes``.
 
 ``python -m repro.harness list`` enumerates every key the other
 subcommands accept (benchmarks, engine design points, experiments,
@@ -74,14 +71,6 @@ from repro.harness.runner import (
 from repro.harness.supervise import add_resilience_flags, build_supervisor
 from repro.obs import ObsConfig
 from repro.workloads.benchmarks import benchmark_names
-
-
-def _add_cache_dir_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="root of the on-disk trace/event-log cache (default: "
-             "$REPRO_CACHE_DIR or .cache; pass '' to disable)",
-    )
 
 
 def _check_known(parser: argparse.ArgumentParser, kind: str, key: str,
@@ -145,7 +134,6 @@ def profile_main(argv) -> int:
         help="write the span profile as collapsed stacks "
              "(flamegraph.pl / speedscope input)",
     )
-    _add_cache_dir_flag(parser)
     add_logging_flags(parser)
     args = parser.parse_args(argv)
     setup_logging(args)
@@ -170,7 +158,6 @@ def profile_main(argv) -> int:
             trace_out=args.trace_out,
             chrome_out=args.chrome_out,
             collapsed_out=args.collapsed_out,
-            cache_dir=args.cache_dir,
         )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -215,11 +202,6 @@ def inject_main(argv) -> int:
     parser.add_argument(
         "--seed", type=int, default=2023, help="trace generation seed"
     )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="root of the on-disk trace cache (default: $REPRO_CACHE_DIR "
-             "or .cache; pass '' to disable)",
-    )
     add_resilience_flags(parser)
     add_logging_flags(parser)
     args = parser.parse_args(argv)
@@ -251,7 +233,6 @@ def inject_main(argv) -> int:
                 args.campaign,
                 length=args.length,
                 seed=args.seed,
-                cache_dir=args.cache_dir,
                 supervisor=supervisor,
             )
         else:
@@ -263,7 +244,6 @@ def inject_main(argv) -> int:
                 engines=(
                     list(dict.fromkeys(args.engines)) if args.engines else None
                 ),
-                cache_dir=args.cache_dir,
                 supervisor=supervisor,
             )
     except ReproError as exc:
@@ -401,7 +381,6 @@ def sweep_main(argv) -> int:
         "--report-out", default=None, metavar="PATH",
         help="additionally write the report to PATH (crash-atomically)",
     )
-    _add_cache_dir_flag(parser)
     add_resilience_flags(parser)
     add_logging_flags(parser)
     args = parser.parse_args(argv)
@@ -420,7 +399,6 @@ def sweep_main(argv) -> int:
             args.benchmark,
             trace_length=args.length,
             seed=args.seed,
-            cache_dir=args.cache_dir,
         )
         outcome = supervisor.run(campaign)
     except ReproError as exc:
@@ -496,10 +474,6 @@ def main(argv=None) -> int:
         from repro.harness.status import status_main
 
         return status_main(argv[1:])
-    if argv and argv[0] == "cache":
-        from repro.harness.cache_cli import cache_main
-
-        return cache_main(argv[1:])
     if argv and argv[0] == "list":
         return list_main(argv[1:])
     parser = argparse.ArgumentParser(
@@ -528,7 +502,6 @@ def main(argv=None) -> int:
         metavar="BENCHMARK",
         help="restrict to a subset of the benchmark roster",
     )
-    _add_cache_dir_flag(parser)
     add_resilience_flags(parser)
     add_logging_flags(parser)
     args = parser.parse_args(argv)
@@ -551,7 +524,6 @@ def main(argv=None) -> int:
         trace_length=args.length,
         seed=args.seed,
         benchmarks=args.benchmarks or benchmark_names(),
-        cache_dir=args.cache_dir,
     )
     try:
         supervisor = build_supervisor(args)

@@ -100,7 +100,6 @@ def run_inject(
     seed: int = 2023,
     config: GpuConfig = VOLTA,
     engines: Optional[Sequence[str]] = None,
-    cache_dir: Optional[str] = None,
     supervisor=None,
 ) -> InjectResult:
     """Run one campaign against a benchmark-derived victim workload.
@@ -123,7 +122,6 @@ def run_inject(
             trace_length=length,
             seed=seed,
             benchmarks=[benchmark],
-            cache_dir=cache_dir,
         )
         trace = ctx.trace(benchmark)
         ops = _victim_ops(trace, spec.size_bytes, spec.warmup_ops)
@@ -145,7 +143,6 @@ def run_inject_crash(
     length: int = DEFAULT_TRACE_LENGTH,
     seed: int = 2023,
     config: GpuConfig = VOLTA,
-    cache_dir: Optional[str] = None,
     supervisor=None,
 ) -> InjectCrashResult:
     """Run one crash-point torture sweep on a benchmark-shaped workload.
@@ -164,7 +161,6 @@ def run_inject_crash(
         trace_length=length,
         seed=seed,
         benchmarks=[benchmark],
-        cache_dir=cache_dir,
     )
     trace = ctx.trace(benchmark)
     victim = ops_from_trace(trace, spec.size_bytes, limit=spec.num_ops)

@@ -74,7 +74,6 @@ def run_profile(
     trace_out: Optional[str] = None,
     chrome_out: Optional[str] = None,
     collapsed_out: Optional[str] = None,
-    cache_dir: Optional[str] = None,
 ) -> ProfileResult:
     """Run one fully instrumented simulation and export its artifacts.
 
@@ -91,7 +90,6 @@ def run_profile(
         seed=seed,
         benchmarks=[benchmark],
         obs=obs,
-        cache_dir=cache_dir,
     )
     result = ctx.run(benchmark, engine_key)
     profile = ProfileResult(

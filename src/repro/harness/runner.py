@@ -3,18 +3,16 @@
 All figure reproductions share the same expensive artifacts: benchmark
 traces, their L2 event logs (one pass per trace regardless of how many
 engines are compared), and per-engine simulation results. The
-:class:`ExperimentContext` memoizes traces and logs twice — in memory
-for the lifetime of one context, and content-hashed on disk (see
-:mod:`repro.harness.diskcache`) so repeated sweeps across processes
-skip trace generation and ``simulate_l2`` entirely.
+:class:`ExperimentContext` memoizes all three in memory for the
+lifetime of one context: each benchmark's trace is built, and its L2
+pass run, once per context.
 
-Replay results stay in memory, and replay is most of a replay
-experiment's CPU, so the context shares it across design points. A
-``PssmEngine`` or ``PlutusEngine`` design point has two sides that share
-no state: its counter side and its value/MAC side
-(:data:`~repro.secure.engine.VALUE_MAC_STREAMS`). Each side is keyed by
-the constructor arguments it reads, and each (log, side key) is
-replayed at most once per context:
+Replay is most of a replay experiment's CPU, so the context shares it
+across design points. A ``PssmEngine`` or ``PlutusEngine`` design point
+has two sides that share no state: its counter side and its value/MAC
+side (:data:`~repro.secure.engine.VALUE_MAC_STREAMS`). Each side is
+keyed by the constructor arguments it reads, and each (log, side key)
+is replayed at most once per context:
 
 * neither side memoized: the design point replays whole, as any other
   engine does, and memoizes its value/MAC side, plus its counter side
@@ -41,6 +39,7 @@ import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Tuple, Type
 
+from repro.common.digest import content_digest
 from repro.common.errors import UnknownEngineError
 from repro.gpu.config import VOLTA, GpuConfig
 from repro.gpu.simulator import (
@@ -50,7 +49,6 @@ from repro.gpu.simulator import (
     replay_events,
     simulate_l2,
 )
-from repro.harness.diskcache import DiskCache, content_digest
 from repro.mem.traffic import (
     TREE_STREAMS,
     Stream,
@@ -261,10 +259,6 @@ class ExperimentContext:
     span profiler accumulate across runs (the ``profile`` subcommand
     drives a single run and exports them). The default config is
     disabled and changes nothing.
-
-    ``cache_dir`` names the disk-cache root (``None`` = resolve from
-    ``REPRO_CACHE_DIR``, default ``.cache``; empty string disables disk
-    caching).
     """
 
     config: GpuConfig = VOLTA
@@ -272,6 +266,8 @@ class ExperimentContext:
     seed: int = 2023
     benchmarks: List[str] = field(default_factory=benchmark_names)
     obs: ObsConfig = field(default_factory=ObsConfig)
+    #: Ignored: ``perfbench/rep.py`` still passes ``cache_dir=""``, from
+    #: when a context had a disk cache (ROADMAP item 11 removes both).
     cache_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -283,16 +279,9 @@ class ExperimentContext:
         self._sides: Dict[tuple, SimulationResult] = {}
         self.factories = engine_factories()
         self.obs_session = ObsSession(self.obs)
-        self.disk_cache = DiskCache.from_spec(self.cache_dir)
 
     def fingerprint(self) -> str:
-        """Content hash of everything that shapes this context's results.
-
-        The cache location is deliberately excluded: it changes *how*
-        results are computed, never *what* they are, so a journaled run
-        may resume under a different cache root and still report
-        byte-identically.
-        """
+        """Content hash of everything that shapes this context's results."""
         return content_digest(
             "experiment-context",
             repr(self.config),
@@ -303,58 +292,17 @@ class ExperimentContext:
 
     def trace(self, benchmark: str) -> Trace:
         if benchmark not in self._traces:
-            trace = None
-            key = None
-            if self.disk_cache is not None:
-                key = DiskCache.trace_key(
-                    benchmark, self.trace_length, self.seed
+            with self.obs_session.phase("build_trace", benchmark=benchmark):
+                self._traces[benchmark] = build_trace(
+                    benchmark, length=self.trace_length, seed=self.seed
                 )
-                trace = self.disk_cache.load_trace(key)
-            if trace is None:
-                with self.obs_session.phase("build_trace", benchmark=benchmark):
-                    trace = build_trace(
-                        benchmark, length=self.trace_length, seed=self.seed
-                    )
-                if self.disk_cache is not None and key is not None:
-                    self.disk_cache.store_trace(key, trace)
-            else:
-                # A disk-cache hit skips trace generation; emit the phase
-                # (near-zero, tagged cached) so metrics stay complete.
-                with self.obs_session.phase(
-                    "build_trace", benchmark=benchmark, cached=True
-                ):
-                    pass
-            self._traces[benchmark] = trace
         return self._traces[benchmark]
 
     def event_log(self, benchmark: str) -> MemoryEventLog:
         if benchmark not in self._logs:
             trace = self.trace(benchmark)
-            log = None
-            key = None
-            if self.disk_cache is not None:
-                key = DiskCache.event_log_key(trace, self.config)
-                log = self.disk_cache.load_event_log(key)
-            if log is None:
-                with activate(self.obs_session):
-                    log = simulate_l2(trace, self.config)
-                if self.disk_cache is not None and key is not None:
-                    self.disk_cache.store_event_log(key, log)
-            else:
-                # A cache hit skips simulate_l2, so restore the phase span
-                # and gauges the live pass would have set for the profile
-                # dashboard.
-                with self.obs_session.phase(
-                    "simulate_l2", trace=trace.name, cached=True
-                ):
-                    pass
-                if self.obs.enabled:
-                    registry = self.obs_session.registry
-                    registry.gauge("l2.sector_hit_rate").set(
-                        log.l2_stats.sector_hit_rate
-                    )
-                    registry.gauge("l2.dram_events").set(len(log.events))
-            self._logs[benchmark] = log
+            with activate(self.obs_session):
+                self._logs[benchmark] = simulate_l2(trace, self.config)
         return self._logs[benchmark]
 
     def run(self, benchmark: str, engine_key: str) -> SimulationResult:

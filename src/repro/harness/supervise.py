@@ -26,7 +26,7 @@ import argparse
 
 from repro.resilience import ResourceBudget, Supervisor
 
-#: Default root for run journals (mirrors the ``.cache`` convention).
+#: Default root for run journals.
 DEFAULT_RUN_DIR = ".runs"
 
 

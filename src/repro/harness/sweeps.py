@@ -163,7 +163,6 @@ def sweep_campaign(
     benchmark: str,
     trace_length: Optional[int] = None,
     seed: int = 2023,
-    cache_dir: Optional[str] = None,
 ) -> Campaign:
     """Decompose one sweep into a supervised, resumable campaign.
 
@@ -215,7 +214,6 @@ def sweep_campaign(
             trace_length=length,
             seed=seed,
             benchmarks=[benchmark],
-            cache_dir=cache_dir,
         )
         units = [
             unit(i, lambda i=i: intensity_cell(shared, benchmark, i))

@@ -113,7 +113,8 @@ class Eviction:
 
     @property
     def dirty_sector_count(self) -> int:
-        return popcount(self.dirty_mask)
+        mask = self.dirty_mask
+        return _NARROW_COUNTS[mask] if mask < 16 else popcount(mask)
 
 
 @dataclass
@@ -156,6 +157,12 @@ def _popcount_table(sectors: int) -> Optional[Tuple[int, ...]]:
     if sectors > 16:
         return None
     return tuple(bin(m).count("1") for m in range(1 << sectors))
+
+
+#: Popcounts of 4-sector masks. The default metadata caches and the L2
+#: have 128 B lines of 32 B sectors, so an eviction's dirty count is one
+#: lookup in the table those caches share; a wider mask counts its bits.
+_NARROW_COUNTS = _popcount_table(4)
 
 
 class _Line:

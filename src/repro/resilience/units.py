@@ -3,8 +3,8 @@
 A *work unit* is the supervisor's atom of progress: a pure-ish callable
 (the runner) plus the JSON-able parameters that define its identity.
 The unit id is a content hash over kind and canonicalized parameters —
-the same :func:`~repro.common.digest.content_digest` primitive the
-disk cache keys artifacts with — so that a resumed run recognizes
+the same :func:`~repro.common.digest.content_digest` primitive an
+experiment context's fingerprint uses — so that a resumed run recognizes
 exactly the units of the original run, regardless of process, order,
 or machine.
 

@@ -19,10 +19,10 @@ profile facts the simulator needs.
 The module also serializes :class:`~repro.gpu.simulator.MemoryEventLog`
 — the DRAM-side event stream distilled from one L2 pass — as
 hex-encoded column chunks (``#repro-events-columnar``, see SCHEMAS.md).
-That is the one event-log format: the disk cache stores it so a hit
-skips ``simulate_l2``, the golden corpus commits it, and supervised
-fuzz runs journal their failing logs in it. Round-trips are exact:
-replaying a reloaded log is byte-identical to replaying the original.
+That is the one event-log format: the golden corpus commits it, and
+supervised fuzz runs journal their failing logs in it. Round-trips are
+exact: replaying a reloaded log is byte-identical to replaying the
+original.
 """
 
 from __future__ import annotations

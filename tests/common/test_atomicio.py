@@ -33,11 +33,6 @@ class TestAtomicWriteText:
         assert target.read_text() == "original"
         assert os.listdir(tmp_path) == ["out.txt"]
 
-    def test_fsync_false_still_atomic(self, tmp_path):
-        target = tmp_path / "out.txt"
-        atomic_write_text(target, "payload", fsync=False)
-        assert target.read_text() == "payload"
-
     def test_accepts_bare_filename(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         atomic_write_text("out.txt", "payload")

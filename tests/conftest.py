@@ -5,8 +5,6 @@ assert on mechanisms and invariants, not on calibration magnitudes (the
 benchmark harness owns those).
 """
 
-import os
-
 import pytest
 
 from repro.common.rng import RngStream
@@ -15,26 +13,6 @@ from repro.gpu.simulator import replay_events, simulate_l2
 from repro.mem.cache import CacheConfig, SectoredCache
 from repro.mem.traffic import TrafficCounter
 from repro.workloads.benchmarks import build_trace
-
-
-@pytest.fixture(scope="session", autouse=True)
-def artifact_store(tmp_path_factory):
-    """A fresh default disk cache for each session, outside the checkout.
-
-    A context built without ``cache_dir`` would otherwise read and write
-    ``.cache/`` in the working directory, and so check traces and event
-    logs that an earlier run, and earlier code, wrote. Subprocesses
-    inherit the variable; tests of the variable itself set it or delete
-    it with ``monkeypatch``.
-    """
-    previous = os.environ.get("REPRO_CACHE_DIR")
-    store = tmp_path_factory.mktemp("artifact-store")
-    os.environ["REPRO_CACHE_DIR"] = str(store)
-    yield store
-    if previous is None:
-        del os.environ["REPRO_CACHE_DIR"]
-    else:
-        os.environ["REPRO_CACHE_DIR"] = previous
 
 
 @pytest.fixture

@@ -91,9 +91,7 @@ class TestFigureSemantics:
     def test_fig19_reports_a_negative_reduction(self):
         # In a 200-access window Plutus moves more metadata than PSSM on
         # hotspot; the row says so and the summary's geomean is nan.
-        short = ExperimentContext(
-            trace_length=200, benchmarks=["hotspot"], cache_dir=""
-        )
+        short = ExperimentContext(trace_length=200, benchmarks=["hotspot"])
         result = EXPERIMENTS["fig19"](short)
         assert result.rows[0]["reduction"] < 0
         assert math.isnan(result.summary["geomean"])

@@ -161,7 +161,6 @@ class TestProfileCli:
             "--interval", "256",
             "--trace-events",
             "--span-detail",
-            "--cache-dir", "",
             "--metrics-out", str(tmp_path / "m.json"),
             "--trace-out", str(tmp_path / "t.jsonl"),
             "--chrome-out", str(tmp_path / "c.json"),
@@ -199,7 +198,6 @@ class TestProfileCli:
                 "--engine", "nosec",
                 "--length", "2000",
                 "--interval", str(interval),
-                "--cache-dir", "",
                 "--metrics-out", str(out),
             ])
             assert rc == 0

@@ -133,9 +133,7 @@ class TestSharedSides:
         # pinned-fraction key and then side-only replays, and no-tree
         # order the tree-off keys, whose counter sides must not stand
         # in for the tree-on keys after them.
-        ctx = ExperimentContext(
-            trace_length=1000, benchmarks=["bfs", "lbm"], cache_dir=""
-        )
+        ctx = ExperimentContext(trace_length=1000, benchmarks=["bfs", "lbm"])
         keys = _split_keys()
         if order == "reversed":
             keys.reverse()
@@ -159,9 +157,7 @@ class TestSharedSides:
         )
 
     def test_alias_of_a_run_key_replays_nothing(self, monkeypatch):
-        ctx = ExperimentContext(
-            trace_length=500, benchmarks=["bfs"], cache_dir=""
-        )
+        ctx = ExperimentContext(trace_length=500, benchmarks=["bfs"])
         ctx.run("bfs", "plutus")
         calls = _count_replays(monkeypatch)
         ctx.run("bfs", "plutus:vcache-256")
@@ -171,9 +167,7 @@ class TestSharedSides:
         # Whole: nosec, pssm, common-counters. Counter sides: the two
         # 32 B granularities, the three compact designs, plutus. Value/MAC
         # sides: the default cache and the 64/128/512/1024-entry ones.
-        ctx = ExperimentContext(
-            trace_length=500, benchmarks=["bfs"], cache_dir=""
-        )
+        ctx = ExperimentContext(trace_length=500, benchmarks=["bfs"])
         calls = _count_replays(monkeypatch)
         for key in sorted(REPLAY_EXPERIMENTS):
             EXPERIMENTS[key](ctx)

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
-from repro.mem.cache import CacheConfig, SectoredCache
+from repro.mem.cache import CacheConfig, Eviction, SectoredCache
 
 
 def make_cache(size=2048, ways=4, sectored=True):
@@ -113,6 +113,13 @@ class TestDirtyAndEviction:
         assert len(result.evictions) == 1
         assert result.evictions[0].line_addr == 0
         assert result.evictions[0].dirty_mask == 0b0101
+
+    def test_dirty_sector_count_counts_every_mask(self):
+        # Masks of up to four sectors come from a table, wider ones
+        # count their bits; both must equal a plain bit count.
+        for mask in range(1 << 8):
+            eviction = Eviction(0, mask)
+            assert eviction.dirty_sector_count == bin(mask).count("1")
 
     def test_flush_returns_all_dirty(self):
         cache = make_cache()

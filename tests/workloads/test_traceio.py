@@ -234,7 +234,7 @@ def reference_dump(trace):
 @pytest.mark.parametrize("name", list(BENCHMARKS))
 def test_column_dump_matches_per_access_dumper(name):
     """All 20 profiles, at three lengths and two seeds, with and without
-    values: the dumped text (and so every disk-cache key) is unchanged."""
+    values: the dumped text is unchanged."""
     for length in (1, 7, 2000):
         for seed in (2023, 7):
             for with_values in (True, False):
