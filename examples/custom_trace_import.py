@@ -15,6 +15,7 @@ Run:
     python examples/custom_trace_import.py [trace_file]
 """
 
+import os
 import sys
 import tempfile
 
@@ -84,8 +85,11 @@ def main() -> None:
     with tempfile.NamedTemporaryFile("w", suffix=".trace",
                                      delete=False) as tmp:
         path = tmp.name
-    write_demo_trace(path)
-    evaluate(path)
+    try:
+        write_demo_trace(path)
+        evaluate(path)
+    finally:
+        os.unlink(path)
 
 
 if __name__ == "__main__":

@@ -100,7 +100,7 @@ def execute_log(
         if event.kind is EventKind.WRITEBACK:
             outcome.writebacks_seen += 1
             data = event.values
-            if data is None or len(data) != SECTOR_BYTES:
+            if data is None:
                 data = _fill_payload(mode, index, address)
             try:
                 memory.write(address, data)
@@ -191,7 +191,7 @@ def execute_recovery_probe(
         address = (event.sector_index % fold_sectors) * SECTOR_BYTES
         if event.kind is EventKind.WRITEBACK:
             data = event.values
-            if data is None or len(data) != SECTOR_BYTES:
+            if data is None:
                 data = _fill_payload("recoverable", index, address)
             ops.append(("write", address, data))
         else:

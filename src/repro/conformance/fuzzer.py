@@ -47,6 +47,7 @@ from repro.conformance.matrix import (
     DEFAULT_FUNCTIONAL_EVENTS,
     run_matrix,
 )
+from repro.gpu.columnar import EventColumns
 from repro.gpu.config import VOLTA, GpuConfig
 from repro.gpu.simulator import EventKind, MemoryEvent, MemoryEventLog
 from repro.workloads.traceio import dumps_event_log, loads_event_log
@@ -84,19 +85,13 @@ def _finish(
     events: List[MemoryEvent],
     counter_warmup_passes: int,
 ) -> MemoryEventLog:
-    log = MemoryEventLog(
+    return MemoryEventLog(
         trace_name=name,
         memory_intensity=0.5,
         instructions=max(1, len(events)),
         counter_warmup_passes=counter_warmup_passes,
+        events=EventColumns.from_events(events),
     )
-    for event in events:
-        append = (
-            log.append_fill if event.kind is EventKind.FILL
-            else log.append_writeback
-        )
-        append(event.partition, event.sector_index, event.values)
-    return log
 
 
 def _gen_uniform(rng: random.Random, name: str) -> MemoryEventLog:
@@ -279,7 +274,7 @@ def generate_log(
 def rebuild_log(
     log: MemoryEventLog, events: Sequence[MemoryEvent]
 ) -> MemoryEventLog:
-    """A copy of *log* holding exactly *events*, with counts recomputed."""
+    """A copy of *log* holding exactly *events*."""
     return _finish(log.trace_name, list(events), log.counter_warmup_passes)
 
 
@@ -289,10 +284,10 @@ def shrink(
 ) -> MemoryEventLog:
     """ddmin: a minimal event sub-list still satisfying *predicate*.
 
-    *predicate* receives a rebuilt log (sector counts recomputed) and
-    returns True while the log still fails. The result is 1-minimal in
-    the ddmin sense: removing any single tried chunk breaks the
-    predicate. The original *log* is never mutated.
+    *predicate* receives a rebuilt log and returns True while the log
+    still fails. The result is 1-minimal in the ddmin sense: removing
+    any single tried chunk breaks the predicate. The original *log* is
+    never mutated.
     """
     events = list(log.events.iter_events())
     if not predicate(rebuild_log(log, events)):

@@ -33,7 +33,6 @@ from repro.common.errors import SimulationError
 from repro.gpu.columnar import (
     FILL_CODE,
     WRITEBACK_CODE,
-    ColumnStore,
     EventColumns,
     EventKind,
     MemoryEvent,
@@ -73,11 +72,10 @@ class L2Stats:
 class MemoryEventLog:
     """The DRAM-side event stream distilled from one L2 pass.
 
-    ``events`` is the columnar store (:mod:`repro.gpu.columnar`). Build
-    a log with :meth:`append_fill`/:meth:`append_writeback`, which keep
-    ``fill_sectors``/``writeback_sectors`` in step with the store, and
-    read it back with ``events.iter_events()`` or the numpy snapshot
-    :meth:`to_columns`.
+    ``events`` is the log's one form, the read-only columns of
+    :class:`~repro.gpu.columnar.EventColumns`; it defaults to an empty
+    log. Build one from records with ``EventColumns.from_events`` and
+    read it back with ``events.iter_events()``.
     """
 
     trace_name: str
@@ -86,29 +84,15 @@ class MemoryEventLog:
     #: Pre-window write-history depth recorded from the trace profile.
     counter_warmup_passes: int = 3
     l2_stats: L2Stats = field(default_factory=L2Stats)
-    events: ColumnStore = field(default_factory=ColumnStore, init=False)
-    fill_sectors: int = field(default=0, init=False)
-    writeback_sectors: int = field(default=0, init=False)
+    events: EventColumns = field(default_factory=EventColumns.from_events)
 
     @property
-    def data_bytes(self) -> int:
-        return 32 * (self.fill_sectors + self.writeback_sectors)
+    def fill_sectors(self) -> int:
+        return int(np.count_nonzero(self.events.kind == FILL_CODE))
 
-    def append_fill(self, partition: int, sector: int,
-                    values: Optional[bytes]) -> None:
-        """Append one fill event and account it."""
-        self.events.append(FILL_CODE, partition, sector, values)
-        self.fill_sectors += 1
-
-    def append_writeback(self, partition: int, sector: int,
-                         values: Optional[bytes]) -> None:
-        """Append one writeback event and account it."""
-        self.events.append(WRITEBACK_CODE, partition, sector, values)
-        self.writeback_sectors += 1
-
-    def to_columns(self) -> EventColumns:
-        """Numpy snapshot of the event stream (cached by the store)."""
-        return self.events.to_columns()
+    @property
+    def writeback_sectors(self) -> int:
+        return len(self.events) - self.fill_sectors
 
 
 @dataclass
@@ -167,10 +151,10 @@ def _simulate_l2(trace: Trace, config: GpuConfig) -> MemoryEventLog:
     each access is one ``access_run_raw`` call on its partition's bank.
     Dirty sectors and events carry their sector's image-matrix row.
     Events gather in plain columns, each with its sector's byte address,
-    and join the log's store in one ``extend_decoded`` call once the
-    banks are drained, with one :meth:`AddressMap.local_sector_indices`
-    call for the whole column and one gather from the matrix for the
-    payload.
+    and become the log's columns once the banks are drained, with one
+    :meth:`AddressMap.local_sector_indices` call for the whole column
+    and one gather each from the trace's image matrix and presence
+    flags.
     """
     amap = config.address_map
     bank_config = CacheConfig(
@@ -237,29 +221,29 @@ def _simulate_l2(trace: Trace, config: GpuConfig) -> MemoryEventLog:
             f"{len(dirty_rows)} dirty sector values were never drained"
         )
 
+    event_rows = np.array(rows, dtype=np.int64)
+    if trace.images is None:
+        images = np.zeros((len(event_rows), 8), dtype="<u4")
+        present = np.zeros(len(event_rows), dtype=bool)
+    else:
+        images = trace.images[event_rows].astype("<u4", copy=False)
+        present = trace.present[event_rows]
+        images[~present] = 0
     log = MemoryEventLog(
         trace_name=trace.name,
         memory_intensity=trace.memory_intensity,
         instructions=trace.instructions,
         counter_warmup_passes=trace.counter_warmup_passes,
+        events=EventColumns(
+            kind=np.frombuffer(bytes(kinds), dtype=np.uint8),
+            partition=np.array(partitions, dtype=np.int32),
+            sector=amap.local_sector_indices(
+                np.array(addrs, dtype=np.int64)
+            ),
+            images=images,
+            present=present,
+        ),
     )
-    event_rows = np.array(rows, dtype=np.int64)
-    if trace.images is None:
-        imaged = np.zeros(len(event_rows), dtype=bool)
-        payload = b""
-    else:
-        imaged = trace.present[event_rows]
-        payload = trace.images[event_rows[imaged]].astype(
-            "<u4", copy=False).tobytes()
-    log.events.extend_decoded(
-        kinds,
-        np.array(partitions, dtype=np.int32),
-        amap.local_sector_indices(np.array(addrs, dtype=np.int64)),
-        np.where(imaged, 32, -1),
-        payload,
-    )
-    log.fill_sectors = kinds.count(FILL_CODE)
-    log.writeback_sectors = len(kinds) - log.fill_sectors
 
     for bank in l2_banks:
         log.l2_stats.accesses += bank.stats.accesses
@@ -352,7 +336,7 @@ def replay_events(
             engines[partition] = engine
         return engine
 
-    cols = log.to_columns()
+    cols = log.events
     kind = cols.kind
     partition = cols.partition
     sector = cols.sector
@@ -373,7 +357,7 @@ def replay_events(
                     )
 
     if interval or mem_events is not None or detail_prof is not None:
-        order = np.arange(cols.n_events)
+        order = np.arange(len(cols))
     else:
         order = by_partition
     bounds = _run_bounds(partition[order], kind[order], interval)
@@ -456,17 +440,17 @@ def replay_events(
             engine_name = engine.name
         if interval:
             # Tail events plus finalize()'s metadata drain.
-            snapshot(cols.n_events)
+            snapshot(len(cols))
             traffic = total
 
     merged_stats = _merge_stats([e.stats for e in engines.values()])
     if obs.enabled:
         elapsed = time.perf_counter() - start
         registry = obs.registry
-        registry.gauge("replay.events").set(cols.n_events)
+        registry.gauge("replay.events").set(len(cols))
         if elapsed > 0:
             registry.gauge("replay.events_per_sec").set(
-                cols.n_events / elapsed
+                len(cols) / elapsed
             )
         for name in _STATS_FIELDS:
             registry.gauge(f"engine.{name}").set(getattr(merged_stats, name))

@@ -180,16 +180,16 @@ class PlutusEngine(MetadataEngine):
     def _batch_value_keys(self, values):
         """Masked value-cache keys per event (None = no image).
 
-        On a column of fixed 32-byte images the keys come straight from
-        the payload rows (``ColumnValues.masked_u32_rows``: one gather
-        and one numpy AND, little-endian like ``split_values`` + ``_key``);
-        those lengths are valid by construction. Any other sequence is
+        On an event log's value column the keys come straight from the
+        image rows (``ColumnValues.masked_u32_rows``: one gather and one
+        numpy AND, little-endian like ``split_values`` + ``_key``); a
+        log's images are 32 bytes by construction. Any other sequence is
         decoded image by image, raising ValueError when a present image
         is not 32 bytes, before the hook changes any state. Without a
         value cache nothing is decoded and the result is None.
         """
         vc = self.value_cache
-        if getattr(values, "fixed32", False):
+        if hasattr(values, "masked_u32_rows"):
             if vc is None:
                 return None
             return values.masked_u32_rows(vc.config.key_mask)

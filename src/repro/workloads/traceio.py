@@ -20,9 +20,11 @@ The module also serializes :class:`~repro.gpu.simulator.MemoryEventLog`
 — the DRAM-side event stream distilled from one L2 pass — as
 hex-encoded column chunks (``#repro-events-columnar``, see SCHEMAS.md).
 That is the one event-log format: the golden corpus commits it, and
-supervised fuzz runs journal their failing logs in it. Round-trips are
-exact: replaying a reloaded log is byte-identical to replaying the
-original.
+supervised fuzz runs journal their failing logs in it. The writer
+slices the log's columns chunk by chunk; the loader decodes each chunk
+into numpy columns and joins them once into the log's
+:class:`~repro.gpu.columnar.EventColumns`. Round-trips are exact:
+replaying a reloaded log is byte-identical to replaying the original.
 """
 
 from __future__ import annotations
@@ -289,9 +291,9 @@ def dump_event_log(log: "MemoryEventLog", fp: TextIO) -> None:
     exactly what the live pass did. Each chunk then holds up to
     :data:`COLUMNAR_CHUNK_EVENTS` events as five records — ``K`` kind
     bytes, ``P`` int32-LE partitions, ``S`` int64-LE sectors, ``L``
-    int32-LE value lengths (-1 = no value), ``D`` the packed value
-    payload — all hex-encoded; the shared ``#repro-end`` footer carries
-    the total event count.
+    int32-LE value lengths (32, or -1 = no value), ``D`` the packed
+    sector images — all hex-encoded; the shared ``#repro-end`` footer
+    carries the total event count.
     """
     if any(ch.isspace() for ch in log.trace_name):
         raise TraceError("trace name cannot contain whitespace")
@@ -305,23 +307,25 @@ def dump_event_log(log: "MemoryEventLog", fp: TextIO) -> None:
         f"l2_hits={stats.sector_hits} "
         f"l2_misses={stats.sector_misses}\n"
     )
-    cols = log.to_columns()
-    total = cols.n_events
+    cols = log.events
+    total = len(cols)
     for start in range(0, total, COLUMNAR_CHUNK_EVENTS):
-        rows = np.arange(start, min(start + COLUMNAR_CHUNK_EVENTS, total))
-        chunk = cols.take(rows)
-        lengths = np.where(
-            chunk.value_offset < 0, -1, chunk.value_length
-        ).astype("<i4")
+        rows = slice(start, start + COLUMNAR_CHUNK_EVENTS)
+        present = cols.present[rows]
+        lengths = np.where(present, 32, -1).astype("<i4")
+        payload = cols.images[rows][present].astype(
+            "<u4", copy=False).tobytes()
         fp.write(
-            f"{_CHUNK_PREFIX} events={chunk.n_events} "
-            f"payload={len(chunk.payload)}\n"
+            f"{_CHUNK_PREFIX} events={len(present)} "
+            f"payload={len(payload)}\n"
         )
-        fp.write("K " + chunk.kind.astype("<u1").tobytes().hex() + "\n")
-        fp.write("P " + chunk.partition.astype("<i4").tobytes().hex() + "\n")
-        fp.write("S " + chunk.sector.astype("<i8").tobytes().hex() + "\n")
+        fp.write("K " + cols.kind[rows].astype("<u1").tobytes().hex() + "\n")
+        fp.write(
+            "P " + cols.partition[rows].astype("<i4").tobytes().hex() + "\n"
+        )
+        fp.write("S " + cols.sector[rows].astype("<i8").tobytes().hex() + "\n")
         fp.write("L " + lengths.tobytes().hex() + "\n")
-        fp.write("D " + (chunk.payload.hex() if chunk.payload else "-") + "\n")
+        fp.write("D " + (payload.hex() if payload else "-") + "\n")
     fp.write(f"{_FOOTER_PREFIX} records={total}\n")
 
 
@@ -378,18 +382,21 @@ def load_event_log(fp: TextIO, name: str = "imported") -> "MemoryEventLog":
     """Parse an event log from a text stream.
 
     Structural failures — a missing or misplaced header, a malformed or
-    truncated chunk, a negative partition or sector, a record count
-    that contradicts the ``#repro-end`` footer — raise
+    truncated chunk, a negative partition or sector, a value length
+    other than 32 or -1, a record count that contradicts the
+    ``#repro-end`` footer — raise
     :class:`~repro.common.errors.TraceFormatError` with the offending
     line number.
     """
+    from repro.gpu.columnar import EventColumns
     from repro.gpu.simulator import MemoryEventLog
 
     lines = fp.read().splitlines()
     log = MemoryEventLog(
         trace_name=name, memory_intensity=0.8, instructions=0
     )
-    store = log.events
+    #: Each chunk's decoded columns, in ``EventColumns`` field order.
+    chunks: List[Tuple[np.ndarray, ...]] = []
     saw_header = False
     expected_records = None
     index = 0
@@ -430,6 +437,7 @@ def load_event_log(fp: TextIO, name: str = "imported") -> "MemoryEventLog":
                 "L": 4 * n_events, "D": payload_bytes,
             }
             blobs: Dict[str, bytes] = {}
+            record_lines: Dict[str, int] = {}
             for tag, expected in sizes.items():
                 while index < len(lines) and not lines[index].strip():
                     index += 1
@@ -444,8 +452,9 @@ def load_event_log(fp: TextIO, name: str = "imported") -> "MemoryEventLog":
                 blobs[tag] = _decode_chunk_blob(
                     tag, record[2:].strip(), expected, record_no
                 )
-            kinds = blobs["K"]
-            if any(code > 1 for code in kinds):
+                record_lines[tag] = record_no
+            kinds = np.frombuffer(blobs["K"], dtype=np.uint8)
+            if bool(np.any(kinds > 1)):
                 raise TraceFormatError(
                     "event kind byte must be 0 (fill) or 1 (writeback)",
                     line=line_no,
@@ -459,18 +468,23 @@ def load_event_log(fp: TextIO, name: str = "imported") -> "MemoryEventLog":
                 raise TraceFormatError(
                     "negative partition or sector", line=line_no
                 )
-            present = lengths >= 0
-            if not bool(np.all(lengths[present] == 32)):
+            present = lengths == 32
+            if not bool(np.all(present | (lengths == -1))):
                 raise TraceFormatError(
-                    "sector image must be 32 bytes (truncated record?)",
+                    "value length must be 32 bytes (a sector image) or "
+                    "-1 (no value)",
+                    line=record_lines["L"],
+                )
+            if 32 * int(np.count_nonzero(present)) != payload_bytes:
+                raise TraceFormatError(
+                    "payload size disagrees with value lengths",
                     line=line_no,
                 )
-            try:
-                store.extend_decoded(
-                    kinds, partitions, sectors, lengths, blobs["D"]
-                )
-            except ValueError as exc:
-                raise TraceFormatError(str(exc), line=line_no) from None
+            images = np.zeros((n_events, 8), dtype="<u4")
+            images[present] = np.frombuffer(
+                blobs["D"], dtype="<u4"
+            ).reshape(-1, 8)
+            chunks.append((kinds, partitions, sectors, images, present))
             continue
         if line.startswith(_FOOTER_PREFIX):
             expected_records = _parse_footer(line_no, line)
@@ -485,14 +499,13 @@ def load_event_log(fp: TextIO, name: str = "imported") -> "MemoryEventLog":
             f"event-log file is missing its '{_EVENTS_HEADER_PREFIX}' "
             "header line"
         )
-    if expected_records is not None and expected_records != len(store):
+    if chunks:
+        log.events = EventColumns(*map(np.concatenate, zip(*chunks)))
+    if expected_records is not None and expected_records != len(log.events):
         raise TraceFormatError(
             f"footer declares {expected_records} records but file "
-            f"contains {len(store)} (truncated file?)"
+            f"contains {len(log.events)} (truncated file?)"
         )
-    cols = store.to_columns()
-    log.fill_sectors = cols.fill_count
-    log.writeback_sectors = cols.writeback_count
     return log
 
 

@@ -2,10 +2,11 @@
 
 The reference below is that loop, kept here as the oracle: one
 ``SectoredCache.access`` per trace access, a dict of dirty sector images
-keyed by (partition, line, slot), and one ``append_fill`` or
-``append_writeback`` per event with the sector index from
-``AddressMap.local_sector_index``. ``simulate_l2`` must produce the same
-event columns, payload, fill/writeback counts and ``L2Stats``.
+keyed by (partition, line, slot), and one ``MemoryEvent`` per event with
+the sector index from ``AddressMap.local_sector_index``, the list turned
+into a log by ``EventColumns.from_events``. ``simulate_l2`` must produce
+the same event columns (kind, partition, sector, images and presence
+flags), fill/writeback counts and ``L2Stats``.
 """
 
 from typing import Dict, Optional, Tuple
@@ -15,7 +16,13 @@ import pytest
 
 from repro.common.errors import SimulationError
 from repro.gpu.config import VOLTA
-from repro.gpu.simulator import EventKind, MemoryEventLog, simulate_l2
+from repro.gpu.columnar import EventColumns
+from repro.gpu.simulator import (
+    EventKind,
+    MemoryEvent,
+    MemoryEventLog,
+    simulate_l2,
+)
 from repro.mem.cache import CacheConfig, SectoredCache
 from repro.workloads.benchmarks import BENCHMARKS, build_trace
 from repro.workloads.traceio import loads_trace
@@ -39,12 +46,7 @@ def reference_l2(trace, config):
         for p in range(config.num_partitions)
     ]
     dirty_values: Dict[Tuple[int, int, int], Optional[bytes]] = {}
-    log = MemoryEventLog(
-        trace_name=trace.name,
-        memory_intensity=trace.memory_intensity,
-        instructions=trace.instructions,
-        counter_warmup_passes=trace.counter_warmup_passes,
-    )
+    events = []
 
     def emit_writebacks(partition, line_addr, dirty_mask):
         for slot in range(4):
@@ -52,7 +54,9 @@ def reference_l2(trace, config):
                 continue
             values = dirty_values.pop((partition, line_addr, slot), None)
             sector = amap.local_sector_index(line_addr + slot * 32)
-            log.append_writeback(partition, sector, values)
+            events.append(
+                MemoryEvent(EventKind.WRITEBACK, partition, sector, values)
+            )
 
     for access in trace:
         partition = amap.partition_of(access.line_addr)
@@ -71,13 +75,21 @@ def reference_l2(trace, config):
                 if not (result.miss_mask >> slot) & 1:
                     continue
                 sector = amap.local_sector_index(access.line_addr + slot * 32)
-                log.append_fill(partition, sector, access.value_for(slot))
+                events.append(MemoryEvent(EventKind.FILL, partition, sector,
+                                          access.value_for(slot)))
 
     for partition, bank in enumerate(banks):
         for ev in bank.flush():
             emit_writebacks(partition, ev.line_addr, ev.dirty_mask)
     if dirty_values:
         raise SimulationError("dirty sector values were never drained")
+    log = MemoryEventLog(
+        trace_name=trace.name,
+        memory_intensity=trace.memory_intensity,
+        instructions=trace.instructions,
+        counter_warmup_passes=trace.counter_warmup_passes,
+        events=EventColumns.from_events(events),
+    )
     for bank in banks:
         log.l2_stats.accesses += bank.stats.accesses
         log.l2_stats.sector_hits += bank.stats.sector_hits
@@ -87,15 +99,17 @@ def reference_l2(trace, config):
 
 def fields(log):
     """Everything a log carries, as plain comparable values."""
-    cols = log.to_columns()
+    cols = log.events
     return (
+        tuple(column.dtype.str for column in (
+            cols.kind, cols.partition, cols.sector, cols.images, cols.present
+        )),
         cols.kind.tolist(),
         cols.partition.tolist(),
         cols.sector.tolist(),
-        cols.value_offset.tolist(),
-        cols.value_length.tolist(),
-        cols.payload,
-        cols.fixed32,
+        cols.images.shape,
+        cols.images.tobytes(),
+        cols.present.tolist(),
         log.fill_sectors,
         log.writeback_sectors,
         log.l2_stats,
@@ -145,4 +159,4 @@ def test_write_without_an_image_drops_the_earlier_one():
     assert writebacks == {0: IMAGE[67], 1: None}
     fills = [e.values for e in events if e.kind is EventKind.FILL]
     assert fills == [IMAGE[68], None]
-    assert np.count_nonzero(log.to_columns().value_offset < 0) == 2
+    assert np.count_nonzero(~log.events.present) == 2

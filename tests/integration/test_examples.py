@@ -4,6 +4,7 @@ Examples are the adoption surface; a broken example is a broken
 library. Each runs as a subprocess with reduced problem sizes.
 """
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -13,12 +14,13 @@ import pytest
 EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples"
 
 
-def run_example(name, *args, timeout=240):
+def run_example(name, *args, timeout=240, env=None):
     return subprocess.run(
         [sys.executable, str(EXAMPLES / name), *args],
         capture_output=True,
         text=True,
         timeout=timeout,
+        env=env,
     )
 
 
@@ -47,9 +49,12 @@ class TestExamples:
         assert "Axis 3" in result.stdout
 
     def test_custom_trace_import(self, tmp_path):
-        result = run_example("custom_trace_import.py")
+        # The demo trace goes to the temp directory and must not stay.
+        env = {**os.environ, "TMPDIR": str(tmp_path)}
+        result = run_example("custom_trace_import.py", env=env)
         assert result.returncode == 0, result.stderr
         assert "Plutus returns" in result.stdout
+        assert list(tmp_path.iterdir()) == []
 
     def test_quickstart_rejects_unknown_benchmark(self):
         result = run_example("quickstart.py", "doom")

@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.common.errors import TraceFormatError
+from repro.gpu.columnar import EventColumns, EventKind, MemoryEvent
 from repro.gpu.simulator import MemoryEventLog
 from repro.workloads.traceio import (
     COLUMNAR_CHUNK_EVENTS,
@@ -17,16 +18,25 @@ from repro.workloads.traceio import (
 V32 = bytes(range(32))
 
 
-def _small_log():
-    log = MemoryEventLog(
+def _small_events():
+    return [
+        MemoryEvent(EventKind.FILL, sector % 3, sector,
+                    V32 if sector % 2 else None)
+        for sector in range(7)
+    ] + [
+        MemoryEvent(EventKind.WRITEBACK, sector % 2, sector + 10, V32)
+        for sector in range(4)
+    ]
+
+
+def _small_log(events=None):
+    return MemoryEventLog(
         trace_name="col", memory_intensity=0.25, instructions=9,
         counter_warmup_passes=5,
+        events=EventColumns.from_events(
+            _small_events() if events is None else events
+        ),
     )
-    for sector in range(7):
-        log.append_fill(sector % 3, sector, V32 if sector % 2 else None)
-    for sector in range(4):
-        log.append_writeback(sector % 2, sector + 10, V32)
-    return log
 
 
 def _assert_logs_equal(a, b):
@@ -47,10 +57,11 @@ class TestColumnarRoundtrip:
         _assert_logs_equal(log, loads_event_log(text))
 
     def test_multi_chunk_roundtrip(self):
-        log = _small_log()
-        for sector in range(2 * COLUMNAR_CHUNK_EVENTS):
-            values = V32 if sector % 3 else None
-            log.append_writeback(sector % 5, sector, values)
+        log = _small_log(_small_events() + [
+            MemoryEvent(EventKind.WRITEBACK, sector % 5, sector,
+                        V32 if sector % 3 else None)
+            for sector in range(2 * COLUMNAR_CHUNK_EVENTS)
+        ])
         text = dumps_event_log(log)
         assert text.count("#chunk ") == 3
         _assert_logs_equal(log, loads_event_log(text))
@@ -122,18 +133,34 @@ class TestColumnarErrors:
         with pytest.raises(TraceFormatError, match="99 records"):
             loads_event_log(bad)
 
-    def test_wrong_value_length_rejected(self):
-        log = MemoryEventLog(
-            trace_name="col", memory_intensity=0.5, instructions=1
+    @pytest.mark.parametrize("length", [16, -2, -2**31])
+    def test_length_other_than_32_or_minus_one_rejected(self, length):
+        # A short image, or a negative length other than -1 (ffffffff),
+        # the one mark of an event without a value.
+        image = V32 if length > 0 else None
+        text = dumps_event_log(
+            _small_log([MemoryEvent(EventKind.FILL, 0, 1, image)])
         )
-        log.append_fill(0, 1, V32)
-        text = dumps_event_log(log)
-        # Claim a 16-byte value: the loader enforces 32-byte sectors.
         bad = _mutate_line(
             text, "L ",
-            lambda l: "L " + (16).to_bytes(4, "little").hex() + "\n",
+            lambda l: "L " + length.to_bytes(4, "little", signed=True).hex()
+            + "\n",
         )
-        with pytest.raises(TraceFormatError):
+        with pytest.raises(TraceFormatError, match="value length") as info:
+            loads_event_log(bad)
+        assert info.value.line == 6  # header, #chunk, K, P, S, then L
+
+    def test_payload_size_disagreeing_with_lengths_rejected(self):
+        # Two images declared, one image's worth of payload given.
+        text = dumps_event_log(_small_log([
+            MemoryEvent(EventKind.FILL, 0, 1, V32),
+            MemoryEvent(EventKind.FILL, 0, 2, None),
+        ]))
+        bad = _mutate_line(
+            text, "L ",
+            lambda l: "L " + (32).to_bytes(4, "little").hex() * 2 + "\n",
+        )
+        with pytest.raises(TraceFormatError, match="payload size"):
             loads_event_log(bad)
 
     def test_chunk_before_header_rejected(self):
