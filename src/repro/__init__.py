@@ -2,7 +2,8 @@
 
 A full reproduction of the paper's system and evaluation:
 
-* :mod:`repro.crypto` — from-scratch AES/XTS/CME/SHA-256/MACs;
+* :mod:`repro.crypto` — from-scratch AES, XTS, CME and CMAC, plus
+  HMAC-SHA-256 from the standard library's ``hashlib``;
 * :mod:`repro.mem` — sectored caches, address map, DRAM, traffic;
 * :mod:`repro.metadata` — split/compact counters, BMT, ToC, layouts;
 * :mod:`repro.core` (= :mod:`repro.secure`) — PSSM / common-counters /

@@ -30,7 +30,7 @@ failure conditions without running the full oracle.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -274,8 +274,10 @@ def generate_log(
 def rebuild_log(
     log: MemoryEventLog, events: Sequence[MemoryEvent]
 ) -> MemoryEventLog:
-    """A copy of *log* holding exactly *events*."""
-    return _finish(log.trace_name, list(events), log.counter_warmup_passes)
+    """A copy of *log* holding exactly *events*: every header field is
+    the original's, and the copy has its own ``L2Stats``."""
+    return replace(log, l2_stats=replace(log.l2_stats),
+                   events=EventColumns.from_events(list(events)))
 
 
 def shrink(

@@ -94,8 +94,11 @@ def run_fig09(ctx: ExperimentContext) -> ExperimentResult:
         },
     )
     masked: Dict[str, float] = {}
-    for bench in ctx.benchmarks:
-        report = study_trace_values(ctx.trace(bench))
+    # Every trace first: a trace build's peak then holds no study
+    # temporaries (nor the code pages the study's numpy kernels touch).
+    traces = [ctx.trace(bench) for bench in ctx.benchmarks]
+    for bench, trace in zip(ctx.benchmarks, traces):
+        report = study_trace_values(trace)
         row = {"benchmark": bench}
         row.update(report)
         masked[bench] = report["masked"]

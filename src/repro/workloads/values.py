@@ -6,20 +6,21 @@ repeated graph weights, saturated activations, near-identical floats.
 locality so that workload profiles can be calibrated against the
 paper's measured reuse levels (Fig. 9), as one ``(sectors, 8)``
 little-endian uint32 matrix: the image matrix a
-:class:`~repro.workloads.trace.Trace` holds. :class:`ValueReuseStudy`
-re-implements the paper's three measurement scenarios over any trace,
-which is both the Fig. 9 reproduction and the calibration instrument.
+:class:`~repro.workloads.trace.Trace` holds. :func:`study_trace_values`
+runs the paper's three measurement scenarios over any trace, which is
+both the Fig. 9 reproduction and the calibration instrument. It scores
+each value's LRU membership from reuse positions (its key's stack
+distance, after Mattson et al.): a sort per window of sectors decides
+most values, and a short loop the rest.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.common.bitops import split_values
 from repro.common.errors import ConfigurationError
 from repro.common.rng import RngStream
 from repro.workloads.trace import SECTOR_COUNTS, Trace
@@ -33,14 +34,11 @@ _UBIQUITOUS_VALUES = np.array(
 
 #: Clears a 32-bit value's 4 LSBs: the ``masked`` scenario's key.
 _MASK_4_LSBS = 0xFFFFFFF0
-#: Sectors per numpy decode; a whole trace's keys at once cost megabytes.
-_CHUNK_SECTORS = 64
-#: A read sector's hit bits (one per value, the first value highest)
-#: -> whether each 16-byte half has at least 3 of its 4 values hit.
-_HALVES_REUSED = [
-    bin(bits >> 4).count("1") >= 3 and bin(bits & 15).count("1") >= 3
-    for bits in range(256)
-]
+#: Sectors per window of the study: one sort of each key set per window,
+#: where a whole trace's keys at once would cost megabytes. The sort
+#: packs a key and its index in the window into 64 bits, which holds any
+#: window under 2**29 sectors.
+_WINDOW_SECTORS = 512
 
 
 @dataclass(frozen=True)
@@ -134,12 +132,139 @@ class ValueModel:
         ).reshape(count, self.VALUES_PER_SECTOR)
 
 
-class ValueReuseStudy:
+def _lru_hits(keys: np.ndarray, resident: np.ndarray,
+              capacity: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Which keys of consecutive sectors an LRU set holds before their
+    sector, and the set after the last sector.
+
+    *keys* is a ``(sectors, 8)`` uint32 matrix, one sector per row, and
+    *resident* the set's keys before the first row, least recent first.
+    Each row's keys enter at the MRU end in order, then the set is
+    trimmed to *capacity*. Returns the ``(sectors, 8)`` hit matrix and
+    the resident keys after the last row, least recent first.
+
+    Positions number the resident keys by recency, then the rows' keys.
+    One sort by key, then position, gives each key its previous position
+    q before its row, which starts at position t. A key repeated within
+    its row shares the outcome of its first copy, which is:
+
+    * a miss without q (never seen, or evicted before these rows);
+    * a hit if ``t - q <= capacity``: fewer than *capacity* other keys
+      fit between q and t;
+    * a miss if *capacity* keys between q and t never come back: all of
+      them are more recent than q at t;
+    * undecided otherwise.
+
+    A resident key sits at its last position so far, and the trims evict
+    such positions in position order. By the start of row s they have
+    evicted ``max(0, distinct keys before s - capacity)`` positions,
+    plus one per miss of a key seen before. A loop over the rows with
+    undecided keys moves an eviction pointer that far. It passes the
+    positions evicted whenever reached (keys that never come back, and
+    the q of a certain miss) in bulk, and the q of an undecided key one
+    at a time: evicted if its key has not come back yet, else skipped.
+    An undecided key hits unless its q was evicted. No other position is
+    evicted: a key's earlier copies in a row are not its last position,
+    and a q that is a certain hit stays resident until its key returns.
+    """
+    sectors, m = len(keys), len(resident)
+    flat = np.concatenate((resident, keys.ravel()))
+    # The key in the high half; in the low half 0 for a resident key (one
+    # per key, before its rows' copies), else 1 + the key's index in rows.
+    tagged = flat.astype(np.uint64) << np.uint64(32)
+    tagged[m:] |= np.arange(1, keys.size + 1, dtype=np.uint64)
+    tagged.sort()
+    key = tagged >> np.uint64(32)
+    seen = np.zeros(len(flat), dtype=bool)  # the key came before
+    seen[1:] = key[1:] == key[:-1]
+    # Each temporary goes once used: the study runs after every trace is
+    # built, so what it holds at once adds to the process's peak.
+    del key
+    tag = (tagged & np.uint64(0xFFFFFFFF)).astype(np.int64)
+    del tagged
+    pos = tag + (m - 1)
+    pos[tag == 0] = np.argsort(resident)  # resident keys in key order
+    sector = (tag + 7) >> 3  # 0: the resident keys; row r: r + 1
+    del tag
+
+    returning = seen.copy()  # ...before this key's row
+    returning[1:] &= sector[1:] != sector[:-1]
+    gap = np.zeros(len(flat), dtype=np.int64)  # t - q
+    gap[1:] = 8 * sector[1:] + (m - 8) - pos[:-1]
+    hit = returning & (gap <= capacity)
+    far = np.flatnonzero(returning & (gap > capacity))
+    del gap
+    back = sector[far]  # the row each far key comes back in
+    prev = pos[far - 1]  # its q
+
+    last = np.ones(len(flat), dtype=bool)  # the key's last position
+    last[:-1] = ~seen[1:]
+    always = np.zeros(len(flat), dtype=bool)  # evicted whenever reached
+    always[pos[last]] = True  # keys that never come back
+    never_back = np.cumsum(always)  # ...up to each position
+    gone = never_back[8 * back + (m - 9)] - never_back[prev] >= capacity
+    del never_back
+    always[prev[gone]] = True  # and the q of a certain miss
+    evictable = np.flatnonzero(always)
+    new_keys = np.bincount(sector[~seen], minlength=sectors + 2)
+    again = np.bincount(back[gone], minlength=sectors + 2)
+    # Evictions before row s without the undecided keys' misses.
+    base = (np.maximum(np.cumsum(new_keys) - new_keys - capacity, 0)
+            + np.cumsum(again) - again).tolist()
+
+    undecided = far[~gone]
+    back, prev = back[~gone], prev[~gone]
+    by_prev = np.argsort(prev)
+    # Per undecided q, in position order: the evictable positions before
+    # it (then a stop past the last), and the row its key comes back in.
+    ahead = np.searchsorted(evictable, prev[by_prev]).tolist()
+    ahead.append(len(flat) + 1)
+    back_of = back[by_prev].tolist()
+    evicted = [False] * len(back_of)
+    late = [0] * (sectors + 2)  # undecided misses by row
+    swept = done = nxt = misses = 0  # evictable positions, evictions
+    # Each row with undecided keys, then the end of the rows.
+    for s in np.unique(back).tolist() + [sectors + 1]:
+        target = base[s] + misses
+        while done < target:
+            if ahead[nxt] == swept:  # an undecided q is next in line
+                if back_of[nxt] >= s:  # its key has not come back yet
+                    evicted[nxt] = True
+                    late[back_of[nxt]] += 1
+                    done += 1
+                nxt += 1
+            else:
+                step = ahead[nxt] - swept
+                if step > target - done:
+                    step = target - done
+                swept += step
+                done += step
+        misses += late[s]
+    hit[undecided[by_prev[~np.array(evicted, dtype=bool)]]] = True
+
+    first = np.arange(len(flat))  # the first copy of a key in its row
+    first[seen & ~returning] = 0
+    np.maximum.accumulate(first, out=first)
+    hits = np.empty(len(flat), dtype=bool)
+    hits[pos] = hit[first]
+    return hits[m:].reshape(keys.shape), flat[evictable[swept:]]
+
+
+def _halves_reused(hits: np.ndarray) -> int:
+    """Rows whose two 16-byte halves each have 3 of their 4 values hit."""
+    return int(np.count_nonzero(
+        (hits.reshape(-1, 2, 4).sum(axis=2) >= 3).all(axis=1)
+    ))
+
+
+def study_trace_values(trace: Trace,
+                       cache_entries: int = 512) -> Dict[str, float]:
     """Paper Fig. 8/9: three ways of counting sector-level value reuse.
 
     A 2 kB study cache (512 x 32-bit values, the paper's per-partition
-    analysis configuration) observes every accessed sector. A sector
-    counts as *reused* under:
+    analysis configuration) observes every sector that carries an image,
+    in trace order, read or written. A read sector counts as *reused*
+    under:
 
     * ``full`` — all eight 32-bit values hit;
     * ``halves`` — each 16-byte half has >= 3 of its 4 values hit;
@@ -147,128 +272,38 @@ class ValueReuseStudy:
 
     The study cache has no pinned region, and a probe only touches keys
     that the sector's observe touches again right after. So a hit is
-    membership before the sector, in plain LRU over the observe stream:
-    one ordered set of exact keys (``full`` and ``halves``) and one of
-    masked keys, checked against ``ValueCache`` in the tests.
+    membership before the sector, in plain LRU over the observe stream
+    trimmed to capacity after each sector: one set of exact keys
+    (``full`` and ``halves``) and one of masked keys, checked against
+    ``ValueCache`` in the tests. A sector of eight equal fresh values
+    scores no hit, and the same sector read again scores ``full``.
 
-    Each resident key maps to a stamp: the number of the sector that
-    inserted it, counting every sector, read or written. One lookup per
-    key then decides both the hit and the update. A key present with an
-    earlier sector's stamp was resident before this sector and hits; a
-    key absent, or present with this sector's own stamp (inserted by an
-    earlier value of the same sector), misses. A present key moves to
-    the MRU end and keeps its stamp; an absent one is inserted with this
-    sector's. Nothing is evicted inside a sector: each set is trimmed to
-    capacity once per sector, which leaves what evicting per insert
-    would.
+    Membership comes from reuse positions (:func:`_lru_hits`), window by
+    window over the trace's image matrix; each set's resident keys carry
+    over into the next window.
     """
-
-    SCENARIOS = ("full", "halves", "masked")
-
-    def __init__(self, cache_entries: int = 512) -> None:
-        if cache_entries <= 0:
-            raise ConfigurationError("value-reuse study needs cache entries")
-        self._capacity = cache_entries
-        self._exact: "OrderedDict[int, int]" = OrderedDict()
-        self._masked: "OrderedDict[int, int]" = OrderedDict()
-        #: Sectors observed so far, reads and writes: the next stamp - 1.
-        self._stamp = 0
-        self.sectors_seen = 0
-        self.reused: Dict[str, int] = {s: 0 for s in self.SCENARIOS}
-
-    def observe_sector(self, image: bytes, is_read: bool = True) -> None:
-        """Process one sector access exactly as the paper's study does:
-        reads are checked for reuse before insertion; all accesses insert."""
-        values = split_values(image, 4)
-        self.observe_chunk(
-            [values], [[v & _MASK_4_LSBS for v in values]], [is_read]
-        )
-
-    def observe_chunk(self, exact_rows: Sequence[Sequence[int]],
-                      masked_rows: Sequence[Sequence[int]],
-                      reads: Sequence[bool]) -> None:
-        """:meth:`observe_sector` for consecutive sectors, given by their
-        eight 32-bit values, the values' masked keys and whether each
-        sector is a read."""
-        exact, masked = self._exact, self._masked
-        exact_get, exact_move = exact.get, exact.move_to_end
-        masked_get, masked_move = masked.get, masked.move_to_end
-        exact_pop, masked_pop = exact.popitem, masked.popitem
-        capacity = self._capacity
-        halves_reused = _HALVES_REUSED
-        stamp = self._stamp
-        seen = full = halves = near = 0  # near: the ``masked`` scenario
-        for exact_keys, masked_keys, is_read in zip(exact_rows, masked_rows,
-                                                    reads):
-            stamp += 1
-            hits = 0
-            for key in exact_keys:
-                inserted = exact_get(key)
-                hits <<= 1
-                if inserted is None:
-                    exact[key] = stamp
-                else:
-                    exact_move(key)
-                    if inserted != stamp:
-                        hits += 1
-            masked_hits = 0
-            for key in masked_keys:
-                inserted = masked_get(key)
-                masked_hits <<= 1
-                if inserted is None:
-                    masked[key] = stamp
-                else:
-                    masked_move(key)
-                    if inserted != stamp:
-                        masked_hits += 1
-            if is_read:
-                seen += 1
-                if hits == 255:  # all eight values hit
-                    full += 1
-                if halves_reused[hits]:
-                    halves += 1
-                if halves_reused[masked_hits]:
-                    near += 1
-            while len(exact) > capacity:
-                exact_pop(last=False)
-            while len(masked) > capacity:
-                masked_pop(last=False)
-        self._stamp = stamp
-        self.sectors_seen += seen
-        reused = self.reused
-        reused["full"] += full
-        reused["halves"] += halves
-        reused["masked"] += near
-
-    def reuse_fraction(self, scenario: str) -> float:
-        if scenario not in self.reused:
-            raise KeyError(f"unknown scenario {scenario!r}")
-        if self.sectors_seen == 0:
-            return 0.0
-        return self.reused[scenario] / self.sectors_seen
-
-    def report(self) -> Dict[str, float]:
-        return {s: self.reuse_fraction(s) for s in self.SCENARIOS}
-
-
-def study_trace_values(trace: Trace,
-                       cache_entries: int = 512) -> Dict[str, float]:
-    """Run the three-scenario reuse study over a trace's sector images.
-
-    Reads the trace's image matrix chunk by chunk, in trace order,
-    skipping the rows that carry no image.
-    """
-    study = ValueReuseStudy(cache_entries=cache_entries)
+    if cache_entries <= 0:
+        raise ConfigurationError("value-reuse study needs cache entries")
+    seen = full = halves = near = 0  # near: the ``masked`` scenario
     if trace.images is not None:
         reads = np.repeat(~trace.writes, SECTOR_COUNTS[trace.sector_masks])
-        images = trace.images
-        if not trace.present.all():  # a mask copies the whole matrix
-            images = images[trace.present]
-            reads = reads[trace.present]
-        for start in range(0, len(images), _CHUNK_SECTORS):
-            keys = images[start:start + _CHUNK_SECTORS]
-            study.observe_chunk(
-                keys.tolist(), (keys & np.uint32(_MASK_4_LSBS)).tolist(),
-                reads[start:start + _CHUNK_SECTORS].tolist(),
+        exact = masked = np.empty(0, dtype=np.uint32)
+        for start in range(0, len(trace.images), _WINDOW_SECTORS):
+            window = slice(start, start + _WINDOW_SECTORS)
+            rows, read = trace.images[window], reads[window]
+            present = trace.present[window]
+            if not present.all():
+                rows, read = rows[present], read[present]
+            hits, exact = _lru_hits(rows, exact, cache_entries)
+            near_hits, masked = _lru_hits(
+                rows & np.uint32(_MASK_4_LSBS), masked, cache_entries
             )
-    return study.report()
+            hits, near_hits = hits[read], near_hits[read]
+            seen += len(hits)
+            full += int(np.count_nonzero(hits.all(axis=1)))
+            halves += _halves_reused(hits)
+            near += _halves_reused(near_hits)
+    if seen == 0:
+        return {"full": 0.0, "halves": 0.0, "masked": 0.0}
+    return {"full": full / seen, "halves": halves / seen,
+            "masked": near / seen}

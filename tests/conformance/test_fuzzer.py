@@ -131,6 +131,25 @@ class TestRebuild:
         assert rebuilt.counter_warmup_passes == log.counter_warmup_passes
         assert len(rebuilt.events) == 3
 
+    def test_rebuild_keeps_a_benchmark_logs_header(self):
+        """A shrunk benchmark log keeps the header its original has, and
+        its L2 statistics are a copy, not shared."""
+        from repro.conformance.corpus import default_corpus_dir, events_path
+        from repro.workloads.traceio import load_event_log
+
+        with open(events_path(default_corpus_dir(), "bfs-small")) as fp:
+            log = load_event_log(fp)
+        rebuilt = rebuild_log(log, list(log.events.iter_events())[:5])
+        header = ("trace_name", "memory_intensity", "instructions",
+                  "counter_warmup_passes", "l2_stats")
+        assert ({f: getattr(rebuilt, f) for f in header}
+                == {f: getattr(log, f) for f in header})
+        assert (log.memory_intensity, log.instructions) == (0.9, 30000)
+        assert rebuilt.l2_stats is not log.l2_stats
+        assert len(rebuilt.events) == 5
+        assert dumps_event_log(rebuild_log(
+            log, list(log.events.iter_events()))) == dumps_event_log(log)
+
 
 class TestJournalPayload:
     def test_failure_round_trips_as_event_log_text(self):

@@ -11,14 +11,17 @@ from repro.common.bitops import split_values
 from repro.common.errors import ConfigurationError
 from repro.common.rng import RngStream
 from repro.secure.value_cache import ValueCache, ValueCacheConfig
-from repro.workloads.benchmarks import build_trace
+from repro.workloads.benchmarks import PAPER_ROSTER, build_trace
 from repro.workloads.trace import Trace, TraceAccess
 from repro.workloads.values import (
+    _WINDOW_SECTORS,
     ValueModel,
     ValueModelConfig,
-    ValueReuseStudy,
+    _lru_hits,
     study_trace_values,
 )
+
+from .reuse_reference import MASK_4_LSBS, reference_study
 
 
 def make_model(**kwargs):
@@ -28,6 +31,19 @@ def make_model(**kwargs):
 def sector_bytes(matrix):
     """The 32-byte images of an image matrix, one per row."""
     return [row.tobytes() for row in matrix]
+
+
+def stream(images, writes=None):
+    """A trace of one single-sector access per row of *images*, a
+    ``(sectors, 8)`` matrix of 32-bit values; reads unless *writes*."""
+    images = np.asarray(images, dtype="<u4").reshape(-1, 8)
+    if writes is None:
+        writes = np.zeros(len(images), dtype=bool)
+    return Trace.from_columns(
+        "stream", np.arange(len(images), dtype=np.int64),
+        np.ones(len(images), dtype=np.uint8),
+        np.asarray(writes, dtype=bool), images,
+    )
 
 
 class TestValueModel:
@@ -100,73 +116,144 @@ class TestReuseStudy:
     def test_scenario_ordering(self):
         """Paper Fig. 9: masked >= halves >= full, always."""
         model = make_model(sector_reuse=0.5, near_perturb=0.5)
-        study = ValueReuseStudy()
-        for image in sector_bytes(model.sector_images(2000)):
-            study.observe_sector(image)
-        report = study.report()
+        report = study_trace_values(stream(model.sector_images(2000)))
         assert report["masked"] >= report["halves"] >= report["full"]
 
     def test_zero_locality_shows_no_reuse(self):
         model = make_model(sector_reuse=0.0, value_reuse=0.0)
-        study = ValueReuseStudy()
-        for image in sector_bytes(model.sector_images(500)):
-            study.observe_sector(image)
-        assert study.reuse_fraction("masked") < 0.05
+        report = study_trace_values(stream(model.sector_images(500)))
+        assert report["masked"] < 0.05
 
     def test_total_locality_shows_high_reuse(self):
         model = make_model(sector_reuse=1.0, value_reuse=1.0,
                            near_perturb=0.0, pool_size=32)
-        study = ValueReuseStudy()
-        for image in sector_bytes(model.sector_images(500)):
-            study.observe_sector(image)
-        assert study.reuse_fraction("halves") > 0.8
+        report = study_trace_values(stream(model.sector_images(500)))
+        assert report["halves"] > 0.8
 
     def test_writes_insert_but_do_not_count(self):
-        study = ValueReuseStudy()
-        image = b"\x01\x02\x03\x04" * 8
-        study.observe_sector(image, is_read=False)
-        assert study.sectors_seen == 0
-        study.observe_sector(image, is_read=True)
-        assert study.sectors_seen == 1
-        assert study.reuse_fraction("halves") == 1.0
+        """A written sector puts its values in but is not scored: the read
+        after it is the one sector seen, and it is reused."""
+        image = [0x04030201] * 8
+        report = study_trace_values(stream([image, image], [True, False]))
+        assert report == {"full": 1.0, "halves": 1.0, "masked": 1.0}
 
     def test_first_seen_sector_of_equal_values_scores_no_hit(self):
-        """The first copy of a fresh value inserts it with the sector's
-        own stamp, so the seven repeats after it miss."""
-        study = ValueReuseStudy()
-        study.observe_sector(struct.pack("<8I", *[0x1234] * 8))
-        assert study.sectors_seen == 1
-        assert study.reused == {"full": 0, "halves": 0, "masked": 0}
+        """The first copy of a fresh value misses, and so do the seven
+        repeats after it in the same sector. Of the two reads here only
+        the second, of a sector written before, scores."""
+        written = [0x100, 0x200, 0x300, 0x400] * 2
+        report = study_trace_values(stream(
+            [written, [0x1234] * 8, written], [True, False, False]
+        ))
+        assert report == {"full": 0.5, "halves": 0.5, "masked": 0.5}
 
     def test_same_sector_read_again_scores_full(self):
-        """A second read finds every value with an earlier sector's
-        stamp."""
-        study = ValueReuseStudy()
-        image = struct.pack("<8I", *[0x1234] * 8)
-        study.observe_sector(image)
-        study.observe_sector(image)
-        assert study.sectors_seen == 2
-        assert study.reused == {"full": 1, "halves": 1, "masked": 1}
+        """A second read finds every value resident before its sector."""
+        image = [0x1234] * 8
+        report = study_trace_values(stream([image, image]))
+        assert report == {"full": 0.5, "halves": 0.5, "masked": 0.5}
 
     def test_repeated_fresh_value_does_not_make_a_half(self):
         """Second half seen before, first half one fresh value four
         times: the first half has no hit, so neither ``halves`` nor
-        ``full`` counts the sector."""
-        study = ValueReuseStudy()
+        ``full`` counts that sector; the read of the written sector
+        after it does."""
         seen = [0x100, 0x200, 0x300, 0x400]
-        study.observe_sector(struct.pack("<8I", *seen, *seen), is_read=False)
-        study.observe_sector(struct.pack("<8I", *[0x5000] * 4, *seen))
-        assert study.sectors_seen == 1
-        assert study.reused == {"full": 0, "halves": 0, "masked": 0}
+        report = study_trace_values(stream(
+            [seen + seen, [0x5000] * 4 + seen, seen + seen],
+            [True, False, False],
+        ))
+        assert report == {"full": 0.5, "halves": 0.5, "masked": 0.5}
 
-    def test_unknown_scenario_rejected(self):
-        with pytest.raises(KeyError):
-            ValueReuseStudy().reuse_fraction("quarters")
+    def test_nonpositive_cache_rejected(self):
+        for entries in (0, -1):
+            with pytest.raises(ConfigurationError):
+                study_trace_values(stream([[1] * 8]), cache_entries=entries)
+
+    def test_no_images_scores_nothing(self):
+        trace = build_trace("bfs", length=200, with_values=False)
+        assert study_trace_values(trace) == {
+            "full": 0.0, "halves": 0.0, "masked": 0.0}
 
     def test_study_over_trace(self, bfs_trace):
         report = study_trace_values(bfs_trace)
         assert set(report) == {"full", "halves", "masked"}
         assert 0.0 < report["masked"] < 1.0
+
+
+@pytest.mark.parametrize("seed", [2023, 7])
+@pytest.mark.parametrize("name", PAPER_ROSTER)
+def test_study_matches_reference_on_roster(name, seed):
+    """Every benchmark of the paper's roster scores exactly what the
+    stamp-LRU reference scores."""
+    trace = build_trace(name, length=2000, seed=seed)
+    assert study_trace_values(trace) == reference_study(trace).report()
+
+
+def _key_stream(seed, sectors, pool, fresh=0.0):
+    """*sectors* rows of 8 keys: from a pool of *pool* keys, Zipf-skewed
+    so that reuse distances spread around any capacity, and a *fresh*
+    share of keys that almost surely never come back."""
+    rng = np.random.default_rng(seed)
+    keys = (rng.zipf(1.3, (sectors, 8)) % pool).astype(np.uint32)
+    keys <<= np.uint32(4)
+    keys |= rng.integers(0, 4, (sectors, 8)).astype(np.uint32)
+    new = rng.random((sectors, 8)) < fresh
+    keys[new] = rng.integers(1 << 20, 1 << 32, int(new.sum()),
+                             dtype=np.uint64).astype(np.uint32)
+    return keys
+
+
+def _bits(hit_rows):
+    """A hit matrix's rows as the reference's hit bits."""
+    return [int(bits) for bits in np.packbits(hit_rows, axis=1).ravel()]
+
+
+_CAPACITIES = [1, 3, 7, 8, 9, 31, 64, 255, 512, 1024]
+
+
+@pytest.mark.parametrize("capacity", _CAPACITIES)
+@pytest.mark.parametrize("pool, fresh", [(12, 0.0), (90, 0.1), (700, 0.3)])
+def test_long_stream_matches_reference(capacity, pool, fresh):
+    """Streams over several windows, with capacities below one sector's
+    8 values up to 1,024, small pools, and reads and writes mixed:
+    the counts, every value's hit and the final resident keys all
+    equal the reference's."""
+    sectors = 3 * _WINDOW_SECTORS + 123
+    keys = _key_stream(capacity * 1000 + pool, sectors, pool, fresh)
+    writes = np.random.default_rng(pool).random(sectors) < 0.3
+    trace = stream(keys, writes)
+    reference = reference_study(trace, cache_entries=capacity)
+    assert (study_trace_values(trace, cache_entries=capacity)
+            == reference.report())
+
+    exact_hits, masked_hits = [], []
+    exact = masked = np.empty(0, dtype=np.uint32)
+    half = sectors // 2
+    cuts = [0, 1, 1, 300, half, half + 1, sectors - 9, sectors]  # one empty
+    for start, stop in zip(cuts, cuts[1:]):
+        hits, exact = _lru_hits(keys[start:stop], exact, capacity)
+        exact_hits.append(hits)
+        hits, masked = _lru_hits(
+            keys[start:stop] & np.uint32(MASK_4_LSBS), masked, capacity)
+        masked_hits.append(hits)
+    assert _bits(np.concatenate(exact_hits)) == reference.hit_bits
+    assert _bits(np.concatenate(masked_hits)) == reference.masked_hit_bits
+    assert (exact.tolist(), masked.tolist()) == reference.resident()
+
+
+@pytest.mark.parametrize("capacity", [1, 8, 512])
+@pytest.mark.parametrize("writes", [True, False])
+def test_one_sided_stream_matches_reference(capacity, writes):
+    """An all-write stream scores no sector, an all-read one every
+    sector."""
+    sectors = 2 * _WINDOW_SECTORS + 7
+    keys = _key_stream(capacity, sectors, 150, fresh=0.1)
+    trace = stream(keys, np.full(sectors, writes))
+    reference = reference_study(trace, cache_entries=capacity)
+    report = study_trace_values(trace, cache_entries=capacity)
+    assert report == reference.report()
+    assert reference.sectors_seen == (0 if writes else sectors)
 
 
 def three_cache_study(trace, cache_entries=512):
